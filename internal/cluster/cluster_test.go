@@ -3,12 +3,14 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"hotleakage/internal/obs"
 	"hotleakage/internal/server"
 	"hotleakage/internal/server/api"
 	"hotleakage/internal/store"
@@ -376,5 +378,54 @@ func TestCoordinatorAliasing(t *testing.T) {
 	}
 	if _, err := cl.WaitSweep(ctx, a.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCoordinatorCountsRejections: a submit turned away with 429 (queue
+// full) or 503 (draining) counts in server_sweeps_rejected_total, exactly
+// as on a single-node daemon, so one dashboard reads both roles.
+func TestCoordinatorCountsRejections(t *testing.T) {
+	ts, _ := startWorker(t, server.Config{})
+	coord, coordTS, _ := startCoordinator(t, []string{ts.URL}, nil)
+	body, err := json.Marshal(testSweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func() int {
+		t.Helper()
+		resp, err := http.Post(coordTS.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	rejected := func() uint64 { return obs.Default.Snapshot().Counter(obs.MetricSweepsRejected) }
+	before := rejected()
+
+	coord.mu.Lock()
+	coord.inflight = coord.cfg.QueueDepth
+	coord.mu.Unlock()
+	code := submit()
+	coord.mu.Lock()
+	coord.inflight = 0
+	coord.mu.Unlock()
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("full queue answered %d, want 429", code)
+	}
+	if got := rejected() - before; got != 1 {
+		t.Fatalf("429 counted %d rejections, want 1", got)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := coord.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if code := submit(); code != http.StatusServiceUnavailable {
+		t.Fatalf("draining coordinator answered %d, want 503", code)
+	}
+	if got := rejected() - before; got != 2 {
+		t.Fatalf("429+503 counted %d rejections, want 2", got)
 	}
 }

@@ -29,6 +29,9 @@ var (
 	obsWorkerDeaths = obs.Default.Counter(obs.MetricClusterWorkerDeaths)
 	obsCellsAcked   = obs.Default.Counter(obs.MetricClusterCellsAcked)
 	obsWorkersAlive = obs.Default.Gauge(obs.GaugeClusterWorkersAlive)
+	// Shared with the single-node daemon (registration is idempotent by
+	// name), so both roles count turned-away submits in one family.
+	obsSweepsRejected = obs.Default.Counter(obs.MetricSweepsRejected)
 )
 
 // Config parameterizes a coordinator. Workers and Store are required.
@@ -381,6 +384,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	if c.draining {
 		c.mu.Unlock()
+		obsSweepsRejected.Add(1)
 		httpError(w, http.StatusServiceUnavailable, "coordinator is draining")
 		return
 	}
@@ -398,6 +402,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if c.inflight >= c.cfg.QueueDepth {
 		c.mu.Unlock()
+		obsSweepsRejected.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(api.RetryAfterSeconds(c.cfg.RetryAfter)))
 		httpError(w, http.StatusTooManyRequests, "coordinator queue is full")
 		return
@@ -509,7 +514,7 @@ func (c *Coordinator) runSweep(sw *csweep) {
 				sw.done[i] = true
 				sw.storeHits++
 				sw.mu.Unlock()
-				sw.hub.Write(obs.Record{Type: "store_hit", RunID: wireKey(sw.wire[i])})
+				sw.hub.Write(obs.Record{Type: "store_hit", RunID: sw.wire[i].Key()})
 				continue
 			}
 		}
@@ -843,7 +848,7 @@ func (c *Coordinator) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacke
 	for _, i := range g.idxs {
 		wc := sw.wire[i]
 		req.Cells = append(req.Cells, wc)
-		byKey[wireKey(wc)] = i
+		byKey[wc.Key()] = i
 	}
 
 	st, err := w.client.SubmitSweep(sw.ctx, req)
@@ -901,7 +906,7 @@ func (c *Coordinator) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacke
 	var execd, hits, resumed int
 	execd, hits, resumed = final.Executed, final.StoreHits, final.Resumed
 	for _, cellSt := range final.Cells {
-		i, ok := byKey[wireKey(cellSt.Cell)]
+		i, ok := byKey[cellSt.Key()]
 		if !ok {
 			continue
 		}
@@ -1056,17 +1061,6 @@ func (c *Coordinator) finishWith(sw *csweep, state, msg, degradedMsg string) {
 	sw.hub.Close()
 	c.cfg.Log.Printf("leakd-coord: sweep %s %s (executed=%d store_hits=%d failed=%d)",
 		sw.id, state, executed, hits, failed)
-}
-
-// wireKey identifies a wire cell for matching worker statuses to sweep
-// indices (the api package keeps its own key unexported). Attack cells
-// get their own namespace so a scenario named like a benchmark can never
-// match the wrong status row.
-func wireKey(wc api.Cell) string {
-	if wc.Kind == api.KindAttack {
-		return fmt.Sprintf("attack/%s/%d/%s/%d", wc.Scenario, wc.L2, strings.ToLower(wc.Technique), wc.Interval)
-	}
-	return fmt.Sprintf("%s/%d/%s/%d", wc.Bench, wc.L2, strings.ToLower(wc.Technique), wc.Interval)
 }
 
 // costKey names a wire cell's row in the EWMA cost model. Energy cells

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"hotleakage/internal/attack"
 	"hotleakage/internal/leakctl"
 	"hotleakage/internal/sim"
 )
@@ -69,10 +70,10 @@ func (c Cell) AttackSpec() (sim.AttackSpec, error) {
 	return sim.AttackSpec{Scenario: c.Scenario, L2: c.L2, Technique: t, Interval: c.Interval}, nil
 }
 
-// key identifies a cell for client-side matching. Attack keys carry the
-// kind prefix and scenario so the two kinds can never collide; energy keys
-// keep their historic form.
-func (c Cell) key() string {
+// Key identifies a wire cell, for matching statuses to the cells asked
+// for. Attack keys carry the kind prefix and scenario so the two kinds can
+// never collide; energy keys keep their historic form.
+func (c Cell) Key() string {
 	if c.Kind == KindAttack {
 		return fmt.Sprintf("attack/%s/%d/%s/%d", c.Scenario, c.L2, strings.ToLower(c.Technique), c.Interval)
 	}
@@ -404,69 +405,29 @@ func (c *Client) Health(ctx context.Context) (Health, error) {
 	return h, err
 }
 
-// RunCells implements sim.RemoteRunner: it submits the cells as one sweep
-// (interactive when small), waits for completion and downloads each
-// completed cell's stored result. Per-cell failures come back as
-// RemoteCell.Err; a sweep that ends canceled or failed is a batch error.
+// RunCells implements sim.RemoteRunner for energy cells: it submits the
+// cells as one sweep (interactive when small), waits for completion and
+// downloads each completed cell's stored result. Per-cell failures come
+// back as RemoteCell.Err; a sweep that ends canceled or failed is a batch
+// error.
 func (c *Client) RunCells(ctx context.Context, instructions, warmup uint64, specs []sim.CellSpec) ([]sim.RemoteCell, error) {
-	req := SweepRequest{Instructions: instructions, Warmup: warmup}
-	for _, sp := range specs {
-		req.Cells = append(req.Cells, FromSpec(sp))
-	}
-	st, err := c.SubmitSweep(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	st, err = c.WaitSweep(ctx, st.ID)
-	if err != nil {
-		return nil, err
-	}
-	if st.State != StateCompleted {
-		msg := st.Error
-		if msg == "" {
-			msg = "sweep ended " + st.State
-		}
-		return nil, fmt.Errorf("sweep %s: %s", st.ID, msg)
-	}
-	byKey := make(map[string]CellStatus, len(st.Cells))
-	for _, cs := range st.Cells {
-		byKey[cs.key()] = cs
-	}
-	out := make([]sim.RemoteCell, 0, len(specs))
-	for _, sp := range specs {
-		rc := sim.RemoteCell{Spec: sp}
-		cs, ok := byKey[FromSpec(sp).key()]
-		switch {
-		case !ok:
-			rc.Err = "daemon status omitted this cell"
-		case cs.State == "done" && cs.Hash != "":
-			rec, err := c.Cell(ctx, cs.Hash)
-			if err != nil {
-				return nil, err
-			}
-			if err := json.Unmarshal(rec.Value, &rc.Result); err != nil {
-				return nil, fmt.Errorf("api: decode cell %s: %w", cs.Hash, err)
-			}
-		default:
-			rc.Err = cs.Error
-			if rc.Err == "" {
-				rc.Err = "cell ended in state " + cs.State
-			}
-		}
-		out = append(out, rc)
-	}
-	return out, nil
+	return runRemote[sim.CellSpec, sim.RunResult](ctx, c, SweepRequest{Instructions: instructions, Warmup: warmup}, specs, FromSpec)
 }
 
-// RunAttackCells implements sim.AttackRemoteRunner, the attack-cell twin of
-// RunCells: the cells go up as one sweep of kind-"attack" wire cells and
-// each completed cell's stored attack.Result comes back by content address.
-// The sweep carries no instruction budget — attack runs are sized by their
-// scenario, and their content addresses ignore the budget by construction.
-func (c *Client) RunAttackCells(ctx context.Context, specs []sim.AttackSpec) ([]sim.RemoteAttackCell, error) {
-	var req SweepRequest
-	for _, sp := range specs {
-		req.Cells = append(req.Cells, FromAttackSpec(sp))
+// RunAttackCells implements sim.RemoteRunner for attack cells, exactly as
+// RunCells does for energy cells. The sweep carries no instruction budget
+// — attack runs are sized by their scenario, and their content addresses
+// ignore the budget by construction.
+func (c *Client) RunAttackCells(ctx context.Context, specs []sim.AttackSpec) ([]sim.RemoteOutcome[sim.AttackSpec, attack.Result], error) {
+	return runRemote[sim.AttackSpec, attack.Result](ctx, c, SweepRequest{}, specs, FromAttackSpec)
+}
+
+// runRemote submits specs as the cells of req, waits for the sweep, and
+// downloads each completed cell's stored result by content address.
+func runRemote[P, R any](ctx context.Context, c *Client, req SweepRequest, specs []P, wire func(P) Cell) ([]sim.RemoteOutcome[P, R], error) {
+	req.Cells = make([]Cell, len(specs))
+	for i, sp := range specs {
+		req.Cells[i] = wire(sp)
 	}
 	st, err := c.SubmitSweep(ctx, req)
 	if err != nil {
@@ -485,12 +446,12 @@ func (c *Client) RunAttackCells(ctx context.Context, specs []sim.AttackSpec) ([]
 	}
 	byKey := make(map[string]CellStatus, len(st.Cells))
 	for _, cs := range st.Cells {
-		byKey[cs.key()] = cs
+		byKey[cs.Key()] = cs
 	}
-	out := make([]sim.RemoteAttackCell, 0, len(specs))
-	for _, sp := range specs {
-		rc := sim.RemoteAttackCell{Spec: sp}
-		cs, ok := byKey[FromAttackSpec(sp).key()]
+	out := make([]sim.RemoteOutcome[P, R], 0, len(specs))
+	for i, sp := range specs {
+		rc := sim.RemoteOutcome[P, R]{Spec: sp}
+		cs, ok := byKey[req.Cells[i].Key()]
 		switch {
 		case !ok:
 			rc.Err = "daemon status omitted this cell"

@@ -3,6 +3,10 @@ package api
 import (
 	"testing"
 	"time"
+
+	"hotleakage/internal/attack"
+	"hotleakage/internal/leakctl"
+	"hotleakage/internal/sim"
 )
 
 // TestExpandCells covers request validation and normalization.
@@ -160,4 +164,59 @@ func TestRetryAfterSeconds(t *testing.T) {
 			t.Errorf("RetryAfterSeconds(%v) = %d, want %d", c.d, got, c.want)
 		}
 	}
+}
+
+// TestRequestHashMixedKindPinned pins a request that mixes both cell
+// kinds, so attack-cell wire encoding and kind ordering cannot move
+// without notice either.
+func TestRequestHashMixedKindPinned(t *testing.T) {
+	withAttack := []Cell{
+		{Bench: "gzip", L2: 11, Technique: "drowsy", Interval: 4096},
+		{Bench: "gcc", L2: 11, Technique: "none"},
+		{Kind: KindAttack, Scenario: "smoke", L2: 11, Technique: "drowsy", Interval: 4096},
+	}
+	h, err := RequestHash(1_000_000, 300_000, withAttack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pinned = "29009dc2da3d7637be69bb84a0035559d8326cc6b23694d420bb794a9ac24db4"
+	if h != pinned {
+		t.Fatalf("mixed-kind request hash moved: %s != pinned %s", h, pinned)
+	}
+}
+
+// TestContentAddressesInjective: integers above 2^53 do not fit a
+// float64, so a canonical form that routes numbers through one maps 2^53
+// and 2^53+1 to the same bytes. Every content address must still tell
+// them apart: a shared hash would serve one cell's result for the other.
+func TestContentAddressesInjective(t *testing.T) {
+	const big = uint64(1) << 53
+	distinct := func(what string, hash func(v uint64) (string, error)) {
+		t.Helper()
+		a, err := hash(big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := hash(big + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a == b {
+			t.Errorf("%s: 2^53 and 2^53+1 share the address %s", what, a)
+		}
+	}
+	mc := sim.DefaultMachine(11)
+	distinct("CellHash interval", func(v uint64) (string, error) {
+		return sim.CellHash(mc, "gzip", leakctl.TechDrowsy, v)
+	})
+	sc, _ := attack.ByName("smoke")
+	distinct("AttackHash interval", func(v uint64) (string, error) {
+		return sim.AttackHash(mc, sc, leakctl.TechDrowsy, v)
+	})
+	distinct("RequestHash interval", func(v uint64) (string, error) {
+		return RequestHash(1_000_000, 300_000, []Cell{{Bench: "gzip", L2: 11, Technique: "drowsy", Interval: v}})
+	})
+	distinct("RequestHash budget", func(v uint64) (string, error) {
+		return RequestHash(v, 300_000, []Cell{{Bench: "gzip", L2: 11, Technique: "drowsy", Interval: 4096}})
+	})
 }

@@ -128,8 +128,8 @@ func TestAttackSweep(t *testing.T) {
 	}
 }
 
-// TestRemoteRunAttackCells exercises the sim.AttackRemoteRunner
-// implementation: the client ships attack cells to the daemon and the
+// TestRemoteRunAttackCells exercises the attack half of the
+// sim.RemoteRunner implementation: the client ships attack cells to the daemon and the
 // reassembled results match a local run bit-for-bit, with unknown
 // scenarios degrading to per-cell errors on the daemon side.
 func TestRemoteRunAttackCells(t *testing.T) {

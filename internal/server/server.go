@@ -135,15 +135,16 @@ type sweep struct {
 	cancel       context.CancelFunc
 	hub          *stream.Hub
 
-	mu             sync.Mutex
-	state          string
-	created        time.Time
-	started        time.Time
-	finished       time.Time
-	exp            *sim.Experiments // live counters while running
-	outcomes       []sim.CellOutcome
-	attackOutcomes []sim.AttackOutcome
-	errMsg         string
+	mu       sync.Mutex
+	state    string
+	created  time.Time
+	started  time.Time
+	finished time.Time
+	exp      *sim.Experiments // live counters while running
+	// results are the final cell statuses in wire order (energy cells,
+	// then attack cells); nil until the ladder has answered.
+	results []api.CellStatus
+	errMsg  string
 	// degradedMsg marks a sweep that completed with results intact but
 	// with infrastructure trouble (store writes failing): the work is
 	// done, just not all of it persisted for reuse.
@@ -462,19 +463,25 @@ func (s *Server) execute(sw *sweep) {
 	// context (drain, client deadline) is still alive.
 	watchdogFired := runCtx.Err() != nil && sw.ctx.Err() == nil
 
+	var results []api.CellStatus
+	if outs != nil || attackOuts != nil {
+		results = make([]api.CellStatus, 0, len(outs)+len(attackOuts))
+		for _, o := range outs {
+			results = append(results, cellStatus(api.FromSpec(o.Spec), o.Hash, o.Err))
+		}
+		for _, o := range attackOuts {
+			results = append(results, cellStatus(api.FromAttackSpec(o.Spec), o.Hash, o.Err))
+		}
+	}
+	failed := 0
+	for _, cs := range results {
+		if cs.State == "failed" {
+			failed++
+		}
+	}
+
 	state := api.StateCompleted
 	var msg, degradedMsg string
-	failed := 0
-	for _, o := range outs {
-		if o.Err != nil {
-			failed++
-		}
-	}
-	for _, o := range attackOuts {
-		if o.Err != nil {
-			failed++
-		}
-	}
 	switch {
 	case (runErr != nil || failed > 0) && watchdogFired:
 		state = api.StateFailed
@@ -500,8 +507,7 @@ func (s *Server) execute(sw *sweep) {
 	sw.state = state
 	sw.finished = time.Now()
 	sw.exp = nil
-	sw.outcomes = outs
-	sw.attackOutcomes = attackOuts
+	sw.results = results
 	sw.errMsg = msg
 	sw.degradedMsg = degradedMsg
 	sw.executed, sw.storeHits, sw.resumed = executed, hits, resumed
@@ -512,6 +518,14 @@ func (s *Server) execute(sw *sweep) {
 	obsSweepsCompleted.Add(1)
 	s.cfg.Log.Printf("leakd: sweep %s %s (executed=%d store_hits=%d resumed=%d failed=%d)",
 		sw.id, state, executed, hits, resumed, failed)
+}
+
+// cellStatus renders one finished cell for the wire.
+func cellStatus(c api.Cell, hash string, err *harness.RunError) api.CellStatus {
+	if err != nil {
+		return api.CellStatus{Cell: c, Hash: hash, State: "failed", Error: err.Err}
+	}
+	return api.CellStatus{Cell: c, Hash: hash, State: "done"}
 }
 
 // finishUnrun terminates a sweep that never reached an executor.
@@ -718,37 +732,17 @@ func (s *Server) status(sw *sweep, withCells bool) api.SweepStatus {
 	} else {
 		st.Executed, st.StoreHits, st.Resumed = sw.executed, sw.storeHits, sw.resumed
 	}
-	if sw.outcomes != nil || sw.attackOutcomes != nil {
-		// Energy outcomes first, then attack outcomes — the wire order
-		// ExpandCells documents.
+	if sw.results != nil {
 		st.Completed = 0
-		for _, o := range sw.outcomes {
-			cs := api.CellStatus{Cell: api.FromSpec(o.Spec), Hash: o.Hash}
-			if o.Err != nil {
-				cs.State = "failed"
-				cs.Error = o.Err.Err
+		for _, cs := range sw.results {
+			if cs.State == "failed" {
 				st.Failed++
 			} else {
-				cs.State = "done"
 				st.Completed++
-			}
-			if withCells {
-				st.Cells = append(st.Cells, cs)
 			}
 		}
-		for _, o := range sw.attackOutcomes {
-			cs := api.CellStatus{Cell: api.FromAttackSpec(o.Spec), Hash: o.Hash}
-			if o.Err != nil {
-				cs.State = "failed"
-				cs.Error = o.Err.Err
-				st.Failed++
-			} else {
-				cs.State = "done"
-				st.Completed++
-			}
-			if withCells {
-				st.Cells = append(st.Cells, cs)
-			}
+		if withCells {
+			st.Cells = append([]api.CellStatus(nil), sw.results...)
 		}
 	} else if withCells {
 		for _, c := range sw.wire {

@@ -2,25 +2,21 @@ package sim
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 
 	"hotleakage/internal/attack"
 	"hotleakage/internal/harness"
 	"hotleakage/internal/leakctl"
-	"hotleakage/internal/obs"
 	"hotleakage/internal/store"
 )
 
 // AttackSpec names one timing-leakage cell by its public coordinates: the
 // adversarial scenario, the machine's L2 hit latency, the leakage-control
 // technique and the decay interval. It is the security counterpart of
-// CellSpec and resolves through the same ladder — memo, remote daemon,
-// content-addressed store, checkpoint, simulation.
+// CellSpec and resolves through the same ladder.
 type AttackSpec struct {
 	Scenario  string
 	L2        int
@@ -34,6 +30,8 @@ type AttackSpec struct {
 func (as AttackSpec) Key() string {
 	return fmt.Sprintf("attack/%s/%d/%d/%d", as.Scenario, as.L2, as.Technique, as.Interval)
 }
+
+func (as AttackSpec) labels() (string, string) { return as.Scenario, as.Technique.String() }
 
 // attackIdentity is the canonical identity document an attack cell is
 // content-addressed by. Kind is always "attack" (never empty), so an attack
@@ -73,33 +71,43 @@ func AttackHash(mc MachineConfig, sc attack.Scenario, t leakctl.Technique, inter
 }
 
 // AttackOutcome is the result of one RunAttackCells cell.
-type AttackOutcome struct {
-	Spec   AttackSpec
-	Key    string
-	Hash   string
-	Result attack.Result
-	Err    *harness.RunError
+type AttackOutcome = Outcome[AttackSpec, attack.Result]
+
+// attackMachine narrows a machine config to the hardware view an attack
+// runs against.
+func attackMachine(mc MachineConfig) attack.Machine {
+	return attack.Machine{Tech: mc.Tech, L1D: mc.L1D, L2: mc.L2, MemLatency: mc.MemLatency}
 }
 
-// RemoteAttackCell is one attack cell's outcome as reported by a remote
-// daemon.
-type RemoteAttackCell struct {
-	Spec   AttackSpec
-	Result attack.Result
-	Err    string
+// RunAttackCells executes an explicit set of attack cells through the
+// resolution ladder. The returned outcomes parallel specs; an unknown
+// scenario fails its own cell only.
+func (e *Experiments) RunAttackCells(specs []AttackSpec) ([]AttackOutcome, error) {
+	return e.attacks.outcomes(specs, func(as AttackSpec) (AttackSpec, error) {
+		if _, ok := attack.ByName(as.Scenario); !ok {
+			return as, fmt.Errorf("unknown attack scenario %q", as.Scenario)
+		}
+		return as, nil
+	})
 }
 
-// AttackRemoteRunner extends RemoteRunner with attack-cell delegation. The
-// resolution ladder discovers it by type assertion on Experiments.Remote,
-// so a RemoteRunner that predates the security subsystem keeps working —
-// its attack cells simply resolve locally.
-type AttackRemoteRunner interface {
-	RunAttackCells(ctx context.Context, specs []AttackSpec) ([]RemoteAttackCell, error)
+// attackKind is the attack cell kind: a prime+probe scenario against the
+// controlled L1, measured as a timing channel. Attack runs are cheap (tens
+// of thousands of serialized cache accesses), so the kind has no batch
+// phase and no cost model. Its specs reach the ladder with a registered
+// scenario (RunAttackCells and FrontierFigure check the name).
+type attackKind struct{ e *Experiments }
+
+func (attackKind) public(as AttackSpec) AttackSpec { return as }
+
+func (k attackKind) identity(as AttackSpec) any {
+	sc, _ := attack.ByName(as.Scenario)
+	return attackIdentityFor(k.e.suite(as.L2).MC, sc, as.Technique, as.Interval)
 }
 
-// checkAttack rejects corrupt attack results before they enter the memo,
-// the checkpoint or the store (mirror of checkRun for energy cells).
-func checkAttack(r attack.Result) error {
+// check rejects corrupt attack results before they enter the memo, the
+// checkpoint or the store.
+func (attackKind) check(r attack.Result) error {
 	if r.Scenario == "" || r.Probes == 0 {
 		return fmt.Errorf("empty attack result")
 	}
@@ -114,383 +122,23 @@ func checkAttack(r attack.Result) error {
 	return nil
 }
 
-// attackMachine narrows a machine config to the hardware view an attack
-// runs against.
-func attackMachine(mc MachineConfig) attack.Machine {
-	return attack.Machine{Tech: mc.Tech, L1D: mc.L1D, L2: mc.L2, MemLatency: mc.MemLatency}
-}
-
-// attackRunSpec is one pending attack simulation (scenario resolved).
-type attackRunSpec struct {
-	sc       attack.Scenario
-	l2       int
-	tech     leakctl.Technique
-	interval uint64
-}
-
-func (sp attackRunSpec) key() string {
-	return AttackSpec{Scenario: sp.sc.Name, L2: sp.l2, Technique: sp.tech, Interval: sp.interval}.Key()
-}
-
-// attackSupervisor lazily builds the attack-cell supervisor. It shares the
-// energy supervisor's checkpoint file (attack keys carry the "attack/"
-// prefix, so the namespaces never collide) and the same worker sizing,
-// retry, injection and event plumbing.
-func (e *Experiments) attackSupervisor() (*harness.Supervisor[attack.Result], error) {
-	// Materialize the checkpoint (and fail fast on an unusable one) through
-	// the energy supervisor's builder.
-	if _, err := e.supervisor(); err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.asup != nil {
-		return e.asup, nil
-	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = 1
-		if e.Parallel {
-			workers = runtime.GOMAXPROCS(0)
-		}
-	}
-	e.asup = harness.New(harness.Config[attack.Result]{
-		Workers:    workers,
-		Timeout:    e.RunTimeout,
-		MaxRetries: e.MaxRetries,
-		Injector:   e.Injector,
-		Checkpoint: e.ckpt,
-		Check:      checkAttack,
-		Events:     e.Events,
-	})
-	return e.asup, nil
-}
-
-// attackMemo lazily initializes the attack memo maps (callers hold e.mu).
-func (e *Experiments) attackMemoLocked() {
-	if e.attackRuns == nil {
-		e.attackRuns = make(map[string]attack.Result)
-		e.attackFailures = make(map[string]*harness.RunError)
-	}
-}
-
-// RunAttackCells executes an explicit set of attack cells through the full
-// resolution ladder: in-process memo, remote daemon (when Remote implements
-// AttackRemoteRunner), content-addressed store, federated peer, harness
-// checkpoint, and finally the attack simulator under a supervisor. The
-// returned outcomes parallel specs; individual failures degrade to per-cell
-// errors.
-func (e *Experiments) RunAttackCells(specs []AttackSpec) ([]AttackOutcome, error) {
-	outs := make([]AttackOutcome, len(specs))
-	var rss []attackRunSpec
-	for i, as := range specs {
-		outs[i].Spec = as
-		outs[i].Key = as.Key()
-		sc, ok := attack.ByName(as.Scenario)
-		if !ok {
-			outs[i].Err = &harness.RunError{
-				Key: outs[i].Key, Benchmark: as.Scenario, Technique: as.Technique.String(),
-				Err: fmt.Sprintf("unknown attack scenario %q", as.Scenario),
-			}
-			continue
-		}
-		rss = append(rss, attackRunSpec{sc, as.L2, as.Technique, as.Interval})
-	}
-	if err := e.runAttackSpecs(rss); err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.attackMemoLocked()
-	for i := range outs {
-		if outs[i].Err != nil {
-			continue
-		}
-		if r, ok := e.attackRuns[outs[i].Key]; ok {
-			outs[i].Result = r
-			sc, _ := attack.ByName(outs[i].Spec.Scenario)
-			mc := e.suiteLocked(outs[i].Spec.L2).MC
-			if h, err := AttackHash(mc, sc, outs[i].Spec.Technique, outs[i].Spec.Interval); err == nil {
-				outs[i].Hash = h
-			}
-			continue
-		}
-		if fe, failed := e.attackFailures[outs[i].Key]; failed {
-			outs[i].Err = fe
-			continue
-		}
-		outs[i].Err = &harness.RunError{
-			Key: outs[i].Key, Benchmark: outs[i].Spec.Scenario,
-			Technique: outs[i].Spec.Technique.String(),
-			Err:       "attack cell produced no result",
-		}
-	}
-	return outs, nil
-}
-
-// runAttackSpecs is the attack ladder (the security counterpart of
-// runSpecs). Attack runs are cheap (tens of thousands of serialized cache
-// accesses), so there is no lockstep batch phase; everything else — memo,
-// remote delegation with fallback, store/peer resolution, checkpoint
-// resume, supervised execution, store persistence — mirrors the energy
-// path.
-func (e *Experiments) runAttackSpecs(specs []attackRunSpec) error {
-	e.mu.Lock()
-	e.attackMemoLocked()
-	var pending []attackRunSpec
-	seen := make(map[string]bool)
-	for _, sp := range specs {
-		k := sp.key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if _, ok := e.attackRuns[k]; ok {
-			continue
-		}
-		if _, failed := e.attackFailures[k]; failed {
-			continue
-		}
-		pending = append(pending, sp)
-	}
-	e.mu.Unlock()
-	if len(pending) == 0 {
-		return nil
-	}
-	obsCellsPlanned.Add(int64(len(pending)))
-
-	if rr, ok := e.Remote.(AttackRemoteRunner); ok && rr != nil {
-		err := e.runAttackSpecsRemote(rr, pending)
-		if err == nil {
-			return nil
-		}
-		if !e.RemoteFallback || e.ctx().Err() != nil {
-			canceled := e.ctx().Err() != nil
-			e.mu.Lock()
-			for _, sp := range pending {
-				e.attackFailures[sp.key()] = &harness.RunError{
-					Key: sp.key(), Benchmark: sp.sc.Name, Technique: sp.tech.String(),
-					Err: err.Error(), Canceled: canceled,
-				}
-			}
-			e.mu.Unlock()
-			return err
-		}
-		obsRemoteDegraded.Add(1)
-		if e.Events != nil {
-			e.Events.Write(obs.Record{Type: "remote_degraded", Error: err.Error(),
-				Detail: fmt.Sprintf("%d attack cells fall back to local resolution", len(pending))})
-		}
-	}
-
-	sup, err := e.attackSupervisor()
-	if err != nil {
-		return err
-	}
-	if e.Store != nil || e.Peer != nil {
-		if pending = e.resolveAttackFromStore(pending); len(pending) == 0 {
-			return nil
-		}
-	}
-
-	jobs := make([]harness.Job[attack.Result], len(pending))
-	for i, sp := range pending {
-		sp := sp
-		m := attackMachine(e.suite(sp.l2).MC)
-		jobs[i] = harness.Job[attack.Result]{
-			Key:       sp.key(),
-			Benchmark: sp.sc.Name,
-			Technique: sp.tech.String(),
-			Run: func(ctx context.Context) (attack.Result, error) {
-				return attack.Run(m, sp.sc, leakctl.DefaultParams(sp.tech, sp.interval))
-			},
-		}
-	}
-	results := sup.Run(e.ctx(), jobs)
-
-	type done struct {
-		sp attackRunSpec
-		r  attack.Result
-	}
-	var completed []done
-	e.mu.Lock()
-	for i, res := range results {
-		sp := pending[i]
-		if res.Err != nil {
-			e.attackFailures[res.Key] = res.Err
-			continue
-		}
-		e.attackRuns[res.Key] = res.Value
-		completed = append(completed, done{sp, res.Value})
-		if res.FromCheckpoint {
-			e.resumed++
-		} else {
-			e.executed++
-		}
-	}
-	e.mu.Unlock()
-
-	if e.Store != nil {
-		for _, d := range completed {
-			mc := e.suite(d.sp.l2).MC
-			id := attackIdentityFor(mc, d.sp.sc, d.sp.tech, d.sp.interval)
-			h, err := store.CanonicalHash(id)
-			if err == nil {
-				err = e.Store.Put(h, id, d.r)
-			}
+func (k attackKind) job(as AttackSpec) harness.Job[attack.Result] {
+	sc, _ := attack.ByName(as.Scenario)
+	m := attackMachine(k.e.suite(as.L2).MC)
+	return harness.Job[attack.Result]{
+		Run: func(context.Context) (attack.Result, error) {
+			r, err := attack.Run(m, sc, leakctl.DefaultParams(as.Technique, as.Interval))
 			if err != nil {
-				e.mu.Lock()
-				if e.storeErr == nil {
-					e.storeErr = err
-				}
-				e.mu.Unlock()
-				break
+				// attack.Run fails only on a configuration it cannot build.
+				return r, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 			}
-		}
+			return r, nil
+		},
 	}
-	return nil
 }
 
-// runAttackSpecsRemote delegates pending attack cells to the daemon,
-// mirroring runSpecsRemote's per-cell verdict semantics.
-func (e *Experiments) runAttackSpecsRemote(rr AttackRemoteRunner, pending []attackRunSpec) error {
-	specs := make([]AttackSpec, len(pending))
-	for i, sp := range pending {
-		specs[i] = AttackSpec{Scenario: sp.sc.Name, L2: sp.l2, Technique: sp.tech, Interval: sp.interval}
-	}
-	cells, err := rr.RunAttackCells(e.ctx(), specs)
-	if err != nil {
-		return fmt.Errorf("remote: %w", err)
-	}
-	byKey := make(map[string]RemoteAttackCell, len(cells))
-	for _, c := range cells {
-		byKey[c.Spec.Key()] = c
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, sp := range pending {
-		k := sp.key()
-		c, ok := byKey[k]
-		switch {
-		case !ok:
-			e.attackFailures[k] = &harness.RunError{
-				Key: k, Benchmark: sp.sc.Name, Technique: sp.tech.String(),
-				Err: "remote daemon returned no result for this attack cell",
-			}
-		case c.Err != "":
-			e.attackFailures[k] = &harness.RunError{
-				Key: k, Benchmark: sp.sc.Name, Technique: sp.tech.String(),
-				Err: c.Err,
-			}
-		default:
-			e.attackRuns[k] = c.Result
-			e.remoted++
-		}
-	}
-	return nil
-}
-
-// resolveAttackFromStore serves pending attack cells from the
-// content-addressed store (and the federated peer view on a local miss),
-// returning the cells that still need simulation. Validation mirrors the
-// energy path: a record that fails to decode or checkAttack is a miss.
-func (e *Experiments) resolveAttackFromStore(pending []attackRunSpec) []attackRunSpec {
-	type hit struct {
-		sp        attackRunSpec
-		r         attack.Result
-		federated bool
-	}
-	var hits []hit
-	remaining := pending[:0]
-	for _, sp := range pending {
-		mc := e.suite(sp.l2).MC
-		h, err := AttackHash(mc, sp.sc, sp.tech, sp.interval)
-		if err != nil {
-			remaining = append(remaining, sp)
-			continue
-		}
-		if e.Store != nil {
-			rec, ok, gerr := e.Store.Get(h)
-			if gerr != nil {
-				e.mu.Lock()
-				if e.storeErr == nil {
-					e.storeErr = gerr
-				}
-				e.mu.Unlock()
-			}
-			if ok && gerr == nil {
-				var r attack.Result
-				if uerr := json.Unmarshal(rec.Value, &r); uerr == nil && checkAttack(r) == nil {
-					hits = append(hits, hit{sp, r, false})
-					continue
-				}
-			}
-		}
-		if e.Peer != nil {
-			if raw, ok, perr := e.Peer.FetchCell(e.ctx(), h); perr == nil && ok {
-				var r attack.Result
-				if uerr := json.Unmarshal(raw, &r); uerr == nil && checkAttack(r) == nil {
-					obsFederationHits.Add(1)
-					if e.Store != nil {
-						if perr := e.Store.Put(h, attackIdentityFor(mc, sp.sc, sp.tech, sp.interval), r); perr != nil {
-							e.mu.Lock()
-							if e.storeErr == nil {
-								e.storeErr = perr
-							}
-							e.mu.Unlock()
-						}
-					}
-					hits = append(hits, hit{sp, r, true})
-					continue
-				}
-				obsFederationMisses.Add(1)
-			} else {
-				obsFederationMisses.Add(1)
-			}
-		}
-		obsStoreMisses.Add(1)
-		remaining = append(remaining, sp)
-	}
-	if len(hits) == 0 {
-		return remaining
-	}
-	obsStoreHits.Add(uint64(len(hits)))
-	e.mu.Lock()
-	e.attackMemoLocked()
-	for _, ht := range hits {
-		e.attackRuns[ht.sp.key()] = ht.r
-		e.storeHits++
-	}
-	e.mu.Unlock()
-	if e.Events != nil {
-		for _, ht := range hits {
-			rec := obs.Record{Type: "store_hit", RunID: ht.sp.key()}
-			if ht.federated {
-				rec.Detail = "federated"
-			}
-			e.Events.Write(rec)
-		}
-	}
-	return remaining
-}
-
-// attackResult returns the memoized result for one attack cell, running it
-// if needed.
-func (e *Experiments) attackResult(sc attack.Scenario, l2 int, t leakctl.Technique, interval uint64) (attack.Result, error) {
-	sp := attackRunSpec{sc, l2, t, interval}
-	if err := e.runAttackSpecs([]attackRunSpec{sp}); err != nil {
-		return attack.Result{}, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.attackMemoLocked()
-	if r, ok := e.attackRuns[sp.key()]; ok {
-		return r, nil
-	}
-	if fe, failed := e.attackFailures[sp.key()]; failed {
-		return attack.Result{}, fe
-	}
-	return attack.Result{}, fmt.Errorf("attack run %s produced no result", sp.key())
+func (k attackKind) remote(ctx context.Context, specs []AttackSpec) ([]RemoteOutcome[AttackSpec, attack.Result], error) {
+	return k.e.Remote.RunAttackCells(ctx, specs)
 }
 
 // FrontierPoint is one operating point on the energy-vs-security frontier:
@@ -571,8 +219,7 @@ func (f Frontier) String() string {
 // scenario) with its mean net energy savings across the benchmark suite.
 // Failed halves degrade to ERR cells, never to a failed figure.
 func (e *Experiments) FrontierFigure(scenario string, l2 int, tempC float64, intervals []uint64) (Frontier, error) {
-	sc, ok := attack.ByName(scenario)
-	if !ok {
+	if _, ok := attack.ByName(scenario); !ok {
 		return Frontier{}, fmt.Errorf("sim: unknown attack scenario %q (have %s)",
 			scenario, strings.Join(attack.Names(), ", "))
 	}
@@ -603,7 +250,7 @@ func (e *Experiments) FrontierFigure(scenario string, l2 int, tempC float64, int
 	}
 	point := func(t leakctl.Technique, iv uint64) FrontierPoint {
 		p := FrontierPoint{Technique: t.String(), Interval: iv}
-		if r, err := e.attackResult(sc, l2, t, iv); err != nil {
+		if r, err := e.attacks.get(AttackSpec{Scenario: scenario, L2: l2, Technique: t, Interval: iv}); err != nil {
 			p.AttackErr = true
 		} else {
 			p.LeakageBits = r.MinEntropyLeakageBits

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"math"
+	"time"
 
 	"hotleakage/internal/harness"
+	"hotleakage/internal/harness/faultinject"
 	"hotleakage/internal/leakctl"
 	"hotleakage/internal/store"
 	"hotleakage/internal/workload"
@@ -25,6 +27,8 @@ type CellSpec struct {
 
 // Key returns the cell's run key (the harness job / checkpoint identity).
 func (cs CellSpec) Key() string { return runKey(cs.Bench, cs.L2, cs.Technique, cs.Interval) }
+
+func (cs CellSpec) labels() (string, string) { return cs.Bench, cs.Technique.String() }
 
 // cellIdentity is the canonical serialization a cell is content-addressed
 // by: the full machine description (which embeds the instruction budget),
@@ -66,152 +70,97 @@ func CellHash(mc MachineConfig, bench string, t leakctl.Technique, interval uint
 	return store.CanonicalHash(cellIdentityFor(mc, bench, t, interval))
 }
 
-// CellOutcome is the result of one RunCells cell: the stored hash and
-// value on success, or the structured failure.
-type CellOutcome struct {
-	Spec CellSpec
-	// Key is the run key (harness job / checkpoint identity).
-	Key string
-	// Hash is the cell's content address (empty when the cell failed
-	// before an identity could be computed).
-	Hash   string
-	Result RunResult
-	// Err is non-nil when the cell failed; Result is then meaningless.
-	Err *harness.RunError
-}
+// CellOutcome is the result of one RunCells cell.
+type CellOutcome = Outcome[CellSpec, RunResult]
+
+// RemoteCell is one energy cell's outcome as reported by a remote daemon.
+type RemoteCell = RemoteOutcome[CellSpec, RunResult]
 
 // RunCells executes an explicit set of cells (the daemon's entry point:
-// a sweep request is a list of CellSpecs). Cells resolve through the usual
-// ladder — memo, content-addressed store, checkpoint, simulation — and
-// individual failures degrade to per-cell errors, not a batch error. The
-// returned outcomes parallel specs.
+// a sweep request is a list of CellSpecs) through the resolution ladder.
+// The returned outcomes parallel specs.
 func (e *Experiments) RunCells(specs []CellSpec) ([]CellOutcome, error) {
-	outs := make([]CellOutcome, len(specs))
-	rss := make([]runSpec, 0, len(specs))
-	for i, cs := range specs {
-		outs[i].Spec = cs
-		outs[i].Key = cs.Key()
+	return e.energy.outcomes(specs, func(cs CellSpec) (runSpec, error) {
 		prof, ok := workload.ByName(cs.Bench)
 		if !ok {
-			outs[i].Err = &harness.RunError{
-				Key:       outs[i].Key,
-				Benchmark: cs.Bench,
-				Technique: cs.Technique.String(),
-				Err:       fmt.Sprintf("unknown benchmark %q", cs.Bench),
-			}
-			continue
+			return runSpec{}, fmt.Errorf("unknown benchmark %q", cs.Bench)
 		}
-		rss = append(rss, runSpec{prof, cs.L2, cs.Technique, cs.Interval})
-	}
-	if err := e.runSpecs(rss); err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i := range outs {
-		if outs[i].Err != nil {
-			continue
-		}
-		if r, ok := e.runs[outs[i].Key]; ok {
-			outs[i].Result = r
-			mc := e.suiteLocked(outs[i].Spec.L2).MC
-			h, err := CellHash(mc, outs[i].Spec.Bench, outs[i].Spec.Technique, outs[i].Spec.Interval)
-			if err == nil {
-				outs[i].Hash = h
-			}
-			continue
-		}
-		if fe, failed := e.failures[outs[i].Key]; failed {
-			outs[i].Err = fe
-			continue
-		}
-		outs[i].Err = &harness.RunError{
-			Key: outs[i].Key, Benchmark: outs[i].Spec.Bench,
-			Technique: outs[i].Spec.Technique.String(),
-			Err:       "cell produced no result",
-		}
-	}
-	return outs, nil
+		return runSpec{prof, cs.L2, cs.Technique, cs.Interval}, nil
+	})
 }
 
-// RemoteCell is one cell's outcome as reported by a remote daemon.
-type RemoteCell struct {
-	Spec   CellSpec
-	Result RunResult
-	// Err is non-empty when the cell failed remotely.
-	Err string
+// energyKind is the energy cell kind: one benchmark run on one machine,
+// scored later for net leakage savings. Its batch phase and cost model
+// (batch, saveCosts) live in experiments.go.
+type energyKind struct{ e *Experiments }
+
+func (energyKind) public(sp runSpec) CellSpec {
+	return CellSpec{Bench: sp.prof.Name, L2: sp.l2, Technique: sp.tech, Interval: sp.interval}
 }
 
-// RemoteRunner executes cells on a remote leakd daemon. When
-// Experiments.Remote is set, pending cells are delegated to it instead of
-// the local supervisor — the CLI becomes a thin client and every figure
-// and table renders from remotely simulated (or store-served) results.
-// Implementations live outside this package (internal/server/api) to keep
-// sim free of transport concerns.
-type RemoteRunner interface {
-	RunCells(ctx context.Context, instructions, warmup uint64, specs []CellSpec) ([]RemoteCell, error)
+func (k energyKind) identity(sp runSpec) any {
+	return cellIdentityFor(k.e.suite(sp.l2).MC, sp.prof.Name, sp.tech, sp.interval)
 }
 
-// CellFetcher reads one cell's stored result from a federated store view
-// by content address: a clean miss is (nil, false, nil); an error means
-// the peer was unreachable or answered garbage, and the caller decides
-// whether to degrade (the resolution ladder treats it as a miss and
-// simulates). internal/server/api.Client implements it over GET
-// /v1/cells/{hash}; the cluster coordinator implements the serving side
-// by consulting its own store and then every live worker.
-type CellFetcher interface {
-	FetchCell(ctx context.Context, hash string) (json.RawMessage, bool, error)
-}
+func (energyKind) check(r RunResult) error { return checkRun(r) }
 
-// runSpecsRemote resolves pending specs through the remote daemon,
-// recording results and failures exactly as the local path would. A
-// transport-level failure fails the whole batch (there is nothing partial
-// to keep); per-cell failures degrade to memoized ERR cells.
-func (e *Experiments) runSpecsRemote(pending []runSpec) error {
-	specs := make([]CellSpec, len(pending))
-	for i, sp := range pending {
-		specs[i] = CellSpec{Bench: sp.prof.Name, L2: sp.l2, Technique: sp.tech, Interval: sp.interval}
-	}
-	cells, err := e.Remote.RunCells(e.ctx(), e.Instructions, e.Warmup, specs)
-	if err != nil {
-		return fmt.Errorf("remote: %w", err)
-	}
-	byKey := make(map[string]RemoteCell, len(cells))
-	for _, c := range cells {
-		byKey[c.Spec.Key()] = c
-	}
-	type seed struct {
-		l2   int
-		name string
-		r    RunResult
-	}
-	var seeds []seed
-	e.mu.Lock()
-	for _, sp := range pending {
-		k := sp.key()
-		c, ok := byKey[k]
-		switch {
-		case !ok:
-			e.failures[k] = &harness.RunError{
-				Key: k, Benchmark: sp.prof.Name, Technique: sp.tech.String(),
-				Err: "remote daemon returned no result for this cell",
-			}
-		case c.Err != "":
-			e.failures[k] = &harness.RunError{
-				Key: k, Benchmark: sp.prof.Name, Technique: sp.tech.String(),
-				Err: c.Err,
-			}
-		default:
-			e.runs[k] = c.Result
-			e.remoted++
-			if sp.tech == leakctl.TechNone {
-				seeds = append(seeds, seed{sp.l2, sp.prof.Name, c.Result})
-			}
+// checkRun rejects results with non-finite energies before they are
+// accepted (and before they would poison the JSON checkpoint); the
+// supervisor treats the rejection as a retryable failure.
+func checkRun(r RunResult) error {
+	for _, v := range []float64{
+		r.Measurement.DCacheDynJ, r.Measurement.L2DynJ, r.Measurement.MemDynJ,
+		r.Measurement.ICacheDynJ, r.Measurement.ClockJ,
+	} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("non-finite energy in result for %s", r.Bench)
 		}
 	}
-	e.mu.Unlock()
-	for _, sd := range seeds {
-		e.suite(sd.l2).SetBaseline(sd.name, sd.r)
+	if r.CPU.Cycles == 0 {
+		return fmt.Errorf("zero-cycle result for %s", r.Bench)
 	}
 	return nil
+}
+
+// job runs the cell under the per-attempt context (deadline + suite
+// cancellation) and folds its wall time into the cost model. FaultNaN
+// injection happens here — the generic supervisor cannot corrupt a
+// RunResult, so the job corrupts its own energy figure and check catches
+// it.
+func (k energyKind) job(sp runSpec) harness.Job[RunResult] {
+	e := k.e
+	s := e.suite(sp.l2)
+	return harness.Job[RunResult]{
+		Cost: e.costOf(sp),
+		Run: func(ctx context.Context) (RunResult, error) {
+			params := leakctl.DefaultParams(sp.tech, sp.interval)
+			// Fresh adapter state per attempt (and per trace-fallback
+			// re-execution): a retried run must not inherit a failed or
+			// discarded attempt's learned intervals.
+			var adapterFor func() leakctl.Adapter
+			if e.AdapterFor != nil {
+				adapterFor = func() leakctl.Adapter {
+					return e.AdapterFor(sp.prof.Name, sp.tech, sp.interval)
+				}
+			}
+			st, _ := harness.WorkerValue(ctx).(*RunState)
+			start := time.Now()
+			r, err := runWithTrace(ctx, s.Traces, s.MC, sp.prof, params, adapterFor, st)
+			if err != nil {
+				return RunResult{}, err
+			}
+			e.mu.Lock()
+			e.noteCostLocked(sp, time.Since(start))
+			e.mu.Unlock()
+			if e.Injector != nil &&
+				e.Injector.Decide(sp.key(), harness.Attempt(ctx)) == faultinject.FaultNaN {
+				r.Measurement.DCacheDynJ = math.NaN()
+			}
+			return r, nil
+		},
+	}
+}
+
+func (k energyKind) remote(ctx context.Context, specs []CellSpec) ([]RemoteCell, error) {
+	return k.e.Remote.RunCells(ctx, k.e.Instructions, k.e.Warmup, specs)
 }

@@ -2,9 +2,8 @@ package sim
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"sort"
@@ -22,41 +21,14 @@ import (
 	"hotleakage/internal/workload"
 )
 
-// obsCellsPlanned tracks how many cells the suite has planned so far; the
-// sampler pairs it with the harness outcome counters for progress/ETA.
-var obsCellsPlanned = obs.Default.Gauge(obs.GaugeCellsPlanned)
-
-// Result-store outcome counters: cells served from the content-addressed
-// store vs. cells that had to be resolved further down the ladder.
-var (
-	obsStoreHits   = obs.Default.Counter(obs.MetricStoreHits)
-	obsStoreMisses = obs.Default.Counter(obs.MetricStoreMisses)
-)
-
-// Federation outcome counters: cells resolved from the peer's store view
-// after a local miss, and peer lookups that missed or errored.
-var (
-	obsFederationHits   = obs.Default.Counter(obs.MetricFederationHits)
-	obsFederationMisses = obs.Default.Counter(obs.MetricFederationMisses)
-)
-
-// obsRemoteDegraded counts batches that fell back from a sick remote
-// daemon to the local resolution ladder (RemoteFallback).
-var obsRemoteDegraded = obs.Default.Counter(obs.MetricRemoteDegraded)
-
 // Lockstep-batch outcome metrics: executed groups, the lanes they
 // carried, lanes bounced back to the scalar supervisor, and the last
-// sweep's mean occupancy (lanes per group, in hundredths). The
-// run-completion and checkpoint-hit counters are shared with the harness
-// (registration is idempotent by name), so progress/ETA math sees batch
-// lanes and scalar runs through one pair of counters.
+// sweep's mean occupancy (lanes per group, in hundredths).
 var (
 	obsBatchGroups    = obs.Default.Counter(obs.MetricBatchGroups)
 	obsBatchLanes     = obs.Default.Counter(obs.MetricBatchLanes)
 	obsBatchFallback  = obs.Default.Counter(obs.MetricBatchScalarFallback)
 	obsBatchOccupancy = obs.Default.Gauge(obs.GaugeBatchLaneOccupancy)
-	obsBatchRunsDone  = obs.Default.Counter(obs.MetricRunsCompleted)
-	obsBatchCkptHits  = obs.Default.Counter(obs.MetricCheckpointHits)
 )
 
 // DefaultInterval is the fixed decay interval used for the non-adaptive
@@ -91,7 +63,8 @@ type ckptHeader struct {
 // faultinject.Deterministic, whose String is the canonical spec — are
 // fingerprinted; an anonymous test injector (faultinject.Func) has no
 // stable description and stays outside the header contract. Failed runs
-// are never checkpointed and NaN-corrupted ones are rejected by checkRun,
+// are never checkpointed and NaN-corrupted ones are rejected by the energy
+// kind's check,
 // so the values in a checkpoint are clean either way — the header guard's
 // job is to keep a resumed *flag-driven* sweep from silently changing its
 // injection config between passes.
@@ -206,20 +179,16 @@ type Experiments struct {
 	// stay deterministic.
 	AdapterFor func(bench string, t leakctl.Technique, interval uint64) leakctl.Adapter
 
-	mu        sync.Mutex
-	suites    map[int]*Suite // per L2 latency
-	runs      map[string]RunResult
-	failures  map[string]*harness.RunError
-	sup       *harness.Supervisor[RunResult]
+	mu     sync.Mutex
+	suites map[int]*Suite // per L2 latency
+	// energy and attacks are the two kinds' resolution ladders (ladder.go).
+	energy  *ladder[CellSpec, runSpec, RunResult]
+	attacks *ladder[AttackSpec, AttackSpec, attack.Result]
+	// opened records that the first supervisor opened the shared
+	// checkpoint (ckpt, or the failure in supErr).
+	opened    bool
 	ckpt      *harness.Checkpoint
 	supErr    error
-	// Attack-cell memo and supervisor (attack_cells.go). The maps are
-	// lazily initialized so zero-value and literal-constructed Experiments
-	// keep working; asup shares e.ckpt with the energy supervisor (the
-	// "attack/" key prefix keeps the namespaces disjoint).
-	attackRuns     map[string]attack.Result
-	attackFailures map[string]*harness.RunError
-	asup           *harness.Supervisor[attack.Result]
 	executed  int // runs actually simulated this process
 	resumed   int // runs restored from the checkpoint
 	storeHits int // runs served from the content-addressed store
@@ -229,7 +198,7 @@ type Experiments struct {
 	// batchGroups / batchLanes count lockstep groups executed and the
 	// cells they carried; batchStates is the pool of per-goroutine batch
 	// scratch (front buffer, lane RunStates) reused across groups and
-	// runSpecs calls.
+	// batch phases.
 	batchGroups int
 	batchLanes  int
 	batchStates []*BatchState
@@ -247,16 +216,17 @@ type Experiments struct {
 // (defaults: 1M measured instructions after a 300K warmup; the paper used
 // 500M after 2B on full SPEC).
 func NewExperiments() *Experiments {
-	return &Experiments{
+	e := &Experiments{
 		Instructions: 1_000_000,
 		Warmup:       300_000,
 		Profiles:     workload.Profiles(),
 		Parallel:     true,
 		suites:       make(map[int]*Suite),
-		runs:         make(map[string]RunResult),
-		failures:     make(map[string]*harness.RunError),
 		costs:        make(map[string]float64),
 	}
+	e.energy = newLadder[CellSpec, runSpec, RunResult](e, energyKind{e})
+	e.attacks = newLadder[AttackSpec, AttackSpec, attack.Result](e, attackKind{e})
+	return e
 }
 
 func (e *Experiments) ctx() context.Context {
@@ -269,10 +239,6 @@ func (e *Experiments) ctx() context.Context {
 func (e *Experiments) suite(l2 int) *Suite {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.suiteLocked(l2)
-}
-
-func (e *Experiments) suiteLocked(l2 int) *Suite {
 	s, ok := e.suites[l2]
 	if !ok {
 		mc := DefaultMachine(l2)
@@ -302,67 +268,29 @@ func runKey(bench string, l2 int, t leakctl.Technique, interval uint64) string {
 // is configured) so commands fail fast on an unusable checkpoint instead
 // of discovering it after the first simulated run.
 func (e *Experiments) Init() error {
-	_, err := e.supervisor()
+	_, err := e.energy.supervisor()
 	return err
 }
 
-// supervisor lazily builds the shared supervisor and checkpoint.
-func (e *Experiments) supervisor() (*harness.Supervisor[RunResult], error) {
+// workers sizes the supervisor and batch worker pools: Workers when set,
+// else GOMAXPROCS when Parallel, else 1.
+func (e *Experiments) workers() int {
+	if e.Workers > 0 {
+		return e.Workers
+	}
+	if e.Parallel {
+		return runtime.GOMAXPROCS(0)
+	}
+	return 1
+}
+
+// keepStoreErr retains the first result-store failure for Err.
+func (e *Experiments) keepStoreErr(err error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.sup != nil || e.supErr != nil {
-		return e.sup, e.supErr
+	if e.storeErr == nil {
+		e.storeErr = err
 	}
-	var ckpt *harness.Checkpoint
-	if e.CheckpointPath != "" {
-		var err error
-		ckpt, err = harness.OpenCheckpoint(e.CheckpointPath,
-			ckptHeader{
-				Version:      checkpointVersion,
-				Instructions: e.Instructions,
-				Warmup:       e.Warmup,
-				FaultInject:  injectorSpec(e.Injector),
-			},
-			e.Resume)
-		if err != nil {
-			e.supErr = err
-			return nil, err
-		}
-		e.ckpt = ckpt
-	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = 1
-		if e.Parallel {
-			workers = runtime.GOMAXPROCS(0)
-		}
-	}
-	e.sup = harness.New(harness.Config[RunResult]{
-		Workers:    workers,
-		Timeout:    e.RunTimeout,
-		MaxRetries: e.MaxRetries,
-		Injector:   e.Injector,
-		Checkpoint: ckpt,
-		Check:      checkRun,
-		Events:     e.Events,
-		// Each worker goroutine carries one reusable simulation state;
-		// the job closures retrieve it through harness.WorkerValue.
-		WorkerState: func() any { return new(RunState) },
-	})
-	// Warm the dispatch cost model from the store's meta segment: a fresh
-	// process then schedules longest-first from its very first batch
-	// instead of re-learning ns/instr from zero.
-	if e.Store != nil && len(e.costs) == 0 {
-		var persisted map[string]float64
-		if ok, err := e.Store.GetMeta(CostModelMetaKey, &persisted); err == nil && ok {
-			for k, v := range persisted {
-				if v > 0 && !math.IsNaN(v) && !math.IsInf(v, 0) {
-					e.costs[k] = v
-				}
-			}
-		}
-	}
-	return e.sup, nil
+	e.mu.Unlock()
 }
 
 // CostModelMetaKey names the persisted EWMA cost model in the result
@@ -373,46 +301,40 @@ func (e *Experiments) supervisor() (*harness.Supervisor[RunResult], error) {
 // shard scheduler from the same model and fold its own observations back.
 const CostModelMetaKey = "cost_model_ns_per_instr"
 
-// saveCostModel persists the current cost model to the store's meta
-// segment. Failures are retained for Err, not fatal: a read-only store
-// degrades scheduling, not results.
-func (e *Experiments) saveCostModel() {
+// warmCostsLocked loads the persisted cost model from the store's meta
+// segment into an empty model, so a fresh process schedules longest-first
+// from its very first batch instead of re-learning ns/instr from zero.
+// Caller holds e.mu.
+func (e *Experiments) warmCostsLocked() {
+	if e.Store == nil || len(e.costs) > 0 {
+		return
+	}
+	var persisted map[string]float64
+	if ok, err := e.Store.GetMeta(CostModelMetaKey, &persisted); err == nil && ok {
+		for k, v := range persisted {
+			if v > 0 && !math.IsNaN(v) && !math.IsInf(v, 0) {
+				e.costs[k] = v
+			}
+		}
+	}
+}
+
+// saveCosts persists the current cost model to the store's meta segment.
+// Failures are retained for Err, not fatal: a read-only store degrades
+// scheduling, not results.
+func (k energyKind) saveCosts() {
+	e := k.e
 	e.mu.Lock()
 	if e.Store == nil || len(e.costs) == 0 {
 		e.mu.Unlock()
 		return
 	}
-	snapshot := make(map[string]float64, len(e.costs))
-	for k, v := range e.costs {
-		snapshot[k] = v
-	}
+	snapshot := maps.Clone(e.costs)
 	st := e.Store
 	e.mu.Unlock()
 	if err := st.PutMeta(CostModelMetaKey, snapshot); err != nil {
-		e.mu.Lock()
-		if e.storeErr == nil {
-			e.storeErr = err
-		}
-		e.mu.Unlock()
+		e.keepStoreErr(err)
 	}
-}
-
-// checkRun rejects results with non-finite energies before they are
-// accepted (and before they would poison the JSON checkpoint); the
-// supervisor treats the rejection as a retryable failure.
-func checkRun(r RunResult) error {
-	for _, v := range []float64{
-		r.Measurement.DCacheDynJ, r.Measurement.L2DynJ, r.Measurement.MemDynJ,
-		r.Measurement.ICacheDynJ, r.Measurement.ClockJ,
-	} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("non-finite energy in result for %s", r.Bench)
-		}
-	}
-	if r.CPU.Cycles == 0 {
-		return fmt.Errorf("zero-cycle result for %s", r.Bench)
-	}
-	return nil
 }
 
 // runSpec names one simulation the supervisor should produce.
@@ -437,6 +359,7 @@ func (sp runSpec) costKey() string { return sp.prof.Name + "/" + sp.tech.String(
 func (e *Experiments) costOf(sp runSpec) float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.warmCostsLocked()
 	w, ok := e.costs[sp.costKey()]
 	if !ok {
 		w = 1
@@ -466,201 +389,12 @@ func (e *Experiments) noteCostLocked(sp runSpec, d time.Duration) {
 	e.costs[k] = obs
 }
 
-// jobFor wraps a spec as a supervised job. The run honours the per-attempt
-// context (deadline + suite cancellation); validation failures are marked
-// Permanent so they are not retried. FaultNaN injection happens here — the
-// generic supervisor cannot corrupt a RunResult, so the job corrupts its
-// own energy figure and the Check hook catches it.
-func (e *Experiments) jobFor(sp runSpec) harness.Job[RunResult] {
-	key := sp.key()
-	s := e.suite(sp.l2)
-	return harness.Job[RunResult]{
-		Key:       key,
-		Benchmark: sp.prof.Name,
-		Technique: sp.tech.String(),
-		Run: func(ctx context.Context) (RunResult, error) {
-			params := leakctl.DefaultParams(sp.tech, sp.interval)
-			// Fresh adapter state per attempt (and per trace-fallback
-			// re-execution): a retried run must not inherit a failed or
-			// discarded attempt's learned intervals.
-			var adapterFor func() leakctl.Adapter
-			if e.AdapterFor != nil {
-				adapterFor = func() leakctl.Adapter {
-					return e.AdapterFor(sp.prof.Name, sp.tech, sp.interval)
-				}
-			}
-			st, _ := harness.WorkerValue(ctx).(*RunState)
-			r, err := runWithTrace(ctx, s.Traces, s.MC, sp.prof, params, adapterFor, st)
-			if err != nil {
-				if errors.Is(err, ErrInvalidConfig) {
-					return RunResult{}, harness.Permanent(err)
-				}
-				return RunResult{}, err
-			}
-			if e.Injector != nil &&
-				e.Injector.Decide(key, harness.Attempt(ctx)) == faultinject.FaultNaN {
-				r.Measurement.DCacheDynJ = math.NaN()
-			}
-			return r, nil
-		},
-	}
-}
-
-// runSpecs executes the given configurations, recording results and
-// failures. Specs already resolved (cached or failed) are skipped; failed
-// keys are not retried again within this process — the memo is what makes
-// `-resume` re-execute only missing runs. Cells resolve down a ladder:
-// in-process memo, remote daemon (Remote), content-addressed store,
-// harness checkpoint, and finally simulation under the supervisor.
-func (e *Experiments) runSpecs(specs []runSpec) error {
-	e.mu.Lock()
-	var pending []runSpec
-	seen := make(map[string]bool)
-	for _, sp := range specs {
-		k := sp.key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if _, ok := e.runs[k]; ok {
-			continue
-		}
-		if _, failed := e.failures[k]; failed {
-			continue
-		}
-		pending = append(pending, sp)
-	}
-	e.mu.Unlock()
-	if len(pending) == 0 {
-		return nil
-	}
-	// Progress accounting for the sampler's ETA: every pending spec is one
-	// planned cell; the harness outcome counters record completions.
-	obsCellsPlanned.Add(int64(len(pending)))
-
-	if e.Remote != nil {
-		err := e.runSpecsRemote(pending)
-		if err == nil {
-			return nil
-		}
-		if !e.RemoteFallback || e.ctx().Err() != nil {
-			// Terminal for this batch: memoize the batch error per cell so
-			// figures render ERR and FailureSummary makes the command exit
-			// non-zero — a silent 0 would misreport a dead daemon as success.
-			canceled := e.ctx().Err() != nil
-			e.mu.Lock()
-			for _, sp := range pending {
-				e.failures[sp.key()] = &harness.RunError{
-					Key: sp.key(), Benchmark: sp.prof.Name, Technique: sp.tech.String(),
-					Err: err.Error(), Canceled: canceled,
-				}
-			}
-			e.mu.Unlock()
-			return err
-		}
-		// The daemon is sick (or the breaker is open): degrade this batch
-		// to the local ladder rather than stalling the whole figure run.
-		obsRemoteDegraded.Add(1)
-		if e.Events != nil {
-			e.Events.Write(obs.Record{Type: "remote_degraded", Error: err.Error(),
-				Detail: fmt.Sprintf("%d cells fall back to local resolution", len(pending))})
-		}
-	}
-
-	sup, err := e.supervisor()
-	if err != nil {
-		return err
-	}
-	if e.Store != nil || e.Peer != nil {
-		if pending = e.resolveFromStore(pending); len(pending) == 0 {
-			return nil
-		}
-	}
-
-	// Lockstep batch phase: compatible cells execute in groups off one
-	// shared front. Cells the phase cannot (or could not) run — singleton
-	// groups, divergent configs, failed lanes — remain pending for the
-	// scalar supervisor path below, which owns retry/timeout semantics.
-	pending, completed, executedNow := e.runBatchPhase(pending)
-
-	if len(pending) > 0 {
-		jobs := make([]harness.Job[RunResult], len(pending))
-		for i, sp := range pending {
-			jobs[i] = e.jobFor(sp)
-			jobs[i].Cost = e.costOf(sp)
-		}
-		results := sup.Run(e.ctx(), jobs)
-
-		type seed struct {
-			l2   int
-			name string
-			r    RunResult
-		}
-		var seeds []seed
-		e.mu.Lock()
-		for i, res := range results {
-			sp := pending[i]
-			if res.Err != nil {
-				e.failures[res.Key] = res.Err
-				continue
-			}
-			e.runs[res.Key] = res.Value
-			completed = append(completed, doneCell{sp, res.Value})
-			if res.FromCheckpoint {
-				e.resumed++
-			} else {
-				e.executed++
-				executedNow++
-				e.noteCostLocked(sp, res.Duration)
-			}
-			if sp.tech == leakctl.TechNone {
-				seeds = append(seeds, seed{sp.l2, sp.prof.Name, res.Value})
-			}
-		}
-		e.mu.Unlock()
-		// Seed baselines outside the lock (suite() takes it too).
-		for _, sd := range seeds {
-			e.suite(sd.l2).SetBaseline(sd.name, sd.r)
-		}
-	}
-	// Persist every completed cell (simulated or checkpoint-restored) to
-	// the content-addressed store, then the refreshed cost model. Store
-	// trouble degrades to Err, never to lost results.
-	if e.Store != nil {
-		for _, d := range completed {
-			mc := e.suite(d.sp.l2).MC
-			id := cellIdentityFor(mc, d.sp.prof.Name, d.sp.tech, d.sp.interval)
-			h, err := store.CanonicalHash(id)
-			if err == nil {
-				err = e.Store.Put(h, id, d.r)
-			}
-			if err != nil {
-				e.mu.Lock()
-				if e.storeErr == nil {
-					e.storeErr = err
-				}
-				e.mu.Unlock()
-				break
-			}
-		}
-		if executedNow > 0 {
-			e.saveCostModel()
-		}
-	}
-	return nil
-}
-
-// doneCell is one completed (spec, result) pair flowing to the
-// content-addressed store's persistence stage.
-type doneCell struct {
-	sp runSpec
-	r  RunResult
-}
-
-// runBatchPhase executes as much of pending as possible through the
-// lockstep batch executor and returns what is left for the scalar path,
-// plus the cells it completed (simulated or checkpoint-restored) and how
-// many it actually simulated.
+// batch is the energy kind's batch phase: it executes as much of pending
+// as possible through the lockstep batch executor and returns what is
+// left for the scalar path plus the cells it simulated. Cells it
+// cannot (or could not) run — singleton groups, divergent configs, failed
+// lanes — stay pending for the supervisor, which owns retry/timeout
+// semantics.
 //
 // The phase runs only when the batch machinery can reproduce the scalar
 // semantics exactly: no per-run deadline (the scalar supervisor enforces
@@ -669,49 +403,11 @@ type doneCell struct {
 // suite context. Per-group requirements — a shared machine config without
 // IL1 control, and at least two lanes to amortize the front — demote
 // individual cells, not the phase.
-func (e *Experiments) runBatchPhase(pending []runSpec) (remaining []runSpec, completed []doneCell, executed int) {
+func (k energyKind) batch(pending []runSpec) (remaining []runSpec, ran []settled[runSpec, RunResult]) {
+	e := k.e
 	if e.DisableBatch || e.AdapterFor != nil || e.RunTimeout != 0 ||
 		e.ctx().Err() != nil || len(pending) < 2 {
-		return pending, nil, 0
-	}
-
-	// Checkpoint pre-resolution, mirroring the scalar supervisor's inline
-	// lookup (a corrupt entry is a miss and re-executes).
-	e.mu.Lock()
-	ckpt := e.ckpt
-	e.mu.Unlock()
-	if ckpt != nil {
-		var hits []doneCell
-		rest := pending[:0]
-		for _, sp := range pending {
-			if raw, ok := ckpt.Lookup(sp.key()); ok {
-				var r RunResult
-				if json.Unmarshal(raw, &r) == nil {
-					hits = append(hits, doneCell{sp, r})
-					obsBatchCkptHits.Add(1)
-					if e.Events != nil {
-						e.Events.Write(obs.Record{Type: "checkpoint_hit", RunID: sp.key()})
-					}
-					continue
-				}
-			}
-			rest = append(rest, sp)
-		}
-		pending = rest
-		if len(hits) > 0 {
-			e.mu.Lock()
-			for _, h := range hits {
-				e.runs[h.sp.key()] = h.r
-				e.resumed++
-			}
-			e.mu.Unlock()
-			for _, h := range hits {
-				if h.sp.tech == leakctl.TechNone {
-					e.suite(h.sp.l2).SetBaseline(h.sp.prof.Name, h.r)
-				}
-			}
-			completed = append(completed, hits...)
-		}
+		return pending, nil
 	}
 
 	// Group by (benchmark, machine config) in first-seen order; demote
@@ -753,7 +449,7 @@ func (e *Experiments) runBatchPhase(pending []runSpec) (remaining []runSpec, com
 	}
 	groups = kept
 	if len(groups) == 0 {
-		return remaining, completed, 0
+		return remaining, nil
 	}
 
 	// Adaptive front fill: count each benchmark's trace consumers — its
@@ -788,16 +484,7 @@ func (e *Experiments) runBatchPhase(pending []runSpec) (remaining []runSpec, com
 	// groups still start first. Stable, so equal costs keep plan order.
 	sort.SliceStable(groups, func(i, j int) bool { return groups[i].cost > groups[j].cost })
 
-	workers := e.Workers
-	if workers <= 0 {
-		workers = 1
-		if e.Parallel {
-			workers = runtime.GOMAXPROCS(0)
-		}
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
+	workers := min(e.workers(), len(groups))
 	ctx := e.ctx()
 	queue := make(chan *batchGroup)
 	var wg sync.WaitGroup
@@ -829,7 +516,6 @@ func (e *Experiments) runBatchPhase(pending []runSpec) (remaining []runSpec, com
 	wg.Wait()
 
 	lanes := 0
-	var okLanes []*batchLane
 	e.mu.Lock()
 	for _, g := range groups {
 		e.batchGroups++
@@ -841,35 +527,15 @@ func (e *Experiments) runBatchPhase(pending []runSpec) (remaining []runSpec, com
 				obsBatchFallback.Add(1)
 				continue
 			}
-			e.runs[ln.sp.key()] = ln.res
-			e.executed++
-			executed++
 			e.noteCostLocked(ln.sp, ln.dur)
-			okLanes = append(okLanes, ln)
+			ran = append(ran, settled[runSpec, RunResult]{ln.sp, ln.res})
 		}
 	}
 	e.mu.Unlock()
 	obsBatchGroups.Add(uint64(len(groups)))
 	obsBatchLanes.Add(uint64(lanes))
 	obsBatchOccupancy.Set(int64(lanes * 100 / len(groups)))
-
-	for _, ln := range okLanes {
-		completed = append(completed, doneCell{ln.sp, ln.res})
-		if ckpt != nil {
-			// Append errors are recorded on the checkpoint (the result is
-			// still good); see Checkpoint.Err — same contract as the
-			// supervisor's append.
-			_ = ckpt.Append(ln.sp.key(), ln.res)
-		}
-		obsBatchRunsDone.Add(1)
-		if e.Events != nil {
-			e.Events.Write(obs.Record{Type: "run_done", RunID: ln.sp.key(), Attempt: 1})
-		}
-		if ln.sp.tech == leakctl.TechNone {
-			e.suite(ln.sp.l2).SetBaseline(ln.sp.prof.Name, ln.res)
-		}
-	}
-	return remaining, completed, executed
+	return remaining, ran
 }
 
 // acquireBatchState pops (or creates) one batch executor's reusable
@@ -907,137 +573,11 @@ func (e *Experiments) BatchLanes() int {
 	return e.batchLanes
 }
 
-// resolveFromStore serves pending cells from the content-addressed store,
-// returning the cells that still need execution. A stored value that fails
-// to decode or validate is treated as a miss and re-executed (the store's
-// first-write-wins semantics mean it is never overwritten, but the
-// simulation result is still produced for the caller). Cells that miss the
-// local store consult the federated Peer view when one is configured; a
-// peer hit is validated identically, persisted locally, and served as a
-// store hit.
-func (e *Experiments) resolveFromStore(pending []runSpec) []runSpec {
-	type hit struct {
-		sp        runSpec
-		r         RunResult
-		federated bool
-	}
-	var hits []hit
-	remaining := pending[:0]
-	for _, sp := range pending {
-		mc := e.suite(sp.l2).MC
-		h, err := CellHash(mc, sp.prof.Name, sp.tech, sp.interval)
-		if err != nil {
-			remaining = append(remaining, sp)
-			continue
-		}
-		if e.Store != nil {
-			rec, ok, gerr := e.Store.Get(h)
-			if gerr != nil {
-				e.mu.Lock()
-				if e.storeErr == nil {
-					e.storeErr = gerr
-				}
-				e.mu.Unlock()
-			}
-			if ok && gerr == nil {
-				var r RunResult
-				if uerr := json.Unmarshal(rec.Value, &r); uerr == nil && checkRun(r) == nil {
-					hits = append(hits, hit{sp, r, false})
-					continue
-				}
-			}
-		}
-		if e.Peer != nil {
-			if r, ok := e.fetchFromPeer(h, mc, sp); ok {
-				hits = append(hits, hit{sp, r, true})
-				continue
-			}
-		}
-		obsStoreMisses.Add(1)
-		remaining = append(remaining, sp)
-	}
-	if len(hits) == 0 {
-		return remaining
-	}
-	obsStoreHits.Add(uint64(len(hits)))
-	e.mu.Lock()
-	for _, ht := range hits {
-		e.runs[ht.sp.key()] = ht.r
-		e.storeHits++
-	}
-	e.mu.Unlock()
-	for _, ht := range hits {
-		if e.Events != nil {
-			rec := obs.Record{Type: "store_hit", RunID: ht.sp.key()}
-			if ht.federated {
-				rec.Detail = "federated"
-			}
-			e.Events.Write(rec)
-		}
-		if ht.sp.tech == leakctl.TechNone {
-			e.suite(ht.sp.l2).SetBaseline(ht.sp.prof.Name, ht.r)
-		}
-	}
-	return remaining
-}
-
-// fetchFromPeer resolves one cell from the federated store view. A hit is
-// validated exactly like a local store record, persisted into the local
-// store (first-write-wins makes a concurrent local compute harmless), and
-// served without simulation. Any peer trouble — unreachable, a miss, or a
-// record that fails validation — degrades to a local miss; federation
-// never fails a cell.
-func (e *Experiments) fetchFromPeer(h string, mc MachineConfig, sp runSpec) (RunResult, bool) {
-	raw, ok, err := e.Peer.FetchCell(e.ctx(), h)
-	if err != nil || !ok {
-		obsFederationMisses.Add(1)
-		return RunResult{}, false
-	}
-	var r RunResult
-	if uerr := json.Unmarshal(raw, &r); uerr != nil || checkRun(r) != nil {
-		obsFederationMisses.Add(1)
-		return RunResult{}, false
-	}
-	obsFederationHits.Add(1)
-	if e.Store != nil {
-		if perr := e.Store.Put(h, cellIdentityFor(mc, sp.prof.Name, sp.tech, sp.interval), r); perr != nil {
-			e.mu.Lock()
-			if e.storeErr == nil {
-				e.storeErr = perr
-			}
-			e.mu.Unlock()
-		}
-	}
-	return r, true
-}
-
 // run returns the (cached) timing run for one configuration, executing it
-// under the supervisor on first use. A previously failed run returns its
-// memoized failure instead of re-executing.
+// on first use. A previously failed run returns its memoized failure
+// instead of re-executing.
 func (e *Experiments) run(prof workload.Profile, l2 int, t leakctl.Technique, interval uint64) (RunResult, error) {
-	key := runKey(prof.Name, l2, t, interval)
-	e.mu.Lock()
-	r, ok := e.runs[key]
-	fe, failed := e.failures[key]
-	e.mu.Unlock()
-	if ok {
-		return r, nil
-	}
-	if failed {
-		return RunResult{}, fe
-	}
-	if err := e.runSpecs([]runSpec{{prof, l2, t, interval}}); err != nil {
-		return RunResult{}, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if r, ok := e.runs[key]; ok {
-		return r, nil
-	}
-	if fe, failed := e.failures[key]; failed {
-		return RunResult{}, fe
-	}
-	return RunResult{}, fmt.Errorf("run %s produced no result", key)
+	return e.energy.get(runSpec{prof, l2, t, interval})
 }
 
 // prefetch simulates a set of configurations concurrently so later cached
@@ -1057,7 +597,7 @@ func (e *Experiments) prefetch(l2 int, techs []leakctl.Technique, intervals []ui
 			}
 		}
 	}
-	_ = e.runSpecs(specs)
+	_ = e.energy.resolve(specs)
 }
 
 // Failures returns the structured failure record of every run that could
@@ -1065,8 +605,8 @@ func (e *Experiments) prefetch(l2 int, techs []leakctl.Technique, intervals []ui
 func (e *Experiments) Failures() []*harness.RunError {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]*harness.RunError, 0, len(e.failures))
-	for _, f := range e.failures {
+	out := make([]*harness.RunError, 0, len(e.energy.failures))
+	for _, f := range e.energy.failures {
 		out = append(out, f)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
@@ -1284,9 +824,13 @@ func (f Figure) String() string {
 func (e *Experiments) evalCell(s *Suite, m *leakage.Model, prof workload.Profile, l2 int, t leakctl.Technique, iv uint64, tempC float64) (Point, bool) {
 	// A failed baseline fails every cell of the benchmark's row: there is
 	// nothing to compare against.
-	if _, err := e.run(prof, l2, leakctl.TechNone, 0); err != nil {
+	base, err := e.run(prof, l2, leakctl.TechNone, 0)
+	if err != nil {
 		return Point{}, false
 	}
+	// EvaluateRun scores against the suite's baseline cache: seed it with
+	// the ladder's run so the baseline is never simulated twice.
+	s.SetBaseline(prof.Name, base)
 	r, err := e.run(prof, l2, t, iv)
 	if err != nil {
 		return Point{}, false

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hotleakage/internal/attack"
 	"hotleakage/internal/leakctl"
 	"hotleakage/internal/workload"
 )
@@ -20,6 +21,11 @@ type downRunner struct {
 var errDaemonDown = errors.New("dial tcp: connection refused")
 
 func (d *downRunner) RunCells(_ context.Context, _, _ uint64, _ []CellSpec) ([]RemoteCell, error) {
+	d.calls.Add(1)
+	return nil, errDaemonDown
+}
+
+func (d *downRunner) RunAttackCells(context.Context, []AttackSpec) ([]RemoteOutcome[AttackSpec, attack.Result], error) {
 	d.calls.Add(1)
 	return nil, errDaemonDown
 }
@@ -42,6 +48,24 @@ func (f *flakyRunner) RunCells(_ context.Context, _, _ uint64, specs []CellSpec)
 	cells := make([]RemoteCell, len(outs))
 	for i, o := range outs {
 		cells[i] = RemoteCell{Spec: o.Spec, Result: o.Result}
+		if o.Err != nil {
+			cells[i].Err = o.Err.Error()
+		}
+	}
+	return cells, nil
+}
+
+func (f *flakyRunner) RunAttackCells(_ context.Context, specs []AttackSpec) ([]RemoteOutcome[AttackSpec, attack.Result], error) {
+	if f.fails.Add(1) == 1 {
+		return nil, errDaemonDown
+	}
+	outs, err := f.inner.RunAttackCells(specs)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]RemoteOutcome[AttackSpec, attack.Result], len(outs))
+	for i, o := range outs {
+		cells[i] = RemoteOutcome[AttackSpec, attack.Result]{Spec: o.Spec, Result: o.Result}
 		if o.Err != nil {
 			cells[i].Err = o.Err.Error()
 		}

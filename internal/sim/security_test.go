@@ -257,3 +257,46 @@ func TestAttackCheckpointResume(t *testing.T) {
 		t.Fatalf("checkpoint round trip not bit-identical")
 	}
 }
+
+// pinnedAttackCellHash is the content address of (smoke, L2=11, drowsy,
+// 4096) on the default machine. Like pinnedEnergyCellHash it guards a
+// deployed store: if it moves, every stored attack result silently
+// invalidates.
+const pinnedAttackCellHash = "dbe0afa4cae7179fc82ea0d8fbd0aa51c6050fb971a9b7f0244d1f23ffd48051"
+
+func TestAttackHashPinned(t *testing.T) {
+	sc, ok := attack.ByName("smoke")
+	if !ok {
+		t.Fatal("smoke scenario missing")
+	}
+	h, err := AttackHash(DefaultMachine(11), sc, leakctl.TechDrowsy, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h != pinnedAttackCellHash {
+		t.Fatalf("attack-cell hash moved: %s != pinned %s (store corpus invalidated)", h, pinnedAttackCellHash)
+	}
+}
+
+// An invalid cell fails on its first attempt whatever its kind: a
+// validation error is permanent, so retrying it only burns the backoff.
+// Decay interval 2 is below the counter resolution for both kinds.
+func TestInvalidCellsFailFast(t *testing.T) {
+	e := attackExperiments()
+	e.MaxRetries = 2
+	defer e.Close()
+	outs, err := e.RunCells([]CellSpec{{Bench: "gzip", L2: 11, Technique: leakctl.TechDrowsy, Interval: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aouts, err := e.RunAttackCells([]AttackSpec{{Scenario: "smoke", L2: 11, Technique: leakctl.TechDrowsy, Interval: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0].Err == nil || outs[0].Err.Attempts != 1 {
+		t.Errorf("energy cell: got %+v, want a failure after 1 attempt", outs[0].Err)
+	}
+	if aouts[0].Err == nil || aouts[0].Err.Attempts != 1 {
+		t.Errorf("attack cell: got %+v, want a failure after 1 attempt", aouts[0].Err)
+	}
+}

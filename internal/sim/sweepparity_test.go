@@ -207,7 +207,7 @@ func TestExperimentsWorkersOverride(t *testing.T) {
 		e := NewExperiments()
 		e.Parallel = c.parallel
 		e.Workers = c.workers
-		sup, err := e.supervisor()
+		sup, err := e.energy.supervisor()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,10 +73,20 @@ func CanonicalHash(v any) (string, error) {
 }
 
 // Canonicalize re-encodes a JSON document with object keys sorted at every
-// level, the byte form CanonicalHash digests.
+// level, the byte form CanonicalHash digests. Numbers pass through as
+// their literals: decoding them as float64 would round integers above
+// 2^53, and two cells differing only there would share a hash.
 func Canonicalize(doc []byte) ([]byte, error) {
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.UseNumber()
 	var v any
-	if err := json.Unmarshal(doc, &v); err != nil {
+	err := dec.Decode(&v)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = fmt.Errorf("trailing data after the document")
+		}
+	}
+	if err != nil {
 		return nil, fmt.Errorf("store: canonicalize: %w", err)
 	}
 	canon, err := json.Marshal(v)
