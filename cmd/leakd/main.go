@@ -17,9 +17,9 @@
 // leakage-vs-savings frontier from a daemon.
 //
 // Cluster mode: `leakd -coordinator -cluster w1:8081,w2:8082,w3:8083` runs
-// the coordinator — same HTTP surface, sweeps sharded across the listed
-// workers on a consistent-hash ring, with work stealing and re-sharding on
-// worker death. Workers started with `-peer http://coordinator:8080` consult
+// the coordinator — the same front door over an executor that shards
+// sweeps across the listed workers on a consistent-hash ring, with work
+// stealing and re-sharding on worker death. Workers started with `-peer http://coordinator:8080` consult
 // the coordinator's federated store view before simulating a missed cell.
 // See DESIGN.md §13.
 //
@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -118,11 +117,36 @@ func run() error {
 		logger.Printf("store: skipped %d corrupt record(s) while indexing %s", n, *storeDir)
 	}
 
-	// handler/shutdown abstract over the two modes: a worker daemon or the
-	// cluster coordinator, which shares the listener, GC and drain plumbing.
-	var handler http.Handler
-	var shutdown func(context.Context) error
-
+	// Both modes are the same front door; -coordinator only swaps the
+	// local executor for one that shards sweeps across the listed workers.
+	cfg := server.Config{
+		Store:               st,
+		Workers:             *workers,
+		QueueDepth:          *queueDepth,
+		SweepConcurrency:    *sweeps,
+		MaxCells:            *maxCells,
+		DefaultInstructions: *instructions,
+		DefaultWarmup:       *warmup,
+		RunTimeout:          *runTimeout,
+		MaxRetries:          *maxRetries,
+		SweepTimeout:        *sweepTimeout,
+		Plane:               plane,
+		Retention:           *retention,
+		Log:                 logger,
+	}
+	if *peerURL != "" {
+		cfg.Peer = api.NewClient(*peerURL)
+		logger.Printf("leakd: federating store misses through %s", *peerURL)
+	}
+	if *telemetry != "" {
+		f, err := os.OpenFile(*telemetry, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		cfg.Events = obs.NewTraceWriter(f)
+	}
+	var srv *server.Server
 	if *coordinator {
 		if *clusterList == "" {
 			return fmt.Errorf("-coordinator requires -cluster with at least one worker address")
@@ -133,58 +157,21 @@ func run() error {
 				workerAddrs = append(workerAddrs, a)
 			}
 		}
-		coord, err := cluster.New(cluster.Config{
-			Workers:             workerAddrs,
-			Store:               st,
-			ShardRetries:        *shardRetries,
-			QueueDepth:          *queueDepth,
-			MaxCells:            *maxCells,
-			SweepConcurrency:    *sweeps,
-			DefaultInstructions: *instructions,
-			DefaultWarmup:       *warmup,
-			Retention:           *retention,
-			Log:                 logger,
+		d, err := cluster.NewDispatcher(cluster.Config{
+			Workers:      workerAddrs,
+			Store:        st,
+			ShardRetries: *shardRetries,
+			Log:          logger,
 		})
 		if err != nil {
 			return err
 		}
-		handler = coord.Handler()
-		shutdown = coord.Shutdown
-		logger.Printf("leakd: coordinator over %d workers: %s", len(workerAddrs), strings.Join(workerAddrs, ", "))
-	} else {
-		cfg := server.Config{
-			Store:               st,
-			Workers:             *workers,
-			QueueDepth:          *queueDepth,
-			SweepConcurrency:    *sweeps,
-			MaxCells:            *maxCells,
-			DefaultInstructions: *instructions,
-			DefaultWarmup:       *warmup,
-			RunTimeout:          *runTimeout,
-			MaxRetries:          *maxRetries,
-			SweepTimeout:        *sweepTimeout,
-			Plane:               plane,
-			Retention:           *retention,
-			Log:                 logger,
-		}
-		if *peerURL != "" {
-			cfg.Peer = api.NewClient(*peerURL)
-			logger.Printf("leakd: federating store misses through %s", *peerURL)
-		}
-		if *telemetry != "" {
-			f, err := os.OpenFile(*telemetry, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			cfg.Events = obs.NewTraceWriter(f)
-		}
-		srv, err := server.New(cfg)
-		if err != nil {
+		if srv, err = server.NewWith(cfg, d); err != nil {
 			return err
 		}
-		handler = srv.Handler()
-		shutdown = srv.Shutdown
+		logger.Printf("leakd: coordinator over %d workers: %s", len(workerAddrs), strings.Join(workerAddrs, ", "))
+	} else if srv, err = server.New(cfg); err != nil {
+		return err
 	}
 
 	// Background GC: pace-limited passes under the configured policy. The
@@ -221,7 +208,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	hs := obs.HardenedServer(handler)
+	hs := obs.HardenedServer(srv.Handler())
 	go func() { _ = hs.Serve(ln) }()
 	logger.Printf("leakd: listening on http://%s, store %s (%d cells)",
 		ln.Addr(), *storeDir, st.Len())
@@ -235,7 +222,7 @@ func run() error {
 	close(gcStop)
 	dctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
-	if err := shutdown(dctx); err != nil {
+	if err := srv.Shutdown(dctx); err != nil {
 		logger.Printf("leakd: %v", err)
 	}
 	obs.Shutdown(hs)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -381,12 +383,97 @@ func TestCoordinatorAliasing(t *testing.T) {
 	}
 }
 
+// holdWorker starts a worker whose sweep submissions wait until release
+// is called (or the caller gives up), so a coordinator's executor slot
+// stays busy for exactly as long as a test needs.
+func holdWorker(t *testing.T) (url string, release func()) {
+	t.Helper()
+	srv, err := server.New(server.Config{
+		Store: openStore(t, t.TempDir()), Workers: 2,
+		DefaultInstructions: testInstr, DefaultWarmup: testWarmup,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			select {
+			case <-gate:
+			case <-r.Context().Done():
+				return
+			}
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		release()
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	})
+	return ts.URL, release
+}
+
+// submitCell submits a one-cell sweep (gzip, drowsy at interval iv).
+func submitCell(ctx context.Context, t *testing.T, cl *api.Client, iv uint64, priority string) api.SweepStatus {
+	t.Helper()
+	st, err := cl.SubmitSweep(ctx, api.SweepRequest{
+		Instructions: testInstr, Warmup: testWarmup, Priority: priority,
+		Cells: []api.Cell{{Bench: "gzip", L2: 11, Technique: "drowsy", Interval: iv}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// waitState polls a sweep until it reaches state.
+func waitState(ctx context.Context, t *testing.T, cl *api.Client, id, state string) {
+	t.Helper()
+	for {
+		st, err := cl.Sweep(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == state {
+			return
+		}
+		if api.Terminal(st.State) {
+			t.Fatalf("sweep %s ended %s while waiting for %s", id, st.State, state)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// waitEvicted polls a sweep until the retention janitor has dropped it.
+func waitEvicted(ctx context.Context, t *testing.T, cl *api.Client, id string) {
+	t.Helper()
+	for {
+		_, err := cl.Sweep(ctx, id)
+		var se *api.StatusError
+		if errors.As(err, &se) && se.Code == http.StatusNotFound {
+			return
+		}
+		if ctx.Err() != nil {
+			t.Fatalf("sweep %s never evicted", id)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // TestCoordinatorCountsRejections: a submit turned away with 429 (queue
 // full) or 503 (draining) counts in server_sweeps_rejected_total, exactly
 // as on a single-node daemon, so one dashboard reads both roles.
 func TestCoordinatorCountsRejections(t *testing.T) {
-	ts, _ := startWorker(t, server.Config{})
-	coord, coordTS, _ := startCoordinator(t, []string{ts.URL}, nil)
+	url, _ := holdWorker(t)
+	coord, coordTS, _ := startCoordinator(t, []string{url}, func(c *Config) {
+		c.SweepConcurrency = 1
+		c.QueueDepth = 1
+	})
 	body, err := json.Marshal(testSweep())
 	if err != nil {
 		t.Fatal(err)
@@ -403,13 +490,16 @@ func TestCoordinatorCountsRejections(t *testing.T) {
 	rejected := func() uint64 { return obs.Default.Snapshot().Counter(obs.MetricSweepsRejected) }
 	before := rejected()
 
-	coord.mu.Lock()
-	coord.inflight = coord.cfg.QueueDepth
-	coord.mu.Unlock()
+	// Fill the queue through real admission: one bulk sweep holds the only
+	// executor slot (its worker never answers), another fills the one-deep
+	// bulk queue.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cl := fastDial(coordTS.URL)
+	running := submitCell(ctx, t, cl, 2048, "bulk")
+	waitState(ctx, t, cl, running.ID, api.StateRunning)
+	submitCell(ctx, t, cl, 8192, "bulk")
 	code := submit()
-	coord.mu.Lock()
-	coord.inflight = 0
-	coord.mu.Unlock()
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("full queue answered %d, want 429", code)
 	}
@@ -417,8 +507,6 @@ func TestCoordinatorCountsRejections(t *testing.T) {
 		t.Fatalf("429 counted %d rejections, want 1", got)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
 	if err := coord.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -427,5 +515,125 @@ func TestCoordinatorCountsRejections(t *testing.T) {
 	}
 	if got := rejected() - before; got != 2 {
 		t.Fatalf("429+503 counted %d rejections, want 2", got)
+	}
+}
+
+// TestCoordinatorPriority: with one sweep slot, an interactive sweep
+// submitted after a queued bulk sweep starts first — the dual-priority
+// admission a daemon gives, on the coordinator.
+func TestCoordinatorPriority(t *testing.T) {
+	url, release := holdWorker(t)
+	_, coordTS, _ := startCoordinator(t, []string{url}, func(c *Config) { c.SweepConcurrency = 1 })
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	cl := fastDial(coordTS.URL)
+
+	first := submitCell(ctx, t, cl, 2048, "bulk")
+	waitState(ctx, t, cl, first.ID, api.StateRunning) // holds the only slot
+	bulk := submitCell(ctx, t, cl, 4096, "bulk")
+	inter := submitCell(ctx, t, cl, 8192, "interactive")
+	release()
+
+	interDone, err := cl.WaitSweep(ctx, inter.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bulkDone, err := cl.WaitSweep(ctx, bulk.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if interDone.State != api.StateCompleted || bulkDone.State != api.StateCompleted {
+		t.Fatalf("states: interactive=%s bulk=%s", interDone.State, bulkDone.State)
+	}
+	if interDone.Started == nil || bulkDone.Started == nil {
+		t.Fatal("missing start times")
+	}
+	if interDone.Started.After(*bulkDone.Started) {
+		t.Errorf("interactive started %v, after bulk %v", interDone.Started, bulkDone.Started)
+	}
+}
+
+// TestCoordinatorMetrics: a sweep the coordinator answers moves the same
+// server_* family a daemon's does, and Shutdown leaves no goroutine
+// behind — the check TestDrainAndResume makes for the daemon.
+func TestCoordinatorMetrics(t *testing.T) {
+	workerTS, _ := startWorker(t, server.Config{})
+	baseline := runtime.NumGoroutine()
+	coord, coordTS, _ := startCoordinator(t, []string{workerTS.URL}, func(c *Config) {
+		c.Retention = 5 * time.Millisecond // the janitor ticks at its 1s floor
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	cl := fastDial(coordTS.URL)
+	req := testSweep()
+	req.Cells = req.Cells[:2]
+
+	// Seed the coordinator store, and let the janitor evict the seed sweep
+	// before the counters are read.
+	seed, err := cl.SubmitSweep(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := cl.WaitSweep(ctx, seed.ID); err != nil || final.State != api.StateCompleted {
+		t.Fatalf("seed sweep: %+v %v", final, err)
+	}
+	waitEvicted(ctx, t, cl, seed.ID)
+
+	counter := func(name string) uint64 { return obs.Default.Snapshot().Counter(name) }
+	inflight := obs.Default.Gauge(obs.GaugeSweepsInFlight)
+	depth := obs.Default.Gauge(obs.GaugeQueueDepth)
+	names := []string{obs.MetricSweepsAccepted, obs.MetricSweepsCompleted, obs.MetricSweepsEvicted, obs.MetricClusterShards}
+	before := make(map[string]uint64)
+	for _, n := range names {
+		before[n] = counter(n)
+	}
+	inflight0, depth0 := inflight.Value(), depth.Value()
+
+	// The resubmit is answered from the coordinator store in full: nothing
+	// is dispatched, so every counter that moves is the coordinator's.
+	again, err := cl.SubmitSweep(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := cl.WaitSweep(ctx, again.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != api.StateCompleted || final.StoreHits != 2 || final.Executed != 0 {
+		t.Fatalf("resubmit: state=%s store_hits=%d executed=%d, want completed/2/0",
+			final.State, final.StoreHits, final.Executed)
+	}
+	for n, want := range map[string]uint64{
+		obs.MetricSweepsAccepted: 1, obs.MetricSweepsCompleted: 1, obs.MetricClusterShards: 0,
+	} {
+		if got := counter(n) - before[n]; got != want {
+			t.Errorf("%s moved by %d, want %d", n, got, want)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for (inflight.Value() != inflight0 || depth.Value() != depth0) && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if inflight.Value() != inflight0 || depth.Value() != depth0 {
+		t.Errorf("gauges inflight=%d queue_depth=%d, want baselines %d/%d",
+			inflight.Value(), depth.Value(), inflight0, depth0)
+	}
+	waitEvicted(ctx, t, cl, again.ID)
+	if got := counter(obs.MetricSweepsEvicted) - before[obs.MetricSweepsEvicted]; got != 1 {
+		t.Errorf("%s moved by %d, want 1", obs.MetricSweepsEvicted, got)
+	}
+
+	if err := coord.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	coordTS.Close()
+	deadline = time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline+2 && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline+2 {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("goroutines leaked across coordinator shutdown: %d -> %d\n%s",
+			baseline, n, buf[:runtime.Stack(buf, true)])
 	}
 }

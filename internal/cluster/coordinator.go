@@ -5,21 +5,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
-	"net/http"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"hotleakage/internal/attack"
 	"hotleakage/internal/obs"
+	"hotleakage/internal/server"
 	"hotleakage/internal/server/api"
 	"hotleakage/internal/sim"
 	"hotleakage/internal/store"
-	"hotleakage/internal/stream"
 )
 
 var (
@@ -29,9 +27,6 @@ var (
 	obsWorkerDeaths = obs.Default.Counter(obs.MetricClusterWorkerDeaths)
 	obsCellsAcked   = obs.Default.Counter(obs.MetricClusterCellsAcked)
 	obsWorkersAlive = obs.Default.Gauge(obs.GaugeClusterWorkersAlive)
-	// Shared with the single-node daemon (registration is idempotent by
-	// name), so both roles count turned-away submits in one family.
-	obsSweepsRejected = obs.Default.Counter(obs.MetricSweepsRejected)
 )
 
 // Config parameterizes a coordinator. Workers and Store are required.
@@ -47,8 +42,8 @@ type Config struct {
 	// ShardRetries caps how many times one shard's cells are re-dispatched
 	// after worker deaths before the cells are failed (default 2).
 	ShardRetries int
-	// QueueDepth caps admitted-but-unfinished sweeps (default 16); beyond
-	// it submissions get 429 + Retry-After, exactly like a worker.
+	// QueueDepth caps queued sweeps per priority class (default 16);
+	// beyond it submissions get 429 + Retry-After, exactly like a worker.
 	QueueDepth int
 	// MaxCells caps cells per sweep (default 4096).
 	MaxCells int
@@ -72,31 +67,85 @@ type Config struct {
 	Log *log.Logger
 }
 
-// Coordinator is the cluster front end. Build with New, mount Handler,
-// stop with Shutdown. Its HTTP surface is wire-compatible with a single
-// worker's, so api.Client and leakbench -remote work against it unchanged.
+// Coordinator is the cluster front end: the daemon's own front door
+// (server.Server) over a Dispatcher. Build with New, mount Handler, stop
+// with Shutdown. Its HTTP surface is a worker's, so api.Client and
+// leakbench -remote work against it unchanged.
 type Coordinator struct {
-	cfg  Config
-	ring *Ring
-	mux  *http.ServeMux
+	*server.Server
+	*Dispatcher
+}
 
+// New builds a coordinator over cfg, connects its worker clients and
+// starts it.
+func New(cfg Config) (*Coordinator, error) {
+	d, err := NewDispatcher(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.SweepConcurrency <= 0 {
+		cfg.SweepConcurrency = 2
+	}
+	srv, err := server.NewWith(server.Config{
+		Store:               cfg.Store,
+		QueueDepth:          cfg.QueueDepth,
+		SweepConcurrency:    cfg.SweepConcurrency,
+		MaxCells:            cfg.MaxCells,
+		DefaultInstructions: cfg.DefaultInstructions,
+		DefaultWarmup:       cfg.DefaultWarmup,
+		RetryAfter:          cfg.RetryAfter,
+		Retention:           cfg.Retention,
+		Log:                 cfg.Log,
+	}, d)
+	if err != nil {
+		return nil, err
+	}
+	return &Coordinator{Server: srv, Dispatcher: d}, nil
+}
+
+// Dispatcher is the cluster's server.Executor. It answers what the
+// coordinator store already holds, shards the rest across the workers'
+// ring with work stealing and re-sharding on worker death, and acks every
+// result into the coordinator store.
+type Dispatcher struct {
+	cfg     Config
+	ring    *Ring
 	workers map[string]*worker
+}
 
-	sem  chan struct{}
-	stop chan struct{}
-	wg   sync.WaitGroup
-
-	rootCtx    context.Context
-	rootCancel context.CancelFunc
-
-	mu       sync.Mutex
-	draining bool
-	seq      int
-	inflight int
-	sweeps   map[string]*csweep
-	byHash   map[string]*csweep
-	degraded []string
-	costs    map[string]float64 // EWMA ns/instr by bench+"/"+technique
+// NewDispatcher connects cfg's worker clients. It reads Workers, Store,
+// Replicas, ShardRetries, Dial and Log; the rest of Config belongs to the
+// front door.
+func NewDispatcher(cfg Config) (*Dispatcher, error) {
+	if cfg.Store == nil {
+		return nil, errors.New("cluster: Config.Store is required")
+	}
+	if len(cfg.Workers) == 0 {
+		return nil, errors.New("cluster: Config.Workers is empty")
+	}
+	if cfg.ShardRetries <= 0 {
+		cfg.ShardRetries = 2
+	}
+	if cfg.Dial == nil {
+		cfg.Dial = api.NewClient
+	}
+	if cfg.Log == nil {
+		cfg.Log = log.New(io.Discard, "", 0)
+	}
+	d := &Dispatcher{
+		cfg:     cfg,
+		ring:    NewRing(cfg.Replicas),
+		workers: make(map[string]*worker, len(cfg.Workers)),
+	}
+	for _, addr := range cfg.Workers {
+		if _, dup := d.workers[addr]; dup {
+			return nil, fmt.Errorf("cluster: duplicate worker %q", addr)
+		}
+		d.workers[addr] = &worker{addr: addr, client: cfg.Dial(addr)}
+		d.ring.Add(addr)
+	}
+	obsWorkersAlive.Set(int64(len(d.workers)))
+	return d, nil
 }
 
 // worker is one member daemon.
@@ -125,357 +174,74 @@ func (w *worker) markDead() bool {
 	return true
 }
 
-// csweep is one admitted cluster sweep. Cells of both kinds (energy and
+// csweep is one sweep's dispatch books. Cells of both kinds (energy and
 // attack) live in wire form: api.Cell carries everything the shard
-// scheduler needs, and shards ship to workers verbatim, so the
-// coordinator never branches on kind outside hashing and key derivation.
+// scheduler needs, and shards ship to workers verbatim, so dispatch never
+// branches on kind outside hashing and key derivation.
 type csweep struct {
-	id           string
-	reqHash      string
-	priority     string
-	wire         []api.Cell
-	hashes       []string // content address per cell ("" when uncomputable)
-	instructions uint64
-	warmup       uint64
-	ctx          context.Context
-	cancel       context.CancelFunc
-	hub          *stream.Hub
+	*server.Sweep
+	hashes []string // content address per cell ("" when uncomputable)
 
-	mu       sync.Mutex
-	state    string
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	// per-cell terminal outcomes: done[i] true means acked (value in the
+	mu sync.Mutex
+	// per-cell outcomes: done[i] true means acked (value in the
 	// coordinator store or served from it); failed[i] carries the error.
 	done   []bool
 	failed []string
 	// aggregated counters: coordinator store hits plus worker tallies.
 	executed, storeHits, resumed int
-	errMsg, degradedMsg          string
+	degradedMsg                  string
 }
 
-// New builds a coordinator over cfg and connects its worker clients.
-func New(cfg Config) (*Coordinator, error) {
-	if cfg.Store == nil {
-		return nil, errors.New("cluster: Config.Store is required")
-	}
-	if len(cfg.Workers) == 0 {
-		return nil, errors.New("cluster: Config.Workers is empty")
-	}
-	cfg = withDefaults(cfg)
-	ctx, cancel := context.WithCancel(context.Background())
-	c := &Coordinator{
-		cfg:        cfg,
-		ring:       NewRing(cfg.Replicas),
-		workers:    make(map[string]*worker, len(cfg.Workers)),
-		sem:        make(chan struct{}, cfg.SweepConcurrency),
-		stop:       make(chan struct{}),
-		rootCtx:    ctx,
-		rootCancel: cancel,
-		sweeps:     make(map[string]*csweep),
-		byHash:     make(map[string]*csweep),
-		costs:      make(map[string]float64),
-	}
-	for _, addr := range cfg.Workers {
-		if _, dup := c.workers[addr]; dup {
-			cancel()
-			return nil, fmt.Errorf("cluster: duplicate worker %q", addr)
-		}
-		c.workers[addr] = &worker{addr: addr, client: cfg.Dial(addr)}
-		c.ring.Add(addr)
-	}
-	obsWorkersAlive.Set(int64(len(c.workers)))
-	// Warm the shard scheduler's cost model from the store's meta segment,
-	// the same EWMA the workers persist.
-	var persisted map[string]float64
-	if ok, err := cfg.Store.GetMeta(sim.CostModelMetaKey, &persisted); err == nil && ok {
-		for k, v := range persisted {
-			if v > 0 {
-				c.costs[k] = v
-			}
-		}
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sweeps", c.handleSubmit)
-	mux.HandleFunc("GET /v1/sweeps/{id}", c.handleSweep)
-	mux.HandleFunc("GET /v1/sweeps/{id}/events", c.handleEvents)
-	mux.HandleFunc("GET /v1/cells/{hash}", c.handleCell)
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = obs.Default.WriteProm(w)
-	})
-	c.mux = mux
-	if cfg.Retention > 0 {
-		c.wg.Add(1)
-		go c.janitor()
-	}
-	return c, nil
-}
-
-func withDefaults(cfg Config) Config {
-	if cfg.ShardRetries <= 0 {
-		cfg.ShardRetries = 2
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 16
-	}
-	if cfg.MaxCells <= 0 {
-		cfg.MaxCells = 4096
-	}
-	if cfg.SweepConcurrency <= 0 {
-		cfg.SweepConcurrency = 2
-	}
-	if cfg.DefaultInstructions == 0 {
-		cfg.DefaultInstructions = 1_000_000
-	}
-	if cfg.DefaultWarmup == 0 {
-		cfg.DefaultWarmup = 300_000
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 5 * time.Second
-	}
-	if cfg.Dial == nil {
-		cfg.Dial = api.NewClient
-	}
-	if cfg.Log == nil {
-		cfg.Log = log.New(os.Stderr, "", 0)
-		cfg.Log.SetOutput(discard{})
-	}
-	return cfg
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-// Handler returns the coordinator's routes.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
-
-// janitor mirrors the worker's: terminal sweeps older than Retention are
-// evicted so the lookup maps stay bounded.
-func (c *Coordinator) janitor() {
-	defer c.wg.Done()
-	period := c.cfg.Retention / 4
-	if period < time.Second {
-		period = time.Second
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-tick.C:
-			c.evictExpired(time.Now())
-		}
-	}
-}
-
-func (c *Coordinator) evictExpired(now time.Time) int {
-	cutoff := now.Add(-c.cfg.Retention)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for id, sw := range c.sweeps {
-		sw.mu.Lock()
-		expired := api.Terminal(sw.state) && !sw.finished.IsZero() && sw.finished.Before(cutoff)
-		sw.mu.Unlock()
-		if !expired {
-			continue
-		}
-		delete(c.sweeps, id)
-		if c.byHash[sw.reqHash] == sw {
-			delete(c.byHash, sw.reqHash)
-		}
-		n++
-	}
-	return n
-}
-
-// Shutdown drains: new submissions 503, running sweeps' contexts cancel
-// (workers see client-side cancellation; their own durability guarantees
-// hold), and the janitor exits.
-func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.mu.Lock()
-	already := c.draining
-	c.draining = true
-	c.mu.Unlock()
-	if !already {
-		close(c.stop)
-	}
-	c.rootCancel()
-	done := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("cluster: drain timed out: %w", ctx.Err())
-	}
-}
-
-// noteDegraded records a deduplicated degradation reason for /healthz.
-func (c *Coordinator) noteDegraded(reason string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, r := range c.degraded {
-		if r == reason {
-			return
-		}
-	}
-	if len(c.degraded) < 16 {
-		c.degraded = append(c.degraded, reason)
-	}
-}
-
-// ---- admission ----
-
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req api.SweepRequest
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if req.Instructions == 0 {
-		req.Instructions = c.cfg.DefaultInstructions
-	}
-	if req.Warmup == 0 {
-		req.Warmup = c.cfg.DefaultWarmup
-	}
-	specs, attacks, wire, err := api.ExpandCells(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(wire) == 0 {
-		httpError(w, http.StatusBadRequest, "sweep has no cells")
-		return
-	}
-	if len(wire) > c.cfg.MaxCells {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("sweep has %d cells, limit is %d", len(wire), c.cfg.MaxCells))
-		return
-	}
-	priority := req.Priority
-	switch priority {
-	case "interactive", "bulk":
-	case "":
-		if len(wire) <= 2 {
-			priority = "interactive"
-		} else {
-			priority = "bulk"
-		}
-	default:
-		httpError(w, http.StatusBadRequest, `priority must be "interactive" or "bulk"`)
-		return
-	}
-	reqHash, err := api.RequestHash(req.Instructions, req.Warmup, wire)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "hash request: "+err.Error())
-		return
-	}
-
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
-		obsSweepsRejected.Add(1)
-		httpError(w, http.StatusServiceUnavailable, "coordinator is draining")
-		return
-	}
-	// Identical non-terminal request: alias onto the in-flight sweep, the
-	// same idempotency contract the workers give their clients.
-	if prev := c.byHash[reqHash]; prev != nil {
-		prev.mu.Lock()
-		terminal := api.Terminal(prev.state)
-		prev.mu.Unlock()
-		if !terminal {
-			c.mu.Unlock()
-			respondJSON(w, http.StatusOK, c.status(prev, false))
-			return
-		}
-	}
-	if c.inflight >= c.cfg.QueueDepth {
-		c.mu.Unlock()
-		obsSweepsRejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(api.RetryAfterSeconds(c.cfg.RetryAfter)))
-		httpError(w, http.StatusTooManyRequests, "coordinator queue is full")
-		return
-	}
-	c.seq++
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if req.TimeoutS > 0 {
-		ctx, cancel = context.WithTimeout(c.rootCtx, time.Duration(req.TimeoutS*float64(time.Second)))
-	} else {
-		ctx, cancel = context.WithCancel(c.rootCtx)
-	}
-	// Content addresses are computed up front (cheap: one SHA-256 of a
-	// small identity document per cell) so hashes is immutable from here —
-	// the ring, the store pass, the ack path and status reads all share it
-	// without coordination. The wire list is energy cells then attack
-	// cells (ExpandCells' contract), so hashes indexes wire directly.
-	hashes := make([]string, len(wire))
-	for i, cs := range specs {
+// cellHashes computes every cell's content address up front (cheap: one
+// SHA-256 of a small identity document per cell) so the result is
+// immutable from here — the ring, the store pass, the ack path and status
+// reads all share it without coordination. Cells lists energy cells then
+// attack cells (ExpandCells' contract), so the result indexes Cells.
+func cellHashes(sw *server.Sweep) []string {
+	hashes := make([]string, len(sw.Cells))
+	for i, cs := range sw.Specs {
 		mc := sim.DefaultMachine(cs.L2)
-		mc.Instructions = req.Instructions
-		mc.Warmup = req.Warmup
-		if h, herr := sim.CellHash(mc, cs.Bench, cs.Technique, cs.Interval); herr == nil {
+		mc.Instructions = sw.Instructions
+		mc.Warmup = sw.Warmup
+		if h, err := sim.CellHash(mc, cs.Bench, cs.Technique, cs.Interval); err == nil {
 			hashes[i] = h
 		}
 	}
-	for j, as := range attacks {
+	for j, as := range sw.Attacks {
 		sc, ok := attack.ByName(as.Scenario)
 		if !ok {
 			continue // ExpandCells validated; an unknown name still just dispatches unhashed
 		}
 		// Attack hashes ignore the instruction budget (scenario length is
 		// fixed), so the default machine is the whole identity.
-		if h, herr := sim.AttackHash(sim.DefaultMachine(as.L2), sc, as.Technique, as.Interval); herr == nil {
-			hashes[len(specs)+j] = h
+		if h, err := sim.AttackHash(sim.DefaultMachine(as.L2), sc, as.Technique, as.Interval); err == nil {
+			hashes[len(sw.Specs)+j] = h
 		}
 	}
-	sw := &csweep{
-		id:           fmt.Sprintf("c-%06d", c.seq),
-		reqHash:      reqHash,
-		priority:     priority,
-		wire:         wire,
-		hashes:       hashes,
-		instructions: req.Instructions,
-		warmup:       req.Warmup,
-		ctx:          ctx,
-		cancel:       cancel,
-		hub:          stream.NewHub(),
-		state:        api.StateQueued,
-		created:      time.Now(),
-		done:         make([]bool, len(wire)),
-		failed:       make([]string, len(wire)),
-	}
-	c.inflight++
-	c.sweeps[sw.id] = sw
-	c.byHash[reqHash] = sw
-	c.mu.Unlock()
+	return hashes
+}
 
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		select {
-		case c.sem <- struct{}{}:
-			defer func() { <-c.sem }()
-			c.runSweep(sw)
-		case <-c.stop:
-			c.finish(sw, api.StateCanceled, "coordinator draining")
+// view renders the sweep's progress for the front door: every cell with
+// its content address and state, plus the aggregated tallies.
+func (sw *csweep) view() server.Verdict {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	v := server.Verdict{
+		Degraded: sw.degradedMsg,
+		Cells:    make([]api.CellStatus, len(sw.Cells)),
+		Executed: sw.executed, StoreHits: sw.storeHits, Resumed: sw.resumed,
+	}
+	for i, wc := range sw.Cells {
+		cs := api.CellStatus{Cell: wc, Hash: sw.hashes[i], State: "pending"}
+		switch {
+		case sw.done[i]:
+			cs.State = "done"
+		case sw.failed[i] != "":
+			cs.State, cs.Error = "failed", sw.failed[i]
 		}
-		c.mu.Lock()
-		c.inflight--
-		c.mu.Unlock()
-	}()
-	respondJSON(w, http.StatusAccepted, c.status(sw, false))
+		v.Cells[i] = cs
+	}
+	return v
 }
 
 // ---- sweep execution ----
@@ -489,32 +255,33 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 type shardGroup struct {
 	bench    string
 	l2       int
-	idxs     []int  // indices into csweep.wire
+	idxs     []int  // indices into csweep.Cells
 	key      string // ring position: the group's smallest cell hash
 	attempts int
 }
 
-func (c *Coordinator) runSweep(sw *csweep) {
-	sw.mu.Lock()
-	sw.state = api.StateRunning
-	sw.started = time.Now()
-	sw.mu.Unlock()
-	sw.hub.Write(obs.Record{Type: "sweep_start", RunID: sw.id, Detail: sw.reqHash})
-	c.cfg.Log.Printf("leakd-coord: sweep %s running (%d cells over %d workers)",
-		sw.id, len(sw.wire), c.ring.Len())
+// Execute answers one sweep: the coordinator store first, then the ring.
+func (d *Dispatcher) Execute(s *server.Sweep) server.Verdict {
+	sw := &csweep{
+		Sweep:  s,
+		hashes: cellHashes(s),
+		done:   make([]bool, len(s.Cells)),
+		failed: make([]string, len(s.Cells)),
+	}
+	s.Live(sw.view)
 
 	// Coordinator store pass: anything any worker ever acked (or a prior
 	// sweep stored) is served without dispatch.
-	pending := make([]int, 0, len(sw.wire))
-	for i := range sw.wire {
+	pending := make([]int, 0, len(sw.Cells))
+	for i := range sw.Cells {
 		h := sw.hashes[i]
 		if h != "" {
-			if _, ok, err := c.cfg.Store.Get(h); err == nil && ok {
+			if _, ok, err := d.cfg.Store.Get(h); err == nil && ok {
 				sw.mu.Lock()
 				sw.done[i] = true
 				sw.storeHits++
 				sw.mu.Unlock()
-				sw.hub.Write(obs.Record{Type: "store_hit", RunID: sw.wire[i].Key()})
+				sw.Write(obs.Record{Type: "store_hit", RunID: sw.Cells[i].Key()})
 				continue
 			}
 		}
@@ -522,7 +289,7 @@ func (c *Coordinator) runSweep(sw *csweep) {
 	}
 
 	if len(pending) > 0 {
-		c.dispatch(sw, pending)
+		d.dispatch(sw, pending)
 	}
 
 	// Verdict. Worker deaths that re-sharded cleanly leave no trace here;
@@ -530,43 +297,41 @@ func (c *Coordinator) runSweep(sw *csweep) {
 	// degraded-complete (results that could be produced were; the rest are
 	// reported honestly), and per-cell simulation failures mirror the
 	// single-worker contract (completed with failed cells).
-	state := api.StateCompleted
-	var msg, degradedMsg string
-	if sw.ctx.Err() != nil {
-		state, msg = api.StateCanceled, sw.ctx.Err().Error()
-	} else {
-		sw.mu.Lock()
-		doneN, failedN, deaths := 0, 0, 0
-		var firstFail string
-		for i := range sw.failed {
-			if sw.done[i] {
-				doneN++
-				continue
+	v := sw.view()
+	v.State = api.StateCompleted
+	if sw.Ctx.Err() != nil {
+		v.State, v.Error = api.StateCanceled, sw.Ctx.Err().Error()
+		return v
+	}
+	doneN, failedN, deaths := 0, 0, 0
+	var firstFail string
+	for _, cs := range v.Cells {
+		switch cs.State {
+		case "done":
+			doneN++
+		case "failed":
+			failedN++
+			if firstFail == "" {
+				firstFail = cs.Error
 			}
-			if sw.failed[i] != "" {
-				failedN++
-				if firstFail == "" {
-					firstFail = sw.failed[i]
-				}
-				if isDeathFailure(sw.failed[i]) {
-					deaths++
-				}
+			if isDeathFailure(cs.Error) {
+				deaths++
 			}
-		}
-		sw.mu.Unlock()
-		switch {
-		case doneN == 0 && failedN == len(sw.wire) && failedN > 0:
-			// Nothing at all could be produced — that is a failed sweep,
-			// not a degraded-complete one.
-			state, msg = api.StateFailed, firstFail
-		case deaths > 0:
-			degradedMsg = fmt.Sprintf("%d cells lost to worker deaths after %d re-dispatch attempts",
-				deaths, c.cfg.ShardRetries)
-			c.noteDegraded("worker deaths exhausted shard retries")
 		}
 	}
-	c.foldCostModel(sw)
-	c.finishWith(sw, state, msg, degradedMsg)
+	switch {
+	case doneN == 0 && failedN == len(sw.Cells) && failedN > 0:
+		// Nothing at all could be produced — that is a failed sweep, not
+		// a degraded-complete one.
+		v.State, v.Error = api.StateFailed, firstFail
+	case deaths > 0:
+		if v.Degraded == "" {
+			v.Degraded = fmt.Sprintf("%d cells lost to worker deaths after %d re-dispatch attempts",
+				deaths, d.cfg.ShardRetries)
+		}
+		sw.Degrade("worker deaths exhausted shard retries")
+	}
+	return v
 }
 
 // isDeathFailure distinguishes shard-retry exhaustion from per-cell
@@ -579,15 +344,15 @@ func isDeathFailure(msg string) bool {
 // live worker until every shard is resolved. Runners prefer their own
 // queue and steal from the most-loaded peer when idle; a worker death
 // re-shards its queued and unacked work onto the survivors.
-func (c *Coordinator) dispatch(sw *csweep, pending []int) {
-	groups := c.groupCells(sw, pending)
+func (d *Dispatcher) dispatch(sw *csweep, pending []int) {
+	groups := groupCells(sw, pending)
 
 	sc := &dispatchState{
 		queues: make(map[string][]*shardGroup),
 		dead:   make(map[string]bool),
 	}
 	sc.cond = sync.NewCond(&sc.mu)
-	for addr, w := range c.workers {
+	for addr, w := range d.workers {
 		if w.isDead() {
 			sc.dead[addr] = true
 		}
@@ -595,9 +360,9 @@ func (c *Coordinator) dispatch(sw *csweep, pending []int) {
 
 	// Initial assignment: ring owner, skipping already-dead workers.
 	for _, g := range groups {
-		owner, ok := c.ring.OwnerExcluding(g.key, sc.dead)
+		owner, ok := d.ring.OwnerExcluding(g.key, sc.dead)
 		if !ok {
-			c.failGroup(sw, g, "no live workers")
+			sw.failGroup(g, "no live workers")
 			continue
 		}
 		sc.queues[owner] = append(sc.queues[owner], g)
@@ -606,21 +371,21 @@ func (c *Coordinator) dispatch(sw *csweep, pending []int) {
 	if sc.outstanding == 0 {
 		return
 	}
-	// Longest-estimated-first within each queue so stragglers start early
-	// (the same longest-first heuristic the workers' own scheduler uses).
-	for addr := range sc.queues {
-		c.sortByCost(sw, sc.queues[addr])
+	// Largest group first within each queue, by cell count, so the
+	// longest shards start early.
+	for _, q := range sc.queues {
+		sort.SliceStable(q, func(i, j int) bool { return len(q[i].idxs) > len(q[j].idxs) })
 	}
 
 	var wg sync.WaitGroup
-	for addr, w := range c.workers {
+	for addr, w := range d.workers {
 		if sc.dead[addr] {
 			continue
 		}
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			c.runner(sw, sc, w)
+			d.runner(sw, sc, w)
 		}(w)
 	}
 	wg.Wait()
@@ -635,7 +400,7 @@ func (c *Coordinator) dispatch(sw *csweep, pending []int) {
 	}
 	sc.mu.Unlock()
 	for _, g := range orphans {
-		c.failGroup(sw, g, "no live workers")
+		sw.failGroup(g, "no live workers")
 	}
 }
 
@@ -652,11 +417,11 @@ type dispatchState struct {
 // groups, each keyed by its smallest cell hash for a deterministic ring
 // position. Attack cells group by scenario with a kind prefix so an
 // attack scenario can never share a shard with a like-named benchmark.
-func (c *Coordinator) groupCells(sw *csweep, pending []int) []*shardGroup {
+func groupCells(sw *csweep, pending []int) []*shardGroup {
 	byBL := make(map[string]*shardGroup)
 	var order []string
 	for _, i := range pending {
-		cs := sw.wire[i]
+		cs := sw.Cells[i]
 		name := cs.Bench
 		if cs.Kind == api.KindAttack {
 			name = "attack:" + cs.Scenario
@@ -685,43 +450,22 @@ func (c *Coordinator) groupCells(sw *csweep, pending []int) []*shardGroup {
 	return groups
 }
 
-// estimate prices a group for the scheduler from the EWMA cost model.
-func (c *Coordinator) estimate(sw *csweep, g *shardGroup) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := 0.0
-	for _, i := range g.idxs {
-		ns, ok := c.costs[costKey(sw.wire[i])]
-		if !ok {
-			ns = 500 // prior: ~500 ns simulated per instruction
-		}
-		total += ns * float64(sw.instructions)
-	}
-	return total
-}
-
-func (c *Coordinator) sortByCost(sw *csweep, gs []*shardGroup) {
-	sort.SliceStable(gs, func(i, j int) bool {
-		return c.estimate(sw, gs[i]) > c.estimate(sw, gs[j])
-	})
-}
-
 // runner drains shards for one worker: its own queue first, then steals
-// the most expensive queued shard from the most-loaded peer. It exits
-// when its worker dies or no shard remains anywhere (queued or running —
-// a running shard may still re-queue work on failure, so idle runners
-// wait instead of exiting).
-func (c *Coordinator) runner(sw *csweep, sc *dispatchState, w *worker) {
+// the largest queued shard from the most-loaded peer. It exits when its
+// worker dies or no shard remains anywhere (queued or running — a running
+// shard may still re-queue work on failure, so idle runners wait instead
+// of exiting).
+func (d *Dispatcher) runner(sw *csweep, sc *dispatchState, w *worker) {
 	for {
 		sc.mu.Lock()
 		for {
-			if sc.dead[w.addr] || sc.outstanding == 0 || sw.ctx.Err() != nil {
+			if sc.dead[w.addr] || sc.outstanding == 0 || sw.Ctx.Err() != nil {
 				sc.mu.Unlock()
 				return
 			}
 			if g := sc.takeLocked(w.addr); g != nil {
 				sc.mu.Unlock()
-				c.runGroup(sw, sc, w, g)
+				d.runGroup(sw, sc, w, g)
 				break
 			}
 			sc.cond.Wait()
@@ -769,12 +513,12 @@ func (sc *dispatchState) resolveLocked(n int) {
 // runGroup dispatches one shard to w as a sub-sweep, pipes its event
 // stream into the sweep's hub, acks each completed cell into the
 // coordinator store, and on worker death re-shards the unacked remainder.
-func (c *Coordinator) runGroup(sw *csweep, sc *dispatchState, w *worker, g *shardGroup) {
+func (d *Dispatcher) runGroup(sw *csweep, sc *dispatchState, w *worker, g *shardGroup) {
 	obsShards.Add(1)
-	sw.hub.Write(obs.Record{Type: "shard_dispatch", RunID: sw.id,
+	sw.Write(obs.Record{Type: "shard_dispatch", RunID: sw.ID,
 		Detail: fmt.Sprintf("%s/L2=%d (%d cells) -> %s attempt %d", g.bench, g.l2, len(g.idxs), w.addr, g.attempts+1)})
 
-	unacked, died, errMsg := c.runGroupOnce(sw, w, g)
+	unacked, died, errMsg := d.runGroupOnce(sw, w, g)
 
 	if !died {
 		sc.mu.Lock()
@@ -788,10 +532,10 @@ func (c *Coordinator) runGroup(sw *csweep, sc *dispatchState, w *worker, g *shar
 	if w.markDead() {
 		obsWorkerDeaths.Add(1)
 		obsWorkersAlive.Add(-1)
-		c.noteDegraded("worker " + w.addr + " died")
-		c.cfg.Log.Printf("leakd-coord: worker %s died (%s); re-sharding", w.addr, errMsg)
+		sw.Degrade("worker " + w.addr + " died")
+		d.cfg.Log.Printf("leakd-coord: worker %s died (%s); re-sharding", w.addr, errMsg)
 	}
-	sw.hub.Write(obs.Record{Type: "worker_death", RunID: sw.id, Error: errMsg, Detail: w.addr})
+	sw.Write(obs.Record{Type: "worker_death", RunID: sw.ID, Error: errMsg, Detail: w.addr})
 
 	sc.mu.Lock()
 	sc.dead[w.addr] = true
@@ -799,17 +543,17 @@ func (c *Coordinator) runGroup(sw *csweep, sc *dispatchState, w *worker, g *shar
 	delete(sc.queues, w.addr)
 
 	requeue := func(ng *shardGroup) {
-		owner, ok := c.ring.OwnerExcluding(ng.key, sc.dead)
+		owner, ok := d.ring.OwnerExcluding(ng.key, sc.dead)
 		if !ok {
 			sc.outstanding--
 			sc.mu.Unlock()
-			c.failGroup(sw, ng, "no live workers")
+			sw.failGroup(ng, "no live workers")
 			sc.mu.Lock()
 			return
 		}
 		sc.queues[owner] = append(sc.queues[owner], ng)
 		obsReshards.Add(1)
-		sw.hub.Write(obs.Record{Type: "shard_requeued", RunID: sw.id,
+		sw.Write(obs.Record{Type: "shard_requeued", RunID: sw.ID,
 			Detail: fmt.Sprintf("%s/L2=%d (%d cells) -> %s", ng.bench, ng.l2, len(ng.idxs), owner)})
 	}
 
@@ -820,10 +564,10 @@ func (c *Coordinator) runGroup(sw *csweep, sc *dispatchState, w *worker, g *shar
 	// This shard's unacked cells burn an attempt; exhausted retries fail.
 	if len(unacked) > 0 {
 		ng := &shardGroup{bench: g.bench, l2: g.l2, idxs: unacked, key: g.key, attempts: g.attempts + 1}
-		if ng.attempts > c.cfg.ShardRetries {
+		if ng.attempts > d.cfg.ShardRetries {
 			sc.outstanding--
 			sc.mu.Unlock()
-			c.failGroup(sw, ng, fmt.Sprintf("worker died (%s); shard retries exhausted", errMsg))
+			sw.failGroup(ng, fmt.Sprintf("worker died (%s); shard retries exhausted", errMsg))
 			sc.mu.Lock()
 		} else {
 			requeue(ng)
@@ -838,20 +582,20 @@ func (c *Coordinator) runGroup(sw *csweep, sc *dispatchState, w *worker, g *shar
 // runGroupOnce runs one shard on one worker. It returns the cell indices
 // that were not acked, whether the worker should be considered dead, and
 // the transport error message when it is.
-func (c *Coordinator) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacked []int, died bool, errMsg string) {
+func (d *Dispatcher) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacked []int, died bool, errMsg string) {
 	req := api.SweepRequest{
-		Instructions: sw.instructions,
-		Warmup:       sw.warmup,
-		Priority:     sw.priority,
+		Instructions: sw.Instructions,
+		Warmup:       sw.Warmup,
+		Priority:     sw.Priority,
 	}
 	byKey := make(map[string]int, len(g.idxs)) // wire key -> sweep index
 	for _, i := range g.idxs {
-		wc := sw.wire[i]
+		wc := sw.Cells[i]
 		req.Cells = append(req.Cells, wc)
 		byKey[wc.Key()] = i
 	}
 
-	st, err := w.client.SubmitSweep(sw.ctx, req)
+	st, err := w.client.SubmitSweep(sw.Ctx, req)
 	if err != nil {
 		return g.idxs, deathError(sw, err), err.Error()
 	}
@@ -861,23 +605,23 @@ func (c *Coordinator) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacke
 	// sweep lifecycle); everything else — run_start, run_done, store_hit,
 	// checkpoint_hit — flows through so the client sees per-cell progress
 	// across the whole cluster in one stream.
-	streamCtx, stopStream := context.WithCancel(sw.ctx)
+	streamCtx, stopStream := context.WithCancel(sw.Ctx)
 	defer stopStream()
 	go func() {
 		_ = w.client.StreamEvents(streamCtx, st.ID, func(rec obs.Record) {
 			if strings.HasPrefix(rec.Type, "sweep_") {
 				return
 			}
-			sw.hub.Write(rec)
+			sw.Write(rec)
 		})
 	}()
 
-	final, err := w.client.WaitSweep(sw.ctx, st.ID)
+	final, err := w.client.WaitSweep(sw.Ctx, st.ID)
 	if err != nil {
 		return g.idxs, deathError(sw, err), err.Error()
 	}
 	if final.State == api.StateCanceled {
-		if sw.ctx.Err() == nil {
+		if sw.Ctx.Err() == nil {
 			// The worker canceled the shard on its own (it is draining):
 			// treat it like a death so the cells re-shard onto survivors.
 			return g.idxs, true, "worker canceled shard (draining)"
@@ -886,14 +630,14 @@ func (c *Coordinator) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacke
 	}
 	if final.State == api.StateFailed {
 		// The worker is alive and answered: the shard failed for real
-		// (watchdog, harness error). Treat it like a death for retry
-		// purposes only if the error smells transient? No — fail honestly.
+		// (watchdog, harness error). Fail its cells honestly rather than
+		// re-dispatching work that would fail the same way.
 		msg := final.Error
 		if msg == "" {
 			msg = "worker sweep failed"
 		}
 		for _, i := range g.idxs {
-			c.failCell(sw, i, msg)
+			sw.fail(i, msg)
 		}
 		return nil, false, ""
 	}
@@ -903,8 +647,6 @@ func (c *Coordinator) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacke
 	// coordinator store (first-write-wins absorbs duplicates from steals
 	// or re-shard races).
 	acked := make(map[int]bool, len(g.idxs))
-	var execd, hits, resumed int
-	execd, hits, resumed = final.Executed, final.StoreHits, final.Resumed
 	for _, cellSt := range final.Cells {
 		i, ok := byKey[cellSt.Key()]
 		if !ok {
@@ -913,19 +655,19 @@ func (c *Coordinator) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacke
 		switch {
 		case cellSt.State == "done" && cellSt.Hash != "":
 			if sw.hashes[i] != "" && cellSt.Hash != sw.hashes[i] {
-				c.failCell(sw, i, fmt.Sprintf("worker returned hash %s, coordinator computed %s",
+				sw.fail(i, fmt.Sprintf("worker returned hash %s, coordinator computed %s",
 					cellSt.Hash, sw.hashes[i]))
 				acked[i] = true // resolved (as a failure); not re-dispatchable
 				continue
 			}
-			rec, err := w.client.Cell(sw.ctx, cellSt.Hash)
+			rec, err := w.client.Cell(sw.Ctx, cellSt.Hash)
 			if err != nil {
 				// Transport trouble on the ack fetch: the remainder of the
 				// group re-shards.
 				return remainder(g.idxs, acked), deathError(sw, err), err.Error()
 			}
-			if perr := c.cfg.Store.Put(rec.Hash, rec.Key, rec.Value); perr != nil {
-				c.noteDegraded("store trouble: " + perr.Error())
+			if perr := d.cfg.Store.Put(rec.Hash, rec.Key, rec.Value); perr != nil {
+				sw.Degrade("store trouble: " + perr.Error())
 				sw.mu.Lock()
 				if sw.degradedMsg == "" {
 					sw.degradedMsg = perr.Error()
@@ -939,21 +681,19 @@ func (c *Coordinator) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacke
 			acked[i] = true
 			obsCellsAcked.Add(1)
 		case cellSt.State == "failed":
-			c.failCell(sw, i, cellSt.Error)
+			sw.fail(i, cellSt.Error)
 			acked[i] = true
 		}
 	}
 	sw.mu.Lock()
-	sw.executed += execd
-	sw.storeHits += hits
-	sw.resumed += resumed
+	sw.executed += final.Executed
+	sw.storeHits += final.StoreHits
+	sw.resumed += final.Resumed
 	sw.mu.Unlock()
-	if rem := remainder(g.idxs, acked); len(rem) > 0 {
-		// The worker's status omitted cells we sent: account them failed
-		// rather than hanging the shard.
-		for _, i := range rem {
-			c.failCell(sw, i, "worker status omitted this cell")
-		}
+	// The worker's status omitted cells we sent: account them failed
+	// rather than hanging the shard.
+	for _, i := range remainder(g.idxs, acked) {
+		sw.fail(i, "worker status omitted this cell")
 	}
 	return nil, false, ""
 }
@@ -962,7 +702,7 @@ func (c *Coordinator) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacke
 // worker's fault; anything else (transport errors, 5xx, breaker fast-fail
 // after retries) counts as a death for re-shard purposes.
 func deathError(sw *csweep, err error) bool {
-	if sw.ctx.Err() != nil {
+	if sw.Ctx.Err() != nil {
 		return false
 	}
 	var se *api.StatusError
@@ -982,7 +722,7 @@ func remainder(idxs []int, acked map[int]bool) []int {
 	return rem
 }
 
-func (c *Coordinator) failCell(sw *csweep, i int, msg string) {
+func (sw *csweep) fail(i int, msg string) {
 	if msg == "" {
 		msg = "cell failed"
 	}
@@ -993,241 +733,25 @@ func (c *Coordinator) failCell(sw *csweep, i int, msg string) {
 	sw.mu.Unlock()
 }
 
-func (c *Coordinator) failGroup(sw *csweep, g *shardGroup, msg string) {
+func (sw *csweep) failGroup(g *shardGroup, msg string) {
 	for _, i := range g.idxs {
-		c.failCell(sw, i, msg)
+		sw.fail(i, msg)
 	}
 }
 
-// foldCostModel refreshes the persisted EWMA with this sweep's observed
-// worker throughput so the next sweep's shard ordering is informed. The
-// granularity is coarse (sweep wall-clock over executed cells) but
-// self-correcting, like the workers' own model.
-func (c *Coordinator) foldCostModel(sw *csweep) {
-	sw.mu.Lock()
-	executed := sw.executed
-	elapsed := time.Since(sw.started)
-	sw.mu.Unlock()
-	if executed == 0 || sw.instructions == 0 || elapsed <= 0 {
-		return
-	}
-	perCell := float64(elapsed.Nanoseconds()) / float64(executed) / float64(sw.instructions)
-	const alpha = 0.3
-	c.mu.Lock()
-	for i := range sw.wire {
-		sw.mu.Lock()
-		ok := sw.done[i]
-		sw.mu.Unlock()
-		if !ok {
+// FetchCell is the federated read path's fallback for a cell the
+// coordinator store lacks: it asks every live worker in ring order.
+// Workers answer /v1/cells from their local store only, so there is no
+// recursion.
+func (d *Dispatcher) FetchCell(ctx context.Context, hash string) (json.RawMessage, bool, error) {
+	for _, addr := range d.ring.Nodes() {
+		w := d.workers[addr]
+		if w == nil || w.isDead() {
 			continue
 		}
-		key := costKey(sw.wire[i])
-		if prev, seen := c.costs[key]; seen {
-			c.costs[key] = (1-alpha)*prev + alpha*perCell
-		} else {
-			c.costs[key] = perCell
+		if val, hit, err := w.client.FetchCell(ctx, hash); err == nil && hit {
+			return val, true, nil
 		}
 	}
-	snapshot := make(map[string]float64, len(c.costs))
-	for k, v := range c.costs {
-		snapshot[k] = v
-	}
-	c.mu.Unlock()
-	_ = c.cfg.Store.PutMeta(sim.CostModelMetaKey, snapshot)
-}
-
-func (c *Coordinator) finish(sw *csweep, state, msg string) {
-	c.finishWith(sw, state, msg, "")
-}
-
-func (c *Coordinator) finishWith(sw *csweep, state, msg, degradedMsg string) {
-	sw.cancel()
-	sw.mu.Lock()
-	sw.state = state
-	sw.finished = time.Now()
-	sw.errMsg = msg
-	if degradedMsg != "" && sw.degradedMsg == "" {
-		sw.degradedMsg = degradedMsg
-	}
-	failed := 0
-	for i := range sw.failed {
-		if !sw.done[i] && sw.failed[i] != "" {
-			failed++
-		}
-	}
-	executed, hits := sw.executed, sw.storeHits
-	sw.mu.Unlock()
-	sw.hub.Write(obs.Record{Type: "sweep_" + state, RunID: sw.id, Error: msg})
-	sw.hub.Close()
-	c.cfg.Log.Printf("leakd-coord: sweep %s %s (executed=%d store_hits=%d failed=%d)",
-		sw.id, state, executed, hits, failed)
-}
-
-// costKey names a wire cell's row in the EWMA cost model. Energy cells
-// keep the historic bench/technique keys the workers persist; attack
-// cells get their own rows (their cost is scenario-shaped, not
-// budget-shaped).
-func costKey(wc api.Cell) string {
-	if wc.Kind == api.KindAttack {
-		return "attack:" + wc.Scenario + "/" + strings.ToLower(wc.Technique)
-	}
-	return wc.Bench + "/" + strings.ToLower(wc.Technique)
-}
-
-// ---- status & reads ----
-
-func (c *Coordinator) status(sw *csweep, withCells bool) api.SweepStatus {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	st := api.SweepStatus{
-		ID:       sw.id,
-		State:    sw.state,
-		Priority: sw.priority,
-		Created:  sw.created,
-		Total:    len(sw.wire),
-		Error:    sw.errMsg,
-		Degraded: sw.degradedMsg,
-		Executed: sw.executed, StoreHits: sw.storeHits, Resumed: sw.resumed,
-	}
-	if !sw.started.IsZero() {
-		t := sw.started
-		st.Started = &t
-	}
-	if !sw.finished.IsZero() {
-		t := sw.finished
-		st.Finished = &t
-	}
-	for i := range sw.wire {
-		switch {
-		case sw.done[i]:
-			st.Completed++
-		case sw.failed[i] != "" && api.Terminal(sw.state):
-			st.Failed++
-		}
-	}
-	if withCells {
-		for i, wc := range sw.wire {
-			cs := api.CellStatus{Cell: wc, Hash: sw.hashes2(i)}
-			switch {
-			case sw.done[i]:
-				cs.State = "done"
-			case sw.failed[i] != "" && api.Terminal(sw.state):
-				cs.State = "failed"
-				cs.Error = sw.failed[i]
-			default:
-				cs.State = "pending"
-			}
-			st.Cells = append(st.Cells, cs)
-		}
-	}
-	return st
-}
-
-// hashes2 is a nil-safe hash lookup (status can race the hash pass).
-func (sw *csweep) hashes2(i int) string {
-	if i < len(sw.hashes) {
-		return sw.hashes[i]
-	}
-	return ""
-}
-
-func (c *Coordinator) lookup(id string) *csweep {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sweeps[id]
-}
-
-func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	sw := c.lookup(r.PathValue("id"))
-	if sw == nil {
-		httpError(w, http.StatusNotFound, "no such sweep")
-		return
-	}
-	respondJSON(w, http.StatusOK, c.status(sw, true))
-}
-
-func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	sw := c.lookup(r.PathValue("id"))
-	if sw == nil {
-		httpError(w, http.StatusNotFound, "no such sweep")
-		return
-	}
-	if err := stream.ServeSSE(w, r, sw.hub); err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-	}
-}
-
-// handleCell is the federated read path: the coordinator's own store
-// first, then every live worker. A worker hit is persisted locally before
-// serving, so the federation converges toward the coordinator having
-// everything. Workers answer /v1/cells from their local store only, so
-// there is no recursion.
-func (c *Coordinator) handleCell(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
-	rec, ok, err := c.cfg.Store.Get(hash)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	if ok {
-		respondJSON(w, http.StatusOK, api.CellRecord{Hash: rec.Hash, Key: rec.Key, Value: rec.Value})
-		return
-	}
-	for _, wk := range c.liveWorkers() {
-		val, hit, ferr := wk.client.FetchCell(r.Context(), hash)
-		if ferr != nil || !hit {
-			continue
-		}
-		if perr := c.cfg.Store.Put(hash, nil, json.RawMessage(val)); perr != nil {
-			c.noteDegraded("store trouble: " + perr.Error())
-		}
-		respondJSON(w, http.StatusOK, api.CellRecord{Hash: hash, Value: val})
-		return
-	}
-	httpError(w, http.StatusNotFound, "no such cell")
-}
-
-func (c *Coordinator) liveWorkers() []*worker {
-	out := make([]*worker, 0, len(c.workers))
-	for _, addr := range c.ring.Nodes() {
-		if w := c.workers[addr]; w != nil && !w.isDead() {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	c.mu.Lock()
-	draining := c.draining
-	inflight := c.inflight
-	reasons := append([]string(nil), c.degraded...)
-	c.mu.Unlock()
-	h := api.Health{
-		Status:         "ok",
-		Draining:       draining,
-		Reasons:        reasons,
-		QueueDepth:     inflight,
-		SweepsInFlight: inflight,
-		StoreCells:     c.cfg.Store.Len(),
-	}
-	code := http.StatusOK
-	if len(reasons) > 0 {
-		h.Status = "degraded"
-	}
-	if draining {
-		h.Status = "draining"
-		code = http.StatusServiceUnavailable
-	}
-	respondJSON(w, code, h)
-}
-
-func respondJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	respondJSON(w, code, api.ErrorBody{Error: msg})
+	return nil, false, nil
 }

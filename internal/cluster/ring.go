@@ -1,12 +1,13 @@
 // Package cluster turns a fleet of leakd workers into one logical daemon.
-// A coordinator exposes the same HTTP surface as a single worker (submit,
-// status, SSE events, cell fetch, health, metrics), shards each sweep's
-// cells across the workers on a consistent-hash ring keyed by the cells'
-// existing content addresses, dispatches the shards over the retrying API
-// client, merges the workers' event streams into one client-facing hub,
-// and re-shards work off workers that die mid-sweep. The coordinator's
-// content-addressed store doubles as the cluster's federated read view:
-// workers that miss locally consult it before simulating.
+// A coordinator is the daemon's own front door (server.Server: submit,
+// status, SSE events, cell fetch, health, metrics) over a Dispatcher,
+// which shards each sweep's cells across the workers on a consistent-hash
+// ring keyed by the cells' existing content addresses, dispatches the
+// shards over the retrying API client, merges the workers' event streams
+// into the sweep's one client-facing stream, and re-shards work off
+// workers that die mid-sweep. The coordinator's content-addressed store
+// doubles as the cluster's federated read view: workers that miss locally
+// consult it before simulating.
 package cluster
 
 import (

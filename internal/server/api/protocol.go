@@ -1,7 +1,10 @@
 package api
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -126,6 +129,54 @@ func ExpandCells(req SweepRequest) ([]sim.CellSpec, []sim.AttackSpec, []Cell, er
 		wire = append(wire, FromAttackSpec(sp))
 	}
 	return specs, attacks, wire, nil
+}
+
+// CrossCells counts the distinct cells the request's cross products name,
+// without building them, so a front door can refuse an oversized request
+// before ExpandCells allocates it. It applies ExpandCells' dedup
+// arithmetically: axis values are counted once, techniques are compared
+// after ParseTechnique aliasing, and a "none" technique (or
+// IncludeBaselines) is one cell per (workload, L2) whatever the
+// intervals. Explicit Cells are not counted, and unparseable techniques
+// (which ExpandCells rejects) count nothing, so the result never exceeds
+// the expanded total. It saturates instead of overflowing.
+func CrossCells(req SweepRequest) int {
+	if len(req.Benchmarks) == 0 && len(req.Scenarios) == 0 {
+		return 0
+	}
+	baseline := req.IncludeBaselines
+	var techs []leakctl.Technique
+	for _, name := range req.Techniques {
+		t, err := leakctl.ParseTechnique(name)
+		switch {
+		case err != nil:
+		case t == leakctl.TechNone:
+			baseline = true
+		default:
+			techs = append(techs, t)
+		}
+	}
+	perGroup := satMul(distinct(techs), max(distinct(req.Intervals), 1))
+	if baseline {
+		perGroup++
+	}
+	groups := satMul(distinct(req.Benchmarks)+distinct(req.Scenarios), max(distinct(req.L2Latencies), 1))
+	return satMul(groups, perGroup)
+}
+
+// distinct counts the distinct values in xs.
+func distinct[T cmp.Ordered](xs []T) int {
+	c := slices.Clone(xs)
+	slices.Sort(c)
+	return len(slices.Compact(c))
+}
+
+// satMul multiplies non-negative counts, saturating at math.MaxInt.
+func satMul(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
 }
 
 // RequestHash is the sweep's identity: budget plus the sorted cell set.

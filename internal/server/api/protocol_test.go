@@ -1,6 +1,7 @@
 package api
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -219,4 +220,33 @@ func TestContentAddressesInjective(t *testing.T) {
 	distinct("RequestHash budget", func(v uint64) (string, error) {
 		return RequestHash(v, 300_000, []Cell{{Bench: "gzip", L2: 11, Technique: "drowsy", Interval: 4096}})
 	})
+}
+
+// TestCrossCells: the arithmetic count of a cross product equals what
+// ExpandCells builds — technique aliases, "none" collapsing its
+// intervals, baselines, repeated axis values and both kinds — and
+// saturates instead of overflowing.
+func TestCrossCells(t *testing.T) {
+	for _, req := range []SweepRequest{
+		{Benchmarks: []string{"gzip", "gcc"}, Techniques: []string{"drowsy"}, Intervals: []uint64{1024, 4096}, IncludeBaselines: true},
+		{Benchmarks: []string{"gzip", "gzip"}, Techniques: []string{"gated", "gated-vss", "GatedVss"}, Intervals: []uint64{8, 8, 16}},
+		{Benchmarks: []string{"gzip"}, Techniques: []string{"none", "baseline", "drowsy"}, Intervals: []uint64{1024, 2048, 4096}, L2Latencies: []int{6, 11, 6}},
+		{Benchmarks: []string{"mcf"}, Techniques: []string{"none"}, Intervals: []uint64{1, 2, 3, 4, 5}, IncludeBaselines: true},
+		{Benchmarks: []string{"gzip"}, IncludeBaselines: true, L2Latencies: []int{11, 20}},
+		{Benchmarks: []string{"gzip"}, Scenarios: []string{"smoke"}, Techniques: []string{"drowsy", "rbb"}, Intervals: []uint64{2048}, IncludeBaselines: true},
+		{Benchmarks: []string{"gzip"}},
+		{Cells: []Cell{{Bench: "gzip", L2: 11, Technique: "drowsy", Interval: 4096}}},
+	} {
+		_, _, wire, err := ExpandCells(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := len(wire) - len(req.Cells)
+		if got := CrossCells(req); got != want {
+			t.Errorf("CrossCells(%+v) = %d, ExpandCells built %d", req, got, want)
+		}
+	}
+	if got := satMul(math.MaxInt/2, 3); got != math.MaxInt {
+		t.Errorf("satMul overflowed to %d", got)
+	}
 }

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -216,64 +214,6 @@ func TestDegradedComplete(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("health reasons %v do not mention store trouble", hl.Reasons)
-	}
-}
-
-// TestHealthzQuarantineReason: a store that quarantined corrupt records at
-// open makes the daemon report degraded with the count on the wire.
-func TestHealthzQuarantineReason(t *testing.T) {
-	dir := t.TempDir()
-	st := openStore(t, dir)
-	for i := 0; i < 8; i++ {
-		key := map[string]int{"cell": i}
-		h, err := store.CanonicalHash(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Put(h, key, map[string]any{"leakage": float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Smash a byte in the middle of the segment: one record quarantines.
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("glob: %v (%d segments)", err, len(segs))
-	}
-	b, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] = 0xff
-	if err := os.WriteFile(segs[0], b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := store.OpenOptions(dir, store.Options{Logf: func(string, ...any) {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Quarantined() == 0 {
-		t.Fatal("corrupted segment produced no quarantined records")
-	}
-	srv, err := New(testConfig(t, st2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}()
-	hl, code := getHealth(t, srv.Handler())
-	if code != http.StatusOK || hl.Status != "degraded" {
-		t.Fatalf("quarantine healthz: %d %q, want 200 degraded", code, hl.Status)
-	}
-	if hl.StoreQuarantined == 0 {
-		t.Error("health does not carry the quarantine count")
 	}
 }
 

@@ -1,16 +1,19 @@
-// Package server is leakd's core: an HTTP/JSON facade over the simulation
-// harness with a content-addressed result store behind it. Sweeps are
-// submitted as cell sets, admitted into a bounded dual-priority queue
-// (interactive requests overtake bulk sweeps), executed on the existing
-// harness worker pool with per-sweep checkpoints, and resolved through the
-// store first so repeated or overlapping sweeps simulate only the delta.
-// Progress streams out over SSE as the harness's own trace events.
+// Package server is leakd's front door: an HTTP/JSON facade that admits
+// sweeps into a bounded dual-priority queue (interactive requests overtake
+// bulk sweeps), runs them on an Executor and serves their status, SSE
+// progress, stored cells, health and metrics. The single-node daemon's
+// executor runs each sweep on the simulation harness with per-sweep
+// checkpoints, resolving through the content-addressed store first so
+// repeated or overlapping sweeps simulate only the delta. The cluster
+// coordinator (internal/cluster) mounts this same front door over an
+// executor that shards sweeps across worker daemons.
 package server
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -95,14 +98,29 @@ type Config struct {
 	Log *log.Logger
 }
 
-// Server is the daemon. Build with New, mount Handler, stop with Shutdown.
-type Server struct {
-	cfg    Config
-	traces *sim.TraceCache
-	mux    *http.ServeMux
+// Executor turns admitted sweeps into verdicts. Everything a client
+// touches — admission, aliasing, queueing, lifecycle, status, events,
+// health and metrics — belongs to the front door, so the single-node
+// daemon and the cluster coordinator differ only in their Executor.
+type Executor interface {
+	// Execute runs one sweep to its verdict. It returns early once sw.Ctx
+	// is canceled, publishes progress through sw.Live and events through
+	// sw.Write, and may panic: the front door fails that sweep alone.
+	Execute(sw *Sweep) Verdict
+	// FetchCell answers GET /v1/cells/{hash} for a hash the store lacks;
+	// the front door persists a hit before serving it.
+	sim.CellFetcher
+}
 
-	interactive chan *sweep
-	bulk        chan *sweep
+// Server is the front door. Build with New (or NewWith), mount Handler,
+// stop with Shutdown.
+type Server struct {
+	cfg  Config
+	exec Executor
+	mux  *http.ServeMux
+
+	interactive chan *Sweep
+	bulk        chan *Sweep
 
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
@@ -112,50 +130,95 @@ type Server struct {
 	mu       sync.Mutex
 	draining bool
 	seq      int
-	sweeps   map[string]*sweep
-	byHash   map[string]*sweep // request hash -> most recent sweep
+	sweeps   map[string]*Sweep
+	byHash   map[string]*Sweep // request hash -> most recent sweep
 	// degraded holds deduplicated reasons the daemon is limping (store
-	// trouble on otherwise-successful sweeps, isolated panics); /healthz
-	// reports them under status "degraded".
+	// trouble on otherwise-successful sweeps, isolated panics, worker
+	// deaths); /healthz reports them under status "degraded".
 	degraded []string
 }
 
-// sweep is one admitted request moving through queued -> running ->
-// {completed, failed, canceled}.
-type sweep struct {
-	id           string
-	reqHash      string
-	priority     string
-	cells        []sim.CellSpec
-	attacks      []sim.AttackSpec
-	wire         []api.Cell
-	instructions uint64
-	warmup       uint64
-	ctx          context.Context
-	cancel       context.CancelFunc
-	hub          *stream.Hub
+// Sweep is one admitted request moving through queued -> running ->
+// {completed, failed, canceled}. Its exported fields are fixed at
+// admission, so an Executor reads them without locking.
+type Sweep struct {
+	ID       string
+	ReqHash  string
+	Priority string
+	// Cells is the sweep in wire order, every energy cell before every
+	// attack cell; Specs and Attacks are the same cells decoded, in the
+	// same order (api.ExpandCells' contract).
+	Cells        []api.Cell
+	Specs        []sim.CellSpec
+	Attacks      []sim.AttackSpec
+	Instructions uint64
+	Warmup       uint64
+	// Ctx ends when the front door drains or the request's timeout_s
+	// expires.
+	Ctx context.Context
+
+	cancel context.CancelFunc
+	hub    *stream.Hub
+	srv    *Server
 
 	mu       sync.Mutex
 	state    string
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	exp      *sim.Experiments // live counters while running
-	// results are the final cell statuses in wire order (energy cells,
-	// then attack cells); nil until the ladder has answered.
-	results []api.CellStatus
-	errMsg  string
-	// degradedMsg marks a sweep that completed with results intact but
-	// with infrastructure trouble (store writes failing): the work is
-	// done, just not all of it persisted for reuse.
-	degradedMsg string
-	// final tallies, captured before the Experiments is closed
-	executed, storeHits, resumed int
+	live     func() Verdict // while running: the executor's progress view
+	verdict  Verdict        // once terminal: the final answer
 }
 
-// New builds a daemon over cfg and starts its executors. The caller mounts
-// Handler() on an http.Server (obs.HardenedServer) and must eventually call
-// Shutdown.
+// Verdict is how an Executor answers a sweep. A live view (Sweep.Live)
+// has the same shape with State unset.
+type Verdict struct {
+	State string // api.StateCompleted, api.StateFailed or api.StateCanceled
+	Error string
+	// Degraded marks a completed sweep whose infrastructure limped (store
+	// writes failing, cells lost to worker deaths): every answer it gives
+	// is correct, and the gaps are labeled.
+	Degraded string
+	// Cells are the per-cell statuses in wire order, or nil while no cell
+	// has an answer: status then shows every cell pending and counts
+	// progress from the tallies.
+	Cells []api.CellStatus
+	// Executed, StoreHits and Resumed tally where answers came from.
+	Executed, StoreHits, Resumed int
+}
+
+// Live installs the executor's progress view; status reads call it until
+// the verdict lands.
+func (sw *Sweep) Live(view func() Verdict) {
+	sw.mu.Lock()
+	sw.live = view
+	sw.mu.Unlock()
+}
+
+// Write publishes one event on the sweep's SSE stream, making a Sweep a
+// harness.EventSink.
+func (sw *Sweep) Write(rec obs.Record) { sw.hub.Write(rec) }
+
+// Degrade records a reason the whole daemon is limping, for /healthz.
+func (sw *Sweep) Degrade(reason string) { sw.srv.noteDegraded(reason) }
+
+// finish publishes a sweep's verdict: terminal state, final event, stream
+// closed.
+func (sw *Sweep) finish(v Verdict) {
+	sw.cancel()
+	sw.mu.Lock()
+	sw.state = v.State
+	sw.finished = time.Now()
+	sw.live = nil
+	sw.verdict = v
+	sw.mu.Unlock()
+	sw.hub.Write(obs.Record{Type: "sweep_" + v.State, RunID: sw.ID, Error: v.Error})
+	sw.hub.Close()
+}
+
+// New builds the single-node daemon — the front door over the local
+// executor — and starts it. The caller mounts Handler() on an http.Server
+// (obs.HardenedServer) and must eventually call Shutdown.
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("server: Config.Store is required")
@@ -166,6 +229,24 @@ func New(cfg Config) (*Server, error) {
 	s := newServer(cfg)
 	s.startExecutors()
 	return s, nil
+}
+
+// NewWith builds the front door over ex and starts it. The Config fields
+// only the local executor reads (Workers, RunTimeout, MaxRetries,
+// SweepTimeout, Peer, Events) have no effect here.
+func NewWith(cfg Config, ex Executor) (*Server, error) {
+	if cfg.Store == nil {
+		return nil, errors.New("server: Config.Store is required")
+	}
+	s := newFront(cfg, ex)
+	s.startExecutors()
+	return s, nil
+}
+
+// newServer builds the daemon without starting executors; in-package tests
+// use the paused form to exercise admission control deterministically.
+func newServer(cfg Config) *Server {
+	return newFront(cfg, &local{cfg: cfg, traces: sim.NewTraceCache("")})
 }
 
 // withDefaults fills zero-valued knobs.
@@ -189,31 +270,24 @@ func withDefaults(cfg Config) Config {
 		cfg.RetryAfter = 5 * time.Second
 	}
 	if cfg.Log == nil {
-		cfg.Log = log.New(os.Stderr, "", 0)
-		cfg.Log.SetOutput(discard{})
+		cfg.Log = log.New(io.Discard, "", 0)
 	}
 	return cfg
 }
 
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-// newServer builds the daemon without starting executors; in-package tests
-// use the paused form to exercise admission control deterministically.
-func newServer(cfg Config) *Server {
+func newFront(cfg Config, ex Executor) *Server {
 	cfg = withDefaults(cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:         cfg,
-		traces:      sim.NewTraceCache(""),
-		interactive: make(chan *sweep, cfg.QueueDepth),
-		bulk:        make(chan *sweep, cfg.QueueDepth),
+		exec:        ex,
+		interactive: make(chan *Sweep, cfg.QueueDepth),
+		bulk:        make(chan *Sweep, cfg.QueueDepth),
 		rootCtx:     ctx,
 		rootCancel:  cancel,
 		stop:        make(chan struct{}),
-		sweeps:      make(map[string]*sweep),
-		byHash:      make(map[string]*sweep),
+		sweeps:      make(map[string]*Sweep),
+		byHash:      make(map[string]*Sweep),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
@@ -280,8 +354,8 @@ func (s *Server) evictExpired(now time.Time) int {
 			continue
 		}
 		delete(s.sweeps, id)
-		if s.byHash[sw.reqHash] == sw {
-			delete(s.byHash, sw.reqHash)
+		if s.byHash[sw.ReqHash] == sw {
+			delete(s.byHash, sw.ReqHash)
 		}
 		n++
 	}
@@ -329,7 +403,7 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) executor() {
 	defer s.wg.Done()
 	for {
-		var sw *sweep
+		var sw *Sweep
 		select {
 		case sw = <-s.interactive:
 		default:
@@ -346,18 +420,18 @@ func (s *Server) executor() {
 }
 
 // runIsolated executes one sweep with panic isolation: a panic escaping
-// the harness (or injected by the chaos plane) fails that sweep, not the
+// the executor (or injected by the chaos plane) fails that sweep, not the
 // executor goroutine — the daemon keeps serving.
-func (s *Server) runIsolated(sw *sweep) {
+func (s *Server) runIsolated(sw *Sweep) {
 	defer func() {
 		if p := recover(); p != nil {
 			obsServerPanics.Add(1)
 			s.noteDegraded("sweep executor panic")
-			s.cfg.Log.Printf("leakd: panic in sweep %s (isolated): %v\n%s", sw.id, p, debug.Stack())
-			s.finishUnrun(sw, api.StateFailed, fmt.Sprintf("sweep panicked: %v", p))
+			s.cfg.Log.Printf("leakd: panic in sweep %s (isolated): %v\n%s", sw.ID, p, debug.Stack())
+			sw.finish(Verdict{State: api.StateFailed, Error: fmt.Sprintf("sweep panicked: %v", p)})
 		}
 	}()
-	s.execute(sw)
+	s.run(sw)
 }
 
 // noteDegraded records a deduplicated degradation reason for /healthz.
@@ -374,6 +448,57 @@ func (s *Server) noteDegraded(reason string) {
 	}
 }
 
+// run takes one sweep through running to its executor's verdict.
+func (s *Server) run(sw *Sweep) {
+	obsSweepsInFlight.Add(1)
+	defer obsSweepsInFlight.Add(-1)
+
+	// Chaos: the server.sweep site fires inside the executor, past the
+	// dequeue accounting, so an injected panic exercises the same
+	// isolation path an executor-escaping bug would.
+	if s.cfg.Plane != nil {
+		d := s.cfg.Plane.Decide(faultinject.SiteServerSweep)
+		switch d.Fault {
+		case faultinject.OpSlow:
+			time.Sleep(d.Delay)
+		case faultinject.OpPanic:
+			panic("faultinject: injected panic at " + faultinject.SiteServerSweep)
+		}
+	}
+
+	sw.mu.Lock()
+	sw.state = api.StateRunning
+	sw.started = time.Now()
+	sw.mu.Unlock()
+	sw.Write(obs.Record{Type: "sweep_start", RunID: sw.ID, Detail: sw.ReqHash})
+	s.cfg.Log.Printf("leakd: sweep %s running (%d cells, %s)", sw.ID, len(sw.Cells), sw.Priority)
+
+	v := s.exec.Execute(sw)
+	if v.State == api.StateCompleted && v.Degraded != "" {
+		obsSweepsDegraded.Add(1)
+		s.cfg.Log.Printf("leakd: sweep %s degraded-complete: %s", sw.ID, v.Degraded)
+	}
+	obsSweepsCompleted.Add(1)
+	sw.finish(v)
+	failed := 0
+	for _, cs := range v.Cells {
+		if cs.State == "failed" {
+			failed++
+		}
+	}
+	s.cfg.Log.Printf("leakd: sweep %s %s (executed=%d store_hits=%d resumed=%d failed=%d)",
+		sw.ID, v.State, v.Executed, v.StoreHits, v.Resumed, failed)
+}
+
+// local is the single-node Executor: each sweep runs its own
+// sim.Experiments over the shared store, a daemon-wide trace cache and a
+// checkpoint file named by the request hash, so a daemon killed mid-sweep
+// resumes exactly that request's remaining cells on restart.
+type local struct {
+	cfg    Config
+	traces *sim.TraceCache
+}
+
 // multiSink tees harness events to the sweep's hub and the global sink.
 type multiSink []harness.EventSink
 
@@ -385,139 +510,100 @@ func (m multiSink) Write(rec obs.Record) {
 	}
 }
 
-// execute runs one sweep to a terminal state. Every completed cell is in
-// the store (and the sweep's checkpoint) before the state goes terminal, so
-// a drain mid-sweep loses no finished work.
-func (s *Server) execute(sw *sweep) {
-	obsSweepsInFlight.Add(1)
-	defer obsSweepsInFlight.Add(-1)
-	defer sw.cancel()
-
-	// Chaos: the server.sweep site fires inside the executor, past the
-	// dequeue accounting, so an injected panic exercises the same
-	// isolation path a harness-escaping bug would.
-	if s.cfg.Plane != nil {
-		d := s.cfg.Plane.Decide(faultinject.SiteServerSweep)
-		switch d.Fault {
-		case faultinject.OpSlow:
-			time.Sleep(d.Delay)
-		case faultinject.OpPanic:
-			panic("faultinject: injected panic at " + faultinject.SiteServerSweep)
-		}
-	}
-
+// Execute runs one sweep to a verdict. Every completed cell is in the
+// store (and the sweep's checkpoint) before it returns, so a drain
+// mid-sweep loses no finished work.
+func (l *local) Execute(sw *Sweep) Verdict {
 	// The watchdog bounds the whole sweep; its cancellation propagates
 	// through the harness exactly like a drain (in-flight cells stop,
 	// completed cells are already durable).
-	runCtx := sw.ctx
-	if s.cfg.SweepTimeout > 0 {
+	runCtx := sw.Ctx
+	if l.cfg.SweepTimeout > 0 {
 		var wcancel context.CancelFunc
-		runCtx, wcancel = context.WithTimeout(sw.ctx, s.cfg.SweepTimeout)
+		runCtx, wcancel = context.WithTimeout(sw.Ctx, l.cfg.SweepTimeout)
 		defer wcancel()
 	}
 
 	e := sim.NewExperiments()
-	e.Instructions = sw.instructions
-	e.Warmup = sw.warmup
+	e.Instructions = sw.Instructions
+	e.Warmup = sw.Warmup
 	e.Parallel = true
-	e.Workers = s.cfg.Workers
-	e.Store = s.cfg.Store
-	e.SharedTraces = s.traces
+	e.Workers = l.cfg.Workers
+	e.Store = l.cfg.Store
+	e.SharedTraces = l.traces
 	e.Ctx = runCtx
-	e.RunTimeout = s.cfg.RunTimeout
-	e.MaxRetries = s.cfg.MaxRetries
-	e.Peer = s.cfg.Peer
-	e.Events = multiSink{sw.hub, s.cfg.Events}
-	// The checkpoint is keyed by the request hash: a daemon killed
-	// mid-sweep resumes exactly this request's remaining cells on restart.
-	ckptDir := filepath.Join(s.cfg.Store.Dir(), "checkpoints")
+	e.RunTimeout = l.cfg.RunTimeout
+	e.MaxRetries = l.cfg.MaxRetries
+	e.Peer = l.cfg.Peer
+	e.Events = multiSink{sw, l.cfg.Events}
+	ckptDir := filepath.Join(l.cfg.Store.Dir(), "checkpoints")
 	_ = os.MkdirAll(ckptDir, 0o755)
-	e.CheckpointPath = filepath.Join(ckptDir, sw.reqHash+".jsonl")
+	e.CheckpointPath = filepath.Join(ckptDir, sw.ReqHash+".jsonl")
 	e.Resume = true
-
-	sw.mu.Lock()
-	sw.state = api.StateRunning
-	sw.started = time.Now()
-	sw.exp = e
-	sw.mu.Unlock()
-	sw.hub.Write(obs.Record{Type: "sweep_start", RunID: sw.id, Detail: sw.reqHash})
-	s.cfg.Log.Printf("leakd: sweep %s running (%d cells, %s)", sw.id,
-		len(sw.cells)+len(sw.attacks), sw.priority)
+	sw.Live(func() Verdict {
+		return Verdict{Executed: e.Executed(), StoreHits: e.StoreHits(), Resumed: e.Resumed()}
+	})
 
 	// Both cell kinds run under one Experiments, so they share the store,
 	// the checkpoint file (disjoint key namespaces) and the live counters.
-	outs, runErr := e.RunCells(sw.cells)
+	outs, runErr := e.RunCells(sw.Specs)
 	var attackOuts []sim.AttackOutcome
 	if runErr == nil {
-		attackOuts, runErr = e.RunAttackCells(sw.attacks)
+		attackOuts, runErr = e.RunAttackCells(sw.Attacks)
 	}
 	// Run trouble and infrastructure trouble are different verdicts: a
 	// batch that produced its results but could not persist them all is
 	// degraded-complete (the daemon recomputes next time instead of lying
 	// about durability), not failed.
 	infraErr := e.Err()
-	executed, hits, resumed := e.Executed(), e.StoreHits(), e.Resumed()
+	v := Verdict{State: api.StateCompleted, Executed: e.Executed(), StoreHits: e.StoreHits(), Resumed: e.Resumed()}
 	_ = e.Close()
 
 	// The watchdog fired iff the run context died while the sweep's own
 	// context (drain, client deadline) is still alive.
-	watchdogFired := runCtx.Err() != nil && sw.ctx.Err() == nil
+	watchdogFired := runCtx.Err() != nil && sw.Ctx.Err() == nil
 
-	var results []api.CellStatus
 	if outs != nil || attackOuts != nil {
-		results = make([]api.CellStatus, 0, len(outs)+len(attackOuts))
+		v.Cells = make([]api.CellStatus, 0, len(outs)+len(attackOuts))
 		for _, o := range outs {
-			results = append(results, cellStatus(api.FromSpec(o.Spec), o.Hash, o.Err))
+			v.Cells = append(v.Cells, cellStatus(api.FromSpec(o.Spec), o.Hash, o.Err))
 		}
 		for _, o := range attackOuts {
-			results = append(results, cellStatus(api.FromAttackSpec(o.Spec), o.Hash, o.Err))
+			v.Cells = append(v.Cells, cellStatus(api.FromAttackSpec(o.Spec), o.Hash, o.Err))
 		}
 	}
 	failed := 0
-	for _, cs := range results {
+	for _, cs := range v.Cells {
 		if cs.State == "failed" {
 			failed++
 		}
 	}
 
-	state := api.StateCompleted
-	var msg, degradedMsg string
 	switch {
 	case (runErr != nil || failed > 0) && watchdogFired:
-		state = api.StateFailed
-		msg = fmt.Sprintf("sweep watchdog timeout after %s", s.cfg.SweepTimeout)
+		v.State = api.StateFailed
+		v.Error = fmt.Sprintf("sweep watchdog timeout after %s", l.cfg.SweepTimeout)
 		obsWatchdogFired.Add(1)
-	case runErr != nil && sw.ctx.Err() != nil:
-		state, msg = api.StateCanceled, sw.ctx.Err().Error()
+	case runErr != nil && sw.Ctx.Err() != nil:
+		v.State, v.Error = api.StateCanceled, sw.Ctx.Err().Error()
 	case runErr != nil:
-		state, msg = api.StateFailed, runErr.Error()
-	case failed > 0 && sw.ctx.Err() != nil:
+		v.State, v.Error = api.StateFailed, runErr.Error()
+	case failed > 0 && sw.Ctx.Err() != nil:
 		// No infrastructure error, but cells were cut short by the drain
 		// or deadline: the sweep is canceled, not completed.
-		state, msg = api.StateCanceled, sw.ctx.Err().Error()
+		v.State, v.Error = api.StateCanceled, sw.Ctx.Err().Error()
 	}
-	if state == api.StateCompleted && infraErr != nil {
-		degradedMsg = infraErr.Error()
-		obsSweepsDegraded.Add(1)
-		s.noteDegraded("store trouble: " + infraErr.Error())
-		s.cfg.Log.Printf("leakd: sweep %s degraded-complete: %v", sw.id, infraErr)
+	if v.State == api.StateCompleted && infraErr != nil {
+		v.Degraded = infraErr.Error()
+		sw.Degrade("store trouble: " + infraErr.Error())
 	}
+	return v
+}
 
-	sw.mu.Lock()
-	sw.state = state
-	sw.finished = time.Now()
-	sw.exp = nil
-	sw.results = results
-	sw.errMsg = msg
-	sw.degradedMsg = degradedMsg
-	sw.executed, sw.storeHits, sw.resumed = executed, hits, resumed
-	sw.mu.Unlock()
-
-	sw.hub.Write(obs.Record{Type: "sweep_" + state, RunID: sw.id, Error: msg})
-	sw.hub.Close()
-	obsSweepsCompleted.Add(1)
-	s.cfg.Log.Printf("leakd: sweep %s %s (executed=%d store_hits=%d resumed=%d failed=%d)",
-		sw.id, state, executed, hits, resumed, failed)
+// FetchCell never finds anything: a daemon answers /v1/cells from its own
+// store only, so a coordinator asking its workers never recurses.
+func (*local) FetchCell(context.Context, string) (json.RawMessage, bool, error) {
+	return nil, false, nil
 }
 
 // cellStatus renders one finished cell for the wire.
@@ -526,18 +612,6 @@ func cellStatus(c api.Cell, hash string, err *harness.RunError) api.CellStatus {
 		return api.CellStatus{Cell: c, Hash: hash, State: "failed", Error: err.Err}
 	}
 	return api.CellStatus{Cell: c, Hash: hash, State: "done"}
-}
-
-// finishUnrun terminates a sweep that never reached an executor.
-func (s *Server) finishUnrun(sw *sweep, state, msg string) {
-	sw.cancel()
-	sw.mu.Lock()
-	sw.state = state
-	sw.finished = time.Now()
-	sw.errMsg = msg
-	sw.mu.Unlock()
-	sw.hub.Write(obs.Record{Type: "sweep_" + state, RunID: sw.id, Error: msg})
-	sw.hub.Close()
 }
 
 // Shutdown drains the daemon: new submissions get 503, queued sweeps are
@@ -559,10 +633,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		select {
 		case sw := <-s.interactive:
 			obsQueueDepth.Add(-1)
-			s.finishUnrun(sw, api.StateCanceled, "daemon draining")
+			sw.finish(Verdict{State: api.StateCanceled, Error: "daemon draining"})
 		case sw := <-s.bulk:
 			obsQueueDepth.Add(-1)
-			s.finishUnrun(sw, api.StateCanceled, "daemon draining")
+			sw.finish(Verdict{State: api.StateCanceled, Error: "daemon draining"})
 		default:
 			drained = true
 		}
@@ -597,12 +671,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Warmup == 0 {
 		req.Warmup = s.cfg.DefaultWarmup
 	}
+	// Refuse an oversized cross product before ExpandCells builds it: a
+	// few hundred bytes of axes can name millions of cells.
+	if n := api.CrossCells(req); n > s.cfg.MaxCells {
+		httpError(w, http.StatusBadRequest,
+			fmt.Sprintf("sweep has at least %d cells, limit is %d", n, s.cfg.MaxCells))
+		return
+	}
 	specs, attacks, wire, err := api.ExpandCells(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	total := len(specs) + len(attacks)
+	total := len(wire)
 	if total == 0 {
 		httpError(w, http.StatusBadRequest, "sweep has no cells")
 		return
@@ -646,7 +727,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		prev.mu.Unlock()
 		if !terminal {
 			s.mu.Unlock()
-			respondJSON(w, http.StatusOK, s.status(prev, false))
+			respondJSON(w, http.StatusOK, prev.status(false))
 			return
 		}
 	}
@@ -658,18 +739,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	} else {
 		ctx, cancel = context.WithCancel(s.rootCtx)
 	}
-	sw := &sweep{
-		id:           fmt.Sprintf("s-%06d", s.seq),
-		reqHash:      reqHash,
-		priority:     priority,
-		cells:        specs,
-		attacks:      attacks,
-		wire:         wire,
-		instructions: req.Instructions,
-		warmup:       req.Warmup,
-		ctx:          ctx,
+	sw := &Sweep{
+		ID:           fmt.Sprintf("s-%06d", s.seq),
+		ReqHash:      reqHash,
+		Priority:     priority,
+		Cells:        wire,
+		Specs:        specs,
+		Attacks:      attacks,
+		Instructions: req.Instructions,
+		Warmup:       req.Warmup,
+		Ctx:          ctx,
 		cancel:       cancel,
 		hub:          stream.NewHub(),
+		srv:          s,
 		state:        api.StateQueued,
 		created:      time.Now(),
 	}
@@ -679,8 +761,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// The gauge goes up before the enqueue: an executor that dequeues the
 	// sweep immediately decrements a count that already includes it, so
-	// the load signal (which the cluster coordinator's placement reads)
-	// never dips below zero. A rejected submit takes the increment back.
+	// the gauge never dips below zero. A rejected submit takes the
+	// increment back.
 	obsQueueDepth.Add(1)
 	select {
 	case q <- sw:
@@ -693,28 +775,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusTooManyRequests, priority+" queue is full")
 		return
 	}
-	s.sweeps[sw.id] = sw
+	s.sweeps[sw.ID] = sw
 	s.byHash[reqHash] = sw
 	s.mu.Unlock()
 	obsSweepsAccepted.Add(1)
-	respondJSON(w, http.StatusAccepted, s.status(sw, false))
+	respondJSON(w, http.StatusAccepted, sw.status(false))
 }
 
 // ---- status ----
 
 // status snapshots a sweep for the wire. Cell-level detail is included
 // only when withCells (the per-sweep GET), not on submit responses.
-func (s *Server) status(sw *sweep, withCells bool) api.SweepStatus {
+func (sw *Sweep) status(withCells bool) api.SweepStatus {
 	sw.mu.Lock()
-	defer sw.mu.Unlock()
 	st := api.SweepStatus{
-		ID:       sw.id,
+		ID:       sw.ID,
 		State:    sw.state,
-		Priority: sw.priority,
+		Priority: sw.Priority,
 		Created:  sw.created,
-		Total:    len(sw.cells) + len(sw.attacks),
-		Error:    sw.errMsg,
-		Degraded: sw.degradedMsg,
+		Total:    len(sw.Cells),
 	}
 	if !sw.started.IsZero() {
 		t := sw.started
@@ -724,35 +803,39 @@ func (s *Server) status(sw *sweep, withCells bool) api.SweepStatus {
 		t := sw.finished
 		st.Finished = &t
 	}
-	if sw.exp != nil { // running: live counters
-		st.Executed = sw.exp.Executed()
-		st.StoreHits = sw.exp.StoreHits()
-		st.Resumed = sw.exp.Resumed()
-		st.Completed = st.Executed + st.StoreHits + st.Resumed
-	} else {
-		st.Executed, st.StoreHits, st.Resumed = sw.executed, sw.storeHits, sw.resumed
+	v, live := sw.verdict, sw.live
+	sw.mu.Unlock()
+	// The live view takes the executor's own locks, so it runs outside
+	// the sweep's.
+	if live != nil {
+		v = live()
 	}
-	if sw.results != nil {
-		st.Completed = 0
-		for _, cs := range sw.results {
-			if cs.State == "failed" {
-				st.Failed++
-			} else {
-				st.Completed++
+	st.Error, st.Degraded = v.Error, v.Degraded
+	st.Executed, st.StoreHits, st.Resumed = v.Executed, v.StoreHits, v.Resumed
+	if v.Cells == nil {
+		st.Completed = v.Executed + v.StoreHits + v.Resumed
+		if withCells {
+			for _, c := range sw.Cells {
+				st.Cells = append(st.Cells, api.CellStatus{Cell: c, State: "pending"})
 			}
 		}
-		if withCells {
-			st.Cells = append([]api.CellStatus(nil), sw.results...)
+		return st
+	}
+	for _, cs := range v.Cells {
+		switch cs.State {
+		case "done":
+			st.Completed++
+		case "failed":
+			st.Failed++
 		}
-	} else if withCells {
-		for _, c := range sw.wire {
-			st.Cells = append(st.Cells, api.CellStatus{Cell: c, State: "pending"})
-		}
+	}
+	if withCells {
+		st.Cells = v.Cells // a verdict is never mutated once published
 	}
 	return st
 }
 
-func (s *Server) lookup(id string) *sweep {
+func (s *Server) lookup(id string) *Sweep {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sweeps[id]
@@ -764,7 +847,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such sweep")
 		return
 	}
-	respondJSON(w, http.StatusOK, s.status(sw, true))
+	respondJSON(w, http.StatusOK, sw.status(true))
 }
 
 // handleEvents streams the sweep's trace events as SSE: the buffered
@@ -782,6 +865,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleCell serves a stored cell. A store miss falls back to the
+// executor (a coordinator asks its live workers), and a hit found there is
+// persisted before it is served, so the store converges toward holding
+// everything.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	rec, ok, err := s.cfg.Store.Get(hash)
@@ -789,11 +876,19 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if !ok {
+	if ok {
+		respondJSON(w, http.StatusOK, api.CellRecord{Hash: rec.Hash, Key: rec.Key, Value: rec.Value})
+		return
+	}
+	val, hit, err := s.exec.FetchCell(r.Context(), hash)
+	if err != nil || !hit {
 		httpError(w, http.StatusNotFound, "no such cell")
 		return
 	}
-	respondJSON(w, http.StatusOK, api.CellRecord{Hash: rec.Hash, Key: rec.Key, Value: rec.Value})
+	if perr := s.cfg.Store.Put(hash, nil, val); perr != nil {
+		s.noteDegraded("store trouble: " + perr.Error())
+	}
+	respondJSON(w, http.StatusOK, api.CellRecord{Hash: hash, Value: val})
 }
 
 // handleHealthz reports the daemon's tri-state health: "ok", "degraded"
