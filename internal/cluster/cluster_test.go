@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -634,6 +635,131 @@ func TestCoordinatorMetrics(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > baseline+2 {
 		buf := make([]byte, 1<<20)
 		t.Fatalf("goroutines leaked across coordinator shutdown: %d -> %d\n%s",
+			baseline, n, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestClusterRefusedShard: a worker that refuses its shard with a 4xx
+// (here, more cells than its MaxCells) is alive, so nothing re-shards and
+// it stays in the ring; the shard's cells fail with the worker's message
+// instead of staying pending in a sweep reported completed. With every
+// cell failed, the sweep itself fails.
+func TestClusterRefusedShard(t *testing.T) {
+	ts, _ := startWorker(t, server.Config{MaxCells: 1})
+	coord, coordTS, _ := startCoordinator(t, []string{ts.URL}, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	cl := fastDial(coordTS.URL)
+	req := testSweep()
+	req.Cells = req.Cells[:2] // one (gzip, L2) group of two cells
+
+	st, err := cl.SubmitSweep(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := cl.WaitSweep(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != api.StateFailed || final.Failed != 2 || final.Completed != 0 {
+		t.Fatalf("refused shard: state=%s completed=%d failed=%d, want failed/0/2 (%s)",
+			final.State, final.Completed, final.Failed, final.Error)
+	}
+	for _, cs := range final.Cells {
+		if cs.State != "failed" || !strings.Contains(cs.Error, "limit is 1") {
+			t.Errorf("cell %s/%s: %s %q, want failed with the worker's message", cs.Bench, cs.Technique, cs.State, cs.Error)
+		}
+	}
+	if coord.workers[ts.URL].isDead() {
+		t.Error("a worker that answered 4xx was declared dead")
+	}
+}
+
+// TestShutdownWithOpenShardStream bounds the teardown while a shard's
+// event stream is open on its worker: an open SSE response is an active
+// request, which httptest.Server.Close waits for. The coordinator's
+// Shutdown must end that stream, so every call returns promptly and no
+// goroutine outlives the servers.
+func TestShutdownWithOpenShardStream(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	wsrv, err := server.New(server.Config{Store: openStore(t, t.TempDir()), Workers: 2,
+		DefaultInstructions: testInstr, DefaultWarmup: testWarmup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streaming := make(chan struct{})
+	var once sync.Once
+	wts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			once.Do(func() { close(streaming) })
+		}
+		wsrv.Handler().ServeHTTP(w, r)
+	}))
+	coord, err := New(Config{Workers: []string{wts.URL}, Store: openStore(t, t.TempDir()),
+		DefaultInstructions: testInstr, DefaultWarmup: testWarmup, Dial: fastDial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(coord.Handler())
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cl := fastDial(cts.URL)
+	// One (gzip, L2) group of four lanes at a budget no worker finishes
+	// before the shutdown below lands.
+	req := api.SweepRequest{Instructions: 400_000, Warmup: 100_000}
+	for _, iv := range []uint64{2048, 4096, 8192, 16384} {
+		req.Cells = append(req.Cells, api.Cell{Bench: "gzip", L2: 11, Technique: "drowsy", Interval: iv})
+	}
+	sub, err := cl.SubmitSweep(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-streaming:
+	case <-ctx.Done():
+		t.Fatal("the coordinator never opened the shard's event stream")
+	}
+
+	within := func(name string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		start := time.Now()
+		go func() {
+			defer close(done)
+			f()
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%s still blocked after 5s\n%s", name, buf[:runtime.Stack(buf, true)])
+		}
+		t.Logf("%s returned in %v", name, time.Since(start))
+	}
+	within("coordinator Shutdown", func() {
+		if err := coord.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	})
+	if st, err := cl.Sweep(ctx, sub.ID); err != nil || st.State != api.StateCanceled {
+		t.Errorf("sweep after shutdown: %+v %v, want canceled mid-shard", st.State, err)
+	}
+	within("worker Shutdown", func() {
+		if err := wsrv.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	})
+	within("coordinator Close", cts.Close)
+	within("worker Close", wts.Close)
+
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline+2 && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline+2 {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("goroutines leaked across shutdown: %d -> %d\n%s",
 			baseline, n, buf[:runtime.Stack(buf, true)])
 	}
 }

@@ -581,7 +581,8 @@ func (d *Dispatcher) runGroup(sw *csweep, sc *dispatchState, w *worker, g *shard
 
 // runGroupOnce runs one shard on one worker. It returns the cell indices
 // that were not acked, whether the worker should be considered dead, and
-// the transport error message when it is.
+// the transport error message when it is. Cells come back unacked from a
+// live worker only when the sweep itself was canceled; they stay pending.
 func (d *Dispatcher) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacked []int, died bool, errMsg string) {
 	req := api.SweepRequest{
 		Instructions: sw.Instructions,
@@ -597,28 +598,21 @@ func (d *Dispatcher) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacked
 
 	st, err := w.client.SubmitSweep(sw.Ctx, req)
 	if err != nil {
-		return g.idxs, deathError(sw, err), err.Error()
+		return sw.lost(w, g.idxs, err)
 	}
 
-	// Pipe the worker's event stream into the sweep's hub live. Worker
-	// sweep_* lifecycle records are dropped (the coordinator owns the
-	// sweep lifecycle); everything else — run_start, run_done, store_hit,
-	// checkpoint_hit — flows through so the client sees per-cell progress
-	// across the whole cluster in one stream.
-	streamCtx, stopStream := context.WithCancel(sw.Ctx)
-	defer stopStream()
-	go func() {
-		_ = w.client.StreamEvents(streamCtx, st.ID, func(rec obs.Record) {
-			if strings.HasPrefix(rec.Type, "sweep_") {
-				return
-			}
+	// Wait on the worker's event stream, piping it into the sweep's hub
+	// live. Worker sweep_* lifecycle records are dropped (the coordinator
+	// owns the sweep lifecycle); everything else — run_start, run_done,
+	// store_hit, checkpoint_hit — flows through so the client sees
+	// per-cell progress across the whole cluster in one stream.
+	final, err := w.client.WatchSweep(sw.Ctx, st.ID, func(rec obs.Record) {
+		if !strings.HasPrefix(rec.Type, "sweep_") {
 			sw.Write(rec)
-		})
-	}()
-
-	final, err := w.client.WaitSweep(sw.Ctx, st.ID)
+		}
+	})
 	if err != nil {
-		return g.idxs, deathError(sw, err), err.Error()
+		return sw.lost(w, g.idxs, err)
 	}
 	if final.State == api.StateCanceled {
 		if sw.Ctx.Err() == nil {
@@ -662,9 +656,8 @@ func (d *Dispatcher) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacked
 			}
 			rec, err := w.client.Cell(sw.Ctx, cellSt.Hash)
 			if err != nil {
-				// Transport trouble on the ack fetch: the remainder of the
-				// group re-shards.
-				return remainder(g.idxs, acked), deathError(sw, err), err.Error()
+				// Trouble on the ack fetch settles the rest of the group.
+				return sw.lost(w, remainder(g.idxs, acked), err)
 			}
 			if perr := d.cfg.Store.Put(rec.Hash, rec.Key, rec.Value); perr != nil {
 				sw.Degrade("store trouble: " + perr.Error())
@@ -698,18 +691,25 @@ func (d *Dispatcher) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacked
 	return nil, false, ""
 }
 
-// deathError classifies a dispatch error: our own cancellation is not the
-// worker's fault; anything else (transport errors, 5xx, breaker fast-fail
-// after retries) counts as a death for re-shard purposes.
-func deathError(sw *csweep, err error) bool {
+// lost settles the cells idxs of a shard whose call to w failed with err,
+// in runGroupOnce's return shape. Our own cancellation is not the worker's
+// fault: the cells stay pending. A 4xx is not a death either — the worker
+// is alive and refused (a restarted worker answers 404 for a sweep it
+// never saw) — and re-sharding would meet the same refusal, so the cells
+// fail with the worker's message. Anything else (transport errors, 5xx,
+// breaker fast-fail after retries) is a death: the cells re-shard.
+func (sw *csweep) lost(w *worker, idxs []int, err error) (unacked []int, died bool, errMsg string) {
 	if sw.Ctx.Err() != nil {
-		return false
+		return idxs, false, ""
 	}
 	var se *api.StatusError
 	if errors.As(err, &se) && se.Code < 500 {
-		return false
+		for _, i := range idxs {
+			sw.fail(i, fmt.Sprintf("worker %s refused the shard: %v", w.addr, err))
+		}
+		return nil, false, ""
 	}
-	return true
+	return idxs, true, err.Error()
 }
 
 func remainder(idxs []int, acked map[int]bool) []int {

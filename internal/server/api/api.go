@@ -19,6 +19,7 @@ import (
 
 	"hotleakage/internal/attack"
 	"hotleakage/internal/leakctl"
+	"hotleakage/internal/obs"
 	"hotleakage/internal/sim"
 )
 
@@ -188,10 +189,13 @@ type ErrorBody struct {
 	Error string `json:"error"`
 }
 
-// Client talks to a leakd daemon. The zero PollInterval defaults to 250ms.
+// Client talks to a leakd daemon.
 type Client struct {
-	Base         string
-	HTTP         *http.Client
+	Base string
+	HTTP *http.Client
+	// PollInterval is how often WatchSweep polls the status when the
+	// sweep's event stream fails or ends before the sweep is terminal
+	// (zero = 250ms). The stream, not the poll, wakes a healthy wait.
 	PollInterval time.Duration
 
 	// Retry shapes transient-failure retries (zero value = defaults; see
@@ -373,8 +377,27 @@ func (c *Client) Sweep(ctx context.Context, id string) (SweepStatus, error) {
 	return st, err
 }
 
-// WaitSweep polls until the sweep reaches a terminal state or ctx expires.
+// WaitSweep waits until the sweep reaches a terminal state or ctx
+// expires; it is WatchSweep without a sink.
 func (c *Client) WaitSweep(ctx context.Context, id string) (SweepStatus, error) {
+	return c.WatchSweep(ctx, id, nil)
+}
+
+// WatchSweep waits for a sweep's verdict on its event stream: it hands
+// each record to sink (when non-nil) until the stream ends, which the
+// daemon does right after the terminal event, then reads the status once.
+// The status is the authority, never the terminal event (the hub drops
+// events for slow subscribers). When the stream fails, or ends before the
+// sweep is terminal, WatchSweep falls back to polling the status every
+// PollInterval until it is.
+func (c *Client) WatchSweep(ctx context.Context, id string, sink func(obs.Record)) (SweepStatus, error) {
+	if sink == nil {
+		sink = func(obs.Record) {}
+	}
+	_ = c.StreamEvents(ctx, id, sink) // a failed stream only means polling
+	if err := ctx.Err(); err != nil {
+		return SweepStatus{}, err
+	}
 	for {
 		st, err := c.Sweep(ctx, id)
 		if err != nil {

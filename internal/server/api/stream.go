@@ -32,25 +32,34 @@ func (c *Client) FetchCell(ctx context.Context, hash string) (json.RawMessage, b
 }
 
 // StreamEvents attaches to a sweep's SSE stream and hands every decoded
-// record to sink until the stream ends (sweep finished and history
-// drained) or ctx is canceled. The stream is best-effort by contract —
-// the hub drops events for slow consumers and the replay ring is bounded
-// — so callers must treat it as telemetry, not as the source of truth for
-// sweep completion (poll the status for that). A canceled ctx returns
-// nil: the caller chose to stop listening, nothing failed.
+// record to sink until the stream ends or ctx is canceled. The daemon ends
+// the stream right after the sweep's terminal event, so its end is the cue
+// to read the status, which is then terminal. The records themselves are
+// best-effort — the hub drops events for slow consumers and the replay
+// ring is bounded — so callers must treat them as telemetry and take the
+// verdict from the status (WatchSweep does both). The attempt is gated by
+// the breaker and its outcome recorded like any other call, without
+// retries. A canceled ctx returns nil: the caller chose to stop listening,
+// nothing failed.
 func (c *Client) StreamEvents(ctx context.Context, id string, sink func(obs.Record)) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v1/sweeps/"+id+"/events", nil)
+	path := "/v1/sweeps/" + id + "/events"
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
 	if err != nil {
 		return fmt.Errorf("api: %w", err)
+	}
+	if !c.Breaker.Allow() {
+		return fastFail(http.MethodGet, path)
 	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil
 		}
+		c.Breaker.Record(false)
 		return fmt.Errorf("api: events %s: %w", id, err)
 	}
 	defer resp.Body.Close()
+	c.Breaker.Record(resp.StatusCode < 500)
 	if resp.StatusCode != http.StatusOK {
 		var eb ErrorBody
 		_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb)

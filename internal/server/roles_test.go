@@ -9,10 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"hotleakage/internal/cluster"
+	"hotleakage/internal/obs"
 	"hotleakage/internal/server"
 	"hotleakage/internal/server/api"
 	"hotleakage/internal/store"
@@ -139,6 +142,208 @@ func TestCrossProductBound(t *testing.T) {
 			}
 			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
 				t.Errorf("refusing it allocated %d MiB, want under 16", alloc>>20)
+			}
+		})
+	}
+}
+
+// served is one role of the front door behind a real listener.
+type served struct {
+	url      string
+	shutdown func(context.Context) error
+
+	mu      sync.Mutex
+	waiting map[string]chan struct{} // sweep ID -> closed when its stream arrives
+}
+
+// arrival returns a channel that is closed when the next event stream
+// request for sweep id reaches the front door.
+func (s *served) arrival(id string) <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ch := make(chan struct{})
+	s.waiting[id] = ch
+	return ch
+}
+
+// serve starts one role on fresh stores with a single sweep slot: the
+// daemon itself, or a coordinator over one real worker.
+func serve(t *testing.T, role string) *served {
+	t.Helper()
+	open := func() *store.Store {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	listen := func(h http.Handler) string {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	stop := func(shutdown func(context.Context) error) {
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			_ = shutdown(ctx)
+		})
+	}
+	daemon := func(st *store.Store) *server.Server {
+		d, err := server.New(server.Config{Store: st, Workers: 2, SweepConcurrency: 1,
+			DefaultInstructions: rolesInstr, DefaultWarmup: rolesWarmup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop(d.Shutdown)
+		return d
+	}
+	s := &served{waiting: make(map[string]chan struct{})}
+	var h http.Handler
+	switch role {
+	case "daemon":
+		d := daemon(open())
+		h, s.shutdown = d.Handler(), d.Shutdown
+	case "coordinator":
+		c, err := cluster.New(cluster.Config{Workers: []string{listen(daemon(open()).Handler())},
+			Store: open(), SweepConcurrency: 1, DefaultInstructions: rolesInstr, DefaultWarmup: rolesWarmup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop(c.Shutdown)
+		h, s.shutdown = c.Handler(), c.Shutdown
+	}
+	s.url = listen(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if id, ok := strings.CutSuffix(strings.TrimPrefix(r.URL.Path, "/v1/sweeps/"), "/events"); ok {
+			s.mu.Lock()
+			if ch := s.waiting[id]; ch != nil {
+				close(ch)
+				delete(s.waiting, id)
+			}
+			s.mu.Unlock()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	return s
+}
+
+const rolesInstr, rolesWarmup = 60_000, 20_000
+
+// oneCell is a one-cell gzip sweep at decay interval iv.
+func oneCell(iv uint64, priority string) api.SweepRequest {
+	return api.SweepRequest{Instructions: rolesInstr, Warmup: rolesWarmup, Priority: priority,
+		Cells: []api.Cell{{Bench: "gzip", L2: 11, Technique: "drowsy", Interval: iv}}}
+}
+
+// TestStreamEndMeansTerminal pins the invariant api.Client.WatchSweep
+// rests on, in both roles: once a sweep's event stream ends cleanly, one
+// status read already shows the sweep terminal, because the front door
+// sets the state before it writes the terminal event and closes the
+// stream. It covers fresh sweeps, a resubmit aliased onto an in-flight
+// sweep, and a queued sweep canceled by drain.
+func TestStreamEndMeansTerminal(t *testing.T) {
+	for _, name := range []string{"daemon", "coordinator"} {
+		t.Run(name, func(t *testing.T) {
+			s := serve(t, name)
+			cl := api.NewClient(s.url)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			submit := func(req api.SweepRequest) api.SweepStatus {
+				t.Helper()
+				st, err := cl.SubmitSweep(ctx, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+			// settled streams a sweep to its end, then reads the status once.
+			settled := func(id string) api.SweepStatus {
+				t.Helper()
+				if err := cl.StreamEvents(ctx, id, func(obs.Record) {}); err != nil {
+					t.Fatalf("stream %s: %v", id, err)
+				}
+				st, err := cl.Sweep(ctx, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !api.Terminal(st.State) {
+					t.Fatalf("sweep %s is %s after its event stream ended", id, st.State)
+				}
+				return st
+			}
+
+			for _, iv := range []uint64{2048, 4096, 8192} {
+				if st := settled(submit(oneCell(iv, "")).ID); st.State != api.StateCompleted {
+					t.Fatalf("fresh sweep %s ended %s (%s)", st.ID, st.State, st.Error)
+				}
+			}
+
+			// hold submits a wide bulk sweep of fresh cells and waits until
+			// it occupies the only sweep slot, so the next sweep queues.
+			hold := func(iv uint64) {
+				t.Helper()
+				wide := submit(api.SweepRequest{Instructions: 200_000, Warmup: 50_000, Priority: "bulk",
+					Benchmarks: workload.Names()[:4], Techniques: []string{"drowsy", "gated-vss"},
+					Intervals: []uint64{iv, 2 * iv}, L2Latencies: []int{11}})
+				for st := wide; st.State != api.StateRunning; {
+					if api.Terminal(st.State) {
+						t.Fatalf("wide sweep %s ended %s before the test used it", st.ID, st.State)
+					}
+					time.Sleep(2 * time.Millisecond)
+					var err error
+					if st, err = cl.Sweep(ctx, wide.ID); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			// A resubmit of a queued sweep aliases onto it.
+			hold(1000)
+			first := submit(oneCell(16384, "interactive"))
+			again := submit(oneCell(16384, "interactive"))
+			if again.ID != first.ID {
+				t.Fatalf("resubmit got sweep %s, want the queued %s", again.ID, first.ID)
+			}
+			if st := settled(again.ID); st.State != api.StateCompleted {
+				t.Fatalf("aliased sweep ended %s (%s)", st.State, st.Error)
+			}
+
+			// A queued sweep is canceled by the drain, its stream request in flight.
+			hold(3000)
+			queued := submit(oneCell(32768, "bulk"))
+			if queued.State != api.StateQueued {
+				t.Fatalf("sweep behind the wide one is %s, want queued", queued.State)
+			}
+			arrived := s.arrival(queued.ID)
+			got := make(chan api.SweepStatus, 1)
+			go func() {
+				defer close(got)
+				if err := cl.StreamEvents(ctx, queued.ID, func(obs.Record) {}); err != nil {
+					t.Errorf("stream %s: %v", queued.ID, err)
+					return
+				}
+				st, err := cl.Sweep(ctx, queued.ID)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got <- st
+			}()
+			select {
+			case <-arrived:
+			case <-ctx.Done():
+				t.Fatal("the queued sweep's stream never reached the front door")
+			}
+			if err := s.shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+			st, ok := <-got
+			if !ok {
+				return // the goroutine reported why
+			}
+			if st.State != api.StateCanceled {
+				t.Fatalf("drained sweep is %s after its event stream ended, want canceled", st.State)
 			}
 		})
 	}
