@@ -18,9 +18,10 @@
 //
 // Cluster mode: `leakd -coordinator -cluster w1:8081,w2:8082,w3:8083` runs
 // the coordinator — the same front door over an executor that shards
-// sweeps across the listed workers on a consistent-hash ring, with work
-// stealing and re-sharding on worker death. Workers started with `-peer http://coordinator:8080` consult
-// the coordinator's federated store view before simulating a missed cell.
+// sweeps across the listed workers by load, with a consistent-hash ring
+// breaking ties, work stealing onto idle workers and re-sharding on worker
+// death. Workers started with `-peer http://coordinator:8080` consult the
+// coordinator's federated store view before simulating a missed cell.
 // See DESIGN.md §13.
 //
 // The store is garbage-collected in the background when a policy is set:

@@ -26,6 +26,7 @@ var (
 	obsReshards     = obs.Default.Counter(obs.MetricClusterReshards)
 	obsWorkerDeaths = obs.Default.Counter(obs.MetricClusterWorkerDeaths)
 	obsCellsAcked   = obs.Default.Counter(obs.MetricClusterCellsAcked)
+	obsQueueWait    = obs.Default.Counter(obs.MetricClusterShardQueueWait)
 	obsWorkersAlive = obs.Default.Gauge(obs.GaugeClusterWorkersAlive)
 )
 
@@ -104,13 +105,22 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 // Dispatcher is the cluster's server.Executor. It answers what the
-// coordinator store already holds, shards the rest across the workers'
-// ring with work stealing and re-sharding on worker death, and acks every
-// result into the coordinator store.
+// coordinator store already holds, shards the rest across the workers by
+// load with the ring as tie-break, steals onto idle workers, re-shards on
+// worker death, and acks every result into the coordinator store.
 type Dispatcher struct {
 	cfg     Config
 	ring    *Ring
 	workers map[string]*worker
+
+	// mu guards load and every in-flight sweep's dispatchState; cond is
+	// broadcast whenever a shard leaves the books, so a runner waiting to
+	// steal wakes when its worker goes idle, whichever sweep freed it.
+	mu   sync.Mutex
+	cond *sync.Cond
+	// load counts, per worker, the cells queued for or running on it
+	// across every sweep in flight.
+	load map[string]int
 }
 
 // NewDispatcher connects cfg's worker clients. It reads Workers, Store,
@@ -136,7 +146,9 @@ func NewDispatcher(cfg Config) (*Dispatcher, error) {
 		cfg:     cfg,
 		ring:    NewRing(cfg.Replicas),
 		workers: make(map[string]*worker, len(cfg.Workers)),
+		load:    make(map[string]int, len(cfg.Workers)),
 	}
+	d.cond = sync.NewCond(&d.mu)
 	for _, addr := range cfg.Workers {
 		if _, dup := d.workers[addr]; dup {
 			return nil, fmt.Errorf("cluster: duplicate worker %q", addr)
@@ -340,48 +352,44 @@ func isDeathFailure(msg string) bool {
 	return strings.Contains(msg, "worker died") || strings.Contains(msg, "no live workers")
 }
 
-// dispatch shards pending cells over the ring and runs one runner per
-// live worker until every shard is resolved. Runners prefer their own
-// queue and steal from the most-loaded peer when idle; a worker death
-// re-shards its queued and unacked work onto the survivors.
+// dispatch books pending cells onto the workers and runs one runner per
+// live worker until every shard is resolved. Each (workload, L2) group
+// goes to the live worker with the least load across every sweep in
+// flight, ties to ring order from the group's key; runners drain their
+// own queue first and steal only when their worker has no load at all; a
+// worker death re-books its queued and unacked work onto the survivors.
 func (d *Dispatcher) dispatch(sw *csweep, pending []int) {
 	groups := groupCells(sw, pending)
+	// Largest group first, by cell count: booked first, the longest shards
+	// balance the load best, and each queue starts its longest shard first.
+	sort.SliceStable(groups, func(i, j int) bool { return len(groups[i].idxs) > len(groups[j].idxs) })
 
 	sc := &dispatchState{
 		queues: make(map[string][]*shardGroup),
 		dead:   make(map[string]bool),
 	}
-	sc.cond = sync.NewCond(&sc.mu)
+	var live []*worker
+	d.mu.Lock()
 	for addr, w := range d.workers {
 		if w.isDead() {
 			sc.dead[addr] = true
+		} else {
+			live = append(live, w)
 		}
 	}
-
-	// Initial assignment: ring owner, skipping already-dead workers.
 	for _, g := range groups {
-		owner, ok := d.ring.OwnerExcluding(g.key, sc.dead)
-		if !ok {
+		if _, ok := d.enqueueLocked(sc, g); !ok {
 			sw.failGroup(g, "no live workers")
-			continue
 		}
-		sc.queues[owner] = append(sc.queues[owner], g)
-		sc.outstanding++
 	}
-	if sc.outstanding == 0 {
+	booked := sc.outstanding > 0
+	d.mu.Unlock()
+	if !booked {
 		return
-	}
-	// Largest group first within each queue, by cell count, so the
-	// longest shards start early.
-	for _, q := range sc.queues {
-		sort.SliceStable(q, func(i, j int) bool { return len(q[i].idxs) > len(q[j].idxs) })
 	}
 
 	var wg sync.WaitGroup
-	for addr, w := range d.workers {
-		if sc.dead[addr] {
-			continue
-		}
+	for _, w := range live {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
@@ -390,27 +398,28 @@ func (d *Dispatcher) dispatch(sw *csweep, pending []int) {
 	}
 	wg.Wait()
 
-	// Shards nobody could run (every worker died) fail here rather than
-	// hang.
-	sc.mu.Lock()
-	var orphans []*shardGroup
-	for addr := range sc.queues {
-		orphans = append(orphans, sc.queues[addr]...)
-		sc.queues[addr] = nil
-	}
-	sc.mu.Unlock()
-	for _, g := range orphans {
-		sw.failGroup(g, "no live workers")
+	// Shards still queued once every runner returned: every worker died,
+	// or the sweep was canceled. Their load is released either way, but
+	// only a live sweep fails them; a canceled one leaves its cells
+	// pending.
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	canceled := sw.Ctx.Err() != nil
+	for addr, q := range sc.queues {
+		for _, g := range q {
+			d.retireLocked(sc, addr, g)
+			if !canceled {
+				sw.failGroup(g, "no live workers")
+			}
+		}
 	}
 }
 
-// dispatchState is one sweep's shard scheduler.
+// dispatchState is one sweep's shard scheduler, guarded by Dispatcher.mu.
 type dispatchState struct {
-	mu          sync.Mutex
-	cond        *sync.Cond
 	queues      map[string][]*shardGroup
 	dead        map[string]bool
-	outstanding int // groups assigned or running, not yet resolved
+	outstanding int // groups queued or running, not yet resolved
 }
 
 // groupCells buckets pending cell indices into (workload, L2) shard
@@ -450,133 +459,138 @@ func groupCells(sw *csweep, pending []int) []*shardGroup {
 	return groups
 }
 
-// runner drains shards for one worker: its own queue first, then steals
-// the largest queued shard from the most-loaded peer. It exits when its
-// worker dies or no shard remains anywhere (queued or running — a running
+// enqueueLocked books g onto the live worker with the least load, ties
+// going to ring order from g's key, so an idle cluster places on the ring
+// owner and a death re-books onto ring successors. It reports false when
+// no live worker is left.
+func (d *Dispatcher) enqueueLocked(sc *dispatchState, g *shardGroup) (string, bool) {
+	owner := ""
+	for _, addr := range d.ring.Successors(g.key) {
+		if sc.dead[addr] || d.workers[addr].isDead() {
+			continue
+		}
+		if owner == "" || d.load[addr] < d.load[owner] {
+			owner = addr
+		}
+	}
+	if owner == "" {
+		return "", false
+	}
+	sc.queues[owner] = append(sc.queues[owner], g)
+	sc.outstanding++
+	d.load[owner] += len(g.idxs)
+	return owner, true
+}
+
+// retireLocked takes g, booked on addr, off the books: it ended, or it
+// leaves addr's queue.
+func (d *Dispatcher) retireLocked(sc *dispatchState, addr string, g *shardGroup) {
+	sc.outstanding--
+	d.load[addr] -= len(g.idxs)
+	d.cond.Broadcast()
+}
+
+// runner drains shards for one worker. It exits when its worker dies, the
+// sweep is canceled, or no shard remains queued or running (a running
 // shard may still re-queue work on failure, so idle runners wait instead
 // of exiting).
 func (d *Dispatcher) runner(sw *csweep, sc *dispatchState, w *worker) {
-	for {
-		sc.mu.Lock()
-		for {
-			if sc.dead[w.addr] || sc.outstanding == 0 || sw.Ctx.Err() != nil {
-				sc.mu.Unlock()
-				return
-			}
-			if g := sc.takeLocked(w.addr); g != nil {
-				sc.mu.Unlock()
-				d.runGroup(sw, sc, w, g)
-				break
-			}
-			sc.cond.Wait()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for !sc.dead[w.addr] && sc.outstanding > 0 && sw.Ctx.Err() == nil {
+		g := d.takeLocked(sc, w)
+		if g == nil {
+			d.cond.Wait()
+			continue
 		}
+		d.mu.Unlock()
+		d.runGroup(sw, sc, w, g)
+		d.mu.Lock()
 	}
 }
 
-// takeLocked pops the next shard for addr: head of its own queue, else a
-// steal from the longest peer queue.
-func (sc *dispatchState) takeLocked(addr string) *shardGroup {
-	if q := sc.queues[addr]; len(q) > 0 {
-		sc.queues[addr] = q[1:]
+// takeLocked pops the next shard for w: the head of its own queue,
+// unconditionally, so no shard is stranded; else, only while w has no
+// load in any sweep, the head of the longest peer queue, whose load moves
+// to w.
+func (d *Dispatcher) takeLocked(sc *dispatchState, w *worker) *shardGroup {
+	if q := sc.queues[w.addr]; len(q) > 0 {
+		sc.queues[w.addr] = q[1:]
 		return q[0]
+	}
+	if d.load[w.addr] > 0 || w.isDead() {
+		return nil
 	}
 	victim, best := "", 0
 	for a, q := range sc.queues {
-		if a != addr && !sc.dead[a] && len(q) > best {
+		if len(q) > best {
 			victim, best = a, len(q)
-		}
-	}
-	if victim == "" {
-		// Also steal from dead workers' queues (their runner is gone).
-		for a, q := range sc.queues {
-			if a != addr && len(q) > best {
-				victim, best = a, len(q)
-			}
 		}
 	}
 	if victim == "" {
 		return nil
 	}
-	q := sc.queues[victim]
-	g := q[0]
-	sc.queues[victim] = q[1:]
+	g := sc.queues[victim][0]
+	sc.queues[victim] = sc.queues[victim][1:]
+	d.load[victim] -= len(g.idxs)
+	d.load[w.addr] += len(g.idxs)
 	obsSteals.Add(1)
 	return g
 }
 
-// resolveLocked retires one shard from the scheduler's books.
-func (sc *dispatchState) resolveLocked(n int) {
-	sc.outstanding += n
-	sc.cond.Broadcast()
-}
-
 // runGroup dispatches one shard to w as a sub-sweep, pipes its event
 // stream into the sweep's hub, acks each completed cell into the
-// coordinator store, and on worker death re-shards the unacked remainder.
+// coordinator store, and on worker death re-books the unacked remainder.
 func (d *Dispatcher) runGroup(sw *csweep, sc *dispatchState, w *worker, g *shardGroup) {
 	obsShards.Add(1)
 	sw.Write(obs.Record{Type: "shard_dispatch", RunID: sw.ID,
 		Detail: fmt.Sprintf("%s/L2=%d (%d cells) -> %s attempt %d", g.bench, g.l2, len(g.idxs), w.addr, g.attempts+1)})
 
 	unacked, died, errMsg := d.runGroupOnce(sw, w, g)
-
-	if !died {
-		sc.mu.Lock()
-		sc.resolveLocked(-1)
-		sc.mu.Unlock()
-		return
-	}
-
-	// Worker death. Take it out of the ring's eligible set, re-shard this
-	// group's unacked remainder and everything still queued for it.
-	if w.markDead() {
+	if died && w.markDead() {
 		obsWorkerDeaths.Add(1)
 		obsWorkersAlive.Add(-1)
 		sw.Degrade("worker " + w.addr + " died")
 		d.cfg.Log.Printf("leakd-coord: worker %s died (%s); re-sharding", w.addr, errMsg)
 	}
-	sw.Write(obs.Record{Type: "worker_death", RunID: sw.ID, Error: errMsg, Detail: w.addr})
 
-	sc.mu.Lock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.retireLocked(sc, w.addr, g)
+	if !died {
+		return
+	}
+
+	// Worker death: take it out of this sweep's eligible set and re-book
+	// everything still queued for it, then this shard's unacked remainder.
+	sw.Write(obs.Record{Type: "worker_death", RunID: sw.ID, Error: errMsg, Detail: w.addr})
 	sc.dead[w.addr] = true
 	stranded := sc.queues[w.addr]
 	delete(sc.queues, w.addr)
-
 	requeue := func(ng *shardGroup) {
-		owner, ok := d.ring.OwnerExcluding(ng.key, sc.dead)
+		owner, ok := d.enqueueLocked(sc, ng)
 		if !ok {
-			sc.outstanding--
-			sc.mu.Unlock()
 			sw.failGroup(ng, "no live workers")
-			sc.mu.Lock()
 			return
 		}
-		sc.queues[owner] = append(sc.queues[owner], ng)
 		obsReshards.Add(1)
 		sw.Write(obs.Record{Type: "shard_requeued", RunID: sw.ID,
 			Detail: fmt.Sprintf("%s/L2=%d (%d cells) -> %s", ng.bench, ng.l2, len(ng.idxs), owner)})
 	}
-
 	// Queued (never-attempted) shards keep their attempt count.
 	for _, qg := range stranded {
+		d.retireLocked(sc, w.addr, qg)
 		requeue(qg)
 	}
 	// This shard's unacked cells burn an attempt; exhausted retries fail.
 	if len(unacked) > 0 {
 		ng := &shardGroup{bench: g.bench, l2: g.l2, idxs: unacked, key: g.key, attempts: g.attempts + 1}
 		if ng.attempts > d.cfg.ShardRetries {
-			sc.outstanding--
-			sc.mu.Unlock()
 			sw.failGroup(ng, fmt.Sprintf("worker died (%s); shard retries exhausted", errMsg))
-			sc.mu.Lock()
 		} else {
 			requeue(ng)
 		}
-	} else {
-		sc.outstanding--
 	}
-	sc.cond.Broadcast()
-	sc.mu.Unlock()
 }
 
 // runGroupOnce runs one shard on one worker. It returns the cell indices
@@ -613,6 +627,11 @@ func (d *Dispatcher) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacked
 	})
 	if err != nil {
 		return sw.lost(w, g.idxs, err)
+	}
+	if final.Started != nil {
+		if wait := final.Started.Sub(final.Created); wait > 0 {
+			obsQueueWait.Add(uint64(wait.Round(time.Millisecond).Milliseconds()))
+		}
 	}
 	if final.State == api.StateCanceled {
 		if sw.Ctx.Err() == nil {

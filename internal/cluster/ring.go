@@ -1,19 +1,21 @@
 // Package cluster turns a fleet of leakd workers into one logical daemon.
 // A coordinator is the daemon's own front door (server.Server: submit,
 // status, SSE events, cell fetch, health, metrics) over a Dispatcher,
-// which shards each sweep's cells across the workers on a consistent-hash
-// ring keyed by the cells' existing content addresses, dispatches the
-// shards over the retrying API client, merges the workers' event streams
-// into the sweep's one client-facing stream, and re-shards work off
-// workers that die mid-sweep. The coordinator's content-addressed store
-// doubles as the cluster's federated read view: workers that miss locally
-// consult it before simulating.
+// which shards each sweep's cells across the workers by their load over
+// every sweep in flight, with a consistent-hash ring keyed by the cells'
+// existing content addresses breaking ties, dispatches the shards over
+// the retrying API client, merges the workers' event streams into the
+// sweep's one client-facing stream, and re-shards work off workers that
+// die mid-sweep. The coordinator's content-addressed store doubles as the
+// cluster's federated read view: workers that miss locally consult it
+// before simulating.
 package cluster
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -23,8 +25,8 @@ import (
 // Replicas virtual points onto a uint64 circle; a cell hash is owned by
 // the first point clockwise of its position. Adding or removing one node
 // moves only the keys in the arcs that node's points cover (~1/N of the
-// space), which is what keeps re-sharding after a worker death cheap:
-// surviving workers keep almost all of their cells.
+// space). The coordinator walks it from a shard's key to order equally
+// loaded workers, so an idle cluster places each shard on its owner.
 type Ring struct {
 	replicas int
 
@@ -109,24 +111,37 @@ func (r *Ring) Owner(cellHash string) (string, bool) {
 }
 
 // OwnerExcluding returns the first clockwise owner of cellHash whose node
-// is not in excluded — the re-shard primitive: the dead worker's cells
-// flow to their ring successors while everything else stays put. Returns
+// is not in excluded: with a dead worker excluded, its cells flow to
+// their ring successors while everything else stays put. Returns
 // ("", false) when no eligible node remains.
 func (r *Ring) OwnerExcluding(cellHash string, excluded map[string]bool) (string, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
-		return "", false
-	}
-	pos := keyPos(cellHash)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= pos })
-	for i := 0; i < len(r.points); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !excluded[p.node] {
-			return p.node, true
+	for _, n := range r.Successors(cellHash) {
+		if !excluded[n] {
+			return n, true
 		}
 	}
 	return "", false
+}
+
+// Successors returns every member node once, in clockwise order from
+// cellHash's position: its owner first, then the node that inherits it
+// when the owner is excluded, and so on. It is the coordinator's
+// tie-break order when several workers are equally loaded.
+func (r *Ring) Successors(cellHash string) []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if len(r.points) == 0 {
+		return nil
+	}
+	out := make([]string, 0, len(r.nodes))
+	pos := keyPos(cellHash)
+	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= pos })
+	for i := 0; i < len(r.points) && len(out) < len(r.nodes); i++ {
+		if n := r.points[(start+i)%len(r.points)].node; !slices.Contains(out, n) {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // pointHash places one virtual point: the first 8 bytes of

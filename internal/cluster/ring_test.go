@@ -168,3 +168,26 @@ func TestRingOwnerExcluding(t *testing.T) {
 		t.Errorf("membership %d, want 2", n)
 	}
 }
+
+// TestRingSuccessors: every member appears once, and each entry is the
+// key's owner once the entries before it have left the ring, so the
+// list is the order in which a key's ownership falls through.
+func TestRingSuccessors(t *testing.T) {
+	nodes := []string{"w1", "w2", "w3", "w4"}
+	for _, h := range testHashes(200) {
+		r := NewRing(32)
+		for _, n := range nodes {
+			r.Add(n)
+		}
+		succ := r.Successors(h)
+		if len(succ) != len(nodes) {
+			t.Fatalf("key %s: %d successors %v, want %d", h[:12], len(succ), succ, len(nodes))
+		}
+		for _, n := range succ {
+			if owner, _ := r.Owner(h); owner != n {
+				t.Fatalf("key %s: successor %s, but the owner once the ones before it left is %s", h[:12], n, owner)
+			}
+			r.Remove(n)
+		}
+	}
+}

@@ -352,14 +352,17 @@ const (
 	// workers, groups stolen by idle workers from loaded queues, groups
 	// re-sharded off a dead worker onto survivors, workers declared dead
 	// mid-sweep, cells acknowledged (result fetched, verified and
-	// persisted coordinator-side), and the live-worker gauge health and
-	// placement read.
-	MetricClusterShards       = "cluster_shards_dispatched_total"
-	MetricClusterSteals       = "cluster_steals_total"
-	MetricClusterReshards     = "cluster_reshards_total"
-	MetricClusterWorkerDeaths = "cluster_worker_deaths_total"
-	MetricClusterCellsAcked   = "cluster_cells_acked_total"
-	GaugeClusterWorkersAlive  = "cluster_workers_alive"
+	// persisted coordinator-side), the milliseconds shards sat queued on
+	// their worker before it started them (over shards dispatched, the
+	// mean queue wait), and the live-worker gauge health and placement
+	// read.
+	MetricClusterShards         = "cluster_shards_dispatched_total"
+	MetricClusterSteals         = "cluster_steals_total"
+	MetricClusterReshards       = "cluster_reshards_total"
+	MetricClusterWorkerDeaths   = "cluster_worker_deaths_total"
+	MetricClusterCellsAcked     = "cluster_cells_acked_total"
+	MetricClusterShardQueueWait = "cluster_shard_queue_wait_ms_total"
+	GaugeClusterWorkersAlive    = "cluster_workers_alive"
 	// Timing-leakage security subsystem (internal/attack, internal/channel):
 	// adversarial scenario runs completed, prime+probe trials and individual
 	// probes executed, trials recorded into empirical channel distributions,

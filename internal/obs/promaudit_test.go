@@ -58,6 +58,7 @@ func TestPromEndpointCarriesAllCounterFamilies(t *testing.T) {
 		obs.MetricClusterReshards,
 		obs.MetricClusterWorkerDeaths,
 		obs.MetricClusterCellsAcked,
+		obs.MetricClusterShardQueueWait,
 		// Daemon admission.
 		obs.MetricSweepsAccepted,
 		obs.MetricSweepsRejected,

@@ -2,7 +2,7 @@
 # Cluster smoke test, used by CI and `make smoke-cluster`:
 #
 #   1. build leakd, start three workers and one coordinator
-#      (consistent-hash sharding over the workers, federated store);
+#      (load-aware sharding over the workers, federated store);
 #   2. submit a multi-group sweep to the coordinator and, while it is
 #      running, kill -9 one worker — the coordinator must re-shard the
 #      dead worker's cells onto the survivors and finish the sweep with
