@@ -429,25 +429,23 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkSuiteSweep measures end-to-end sweep throughput through the
-// production path — shared trace cache, cost-ordered GOMAXPROCS-sized
-// worker pool and per-worker state reuse. Each iteration builds a fresh
-// Experiments and regenerates one full figure pair (every benchmark:
-// baseline + drowsy + gated), so the numbers include trace recording,
-// scheduling, simulation and evaluation. The variants isolate the
-// optimizations: "full" is the default path (lockstep batch execution off
-// one shared decoded front per benchmark group), "scalar" disables
-// batching and runs every cell through the per-cell supervisor path,
-// "no-trace-cache" regenerates every instruction stream live, and
-// "serial" runs the same sweep on one worker.
+// production path — cost-ordered GOMAXPROCS-sized worker pool and
+// per-worker state reuse. Each iteration builds a fresh Experiments and
+// regenerates one full figure pair (every benchmark: baseline + drowsy +
+// gated), so the numbers include scheduling, simulation and evaluation.
+// The variants isolate the batch executor: "full" is the default path
+// (lockstep batch execution off one shared front per benchmark group) and
+// "scalar" disables batching and runs every cell through the per-cell
+// supervisor path. `make bench-batch` fails when "full" is the slower.
 //
 // Methodology: the variants are NOT separate sub-benchmarks. Sub-benchmarks
 // run back to back, each in its own multi-second window, so slow drift in
 // host conditions (CPU clocking, co-tenants on a shared VM — easily ±10%
 // over minutes on the reference box) lands on whichever variant happens to
 // run during the bad minutes and can invert an ordering outright. Instead
-// every iteration runs all four variants with per-variant stopwatches, in
+// every iteration runs both variants with per-variant stopwatches, in
 // mirrored order (forward then reverse) so first-order drift WITHIN the
-// iteration — the host speeding up or slowing down over the ~40 s window —
+// iteration — the host speeding up or slowing down over the window —
 // cancels out of the totals instead of systematically taxing whichever
 // variant runs first. One untimed warmup sweep absorbs process cold-start
 // (page cache, allocator growth, CPU clock ramp) before anything is timed.
@@ -459,8 +457,6 @@ func BenchmarkSuiteSweep(b *testing.B) {
 	}{
 		{"full", nil},
 		{"scalar", func(e *sim.Experiments) { e.DisableBatch = true }},
-		{"no-trace-cache", func(e *sim.Experiments) { e.DisableTraceCache = true }},
-		{"serial", func(e *sim.Experiments) { e.Workers = 1 }},
 	}
 	b.ReportAllocs()
 	elapsed := make([]time.Duration, len(variants))

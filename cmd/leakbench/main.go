@@ -56,10 +56,7 @@ func run() int {
 		vary       = flag.Bool("variation", false, "enable inter-die parameter variation (Section 3.3)")
 		serial     = flag.Bool("serial", false, "disable parallel simulation (same as -workers 1)")
 		workers    = flag.Int("workers", 0, "worker pool size (0 = all CPUs; overrides -serial)")
-		noTrace    = flag.Bool("no-trace-cache", false, "disable the shared instruction-trace cache (slower; results identical)")
 		noBatch    = flag.Bool("no-batch", false, "disable lockstep batch execution of variant groups (slower; results identical)")
-		frontFill  = flag.String("front-fill", "auto", "batch front fill policy: auto (skip record+decode for single-consumer traces), trace (always record+replay), live (always generate)")
-		traceSpill = flag.String("trace-spill", "", "spill recorded traces to files in this directory instead of memory")
 		attackMode = flag.Bool("attack", false, "run the adversarial prime+probe suite: per-technique leakage vs. energy-savings frontier")
 		scenario   = flag.String("scenario", "ws-select", "attack scenario for -attack (see internal/attack's registry)")
 		attackIvs  = flag.String("attack-intervals", "1024,4096,32768", "comma-separated decay intervals for -attack")
@@ -98,13 +95,7 @@ func run() int {
 	e.Warmup = *warmup
 	e.Parallel = !*serial
 	e.Workers = *workers
-	e.DisableTraceCache = *noTrace
 	e.DisableBatch = *noBatch
-	if e.FrontFill, err = sim.ParseFrontFillMode(*frontFill); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	e.TraceSpillDir = *traceSpill
 	e.Ctx = ctx
 	e.RunTimeout = *timeout
 	e.MaxRetries = *maxRetries

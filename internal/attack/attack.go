@@ -87,7 +87,7 @@ type Scenario struct {
 	// probe sweep — the window the decay machinery acts in.
 	IdleGap uint64 `json:"idle_gap"`
 	// Trials is the number of measurement rounds per secret value.
-	Trials int `json:"trials"`
+	Trials int    `json:"trials"`
 	Seed   uint64 `json:"seed"`
 }
 
@@ -235,10 +235,10 @@ func (g geometry) victimAddr(set, k int) uint64 {
 // so the same stream drives both the serialized port-level runner (Run) and
 // the instruction-stream adapter (NewSource).
 type tracer struct {
-	sc   Scenario
-	g    geometry
-	rng  *stats.RNG
-	cur  []int // per-target-set victim ring cursor (round-robin)
+	sc  Scenario
+	g   geometry
+	rng *stats.RNG
+	cur []int // per-target-set victim ring cursor (round-robin)
 }
 
 func newTracer(sc Scenario, g geometry) *tracer {

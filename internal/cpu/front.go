@@ -1,5 +1,5 @@
 // Lockstep batch front end: the per-instruction work that does not depend
-// on a variant's timing or leakage state — trace decode, branch
+// on a variant's timing or leakage state — instruction generation, branch
 // prediction, I-cache line grouping — computed once per (benchmark,
 // machine config) group and replayed into N variant cores.
 //
@@ -58,27 +58,22 @@ type Front struct {
 	Recs []FrontRec
 }
 
-// Fill precomputes n instructions from src through pred, reusing the
+// Fill precomputes n instructions from gen through pred, reusing the
 // record storage across groups. pred must be freshly built or Reset: it
 // plays the role every lane's private predictor plays on the scalar path,
 // and its table state after Fill is exactly the scalar predictor's state
 // after the same stream (the parity tests pin this).
-func (f *Front) Fill(src InstrSource, pred *bpred.Predictor, n uint64) {
+func (f *Front) Fill(gen *workload.Generator, pred *bpred.Predictor, n uint64) {
 	if uint64(cap(f.Recs)) >= n {
 		f.Recs = f.Recs[:n]
 	} else {
 		f.Recs = make([]FrontRec, n)
 	}
-	genFast, _ := src.(*workload.Generator)
 	lastLine := ^uint64(0)
 	for i := range f.Recs {
 		r := &f.Recs[i]
 		ins := &r.Ins
-		if genFast != nil {
-			genFast.Next(ins)
-		} else {
-			src.Next(ins)
-		}
+		gen.Next(ins)
 		flags := uint8(0)
 		if line := ins.PC >> 6; line != lastLine {
 			lastLine = line
@@ -154,12 +149,11 @@ func (c *Core) fetchReplay(cycle uint64) bool {
 	mask := c.ringMask
 	for w := 0; w < c.Cfg.FetchWidth; w++ {
 		if c.frontPos >= len(recs) {
-			// The front was sized to the recorded trace length
-			// (warmup+measure+slack), which bounds every lane's fetch-ahead;
-			// running past it means the run was asked for more instructions
-			// than the front holds. The batch executor recovers the panic
-			// into a per-lane failure and re-runs the cell on the scalar
-			// path.
+			// The front was sized to warmup+measure+slack, which bounds
+			// every lane's fetch-ahead; running past it means the run was
+			// asked for more instructions than the front holds. The batch
+			// executor recovers the panic into a per-lane failure and
+			// re-runs the cell on the scalar path.
 			panic(fmt.Sprintf("cpu: front exhausted at %d records", len(recs)))
 		}
 		rec := &recs[c.frontPos]

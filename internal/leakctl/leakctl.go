@@ -218,7 +218,7 @@ func (e Energy) Total() float64 {
 
 // Per-line state bits in DCache.flags.
 const (
-	lineValid   uint8 = 1 << iota
+	lineValid uint8 = 1 << iota
 	lineDirty
 	lineStandby
 	lineHadLive // gated: standby and contents were live when decayed

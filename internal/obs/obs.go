@@ -289,15 +289,11 @@ const (
 	// harness_worker_NN_busy_ms.
 	MetricWorkerBusyMS = "harness_worker_busy_ms_total"
 	GaugeWorkers       = "harness_workers"
-	// MetricTraceCacheHits / Misses / Bytes / Wraps instrument the sweep's
-	// shared instruction-trace cache (internal/sim): replays served from a
-	// recorded buffer, buffers recorded, resident encoded bytes, and
-	// replays discarded because the simulation consumed past the recorded
-	// length (forcing a live-generation fallback).
-	MetricTraceCacheHits   = "trace_cache_hits_total"
-	MetricTraceCacheMisses = "trace_cache_misses_total"
-	MetricTraceCacheBytes  = "trace_cache_bytes_total"
-	MetricTraceCacheWraps  = "trace_cache_wraps_total"
+	// MetricTraceCacheHits is retired: it named the replays served by the
+	// shared instruction-trace cache, which no longer exists, so nothing
+	// registers or increments it. The name stays for readers that still
+	// look it up (the benchmark's per-layer report), which read it as 0.
+	MetricTraceCacheHits = "trace_cache_hits_total"
 	// MetricStoreHits / Misses count cells resolved by (or missing from)
 	// the content-addressed result store (internal/sim + internal/store).
 	MetricStoreHits   = "store_hits_total"

@@ -42,7 +42,6 @@ func TestPromEndpointCarriesAllCounterFamilies(t *testing.T) {
 		"sim_stage_dispatch_ns_total",
 		"sim_stage_fetch_ns_total",
 		"sim_stage_sampled_cycles_total",
-		"sim_front_fill_trace_total",
 		"sim_front_fill_live_total",
 		// Lockstep batching.
 		obs.MetricBatchGroups,

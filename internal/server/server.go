@@ -246,7 +246,7 @@ func NewWith(cfg Config, ex Executor) (*Server, error) {
 // newServer builds the daemon without starting executors; in-package tests
 // use the paused form to exercise admission control deterministically.
 func newServer(cfg Config) *Server {
-	return newFront(cfg, &local{cfg: cfg, traces: sim.NewTraceCache("")})
+	return newFront(cfg, &local{cfg: cfg})
 }
 
 // withDefaults fills zero-valued knobs.
@@ -491,12 +491,11 @@ func (s *Server) run(sw *Sweep) {
 }
 
 // local is the single-node Executor: each sweep runs its own
-// sim.Experiments over the shared store, a daemon-wide trace cache and a
-// checkpoint file named by the request hash, so a daemon killed mid-sweep
-// resumes exactly that request's remaining cells on restart.
+// sim.Experiments over the shared store and a checkpoint file named by the
+// request hash, so a daemon killed mid-sweep resumes exactly that
+// request's remaining cells on restart.
 type local struct {
-	cfg    Config
-	traces *sim.TraceCache
+	cfg Config
 }
 
 // multiSink tees harness events to the sweep's hub and the global sink.
@@ -530,7 +529,6 @@ func (l *local) Execute(sw *Sweep) Verdict {
 	e.Parallel = true
 	e.Workers = l.cfg.Workers
 	e.Store = l.cfg.Store
-	e.SharedTraces = l.traces
 	e.Ctx = runCtx
 	e.RunTimeout = l.cfg.RunTimeout
 	e.MaxRetries = l.cfg.MaxRetries

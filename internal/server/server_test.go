@@ -267,6 +267,61 @@ func TestAdmissionAndPriority(t *testing.T) {
 	}
 }
 
+// TestDaemonHeapFlatAcrossBudgets pins that the daemon keeps nothing per
+// instruction budget once a sweep is done: clients choose the budget, so
+// anything cached per (benchmark, budget) grows the heap without bound.
+// Twelve one-cell sweeps at distinct budgets must leave the live heap
+// within 8 MiB of where it started.
+func TestDaemonHeapFlatAcrossBudgets(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	defer st.Close()
+	srv, err := New(testConfig(t, st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hts := httptest.NewServer(srv.Handler())
+	defer hts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	cl := api.NewClient(hts.URL)
+	cl.PollInterval = 5 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 12; i++ {
+		sub, err := cl.SubmitSweep(ctx, api.SweepRequest{
+			Instructions: 200_000 + uint64(i)*1_000,
+			Warmup:       testWarmup,
+			Cells:        []api.Cell{{Bench: "gzip", L2: 11, Technique: "drowsy", Interval: 4096}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := cl.WaitSweep(ctx, sub.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.State != api.StateCompleted || v.Executed != 1 {
+			t.Fatalf("sweep %d: state=%s executed=%d (%s), want completed/1", i, v.State, v.Executed, v.Error)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("live heap grew %.2f MiB", float64(grew)/(1<<20))
+	if grew > 8<<20 {
+		t.Errorf("twelve one-cell sweeps grew the live heap by %.1f MiB, want at most 8", float64(grew)/(1<<20))
+	}
+}
+
 // TestRemoteRunCells exercises the sim.RemoteRunner implementation: the
 // client ships cells to the daemon and reassembles results locally.
 func TestRemoteRunCells(t *testing.T) {

@@ -16,60 +16,17 @@ import (
 	"hotleakage/internal/workload"
 )
 
-// FrontFillMode selects how a lockstep group's shared front is produced.
-//
-// The recorded-trace path (record once into a compact trace.Buffer, then
-// decode it into the front) wins when the recording has more than one
-// consumer: later groups of the same benchmark and scalar-path cells
-// replay it for free. When the front is the recording's ONLY consumer,
-// the record+decode round trip is pure overhead over generating the
-// stream directly into the front — the two paths produce bit-identical
-// fronts (the recorded stream IS the generator's stream, and the parity
-// suite pins it), so the planner is free to pick whichever is cheaper.
-type FrontFillMode int
+// frontSlack is how many instructions a shared front extends past
+// warmup+measure. The core fetches ahead of commit by at most the RUU
+// window plus the fetch buffer (~100 instructions with the Table 2
+// machine); the slack is set far above that bound, and a lane that
+// nevertheless runs past the front's end panics inside cpu.Front, which
+// stepLane recovers into a lane failure that re-runs on the scalar path.
+const frontSlack = 4096
 
-const (
-	// FrontFillAuto (the default) records when the benchmark's trace has
-	// another consumer — it appears in more than one batch group, has
-	// cells bound for the scalar path, or is already recorded — and
-	// generates live otherwise.
-	FrontFillAuto FrontFillMode = iota
-	// FrontFillTrace always records and replays (the pre-adaptive
-	// behaviour).
-	FrontFillTrace
-	// FrontFillLive always generates directly into the front.
-	FrontFillLive
-)
-
-// ParseFrontFillMode parses a -front-fill flag value.
-func ParseFrontFillMode(s string) (FrontFillMode, error) {
-	switch s {
-	case "", "auto":
-		return FrontFillAuto, nil
-	case "trace":
-		return FrontFillTrace, nil
-	case "live":
-		return FrontFillLive, nil
-	}
-	return FrontFillAuto, fmt.Errorf("front-fill: unknown mode %q (want auto, trace or live)", s)
-}
-
-func (m FrontFillMode) String() string {
-	switch m {
-	case FrontFillTrace:
-		return "trace"
-	case FrontFillLive:
-		return "live"
-	}
-	return "auto"
-}
-
-// Front-fill outcome counters: how each lockstep group's shared front was
-// produced (see fillFront and Experiments.FrontFill).
-var (
-	obsFrontFillTrace = obs.Default.Counter("sim_front_fill_trace_total")
-	obsFrontFillLive  = obs.Default.Counter("sim_front_fill_live_total")
-)
+// obsFrontsFilled counts lockstep groups' shared front fills, all of them
+// generated live; the counter keeps its historical name.
+var obsFrontsFilled = obs.Default.Counter("sim_front_fill_live_total")
 
 // BatchState is one batch-executor goroutine's reusable scratch: the
 // shared front buffer (tens of MB for a full-length group, recycled
@@ -126,12 +83,9 @@ func failLanes(lanes []*batchLane, err error) {
 	}
 }
 
-// fillFront precomputes the group's shared instruction stream, preferring
-// the recorded trace (bit-identical to live generation; see TraceCache)
-// and falling back to a live generator on recording trouble or the
-// defensive wrap check. A panic during fill (corrupt trace payload) is
-// returned as an error.
-func fillFront(ctx context.Context, bs *BatchState, tc *TraceCache, mc MachineConfig, prof workload.Profile, n uint64) (err error) {
+// fillFront precomputes the group's shared instruction stream from a live
+// generator. A panic during fill is returned as an error.
+func fillFront(bs *BatchState, mc MachineConfig, prof workload.Profile, n uint64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("batch front fill: %v", r)
@@ -143,25 +97,8 @@ func fillFront(ctx context.Context, bs *BatchState, tc *TraceCache, mc MachineCo
 	} else {
 		bs.pred.Reset()
 	}
-	if tc != nil {
-		if buf, berr := tc.buffer(ctx, prof, n); berr == nil {
-			if cur, cerr := buf.Cursor(); cerr == nil {
-				bs.front.Fill(cur, bs.pred, n)
-				if cur.Laps() == 0 {
-					obsFrontFillTrace.Add(1)
-					return nil
-				}
-				// Shorter recording than requested (cannot happen with the
-				// cache's own keying, but cheap to guard): refill live.
-				obsTraceWraps.Add(1)
-				bs.pred.Reset()
-			}
-		} else if ctx.Err() != nil {
-			return berr
-		}
-	}
 	bs.front.Fill(workload.NewGenerator(prof), bs.pred, n)
-	obsFrontFillLive.Add(1)
+	obsFrontsFilled.Add(1)
 	return nil
 }
 
@@ -173,7 +110,7 @@ func fillFront(ctx context.Context, bs *BatchState, tc *TraceCache, mc MachineCo
 // literally the one runCommitted would have issued and the results are
 // bit-identical to scalar execution. Lanes that fail (panic, injected
 // fault, cancellation) carry the error out; batch-mates are unaffected.
-func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile, lanes []*batchLane, tc *TraceCache, inj faultinject.Injector, bs *BatchState) {
+func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile, lanes []*batchLane, inj faultinject.Injector, bs *BatchState) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -182,8 +119,8 @@ func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile,
 		failLanes(lanes, fmt.Errorf("%w: %v", ErrInvalidConfig, err))
 		return
 	}
-	n := mc.Warmup + mc.Instructions + traceSlack
-	if err := fillFront(ctx, bs, tc, mc, prof, n); err != nil {
+	n := mc.Warmup + mc.Instructions + frontSlack
+	if err := fillFront(bs, mc, prof, n); err != nil {
 		failLanes(lanes, err)
 		return
 	}

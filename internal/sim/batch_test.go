@@ -33,8 +33,6 @@ func batchSpecs(prof workload.Profile, l2 int, intervals []uint64) []runSpec {
 // is under the same contract.
 func TestBatchScalarParityAllProfiles(t *testing.T) {
 	mc := parityMachine(11)
-	tc := NewTraceCache("")
-	defer tc.Close()
 	ctx := context.Background()
 	bs := new(BatchState)
 	for _, prof := range workload.Profiles() {
@@ -43,7 +41,7 @@ func TestBatchScalarParityAllProfiles(t *testing.T) {
 		for i, sp := range specs {
 			lanes[i] = &batchLane{sp: sp}
 		}
-		runBatchGroup(ctx, mc, prof, lanes, tc, nil, bs)
+		runBatchGroup(ctx, mc, prof, lanes, nil, bs)
 		for _, ln := range lanes {
 			if ln.err != nil {
 				t.Fatalf("%s lane %s: %v", prof.Name, ln.sp.key(), ln.err)
@@ -61,9 +59,9 @@ func TestBatchScalarParityAllProfiles(t *testing.T) {
 	}
 }
 
-// TestBatchParityLiveFront covers the no-trace-cache configuration: the
-// shared front fills from a live generator and must still match scalar
-// execution exactly.
+// TestBatchParityLiveFront covers a fresh BatchState on another machine
+// (L2 latency 5): the front filled live from the generator must still
+// match scalar execution exactly.
 func TestBatchParityLiveFront(t *testing.T) {
 	mc := parityMachine(5)
 	ctx := context.Background()
@@ -73,7 +71,7 @@ func TestBatchParityLiveFront(t *testing.T) {
 	for i, sp := range specs {
 		lanes[i] = &batchLane{sp: sp}
 	}
-	runBatchGroup(ctx, mc, prof, lanes, nil, nil, new(BatchState))
+	runBatchGroup(ctx, mc, prof, lanes, nil, new(BatchState))
 	for _, ln := range lanes {
 		if ln.err != nil {
 			t.Fatalf("lane %s: %v", ln.sp.key(), ln.err)
@@ -102,7 +100,7 @@ func TestBatchLaneScalarReuseParity(t *testing.T) {
 		{sp: runSpec{prof, 11, leakctl.TechDrowsy, 1024}},
 		{sp: runSpec{prof, 11, leakctl.TechGated, 65536}},
 	}
-	runBatchGroup(ctx, mc, prof, lanes, nil, nil, bs)
+	runBatchGroup(ctx, mc, prof, lanes, nil, bs)
 	for _, ln := range lanes {
 		if ln.err != nil {
 			t.Fatalf("batch lane %s: %v", ln.sp.key(), ln.err)
@@ -143,7 +141,7 @@ func TestBatchStateReuseBitIdentity(t *testing.T) {
 		for i, sp := range specs {
 			lanes[i] = &batchLane{sp: sp}
 		}
-		runBatchGroup(ctx, mc, prof, lanes, nil, nil, bs)
+		runBatchGroup(ctx, mc, prof, lanes, nil, bs)
 		return lanes
 	}
 	dirty := new(BatchState)

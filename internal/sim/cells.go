@@ -134,18 +134,15 @@ func (k energyKind) job(sp runSpec) harness.Job[RunResult] {
 		Cost: e.costOf(sp),
 		Run: func(ctx context.Context) (RunResult, error) {
 			params := leakctl.DefaultParams(sp.tech, sp.interval)
-			// Fresh adapter state per attempt (and per trace-fallback
-			// re-execution): a retried run must not inherit a failed or
-			// discarded attempt's learned intervals.
-			var adapterFor func() leakctl.Adapter
+			// Fresh adapter state per attempt: a retried run must not
+			// inherit a failed attempt's learned intervals.
+			var adapter leakctl.Adapter
 			if e.AdapterFor != nil {
-				adapterFor = func() leakctl.Adapter {
-					return e.AdapterFor(sp.prof.Name, sp.tech, sp.interval)
-				}
+				adapter = e.AdapterFor(sp.prof.Name, sp.tech, sp.interval)
 			}
 			st, _ := harness.WorkerValue(ctx).(*RunState)
 			start := time.Now()
-			r, err := runWithTrace(ctx, s.Traces, s.MC, sp.prof, params, adapterFor, st)
+			r, err := runOneFromState(ctx, s.MC, sp.prof.Name, workload.NewGenerator(sp.prof), params, adapter, st)
 			if err != nil {
 				return RunResult{}, err
 			}

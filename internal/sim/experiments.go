@@ -105,26 +105,6 @@ type Experiments struct {
 	// are bit-identical either way — the parity suite enforces it — so
 	// this is a debugging/benchmarking knob, not a correctness one).
 	DisableBatch bool
-	// DisableTraceCache turns off the shared instruction-trace cache and
-	// runs every cell from a live generator (the pre-cache behaviour; the
-	// results are bit-identical either way, so this is a
-	// debugging/benchmarking knob, not a correctness one).
-	DisableTraceCache bool
-	// FrontFill selects how lockstep batch groups produce their shared
-	// instruction front: record+replay through the trace cache, live
-	// generation straight into the front, or (the zero value) an automatic
-	// per-group choice that skips the record+decode round trip for
-	// single-consumer traces — see FrontFillMode. Results are bit-identical
-	// on every setting.
-	FrontFill FrontFillMode
-	// TraceSpillDir, when non-empty, keeps recorded traces in files under
-	// this directory instead of memory — for memory-constrained hosts
-	// running very long traces (each replay then re-reads its file).
-	TraceSpillDir string
-	// SharedTraces, when non-nil, is an externally owned instruction-trace
-	// cache used instead of a per-Experiments one — the daemon shares one
-	// cache across every sweep it serves. Close never closes it.
-	SharedTraces *TraceCache
 
 	// Store, when non-nil, is the content-addressed result store: before a
 	// cell is executed (or even checkpoint-resolved) its hash is looked up,
@@ -203,9 +183,6 @@ type Experiments struct {
 	batchLanes  int
 	batchStates []*BatchState
 
-	// traces is the shared instruction-trace cache, attached to every
-	// suite (nil when DisableTraceCache).
-	traces *TraceCache
 	// costs is the dispatch cost model: observed ns/instr EWMA keyed by
 	// bench+"/"+technique, fed back from completed run durations so later
 	// batches dispatch their slowest cells first.
@@ -245,16 +222,6 @@ func (e *Experiments) suite(l2 int) *Suite {
 		mc.Instructions = e.Instructions
 		mc.Warmup = e.Warmup
 		s = NewSuite(mc)
-		if !e.DisableTraceCache {
-			if e.SharedTraces != nil {
-				s.Traces = e.SharedTraces
-			} else {
-				if e.traces == nil {
-					e.traces = NewTraceCache(e.TraceSpillDir)
-				}
-				s.Traces = e.traces
-			}
-		}
 		e.suites[l2] = s
 	}
 	return s
@@ -413,11 +380,10 @@ func (k energyKind) batch(pending []runSpec) (remaining []runSpec, ran []settled
 	// Group by (benchmark, machine config) in first-seen order; demote
 	// cells whose config the batch executor cannot lockstep.
 	type batchGroup struct {
-		prof     workload.Profile
-		l2       int
-		lanes    []*batchLane
-		cost     float64
-		useTrace bool
+		prof  workload.Profile
+		l2    int
+		lanes []*batchLane
+		cost  float64
 	}
 	index := make(map[string]*batchGroup)
 	var groups []*batchGroup
@@ -452,32 +418,6 @@ func (k energyKind) batch(pending []runSpec) (remaining []runSpec, ran []settled
 		return remaining, nil
 	}
 
-	// Adaptive front fill: count each benchmark's trace consumers — its
-	// lockstep groups plus cells already demoted to the scalar path (which
-	// replay through runWithTrace). A single-consumer recording would be
-	// recorded, decoded once into that group's front, and never touched
-	// again, so the group generates its front live instead; multi-consumer
-	// (or already-recorded) benchmarks keep the shared recording.
-	consumers := make(map[string]int, len(groups))
-	for _, g := range groups {
-		consumers[g.prof.Name]++
-	}
-	for _, sp := range remaining {
-		consumers[sp.prof.Name]++
-	}
-	for _, g := range groups {
-		switch e.FrontFill {
-		case FrontFillLive:
-			// useTrace stays false.
-		case FrontFillTrace:
-			g.useTrace = true
-		default:
-			s := e.suite(g.l2)
-			g.useTrace = consumers[g.prof.Name] > 1 ||
-				(s.Traces != nil && s.Traces.has(g.prof, s.MC.Warmup+s.MC.Instructions+traceSlack))
-		}
-	}
-
 	// LPT at group granularity: ordering whole groups (not cells) by
 	// predicted cost keeps batchable cells together — interleaving cells
 	// across workers would fragment the batches — while the heaviest
@@ -501,11 +441,7 @@ func (k energyKind) batch(pending []runSpec) (remaining []runSpec, ran []settled
 						e.Events.Write(obs.Record{Type: "run_start", RunID: ln.sp.key()})
 					}
 				}
-				tc := s.Traces
-				if !g.useTrace {
-					tc = nil
-				}
-				runBatchGroup(ctx, s.MC, g.prof, g.lanes, tc, e.Injector, bs)
+				runBatchGroup(ctx, s.MC, g.prof, g.lanes, e.Injector, bs)
 			}
 		}()
 	}
@@ -582,11 +518,11 @@ func (e *Experiments) run(prof workload.Profile, l2 int, t leakctl.Technique, in
 
 // prefetch simulates a set of configurations concurrently so later cached
 // lookups are cheap. Each benchmark's baseline and technique variants are
-// planned together in one call: they share a recorded trace and a machine
-// config, so the batch phase locksteps the whole row — baseline included —
-// as one group (planning baselines separately would strand them in
-// singleton groups on the scalar path). Individual failures are memoized,
-// not fatal.
+// planned together in one call: they share an instruction stream and a
+// machine config, so the batch phase locksteps the whole row — baseline
+// included — as one group (planning baselines separately would strand
+// them in singleton groups on the scalar path). Individual failures are
+// memoized, not fatal.
 func (e *Experiments) prefetch(l2 int, techs []leakctl.Technique, intervals []uint64) {
 	specs := make([]runSpec, 0, len(e.Profiles)*(1+len(techs)*len(intervals)))
 	for _, prof := range e.Profiles {
@@ -682,25 +618,16 @@ func (e *Experiments) Err() error {
 	return e.storeErr
 }
 
-// Close releases the checkpoint file (if one was opened) and the trace
-// cache's recorded buffers. The suites stay usable: traces re-record on
-// demand.
+// Close releases the checkpoint file, if one was opened.
 func (e *Experiments) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var terr error
-	if e.traces != nil {
-		terr = e.traces.Close()
-	}
 	if e.ckpt == nil {
-		return terr
+		return nil
 	}
 	err := e.ckpt.Close()
 	e.ckpt = nil
-	if err != nil {
-		return err
-	}
-	return terr
+	return err
 }
 
 // model builds a fresh leakage model (with the configured variation).

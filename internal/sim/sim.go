@@ -299,12 +299,7 @@ type Point struct {
 // the cache elect one simulating leader per profile and the rest wait for
 // its result instead of redundantly simulating the same baseline.
 type Suite struct {
-	MC MachineConfig
-	// Traces, when non-nil, serves each baseline run from the shared
-	// recorded instruction stream instead of a fresh generator pass
-	// (bit-identical; see TraceCache). Set it before the first Baseline
-	// call.
-	Traces    *TraceCache
+	MC        MachineConfig
 	mu        sync.Mutex
 	baselines map[string]*baselineCell
 }
@@ -335,7 +330,7 @@ func (s *Suite) Baseline(ctx context.Context, prof workload.Profile) (RunResult,
 			c = &baselineCell{done: make(chan struct{})}
 			s.baselines[prof.Name] = c
 			s.mu.Unlock()
-			c.r, c.err = runWithTrace(ctx, s.Traces, s.MC, prof, leakctl.DefaultParams(leakctl.TechNone, 0), nil, nil)
+			c.r, c.err = RunOne(ctx, s.MC, prof, leakctl.DefaultParams(leakctl.TechNone, 0), nil)
 			if c.err != nil {
 				s.mu.Lock()
 				delete(s.baselines, prof.Name)

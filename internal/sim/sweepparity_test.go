@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
 
 	"hotleakage/internal/leakctl"
+	"hotleakage/internal/trace"
 	"hotleakage/internal/workload"
 )
 
@@ -19,37 +21,39 @@ func parityMachine(l2 int) MachineConfig {
 	return mc
 }
 
-// TestTraceReplayParityAllProfiles is the bit-identity contract behind the
-// sweep's shared trace cache: for every benchmark and both control
-// techniques, a run replayed from a recorded buffer must equal a live
-// generator run in every field of the RunResult — stats, energies,
-// turnoff ratios, everything.
+// TestTraceReplayParityAllProfiles is the bit-identity contract behind
+// trace record/replay (tracegen -record/-replay): for every benchmark and
+// both control techniques, a run replayed from a recorded trace must
+// equal a live generator run in every field of the RunResult — stats,
+// energies, turnoff ratios, everything.
 func TestTraceReplayParityAllProfiles(t *testing.T) {
 	mc := parityMachine(11)
-	tc := NewTraceCache("")
-	defer tc.Close()
 	ctx := context.Background()
 	for _, prof := range workload.Profiles() {
+		var buf bytes.Buffer
+		w, err := trace.NewWriter(&buf, prof.Name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.Record(workload.NewGenerator(prof), w, mc.Warmup+mc.Instructions+frontSlack); err != nil {
+			t.Fatalf("%s record: %v", prof.Name, err)
+		}
 		for _, tech := range []leakctl.Technique{leakctl.TechDrowsy, leakctl.TechGated} {
 			params := leakctl.DefaultParams(tech, 4096)
 			live, err := RunOne(ctx, mc, prof, params, nil)
 			if err != nil {
 				t.Fatalf("%s/%s live: %v", prof.Name, tech, err)
 			}
-			buf, err := tc.buffer(ctx, prof, mc.Warmup+mc.Instructions+traceSlack)
+			r, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
 			if err != nil {
-				t.Fatalf("%s record: %v", prof.Name, err)
+				t.Fatalf("%s reader: %v", prof.Name, err)
 			}
-			cur, err := buf.Cursor()
-			if err != nil {
-				t.Fatalf("%s cursor: %v", prof.Name, err)
-			}
-			replay, err := RunOneFrom(ctx, mc, prof.Name, cur, params, nil)
+			replay, err := RunOneFrom(ctx, mc, prof.Name, r, params, nil)
 			if err != nil {
 				t.Fatalf("%s/%s replay: %v", prof.Name, tech, err)
 			}
-			if cur.Laps() != 0 {
-				t.Fatalf("%s/%s: trace wrapped (%d laps); slack too small", prof.Name, tech, cur.Laps())
+			if r.Laps != 0 {
+				t.Fatalf("%s/%s: trace wrapped (%d laps); slack too small", prof.Name, tech, r.Laps)
 			}
 			if !reflect.DeepEqual(live, replay) {
 				t.Fatalf("%s/%s: replay diverged from live run\nlive   %+v\nreplay %+v",
@@ -102,91 +106,6 @@ func TestRunStateReuseParity(t *testing.T) {
 		if !reflect.DeepEqual(fresh, reused) {
 			t.Fatalf("%s: state reuse diverged\nfresh  %+v\nreused %+v", c.name, fresh, reused)
 		}
-	}
-}
-
-// TestRunWithTraceMatchesRunOne covers the production path end to end:
-// trace cache, cursor replay and worker state together.
-func TestRunWithTraceMatchesRunOne(t *testing.T) {
-	mc := parityMachine(11)
-	tc := NewTraceCache("")
-	defer tc.Close()
-	st := new(RunState)
-	ctx := context.Background()
-	prof, _ := workload.ByName("parser")
-	for _, tech := range []leakctl.Technique{leakctl.TechNone, leakctl.TechDrowsy, leakctl.TechGated} {
-		params := leakctl.DefaultParams(tech, 4096)
-		want, err := RunOne(ctx, mc, prof, params, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := runWithTrace(ctx, tc, mc, prof, params, nil, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: runWithTrace diverged from RunOne", tech)
-		}
-	}
-}
-
-// TestExperimentsFiguresIdenticalWithTraceCacheOff reruns a figure with the
-// trace cache disabled and expects the exact same numbers: the performance
-// layer must be invisible in the output.
-func TestExperimentsFiguresIdenticalWithTraceCacheOff(t *testing.T) {
-	build := func(disable bool) (Figure, Figure) {
-		e := NewExperiments()
-		e.Instructions = 60_000
-		e.Warmup = 30_000
-		e.Profiles = e.Profiles[:3]
-		e.DisableTraceCache = disable
-		defer e.Close()
-		return e.LatencyFigure("S", "P", 11, 110, 4096)
-	}
-	savOn, perfOn := build(false)
-	savOff, perfOff := build(true)
-	if !reflect.DeepEqual(savOn, savOff) || !reflect.DeepEqual(perfOn, perfOff) {
-		t.Fatalf("figures differ with trace cache off:\non  %v\noff %v", savOn, savOff)
-	}
-}
-
-// TestExperimentsFiguresIdenticalAcrossFrontFillModes pins the adaptive
-// front-fill planner's bit-identity contract: forcing every lockstep group
-// through record+replay, forcing every group to generate live, and letting
-// auto mode choose per group must all yield the exact same figures.
-func TestExperimentsFiguresIdenticalAcrossFrontFillModes(t *testing.T) {
-	build := func(mode FrontFillMode) (Figure, Figure) {
-		e := NewExperiments()
-		e.Instructions = 60_000
-		e.Warmup = 30_000
-		e.Profiles = e.Profiles[:3]
-		e.FrontFill = mode
-		defer e.Close()
-		return e.LatencyFigure("S", "P", 11, 110, 4096)
-	}
-	savAuto, perfAuto := build(FrontFillAuto)
-	for _, mode := range []FrontFillMode{FrontFillTrace, FrontFillLive} {
-		sav, perf := build(mode)
-		if !reflect.DeepEqual(savAuto, sav) || !reflect.DeepEqual(perfAuto, perf) {
-			t.Fatalf("figures differ between front-fill auto and %v:\nauto %v\n%v    %v",
-				mode, savAuto, mode, sav)
-		}
-	}
-}
-
-// TestParseFrontFillMode covers the flag-value round trip.
-func TestParseFrontFillMode(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want FrontFillMode
-	}{{"auto", FrontFillAuto}, {"", FrontFillAuto}, {"trace", FrontFillTrace}, {"live", FrontFillLive}} {
-		got, err := ParseFrontFillMode(c.in)
-		if err != nil || got != c.want {
-			t.Fatalf("ParseFrontFillMode(%q) = %v, %v", c.in, got, err)
-		}
-	}
-	if _, err := ParseFrontFillMode("bogus"); err == nil {
-		t.Fatal("ParseFrontFillMode(bogus) accepted")
 	}
 }
 

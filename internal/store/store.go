@@ -3,8 +3,8 @@
 // instruction budget and checkpoint version — is canonically serialized
 // and hashed; the hash addresses the cell's result forever, so a repeated
 // or overlapping sweep is served from disk instead of re-simulated. This
-// generalizes the sweep-level trace cache and the harness checkpoint from
-// "within one process" to "across every request the daemon ever served".
+// generalizes the harness checkpoint from "within one process" to "across
+// every request the daemon ever served".
 //
 // # On-disk layout
 //

@@ -15,13 +15,10 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"hotleakage/internal/workload"
 )
@@ -31,6 +28,10 @@ const (
 	version = 1
 	// takenBit is folded into the op byte for CTIs.
 	takenBit = 0x80
+	// minRecordBytes is the smallest encoded record: the op byte plus the
+	// PC delta and two source distances, each a uvarint of at least one
+	// byte.
+	minRecordBytes = 4
 )
 
 // Writer serializes instructions to an underlying writer.
@@ -129,7 +130,6 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 // instruction count, so a finite trace serves as a loop), counting laps.
 type Reader struct {
 	name    string
-	hint    uint64
 	records []workload.Instr
 	pos     int
 	// Laps counts wrap-arounds (0 while the first pass is in progress).
@@ -170,22 +170,13 @@ func parseHeader(data []byte) (header, error) {
 }
 
 // decoder walks the encoded record payload held in memory, reconstructing
-// absolute PCs/addresses/targets from the deltas. It is the single decode
-// implementation behind both Reader (materializing) and Cursor (streaming),
-// so the two can never disagree about the format.
+// absolute PCs/addresses/targets from the deltas.
 type decoder struct {
 	data    []byte
 	pos     int
 	lastPC  uint64
 	lastMem uint64
 	lastTgt uint64
-}
-
-// reset rewinds the decoder to the start of the payload. The first record's
-// deltas are relative to zero, so a reset reproduces the first pass exactly.
-func (d *decoder) reset() {
-	d.pos = 0
-	d.lastPC, d.lastMem, d.lastTgt = 0, 0, 0
 }
 
 // uvarint reads one varint, advancing the cursor.
@@ -256,13 +247,15 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	rd := &Reader{name: h.name, hint: h.hint}
-	// The count hint is untrusted input: use it for preallocation only
-	// within a sane bound (the records themselves define the length).
-	if rd.hint > 0 && rd.hint <= 1<<26 {
-		rd.records = make([]workload.Instr, 0, rd.hint)
+	rd := &Reader{name: h.name}
+	payload := data[h.size:]
+	// The count hint is untrusted input: the records themselves define the
+	// length, and each takes at least minRecordBytes, so the payload size
+	// bounds how many the hint may preallocate for.
+	if n := min(h.hint, uint64(len(payload)/minRecordBytes)); n > 0 {
+		rd.records = make([]workload.Instr, 0, n)
 	}
-	dec := decoder{data: data[h.size:]}
+	dec := decoder{data: payload}
 	for {
 		var ins workload.Instr
 		err := dec.next(&ins)
@@ -307,153 +300,3 @@ func Record(src interface{ Next(*workload.Instr) }, w *Writer, n uint64) error {
 	}
 	return w.Flush()
 }
-
-// Source is anything that yields an instruction stream (a live
-// workload.Generator, a Reader, a Cursor). It is the same contract as
-// cpu.InstrSource, restated here so this package needs no cpu import.
-type Source interface{ Next(*workload.Instr) }
-
-// Buffer is a recorded instruction stream held in its compact encoded form
-// (a few bytes per instruction instead of the ~48 of a decoded
-// workload.Instr), shared read-only between any number of replaying
-// Cursors. It is the record-once/replay-many primitive behind the sweep
-// trace cache: the synthetic generator runs once per benchmark and every
-// simulation cell replays the bytes.
-//
-// A Buffer normally lives in memory; RecordBuffer with a non-empty
-// spillDir writes the encoded stream to a file there instead, bounding
-// resident memory to one transient copy per in-flight replay (each Cursor
-// of a spilled buffer re-reads the file) at the cost of that read.
-type Buffer struct {
-	name    string
-	count   uint64
-	payload []byte // encoded records, header stripped (nil when spilled)
-	path    string // spill file holding the full encoded stream
-	hdrSize int    // header bytes to skip in the spill file
-	size    int64  // payload size in bytes
-}
-
-// RecordBuffer captures n instructions from src into a new Buffer. With a
-// non-empty spillDir the encoded stream is written to a file in that
-// directory (which must exist) instead of being kept in memory.
-func RecordBuffer(name string, src Source, n uint64, spillDir string) (*Buffer, error) {
-	if n == 0 {
-		return nil, fmt.Errorf("trace: cannot record an empty buffer for %q", name)
-	}
-	b := &Buffer{name: name, count: n}
-	if spillDir == "" {
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, name, n)
-		if err != nil {
-			return nil, err
-		}
-		if err := Record(src, w, n); err != nil {
-			return nil, err
-		}
-		data := buf.Bytes()
-		h, err := parseHeader(data)
-		if err != nil {
-			return nil, err
-		}
-		b.payload = data[h.size:]
-		b.size = int64(len(b.payload))
-		return b, nil
-	}
-	f, err := os.CreateTemp(spillDir, fmt.Sprintf("%s-*.hltrace", filepath.Base(name)))
-	if err != nil {
-		return nil, err
-	}
-	w, err := NewWriter(f, name, n)
-	if err == nil {
-		err = Record(src, w, n)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(f.Name())
-		return nil, err
-	}
-	b.path = f.Name()
-	// Header size is deterministic from the name; re-derive it rather than
-	// re-reading the file.
-	b.hdrSize = len(magic) + 2 + len(name) + 8
-	if fi, err := os.Stat(b.path); err == nil {
-		b.size = fi.Size() - int64(b.hdrSize)
-	}
-	return b, nil
-}
-
-// Name returns the recorded benchmark name.
-func (b *Buffer) Name() string { return b.name }
-
-// Len returns the number of recorded instructions.
-func (b *Buffer) Len() uint64 { return b.count }
-
-// SizeBytes returns the encoded payload size (memory held, or file bytes
-// past the header when spilled).
-func (b *Buffer) SizeBytes() int64 { return b.size }
-
-// Spilled reports whether the buffer lives on disk.
-func (b *Buffer) Spilled() bool { return b.path != "" }
-
-// Close releases the buffer's disk file, if any. In-memory buffers are
-// garbage-collected; Close on them is a no-op.
-func (b *Buffer) Close() error {
-	if b.path == "" {
-		return nil
-	}
-	err := os.Remove(b.path)
-	b.path = ""
-	return err
-}
-
-// Cursor returns a fresh independent replayer positioned at the start of
-// the stream. Cursors of an in-memory buffer share its payload bytes; a
-// spilled buffer's cursor reads the file once at creation.
-func (b *Buffer) Cursor() (*Cursor, error) {
-	data := b.payload
-	if b.path != "" {
-		raw, err := os.ReadFile(b.path)
-		if err != nil {
-			return nil, fmt.Errorf("trace: reload spilled buffer: %w", err)
-		}
-		if len(raw) < b.hdrSize {
-			return nil, fmt.Errorf("%w: spilled buffer truncated", ErrBadTrace)
-		}
-		data = raw[b.hdrSize:]
-	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: empty buffer", ErrBadTrace)
-	}
-	return &Cursor{d: decoder{data: data}}, nil
-}
-
-// Cursor streams a Buffer's instructions, decoding on the fly (no
-// per-replay materialization of the decoded stream). Like Reader it wraps
-// around at the end, counting laps: a replayed simulation run must consume
-// at most the recorded length for bit-identical results, and the caller
-// checks Laps()==0 to prove it did.
-type Cursor struct {
-	d    decoder
-	laps int
-}
-
-// Next implements the instruction-source contract. The buffer was encoded
-// by this package, so a decode failure is a programming error reported by
-// panic (the experiment supervisor converts panics into structured run
-// failures).
-func (c *Cursor) Next(ins *workload.Instr) {
-	err := c.d.next(ins)
-	if err == io.EOF {
-		c.d.reset()
-		c.laps++
-		err = c.d.next(ins)
-	}
-	if err != nil {
-		panic(fmt.Sprintf("trace: corrupt buffer payload: %v", err))
-	}
-}
-
-// Laps reports how many times the cursor wrapped past the end.
-func (c *Cursor) Laps() int { return c.laps }

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"hotleakage/internal/workload"
@@ -114,117 +117,6 @@ func TestNameTooLong(t *testing.T) {
 	}
 }
 
-func TestBufferCursorBitExact(t *testing.T) {
-	const n = 50_000
-	prof, _ := workload.ByName("gcc")
-	b, err := RecordBuffer("gcc", workload.NewGenerator(prof), n, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Name() != "gcc" || b.Len() != n || b.Spilled() {
-		t.Fatalf("buffer: %q / %d / spilled=%v", b.Name(), b.Len(), b.Spilled())
-	}
-	if b.SizeBytes() <= 0 || float64(b.SizeBytes())/n > 10 {
-		t.Fatalf("payload %d bytes for %d instrs; encoding too fat", b.SizeBytes(), n)
-	}
-	// Two independent cursors must each reproduce the live stream.
-	for trial := 0; trial < 2; trial++ {
-		c, err := b.Cursor()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := workload.NewGenerator(prof)
-		var want, got workload.Instr
-		for i := 0; i < n; i++ {
-			fresh.Next(&want)
-			c.Next(&got)
-			if want != got {
-				t.Fatalf("trial %d record %d mismatch:\nwant %+v\ngot  %+v", trial, i, want, got)
-			}
-		}
-		if c.Laps() != 0 {
-			t.Fatalf("laps = %d after exact-length replay", c.Laps())
-		}
-	}
-}
-
-func TestCursorWrapMatchesReader(t *testing.T) {
-	const n, total = 1000, 2600
-	prof, _ := workload.ByName("gzip")
-	b, err := RecordBuffer("gzip", workload.NewGenerator(prof), n, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, _ := record(t, "gzip", n)
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := b.Cursor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, z workload.Instr
-	for i := 0; i < total; i++ {
-		r.Next(&a)
-		c.Next(&z)
-		if a != z {
-			t.Fatalf("record %d: reader %+v vs cursor %+v", i, a, z)
-		}
-	}
-	if c.Laps() != r.Laps {
-		t.Fatalf("cursor laps %d, reader laps %d", c.Laps(), r.Laps)
-	}
-	if c.Laps() != 2 {
-		t.Fatalf("laps = %d, want 2", c.Laps())
-	}
-}
-
-func TestBufferSpill(t *testing.T) {
-	const n = 10_000
-	prof, _ := workload.ByName("mcf")
-	dir := t.TempDir()
-	b, err := RecordBuffer("mcf", workload.NewGenerator(prof), n, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Spilled() {
-		t.Fatal("buffer not spilled")
-	}
-	if b.SizeBytes() <= 0 {
-		t.Fatalf("size = %d", b.SizeBytes())
-	}
-	c, err := b.Cursor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := workload.NewGenerator(prof)
-	var want, got workload.Instr
-	for i := 0; i < n; i++ {
-		fresh.Next(&want)
-		c.Next(&got)
-		if want != got {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Cursor(); err == nil {
-		t.Fatal("cursor after Close succeeded")
-	}
-	if err := b.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-}
-
-func TestRecordBufferRejectsZero(t *testing.T) {
-	prof, _ := workload.ByName("gcc")
-	if _, err := RecordBuffer("gcc", workload.NewGenerator(prof), 0, ""); err == nil {
-		t.Fatal("zero-length buffer accepted")
-	}
-}
-
 func TestArbitraryBytesNeverPanic(t *testing.T) {
 	// Robustness: random byte soup must produce an error, never a panic.
 	seed := uint64(0xfeed)
@@ -261,4 +153,70 @@ func TestArbitraryBytesNeverPanic(t *testing.T) {
 			}
 		}()
 	}
+}
+
+// hugeHintStream is a 21-byte stream whose header claims 2^26 records
+// while its payload holds one 4-byte record.
+func hugeHintStream() []byte {
+	data := append([]byte(magic), version, 3, 'g', 'c', 'c')
+	data = binary.LittleEndian.AppendUint64(data, 1<<26)
+	return append(data, byte(workload.OpIntALU), 2, 0, 0)
+}
+
+// TestReaderHintBoundedByPayload pins that the untrusted count hint
+// cannot make NewReader allocate beyond what the payload can hold.
+func TestReaderHintBoundedByPayload(t *testing.T) {
+	data := hugeHintStream()
+	if len(data) != 21 {
+		t.Fatalf("stream is %d bytes, want 21", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := NewReader(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != 1 {
+		t.Fatalf("len = %d, want 1", r.Len())
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("reading a 21-byte stream allocated %d MiB, want under 1", alloc>>20)
+	}
+}
+
+// FuzzReader: arbitrary bytes never panic the reader, and any stream it
+// accepts re-encodes through Writer into a stream that reads back as the
+// same records.
+func FuzzReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("error %v is not ErrBadTrace", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, r.Name(), uint64(r.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range r.records {
+			if err := w.Write(&r.records[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := NewReader(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded stream rejected: %v", err)
+		}
+		if again.Name() != r.Name() || !reflect.DeepEqual(again.records, r.records) {
+			t.Fatalf("re-encoded stream reads back differently:\nfirst  %q %+v\nsecond %q %+v",
+				r.Name(), r.records, again.Name(), again.records)
+		}
+	})
 }
