@@ -386,9 +386,10 @@ type Core struct {
 
 	// BP mirrors bpred.Stats for a replaying core. On the live path the
 	// predictor itself counts; in replay mode the shared predictor ran once
-	// during Fill, so each lane reconstructs its own per-run stats from the
-	// recorded delta bits. ResetStats zeroes it alongside Stats, matching
-	// the scalar path's pred.ResetStats() at the warmup boundary.
+	// as the front generated the stream, so each lane reconstructs its own
+	// per-run stats from the recorded delta bits. ResetStats zeroes it
+	// alongside Stats, matching the scalar path's pred.ResetStats() at the
+	// warmup boundary.
 	BP bpred.Stats
 }
 

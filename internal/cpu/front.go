@@ -14,6 +14,10 @@
 // wheel, the done array, leakctl decay state) stays per-variant: a replay
 // core still performs its own I-cache/D-cache accesses against its own
 // hierarchy, it just no longer decodes or predicts.
+//
+// Lanes stepping in lockstep chunks only read about one chunk of the
+// stream at a time, so the front keeps a window of it resident and slides
+// it forward between rounds, whatever the run's length.
 package cpu
 
 import (
@@ -51,27 +55,70 @@ type FrontRec struct {
 	Flags uint8
 }
 
-// Front is a fully materialized precomputed stream. It is filled once per
-// batch group and then read concurrently — Fill must complete before any
-// lane consumes it, and the records are immutable afterwards.
+// Front is a sliding window onto a precomputed stream: stream positions
+// [base, base+len(recs)) are resident. Fill starts a stream and makes its
+// first n positions resident; Advance drops the records below a position
+// and generates further ones with the same generator, predictor and
+// fetch-line cursor, so every record equals the one a single Fill of the
+// whole length would hold at that position. A Front is not safe for
+// concurrent use: the batch executor advances it between lockstep rounds,
+// and its lanes read it one at a time in between.
 type Front struct {
-	Recs []FrontRec
+	recs []FrontRec
+	base int
+
+	gen      *workload.Generator
+	pred     *bpred.Predictor
+	lastLine uint64
 }
 
-// Fill precomputes n instructions from gen through pred, reusing the
-// record storage across groups. pred must be freshly built or Reset: it
-// plays the role every lane's private predictor plays on the scalar path,
-// and its table state after Fill is exactly the scalar predictor's state
-// after the same stream (the parity tests pin this).
+// Fill starts the stream of gen through pred and makes positions [0, n)
+// resident, reusing the record storage across groups. pred must be
+// freshly built or Reset: it plays the role every lane's private predictor
+// plays on the scalar path, and its table state after any stream prefix is
+// exactly the scalar predictor's state after the same prefix (the parity
+// tests pin this). The front keeps gen and pred for Advance.
 func (f *Front) Fill(gen *workload.Generator, pred *bpred.Predictor, n uint64) {
-	if uint64(cap(f.Recs)) >= n {
-		f.Recs = f.Recs[:n]
-	} else {
-		f.Recs = make([]FrontRec, n)
+	f.recs, f.base = f.recs[:0], 0
+	f.gen, f.pred, f.lastLine = gen, pred, ^uint64(0)
+	f.extend(int(n))
+}
+
+// Advance slides the window to start at stream position lo and generates
+// the stream through position hi; a hi at or below the window's end
+// generates nothing. lo must lie inside the window or at its end: records
+// below the window are gone, and a lane still reading them panics.
+func (f *Front) Advance(lo, hi int) {
+	end := f.base + len(f.recs)
+	if lo < f.base || lo > end {
+		panic(fmt.Sprintf("cpu: front window [%d, %d) cannot advance to %d", f.base, end, lo))
 	}
-	lastLine := ^uint64(0)
-	for i := range f.Recs {
-		r := &f.Recs[i]
+	if lo > f.base {
+		f.recs = f.recs[:copy(f.recs, f.recs[lo-f.base:])]
+		f.base = lo
+	}
+	f.extend(hi)
+}
+
+// Resident returns how many records the window holds storage for: its
+// memory footprint, in records.
+func (f *Front) Resident() int { return cap(f.recs) }
+
+// extend generates the stream from the window's end through position hi.
+func (f *Front) extend(hi int) {
+	old, n := len(f.recs), hi-f.base
+	if n <= old {
+		return
+	}
+	if cap(f.recs) < n {
+		recs := make([]FrontRec, old, n)
+		copy(recs, f.recs)
+		f.recs = recs
+	}
+	f.recs = f.recs[:n]
+	gen, pred, lastLine := f.gen, f.pred, f.lastLine
+	for i := old; i < n; i++ {
+		r := &f.recs[i]
 		ins := &r.Ins
 		gen.Next(ins)
 		flags := uint8(0)
@@ -100,13 +147,11 @@ func (f *Front) Fill(gen *workload.Generator, pred *bpred.Predictor, n uint64) {
 		}
 		r.Flags = flags
 	}
+	f.lastLine = lastLine
 }
 
-// Len returns the number of precomputed instructions.
-func (f *Front) Len() int { return len(f.Recs) }
-
 // AttachFront switches the core into replay mode: fetch consumes the
-// precomputed records (from the beginning) instead of generating and
+// precomputed records (from stream position 0) instead of generating and
 // predicting live. The core's own Gen and Pred are not touched in this
 // mode; per-run predictor statistics accumulate in Core.BP from the
 // recorded deltas. Recycle detaches any front (the rebuilt core starts in
@@ -145,18 +190,19 @@ func (c *Core) fetchReplay(cycle uint64) bool {
 	if c.nextSeq-c.tail >= uint64(2*c.Cfg.FetchWidth) {
 		return false
 	}
-	recs := c.front.Recs
+	recs, base := c.front.recs, c.front.base
 	mask := c.ringMask
 	for w := 0; w < c.Cfg.FetchWidth; w++ {
-		if c.frontPos >= len(recs) {
-			// The front was sized to warmup+measure+slack, which bounds
-			// every lane's fetch-ahead; running past it means the run was
-			// asked for more instructions than the front holds. The batch
-			// executor recovers the panic into a per-lane failure and
-			// re-runs the cell on the scalar path.
-			panic(fmt.Sprintf("cpu: front exhausted at %d records", len(recs)))
+		i := c.frontPos - base
+		if uint(i) >= uint(len(recs)) {
+			// The batch executor keeps every live lane's next chunk plus a
+			// slack far above its fetch-ahead inside the window, so leaving
+			// it means the run asked for more than the stream holds or a
+			// lane outran the slack. The executor recovers the panic into a
+			// per-lane failure and re-runs the cell on the scalar path.
+			panic(fmt.Sprintf("cpu: front position %d outside window [%d, %d)", c.frontPos, base, base+len(recs)))
 		}
-		rec := &recs[c.frontPos]
+		rec := &recs[i]
 		c.frontPos++
 		seq := c.nextSeq
 		c.nextSeq = seq + 1

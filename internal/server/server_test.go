@@ -322,6 +322,55 @@ func TestDaemonHeapFlatAcrossBudgets(t *testing.T) {
 	}
 }
 
+// TestDaemonFrontAllocIndependentOfBudget pins that a sweep's shared batch
+// front costs the same at any budget: clients choose the budget, and a
+// front that held the whole run cost 56 MB per million instructions per
+// batch worker. One two-cell sweep (one lockstep group) at 2M
+// instructions must allocate at most 32 MiB in all.
+func TestDaemonFrontAllocIndependentOfBudget(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	defer st.Close()
+	srv, err := New(testConfig(t, st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hts := httptest.NewServer(srv.Handler())
+	defer hts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	cl := api.NewClient(hts.URL)
+	cl.PollInterval = 5 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	req := twoCellRequest()
+	req.Instructions = 2_000_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sub, err := cl.SubmitSweep(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := cl.WaitSweep(ctx, sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if v.State != api.StateCompleted || v.Executed != 2 {
+		t.Fatalf("sweep: state=%s executed=%d (%s), want completed/2", v.State, v.Executed, v.Error)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %.1f MiB", float64(alloc)/(1<<20))
+	if alloc > 32<<20 {
+		t.Errorf("a two-cell sweep at 2M instructions allocated %.1f MiB, want at most 32", float64(alloc)/(1<<20))
+	}
+}
+
 // TestRemoteRunCells exercises the sim.RemoteRunner implementation: the
 // client ships cells to the daemon and reassembles results locally.
 func TestRemoteRunCells(t *testing.T) {

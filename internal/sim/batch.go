@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"time"
 
@@ -16,20 +17,22 @@ import (
 	"hotleakage/internal/workload"
 )
 
-// frontSlack is how many instructions a shared front extends past
-// warmup+measure. The core fetches ahead of commit by at most the RUU
+// frontSlack is how many instructions a shared stream extends past
+// warmup+measure, and how far the front's window reaches past the fastest
+// lane's next chunk. The core fetches ahead of commit by at most the RUU
 // window plus the fetch buffer (~100 instructions with the Table 2
 // machine); the slack is set far above that bound, and a lane that
-// nevertheless runs past the front's end panics inside cpu.Front, which
-// stepLane recovers into a lane failure that re-runs on the scalar path.
+// nevertheless leaves the window panics inside cpu.Front, which stepLane
+// recovers into a lane failure that re-runs on the scalar path.
 const frontSlack = 4096
 
 // obsFrontsFilled counts lockstep groups' shared front fills, all of them
-// generated live; the counter keeps its historical name.
+// generated live, one per group however many times its window advances;
+// the counter keeps its historical name.
 var obsFrontsFilled = obs.Default.Counter("sim_front_fill_live_total")
 
 // BatchState is one batch-executor goroutine's reusable scratch: the
-// shared front buffer (tens of MB for a full-length group, recycled
+// shared front window (about runChunk+frontSlack records, 3 MB, recycled
 // across groups), the front's predictor, and one RunState per lane so
 // every lane's machine components are reused run-to-run exactly like the
 // scalar workers' (cpu.Recycle / RunState.reuse reset them to pristine;
@@ -83,8 +86,9 @@ func failLanes(lanes []*batchLane, err error) {
 	}
 }
 
-// fillFront precomputes the group's shared instruction stream from a live
-// generator. A panic during fill is returned as an error.
+// fillFront starts the group's shared instruction stream from a live
+// generator and makes its first n positions resident. A panic during fill
+// is returned as an error.
 func fillFront(bs *BatchState, mc MachineConfig, prof workload.Profile, n uint64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -102,14 +106,39 @@ func fillFront(bs *BatchState, mc MachineConfig, prof workload.Profile, n uint64
 	return nil
 }
 
+// advanceFront slides the group's window over the next lockstep round:
+// from the slowest live lane's fetch position to a chunk plus frontSlack
+// past the fastest one's, capped at the stream's end n. A lane commits at
+// most one chunk per round and fetches fewer than frontSlack instructions
+// ahead of commit, so no live lane leaves the window before the next
+// advance. A panic while generating is returned as an error.
+func advanceFront(f *cpu.Front, runnable []*laneRun, n uint64) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("batch front advance: %v", r)
+		}
+	}()
+	lo, hi := math.MaxInt, 0
+	for _, lr := range runnable {
+		if !lr.done {
+			pos := lr.m.core.FrontPos()
+			lo, hi = min(lo, pos), max(hi, pos)
+		}
+	}
+	f.Advance(lo, min(hi+runChunk+frontSlack, int(n)))
+	return nil
+}
+
 // runBatchGroup executes a group of technique/interval variants of one
 // (benchmark, machine config) in lockstep off one shared front. Each lane
 // advances by exactly the scalar path's chunk sequence — warmup in
 // runChunk steps, the runOneFromState warmup-boundary resets, then the
 // measurement window in runChunk steps — so a lane's Run-call sequence is
 // literally the one runCommitted would have issued and the results are
-// bit-identical to scalar execution. Lanes that fail (panic, injected
-// fault, cancellation) carry the error out; batch-mates are unaffected.
+// bit-identical to scalar execution. The shared stream is generated a
+// window at a time: the first chunk up front, then the next one before
+// each round. Lanes that fail (panic, injected fault, cancellation) carry
+// the error out; batch-mates are unaffected.
 func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile, lanes []*batchLane, inj faultinject.Injector, bs *BatchState) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -120,7 +149,7 @@ func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile,
 		return
 	}
 	n := mc.Warmup + mc.Instructions + frontSlack
-	if err := fillFront(bs, mc, prof, n); err != nil {
+	if err := fillFront(bs, mc, prof, min(runChunk+frontSlack, n)); err != nil {
 		failLanes(lanes, err)
 		return
 	}
@@ -182,6 +211,15 @@ func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile,
 	// one lane surfaces while its batch-mates are mid-flight.
 	active := len(runnable)
 	for active > 0 {
+		if err := advanceFront(&bs.front, runnable, n); err != nil {
+			for _, lr := range runnable {
+				if !lr.done {
+					lr.ln.err = err
+					lr.done = true
+				}
+			}
+			break
+		}
 		for _, lr := range runnable {
 			if lr.done {
 				continue

@@ -86,6 +86,43 @@ func TestBatchParityLiveFront(t *testing.T) {
 	}
 }
 
+// TestBatchFrontWindowBounded pins the front's memory to one lockstep
+// round, not the run: a group over 30K warm-up + 400K measured
+// instructions (nine rounds) must end holding at most a chunk plus twice
+// the slack in records, where a whole-run front holds 434,096, and every
+// lane must still match scalar execution exactly.
+func TestBatchFrontWindowBounded(t *testing.T) {
+	mc := DefaultMachine(11)
+	mc.Warmup = 30_000
+	mc.Instructions = 400_000
+	ctx := context.Background()
+	prof, _ := workload.ByName("gzip")
+	specs := batchSpecs(prof, 11, []uint64{4096})
+	lanes := make([]*batchLane, len(specs))
+	for i, sp := range specs {
+		lanes[i] = &batchLane{sp: sp}
+	}
+	bs := new(BatchState)
+	runBatchGroup(ctx, mc, prof, lanes, nil, bs)
+	got, bound := bs.front.Resident(), runChunk+2*frontSlack
+	t.Logf("front holds %d records", got)
+	if got > bound {
+		t.Errorf("front holds %d records after the group, want at most %d", got, bound)
+	}
+	for _, ln := range lanes {
+		if ln.err != nil {
+			t.Fatalf("lane %s: %v", ln.sp.key(), ln.err)
+		}
+		want, err := RunOne(ctx, mc, prof, leakctl.DefaultParams(ln.sp.tech, ln.sp.interval), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, ln.res) {
+			t.Fatalf("%s: windowed batch lane diverged from scalar", ln.sp.key())
+		}
+	}
+}
+
 // TestBatchLaneScalarReuseParity is the PR's reset-path regression test: a
 // RunState whose machine just ran as a replay lane (front attached, BP
 // accumulated) must, when reused by the scalar path, produce results

@@ -177,7 +177,7 @@ type Experiments struct {
 
 	// batchGroups / batchLanes count lockstep groups executed and the
 	// cells they carried; batchStates is the pool of per-goroutine batch
-	// scratch (front buffer, lane RunStates) reused across groups and
+	// scratch (front window, lane RunStates) reused across groups and
 	// batch phases.
 	batchGroups int
 	batchLanes  int
