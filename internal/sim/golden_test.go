@@ -90,6 +90,15 @@ func goldenCases() []goldenCase {
 			p.WakeLatency = 1
 			return p, nil, nil
 		}},
+		// The other seven benchmarks, across all four techniques and all
+		// four L2 latencies, so every profile's stream has a fixture.
+		{"baseline_mcf_l2-8", "mcf", 8, plain(leakctl.TechNone, 0)},
+		{"drowsy_parser_l2-5", "parser", 5, plain(leakctl.TechDrowsy, DefaultInterval)},
+		{"gated_vortex_l2-17", "vortex", 17, plain(leakctl.TechGated, DefaultInterval)},
+		{"rbb_gap_l2-8", "gap", 8, plain(leakctl.TechRBB, DefaultInterval)},
+		{"drowsy_perl_l2-11", "perl", 11, plain(leakctl.TechDrowsy, 16384)},
+		{"gated_bzip2_l2-5", "bzip2", 5, plain(leakctl.TechGated, 1024)},
+		{"rbb_vpr_l2-17", "vpr", 17, plain(leakctl.TechRBB, DefaultInterval)},
 	}
 }
 
