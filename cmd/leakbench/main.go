@@ -56,7 +56,7 @@ func run() int {
 		vary       = flag.Bool("variation", false, "enable inter-die parameter variation (Section 3.3)")
 		serial     = flag.Bool("serial", false, "disable parallel simulation (same as -workers 1)")
 		workers    = flag.Int("workers", 0, "worker pool size (0 = all CPUs; overrides -serial)")
-		noBatch    = flag.Bool("no-batch", false, "disable lockstep batch execution of variant groups (slower; results identical)")
+		noBatch    = flag.Bool("no-batch", false, "run every cell as a group of one lane instead of sharing a front per benchmark (slower; results identical)")
 		attackMode = flag.Bool("attack", false, "run the adversarial prime+probe suite: per-technique leakage vs. energy-savings frontier")
 		scenario   = flag.String("scenario", "ws-select", "attack scenario for -attack (see internal/attack's registry)")
 		attackIvs  = flag.String("attack-intervals", "1024,4096,32768", "comma-separated decay intervals for -attack")

@@ -7,9 +7,11 @@
 // The model exists to reproduce the first-order effect the paper's argument
 // rests on: an aggressive out-of-order window overlaps independent work
 // with outstanding misses, so "modest L2 access latencies for induced
-// misses can be tolerated". Instructions come from a workload generator;
-// wrong-path execution is approximated by stalling fetch from a
-// mispredicted branch until it resolves (standard trace-driven treatment).
+// misses can be tolerated". Instructions come from a Front, a window onto
+// the instruction stream with the predictor outcomes precomputed
+// (front.go); wrong-path execution is approximated by stalling fetch from
+// a mispredicted branch until it resolves (standard trace-driven
+// treatment).
 //
 // The cycle loop is event-driven: cycles on which the machine provably
 // cannot change state (everything in flight is waiting on a miss, a decay
@@ -229,11 +231,9 @@ const (
 // unsampled cycles is one AND and one predictable branch.
 const stageSampleMask = 1023
 
-// Core wires the generator, predictor and memory hierarchy together.
+// Core wires the instruction stream and memory hierarchy together.
 type Core struct {
 	Cfg    Config
-	Gen    InstrSource
-	Pred   *bpred.Predictor
 	ICache FetchCache
 	DCache *leakctl.DCache
 	Stats  Stats
@@ -340,20 +340,9 @@ type Core struct {
 
 	fetchStall    uint64 // first cycle fetch may run again
 	pendingBranch uint64 // seq of an unresolved mispredicted branch (0 = none)
-	lastFetchLine uint64
 
 	nextSeq uint64
 	now     uint64 // global cycle counter, persists across Run calls
-
-	// scratch receives live-generated instructions; a long-lived buffer
-	// (rather than a loop local) keeps the interface-path Gen.Next call
-	// from forcing a per-instruction heap allocation.
-	scratch workload.Instr
-
-	// genFast caches Gen's concrete type when it is the live workload
-	// generator, turning the per-instruction interface dispatch in fetch
-	// into a direct call.
-	genFast *workload.Generator
 
 	// Tick scheduling: dcNext/icNext cache the caches' next scheduled
 	// tick event so the per-cycle loop is two compares instead of two
@@ -375,23 +364,26 @@ type Core struct {
 	obsPrevStage [numStage]uint64
 	obsPrevSamp  uint64
 
-	// front, when non-nil, switches fetch into batch-replay mode: the
-	// instruction stream and predictor outcomes come from the shared
-	// precomputed records (see front.go) instead of Gen/Pred, and the
-	// recorded predictor-stat deltas accumulate in BP. frontPos is this
-	// lane's read position. Both are zeroed by build(), so Recycle always
-	// returns a live-mode core.
+	// front is the window fetch reads the stream from, and frontPos this
+	// core's read position in it. A core built over a source owns its
+	// window (own) and slides it whenever fetch runs off its end; a window
+	// attached with AttachFront belongs to whoever attached it, which
+	// keeps the core's next reads resident (see Reach).
 	front    *Front
 	frontPos int
+	own      bool
 
-	// BP mirrors bpred.Stats for a replaying core. On the live path the
-	// predictor itself counts; in replay mode the shared predictor ran once
-	// as the front generated the stream, so each lane reconstructs its own
-	// per-run stats from the recorded delta bits. ResetStats zeroes it
-	// alongside Stats, matching the scalar path's pred.ResetStats() at the
-	// warmup boundary.
+	// BP is the predictor's statistics for this core's run, accumulated
+	// from the stream's recorded deltas. The front's predictor runs ahead
+	// of fetch (and, on a shared window, serves every lane), so its own
+	// Stats are not this run's. ResetStats zeroes BP at the warm-up
+	// boundary.
 	BP bpred.Stats
 }
+
+// ownWindow is how many records a core that owns its window generates
+// each time fetch runs off the window's end.
+const ownWindow = 4096
 
 // wheelSize is the wake wheel's span in cycles (power of two). Latencies
 // longer than a lap are handled by re-filing on pop, so the size only
@@ -407,9 +399,12 @@ const (
 	icTickEvery                   // unknown implementation: call every cycle
 )
 
-// New builds a core over the given workload and hierarchy.
-func New(cfg Config, gen InstrSource, pred *bpred.Predictor, ic FetchCache, dc *leakctl.DCache) *Core {
-	return build(cfg, gen, pred, ic, dc, nil)
+// New builds a core over the given instruction source, predictor and
+// hierarchy. With a non-nil source the core owns a window onto that
+// source's stream, predicted through pred, and slides it as it fetches. A
+// nil source leaves the core without a stream until AttachFront.
+func New(cfg Config, src InstrSource, pred *bpred.Predictor, ic FetchCache, dc *leakctl.DCache) *Core {
+	return build(cfg, src, pred, ic, dc, nil)
 }
 
 // Recycle rebuilds old into exactly the state New(cfg, ...) would return,
@@ -417,11 +412,11 @@ func New(cfg Config, gen InstrSource, pred *bpred.Predictor, ic FetchCache, dc *
 // configuration matches. It lets a sweep worker amortize the core's
 // allocations across many runs; a nil or mismatched old simply falls back
 // to a fresh core.
-func Recycle(old *Core, cfg Config, gen InstrSource, pred *bpred.Predictor, ic FetchCache, dc *leakctl.DCache) *Core {
+func Recycle(old *Core, cfg Config, src InstrSource, pred *bpred.Predictor, ic FetchCache, dc *leakctl.DCache) *Core {
 	if old == nil || old.Cfg != cfg {
 		old = nil
 	}
-	return build(cfg, gen, pred, ic, dc, old)
+	return build(cfg, src, pred, ic, dc, old)
 }
 
 // build is the shared constructor behind New and Recycle. With a non-nil
@@ -430,7 +425,7 @@ func Recycle(old *Core, cfg Config, gen InstrSource, pred *bpred.Predictor, ic F
 // struct literal assignment below resets every scalar field (including the
 // fixed-size wake wheel) the same way, so both paths leave the core
 // bit-identical.
-func build(cfg Config, gen InstrSource, pred *bpred.Predictor, ic FetchCache, dc *leakctl.DCache, old *Core) *Core {
+func build(cfg Config, src InstrSource, pred *bpred.Predictor, ic FetchCache, dc *leakctl.DCache, old *Core) *Core {
 	// Ring capacity: the in-flight window (RUUSize) plus the maximum
 	// fetched-but-undispatched backlog (fetch adds up to FetchWidth while
 	// the backlog is below 2*FetchWidth), rounded up to a power of two.
@@ -477,29 +472,30 @@ func build(cfg Config, gen InstrSource, pred *bpred.Predictor, ic FetchCache, dc
 	rdy, nextRdy, unb, done, wakeBuf, mshr :=
 		c.rdy, c.nextRdy, c.unb, c.done, c.wakeBuf, c.mshrBusy
 	*c = Core{
-		Cfg:           cfg,
-		Gen:           gen,
-		Pred:          pred,
-		ICache:        ic,
-		DCache:        dc,
-		src1:          src1,
-		src2:          src2,
-		addr:          addr,
-		readyAt:       readyAt,
-		link:          link,
-		waiters:       waiters,
-		ops:           ops,
-		ringMask:      uint64(ringLen - 1),
-		rdy:           rdy,
-		nextRdy:       nextRdy,
-		unb:           unb,
-		done:          done,
-		wakeBuf:       wakeBuf,
-		mshrBusy:      mshr,
-		nextSeq:       1,
-		head:          1,
-		tail:          1,
-		lastFetchLine: ^uint64(0),
+		Cfg:      cfg,
+		ICache:   ic,
+		DCache:   dc,
+		src1:     src1,
+		src2:     src2,
+		addr:     addr,
+		readyAt:  readyAt,
+		link:     link,
+		waiters:  waiters,
+		ops:      ops,
+		ringMask: uint64(ringLen - 1),
+		rdy:      rdy,
+		nextRdy:  nextRdy,
+		unb:      unb,
+		done:     done,
+		wakeBuf:  wakeBuf,
+		mshrBusy: mshr,
+		nextSeq:  1,
+		head:     1,
+		tail:     1,
+	}
+	if src != nil {
+		c.front, c.own = new(Front), true
+		c.front.Fill(src, pred, 0)
 	}
 	switch ic.(type) {
 	case *cache.Cache:
@@ -509,7 +505,6 @@ func build(cfg Config, gen InstrSource, pred *bpred.Predictor, ic FetchCache, dc
 	default:
 		c.icTick = icTickEvery
 	}
-	c.genFast, _ = gen.(*workload.Generator)
 	return c
 }
 
@@ -1091,16 +1086,16 @@ func (c *Core) dispatch(cycle uint64) bool {
 	return moved
 }
 
-// fetch brings up to FetchWidth instructions into the pending backlog,
-// decoding each straight into its ring slot (producer distances converted
-// to absolute seqs here, since the slot and seq are fixed at fetch time),
-// modelling I-cache misses and branch-predictor redirects, and reports
-// whether any instruction was fetched. Stall bookkeeping alone does not
-// count as activity — the fast-forward replays it in bulk.
+// fetch brings up to FetchWidth instructions from the front into the
+// pending backlog, decoding each straight into its ring slot (producer
+// distances converted to absolute seqs here, since the slot and seq are
+// fixed at fetch time), and reports whether any instruction was fetched.
+// The stream's predictor outcomes and I-cache line grouping come from the
+// record's flags; the I-cache access itself (its latency depends on this
+// core's hierarchy) and all stall bookkeeping are this core's own. Stall
+// bookkeeping alone does not count as activity — the fast-forward replays
+// it in bulk.
 func (c *Core) fetch(cycle uint64) bool {
-	if c.front != nil {
-		return c.fetchReplay(cycle)
-	}
 	if c.pendingBranch != 0 {
 		// Waiting on a mispredicted branch. Once it has issued, its
 		// resolution time is known and fetch can be scheduled.
@@ -1122,59 +1117,67 @@ func (c *Core) fetch(cycle uint64) bool {
 	if c.nextSeq-c.tail >= uint64(2*c.Cfg.FetchWidth) {
 		return false
 	}
+	recs, base := c.front.recs, c.front.base
 	mask := c.ringMask
-	ins := &c.scratch
 	for w := 0; w < c.Cfg.FetchWidth; w++ {
-		// Generate into the long-lived scratch slot: Gen.Next overwrites
-		// every Instr field on all paths, so no stale state leaks through.
-		if g := c.genFast; g != nil {
-			g.Next(ins)
-		} else {
-			c.Gen.Next(ins)
+		i := c.frontPos - base
+		if uint(i) >= uint(len(recs)) {
+			recs, base = c.slide()
+			i = c.frontPos - base
 		}
+		rec := &recs[i]
+		c.frontPos++
 		seq := c.nextSeq
 		c.nextSeq = seq + 1
 		s := seq & mask
-		if d := uint64(uint32(ins.Src1)); d != 0 && seq > d {
+		if d := uint64(uint32(rec.Ins.Src1)); d != 0 && seq > d {
 			c.src1[s] = seq - d
 		} else {
 			c.src1[s] = 0
 		}
-		if d := uint64(uint32(ins.Src2)); d != 0 && seq > d {
+		if d := uint64(uint32(rec.Ins.Src2)); d != 0 && seq > d {
 			c.src2[s] = seq - d
 		} else {
 			c.src2[s] = 0
 		}
-		c.addr[s] = ins.Addr
-		c.ops[s] = ins.Op
+		c.addr[s] = rec.Ins.Addr
+		c.ops[s] = rec.Ins.Op
 
 		stop := false
+		flags := rec.Flags
 
 		// I-cache: one access per new line in the fetch stream.
-		if line := ins.PC >> 6; line != c.lastFetchLine {
-			c.lastFetchLine = line
-			if lat := c.ICache.Access(ins.PC, false, cycle); lat > c.ICache.HitLat() {
+		if flags&FrontICAccess != 0 {
+			if lat := c.ICache.Access(rec.Ins.PC, false, cycle); lat > c.ICache.HitLat() {
 				c.Stats.ICacheStalls++
 				c.fetchStall = cycle + uint64(lat)
 				stop = true
 			}
 		}
 
-		if ins.Op.IsCTI() {
+		if rec.Ins.Op.IsCTI() {
 			c.Stats.Branches++
-			misp, bubble := predictCTI(c.Pred, ins)
-			if misp {
+			if flags&FrontBPUpdate != 0 {
+				c.BP.Branches++
+			}
+			if flags&FrontBPDirMisp != 0 {
+				c.BP.DirMispredict++
+			}
+			if flags&FrontBPBTBMiss != 0 {
+				c.BP.BTBMiss++
+			}
+			if flags&FrontMisp != 0 {
 				c.Stats.Mispredicts++
 				c.pendingBranch = seq
 				return true
 			}
-			if bubble {
+			if flags&FrontBubble != 0 {
 				// Right direction, target from decode: short
 				// front-end bubble.
 				c.fetchStall = cycle + 2
 				return true
 			}
-			if ins.Taken {
+			if rec.Ins.Taken {
 				// Correct taken prediction: redirected fetch
 				// continues next cycle.
 				return true
@@ -1187,25 +1190,26 @@ func (c *Core) fetch(cycle uint64) bool {
 	return true
 }
 
-// predictCTI runs the predictor for a control transfer. mispredict means a
-// wrong-path flush; bubble means a decode-supplied target (short stall).
-// Package-level so the batch front end (front.go) drives the identical
-// logic through the group's shared predictor.
-func predictCTI(p *bpred.Predictor, ins *workload.Instr) (mispredict, bubble bool) {
-	switch ins.Op {
-	case workload.OpBranch:
-		pr := p.Lookup(ins.PC)
-		return p.Update(ins.PC, pr, ins.Taken, ins.Target)
-	case workload.OpCall:
-		// Direct call: target known at decode; train the BTB and RAS.
-		p.PushRAS(ins.PC + 4)
-		pr := p.Lookup(ins.PC)
-		p.Update(ins.PC, pr, true, ins.Target)
-		return false, !pr.BTBHit
-	case workload.OpReturn:
-		// Return: mispredicted iff the RAS is wrong.
-		return p.PopRAS() != ins.Target, false
-	default: // OpJump: direct, decoded target
-		return false, true
+// slide makes the core's read position resident and returns the window.
+// An owned window drops what fetch has consumed and generates the next
+// ownWindow records. A window attached from outside is its owner's to
+// slide: running off it means the run asked for more than the stream
+// holds or the owner kept too little resident, and the panic names the
+// window so the batch executor can report it as the lane's failure.
+func (c *Core) slide() ([]FrontRec, int) {
+	f := c.front
+	if !c.own {
+		panic(fmt.Sprintf("cpu: front position %d outside window [%d, %d)", c.frontPos, f.base, f.base+len(f.recs)))
 	}
+	f.Advance(c.frontPos, c.frontPos+ownWindow)
+	return f.recs, f.base
+}
+
+// Reach returns the stream position one past the last record Run(n) can
+// fetch: n further commits, plus the most the core fetches ahead of commit
+// (a full RUU, the fetch backlog and one commit cycle's overshoot). Whoever
+// slides an attached window keeps it resident through Reach before each
+// Run.
+func (c *Core) Reach(n uint64) int {
+	return c.frontPos + int(n) + c.Cfg.RUUSize + 3*c.Cfg.FetchWidth + c.Cfg.CommitWidth
 }

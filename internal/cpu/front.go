@@ -1,7 +1,9 @@
-// Lockstep batch front end: the per-instruction work that does not depend
-// on a variant's timing or leakage state — instruction generation, branch
-// prediction, I-cache line grouping — computed once per (benchmark,
-// machine config) group and replayed into N variant cores.
+// The front end's stream: the per-instruction work that does not depend
+// on a core's timing or leakage state — instruction generation, branch
+// prediction, I-cache line grouping — computed once into a Front and read
+// by fetch. A core built over a source owns a Front; a lockstep group of
+// variants of one (benchmark, machine config) shares one, so the work is
+// done once for N cores.
 //
 // The split rests on an invariant of this trace-driven model: the fetch
 // STREAM is identical for every variant of one benchmark. Fetch order is
@@ -11,13 +13,13 @@
 // outcomes, the fetch-line dedup that decides which instructions access
 // the I-cache, dependence distances — is variant-independent and can be
 // precomputed. Everything cycle-dependent (cache hit/miss LATENCIES, the
-// wheel, the done array, leakctl decay state) stays per-variant: a replay
-// core still performs its own I-cache/D-cache accesses against its own
-// hierarchy, it just no longer decodes or predicts.
+// wheel, the done array, leakctl decay state) stays per-core: a core still
+// performs its own I-cache/D-cache accesses against its own hierarchy, it
+// just does not decode or predict.
 //
-// Lanes stepping in lockstep chunks only read about one chunk of the
-// stream at a time, so the front keeps a window of it resident and slides
-// it forward between rounds, whatever the run's length.
+// A core reads only a little past its commit point, so a Front keeps a
+// window of the stream resident and slides it forward, whatever the run's
+// length.
 package cpu
 
 import (
@@ -31,8 +33,7 @@ import (
 // lane consumes instead of recomputing.
 const (
 	// FrontICAccess marks the first instruction of a new 64-byte fetch
-	// line — the instructions for which the scalar fetch path performs an
-	// I-cache access.
+	// line — the instructions for which fetch performs an I-cache access.
 	FrontICAccess uint8 = 1 << iota
 	// FrontMisp marks a mispredicted CTI (wrong-path flush: fetch stalls
 	// until the branch resolves).
@@ -58,7 +59,7 @@ type FrontRec struct {
 // Front is a sliding window onto a precomputed stream: stream positions
 // [base, base+len(recs)) are resident. Fill starts a stream and makes its
 // first n positions resident; Advance drops the records below a position
-// and generates further ones with the same generator, predictor and
+// and generates further ones with the same source, predictor and
 // fetch-line cursor, so every record equals the one a single Fill of the
 // whole length would hold at that position. A Front is not safe for
 // concurrent use: the batch executor advances it between lockstep rounds,
@@ -67,20 +68,20 @@ type Front struct {
 	recs []FrontRec
 	base int
 
-	gen      *workload.Generator
+	src      InstrSource
 	pred     *bpred.Predictor
 	lastLine uint64
 }
 
-// Fill starts the stream of gen through pred and makes positions [0, n)
-// resident, reusing the record storage across groups. pred must be
-// freshly built or Reset: it plays the role every lane's private predictor
-// plays on the scalar path, and its table state after any stream prefix is
-// exactly the scalar predictor's state after the same prefix (the parity
-// tests pin this). The front keeps gen and pred for Advance.
-func (f *Front) Fill(gen *workload.Generator, pred *bpred.Predictor, n uint64) {
+// Fill starts the stream of src through pred and makes positions [0, n)
+// resident, reusing the record storage across streams. pred must be
+// freshly built or Reset: its table state after any stream prefix is the
+// state a predictor trained on exactly that prefix has, which is what
+// makes one front serve every variant. The front keeps src and pred for
+// Advance.
+func (f *Front) Fill(src InstrSource, pred *bpred.Predictor, n uint64) {
 	f.recs, f.base = f.recs[:0], 0
-	f.gen, f.pred, f.lastLine = gen, pred, ^uint64(0)
+	f.src, f.pred, f.lastLine = src, pred, ^uint64(0)
 	f.extend(int(n))
 }
 
@@ -105,22 +106,25 @@ func (f *Front) Advance(lo, hi int) {
 func (f *Front) Resident() int { return cap(f.recs) }
 
 // extend generates the stream from the window's end through position hi.
+// Storage grows with an eighth to spare, so a window that creeps up by a
+// few records per slide reallocates rarely without holding much more than
+// it needs.
 func (f *Front) extend(hi int) {
 	old, n := len(f.recs), hi-f.base
 	if n <= old {
 		return
 	}
 	if cap(f.recs) < n {
-		recs := make([]FrontRec, old, n)
+		recs := make([]FrontRec, old, n+n/8)
 		copy(recs, f.recs)
 		f.recs = recs
 	}
 	f.recs = f.recs[:n]
-	gen, pred, lastLine := f.gen, f.pred, f.lastLine
+	src, pred, lastLine := f.src, f.pred, f.lastLine
 	for i := old; i < n; i++ {
 		r := &f.recs[i]
 		ins := &r.Ins
-		gen.Next(ins)
+		src.Next(ins)
 		flags := uint8(0)
 		if line := ins.PC >> 6; line != lastLine {
 			lastLine = line
@@ -150,114 +154,35 @@ func (f *Front) extend(hi int) {
 	f.lastLine = lastLine
 }
 
-// AttachFront switches the core into replay mode: fetch consumes the
-// precomputed records (from stream position 0) instead of generating and
-// predicting live. The core's own Gen and Pred are not touched in this
-// mode; per-run predictor statistics accumulate in Core.BP from the
-// recorded deltas. Recycle detaches any front (the rebuilt core starts in
-// live mode), so a reused lane must re-attach per run.
+// predictCTI runs the predictor for a control transfer. mispredict means a
+// wrong-path flush; bubble means a decode-supplied target (short stall).
+func predictCTI(p *bpred.Predictor, ins *workload.Instr) (mispredict, bubble bool) {
+	switch ins.Op {
+	case workload.OpBranch:
+		pr := p.Lookup(ins.PC)
+		return p.Update(ins.PC, pr, ins.Taken, ins.Target)
+	case workload.OpCall:
+		// Direct call: target known at decode; train the BTB and RAS.
+		p.PushRAS(ins.PC + 4)
+		pr := p.Lookup(ins.PC)
+		p.Update(ins.PC, pr, true, ins.Target)
+		return false, !pr.BTBHit
+	case workload.OpReturn:
+		// Return: mispredicted iff the RAS is wrong.
+		return p.PopRAS() != ins.Target, false
+	default: // OpJump: direct, decoded target
+		return false, true
+	}
+}
+
+// AttachFront points the core at a window it does not own, from stream
+// position 0. The attacher slides the window and must keep every record
+// the core's next Run can fetch resident (Reach); fetch panics outside it.
+// Recycle drops the attachment, so a reused core must re-attach per run.
 func (c *Core) AttachFront(f *Front) {
-	c.front = f
-	c.frontPos = 0
+	c.front, c.frontPos, c.own = f, 0, false
 }
 
-// FrontPos returns how many precomputed instructions the core has
-// consumed — the lane's fetch position in the shared stream.
+// FrontPos returns how many records the core has fetched — its position in
+// the stream.
 func (c *Core) FrontPos() int { return c.frontPos }
-
-// fetchReplay is fetch for a front-attached core: structurally identical
-// to Core.fetch, but the instruction comes from the precomputed record and
-// the predictor outcome from its flags. The I-cache access (latency
-// depends on this lane's L2 state) and all stall bookkeeping remain
-// per-lane, so the timing behaviour is bit-identical to the live path.
-func (c *Core) fetchReplay(cycle uint64) bool {
-	if c.pendingBranch != 0 {
-		if c.pendingBranch < c.tail {
-			if d := c.done[c.pendingBranch&c.ringMask]; d != notIssued {
-				c.fetchStall = d>>1 + uint64(c.Cfg.MispredictPen)
-				c.pendingBranch = 0
-			}
-		}
-		if c.pendingBranch != 0 {
-			c.Stats.FetchStallCy++
-			return false
-		}
-	}
-	if cycle < c.fetchStall {
-		c.Stats.FetchStallCy++
-		return false
-	}
-	if c.nextSeq-c.tail >= uint64(2*c.Cfg.FetchWidth) {
-		return false
-	}
-	recs, base := c.front.recs, c.front.base
-	mask := c.ringMask
-	for w := 0; w < c.Cfg.FetchWidth; w++ {
-		i := c.frontPos - base
-		if uint(i) >= uint(len(recs)) {
-			// The batch executor keeps every live lane's next chunk plus a
-			// slack far above its fetch-ahead inside the window, so leaving
-			// it means the run asked for more than the stream holds or a
-			// lane outran the slack. The executor recovers the panic into a
-			// per-lane failure and re-runs the cell on the scalar path.
-			panic(fmt.Sprintf("cpu: front position %d outside window [%d, %d)", c.frontPos, base, base+len(recs)))
-		}
-		rec := &recs[i]
-		c.frontPos++
-		seq := c.nextSeq
-		c.nextSeq = seq + 1
-		s := seq & mask
-		if d := uint64(uint32(rec.Ins.Src1)); d != 0 && seq > d {
-			c.src1[s] = seq - d
-		} else {
-			c.src1[s] = 0
-		}
-		if d := uint64(uint32(rec.Ins.Src2)); d != 0 && seq > d {
-			c.src2[s] = seq - d
-		} else {
-			c.src2[s] = 0
-		}
-		c.addr[s] = rec.Ins.Addr
-		c.ops[s] = rec.Ins.Op
-
-		stop := false
-		flags := rec.Flags
-
-		if flags&FrontICAccess != 0 {
-			if lat := c.ICache.Access(rec.Ins.PC, false, cycle); lat > c.ICache.HitLat() {
-				c.Stats.ICacheStalls++
-				c.fetchStall = cycle + uint64(lat)
-				stop = true
-			}
-		}
-
-		if rec.Ins.Op.IsCTI() {
-			c.Stats.Branches++
-			if flags&FrontBPUpdate != 0 {
-				c.BP.Branches++
-			}
-			if flags&FrontBPDirMisp != 0 {
-				c.BP.DirMispredict++
-			}
-			if flags&FrontBPBTBMiss != 0 {
-				c.BP.BTBMiss++
-			}
-			if flags&FrontMisp != 0 {
-				c.Stats.Mispredicts++
-				c.pendingBranch = seq
-				return true
-			}
-			if flags&FrontBubble != 0 {
-				c.fetchStall = cycle + 2
-				return true
-			}
-			if rec.Ins.Taken {
-				return true
-			}
-		}
-		if stop {
-			return true
-		}
-	}
-	return true
-}

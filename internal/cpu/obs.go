@@ -29,7 +29,7 @@ var (
 )
 
 // ObsFlush adds the Stats delta since the previous flush to sh. The caller
-// (sim.RunOneFrom) invokes it between simulation chunks, so the core's hot
+// (sim's run loop) invokes it between simulation chunks, so the core's hot
 // paths never see an atomic.
 func (c *Core) ObsFlush(sh *obs.Shard) {
 	cur, prev := c.Stats, c.obsPrev

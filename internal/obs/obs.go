@@ -12,9 +12,9 @@
 // workers on cache-line ping-pong and perturb the hot path the fast-forward
 // optimization fought for. Counters are therefore sharded: each simulating
 // goroutine acquires a private Shard (a padded array indexed by CounterID)
-// and adds *batched deltas* to it at chunk boundaries — sim.RunOneFrom
-// flushes its components' existing Stats structs into the shard every
-// runChunk (50K) committed instructions, so the per-cycle and
+// and adds *batched deltas* to it at chunk boundaries — sim's run loop
+// flushes each lane's components' existing Stats structs into the shard
+// every runChunk (50K) committed instructions, so the per-cycle and
 // per-instruction paths never touch obs at all. A snapshot merges all
 // shards (plus the totals of released shards) under the registry lock.
 //
@@ -327,11 +327,12 @@ const (
 	MetricServerPanics        = "server_handler_panics_total"
 	MetricWatchdogTimeouts    = "server_watchdog_timeouts_total"
 	MetricSweepsDegraded      = "server_sweeps_degraded_total"
-	// Batched lockstep execution (internal/sim): groups executed in
-	// lockstep, lanes (cells) those groups carried, cells that fell out of
-	// a batch back to the scalar supervisor path, and the most recent
-	// sweep's mean lanes-per-group occupancy in hundredths (e.g. 1450 =
-	// 14.5 lanes/group).
+	// Batched lockstep execution (internal/sim): groups of two or more
+	// lanes executed in lockstep, lanes (cells) those groups carried, lanes
+	// whose cell failed and went to the supervisor for a retry (the name
+	// predates the one run loop), and the most recent sweep's mean
+	// lanes-per-group occupancy in hundredths (e.g. 1450 = 14.5
+	// lanes/group).
 	MetricBatchGroups         = "sim_batch_groups_total"
 	MetricBatchLanes          = "sim_batch_lanes_total"
 	MetricBatchScalarFallback = "sim_batch_scalar_fallback_total"

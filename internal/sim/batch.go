@@ -9,7 +9,6 @@ import (
 
 	"hotleakage/internal/bpred"
 	"hotleakage/internal/cpu"
-	"hotleakage/internal/energy"
 	"hotleakage/internal/harness"
 	"hotleakage/internal/harness/faultinject"
 	"hotleakage/internal/leakctl"
@@ -17,26 +16,31 @@ import (
 	"hotleakage/internal/workload"
 )
 
-// frontSlack is how many instructions a shared stream extends past
-// warmup+measure, and how far the front's window reaches past the fastest
-// lane's next chunk. The core fetches ahead of commit by at most the RUU
-// window plus the fetch buffer (~100 instructions with the Table 2
-// machine); the slack is set far above that bound, and a lane that
-// nevertheless leaves the window panics inside cpu.Front, which stepLane
-// recovers into a lane failure that re-runs on the scalar path.
+// runChunk is how many committed instructions a lane simulates per step:
+// frequent enough that deadlines and cancellation bite within
+// milliseconds, coarse enough that the checks are free. Every lane runs
+// the same chunk sequence, so lanes of one group stay in lockstep and a
+// cell's result does not depend on which group it rode.
+const runChunk = 50_000
+
+// frontSlack bounds how far past warm-up plus measurement a run reads its
+// instruction source: the core's fetch-ahead (cpu.Core.Reach, about 100
+// instructions on the Table 2 machine) plus each chunk's commit overshoot
+// (at most CommitWidth-1) stay far below it at any budget used here, so a
+// trace recorded frontSlack instructions longer than the run replays
+// without wrapping.
 const frontSlack = 4096
 
-// obsFrontsFilled counts lockstep groups' shared front fills, all of them
-// generated live, one per group however many times its window advances;
-// the counter keeps its historical name.
+// obsFrontsFilled counts the shared fronts of lockstep groups (two or more
+// lanes), one per group however often its window advances; a one-lane run
+// is not counted. The counter keeps its historical name.
 var obsFrontsFilled = obs.Default.Counter("sim_front_fill_live_total")
 
-// BatchState is one batch-executor goroutine's reusable scratch: the
-// shared front window (about runChunk+frontSlack records, 3 MB, recycled
-// across groups), the front's predictor, and one RunState per lane so
-// every lane's machine components are reused run-to-run exactly like the
-// scalar workers' (cpu.Recycle / RunState.reuse reset them to pristine;
-// the reuse parity tests cover the batch fields too).
+// BatchState is one executor goroutine's reusable scratch: the shared
+// front window (about runChunk records, 3 MB, recycled across groups), the
+// front's predictor, and one RunState per lane so every lane's machine
+// components are reused run to run (cpu.Recycle / RunState.reuse reset
+// them to pristine; the reuse parity tests pin this).
 //
 // A BatchState must not be shared between concurrently executing groups.
 type BatchState struct {
@@ -46,12 +50,22 @@ type BatchState struct {
 	lanes   []*RunState
 }
 
-// batchLane is one cell riding a lockstep group: its spec going in, and
-// either a result or an error (any error sends the cell back to the
-// scalar supervisor path, which owns retry/timeout/injection semantics)
-// coming out.
+// batchLane is one cell riding a group: its spec and run settings going
+// in, and either a result or an error coming out. A lane that fails is
+// retried by the supervisor, which owns retry and fault-injection
+// semantics.
 type batchLane struct {
-	sp  runSpec
+	sp runSpec
+	// params overrides the cell's default leakage-control parameters
+	// (nil = leakctl.DefaultParams(sp.tech, sp.interval)); adapter, when
+	// non-nil, is installed on the controlled cache.
+	params  *leakctl.Params
+	adapter leakctl.Adapter
+	// timeout bounds the time spent stepping this lane (0 = none). Only
+	// this lane's own steps count, so a wide group cannot time out a cell
+	// that a run on its own would finish.
+	timeout time.Duration
+
 	res RunResult
 	dur time.Duration
 	err error
@@ -61,19 +75,30 @@ type batchLane struct {
 }
 
 // laneRun is the per-lane execution bookkeeping inside a group: the
-// assembled machine, the chunk budget of the current phase, and the
-// running stats.
+// assembled machine, the chunk budget of the current phase, the running
+// stats and the time spent stepping.
 type laneRun struct {
 	ln     *batchLane
 	m      machine
 	params leakctl.Params
-	flush  func()
 	// left counts committed instructions remaining in the current phase;
 	// inWarmup selects which phase that is.
 	left     uint64
 	inWarmup bool
 	cs       cpu.Stats
+	spent    time.Duration
 	done     bool
+}
+
+// step is the lane's next chunk.
+func (lr *laneRun) step() uint64 { return min(runChunk, lr.left) }
+
+// fail ends the lane with err, unless it already failed.
+func (lr *laneRun) fail(err error) {
+	if lr.ln.err == nil {
+		lr.ln.err = err
+	}
+	lr.done = true
 }
 
 // failLanes marks every lane failed with err (called before any lane has
@@ -86,33 +111,24 @@ func failLanes(lanes []*batchLane, err error) {
 	}
 }
 
-// fillFront starts the group's shared instruction stream from a live
-// generator and makes its first n positions resident. A panic during fill
-// is returned as an error.
-func fillFront(bs *BatchState, mc MachineConfig, prof workload.Profile, n uint64) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("batch front fill: %v", r)
-		}
-	}()
+// fillFront starts the group's shared instruction stream from src. The
+// first advance generates the records the lanes' first step reads.
+func fillFront(bs *BatchState, mc MachineConfig, src cpu.InstrSource) {
 	if bs.pred == nil || bs.predCfg != mc.Bpred {
 		bs.pred = bpred.New(mc.Bpred)
 		bs.predCfg = mc.Bpred
 	} else {
 		bs.pred.Reset()
 	}
-	bs.front.Fill(workload.NewGenerator(prof), bs.pred, n)
-	obsFrontsFilled.Add(1)
-	return nil
+	bs.front.Fill(src, bs.pred, 0)
 }
 
 // advanceFront slides the group's window over the next lockstep round:
-// from the slowest live lane's fetch position to a chunk plus frontSlack
-// past the fastest one's, capped at the stream's end n. A lane commits at
-// most one chunk per round and fetches fewer than frontSlack instructions
-// ahead of commit, so no live lane leaves the window before the next
-// advance. A panic while generating is returned as an error.
-func advanceFront(f *cpu.Front, runnable []*laneRun, n uint64) (err error) {
+// from the slowest live lane's fetch position to the furthest any live
+// lane can fetch in its next step (cpu.Core.Reach), so the window holds
+// one chunk and never reads the source further than a run needs. A panic
+// while generating is returned as an error.
+func advanceFront(f *cpu.Front, runnable []*laneRun) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("batch front advance: %v", r)
@@ -121,25 +137,29 @@ func advanceFront(f *cpu.Front, runnable []*laneRun, n uint64) (err error) {
 	lo, hi := math.MaxInt, 0
 	for _, lr := range runnable {
 		if !lr.done {
-			pos := lr.m.core.FrontPos()
-			lo, hi = min(lo, pos), max(hi, pos)
+			lo = min(lo, lr.m.core.FrontPos())
+			hi = max(hi, lr.m.core.Reach(lr.step()))
 		}
 	}
-	f.Advance(lo, min(hi+runChunk+frontSlack, int(n)))
+	f.Advance(lo, hi)
 	return nil
 }
 
-// runBatchGroup executes a group of technique/interval variants of one
-// (benchmark, machine config) in lockstep off one shared front. Each lane
-// advances by exactly the scalar path's chunk sequence — warmup in
-// runChunk steps, the runOneFromState warmup-boundary resets, then the
-// measurement window in runChunk steps — so a lane's Run-call sequence is
-// literally the one runCommitted would have issued and the results are
-// bit-identical to scalar execution. The shared stream is generated a
-// window at a time: the first chunk up front, then the next one before
-// each round. Lanes that fail (panic, injected fault, cancellation) carry
-// the error out; batch-mates are unaffected.
+// runBatchGroup executes a group of cells of one (benchmark, machine
+// config) off the benchmark's generator; see runGroup.
 func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile, lanes []*batchLane, inj faultinject.Injector, bs *BatchState) {
+	runGroup(ctx, mc, prof.Name, workload.NewGenerator(prof), lanes, inj, bs)
+}
+
+// runGroup is the run loop: it simulates every lane — a variant of one
+// stream on one machine — in lockstep off one shared front filled from
+// src. Each lane advances by the same chunk sequence — warm-up in runChunk
+// steps, the warm-up boundary resets, then the measurement window in
+// runChunk steps — so a cell's result is the same in a group of any size,
+// a group of one included. The stream is generated a window at a time,
+// before each round. Lanes that fail (panic, injected fault, deadline,
+// cancellation) carry the error out; batch-mates are unaffected.
+func runGroup(ctx context.Context, mc MachineConfig, name string, src cpu.InstrSource, lanes []*batchLane, inj faultinject.Injector, bs *BatchState) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -148,16 +168,20 @@ func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile,
 		failLanes(lanes, fmt.Errorf("%w: %v", ErrInvalidConfig, err))
 		return
 	}
-	n := mc.Warmup + mc.Instructions + frontSlack
-	if err := fillFront(bs, mc, prof, min(runChunk+frontSlack, n)); err != nil {
+	if err := ctx.Err(); err != nil {
 		failLanes(lanes, err)
 		return
+	}
+	fillFront(bs, mc, src)
+	if len(lanes) > 1 {
+		obsFrontsFilled.Add(1)
 	}
 	for len(bs.lanes) < len(lanes) {
 		bs.lanes = append(bs.lanes, new(RunState))
 	}
 
-	// Per-goroutine obs shard, exactly like a scalar worker's run.
+	// Per-goroutine obs shard, flushed with batched deltas after every
+	// chunk and merged on snapshot.
 	sh := obs.Default.AcquireShard()
 	defer sh.Release()
 
@@ -166,42 +190,35 @@ func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile,
 		// Injection decisions are taken per lane up front (the batch lane
 		// is one attempt, attempt 0). Panics are armed to fire mid-batch —
 		// that is the failure mode worth proving isolation for; every other
-		// fault kind is the scalar supervisor's business, so the lane is
-		// bounced there without running.
+		// fault kind is the supervisor's business, so the lane is bounced
+		// there without running.
 		if inj != nil {
 			switch d := inj.Decide(ln.sp.key(), 0); d {
 			case faultinject.FaultNone:
 			case faultinject.FaultPanic:
 				ln.injectPanic = true
 			default:
-				ln.err = fmt.Errorf("faultinject: %s scheduled for %s, deferring to scalar execution", d, ln.sp.key())
+				ln.err = fmt.Errorf("faultinject: %s scheduled for %s, deferring to the supervisor", d, ln.sp.key())
 				continue
 			}
 		}
 		params := leakctl.DefaultParams(ln.sp.tech, ln.sp.interval)
+		if ln.params != nil {
+			params = *ln.params
+		}
 		if err := params.Validate(); err != nil {
 			ln.err = fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 			continue
 		}
-		// The core never touches its instruction source in replay mode, so
-		// the lane machine assembles with a nil source.
-		m, err := assemble(mc, nil, params, nil, bs.lanes[i])
+		m, err := assemble(mc, params, ln.adapter, bs.lanes[i])
 		if err != nil {
 			ln.err = err
 			continue
 		}
 		m.core.AttachFront(&bs.front)
-		lr := &laneRun{ln: ln, m: m, params: params, inWarmup: mc.Warmup > 0}
-		if lr.inWarmup {
-			lr.left = mc.Warmup
-		} else {
-			lr.left = mc.Instructions
-		}
-		lr.flush = func() {
-			m.core.ObsFlush(sh)
-			m.dl1.ObsFlush(sh)
-			m.l2.ObsFlush(sh)
-			m.il1Plain.ObsFlush(sh)
+		lr := &laneRun{ln: ln, m: m, params: params, left: mc.Instructions}
+		if mc.Warmup > 0 {
+			lr.inWarmup, lr.left = true, mc.Warmup
 		}
 		runnable = append(runnable, lr)
 	}
@@ -211,11 +228,10 @@ func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile,
 	// one lane surfaces while its batch-mates are mid-flight.
 	active := len(runnable)
 	for active > 0 {
-		if err := advanceFront(&bs.front, runnable, n); err != nil {
+		if err := advanceFront(&bs.front, runnable); err != nil {
 			for _, lr := range runnable {
 				if !lr.done {
-					lr.ln.err = err
-					lr.done = true
+					lr.fail(err)
 				}
 			}
 			break
@@ -224,7 +240,7 @@ func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile,
 			if lr.done {
 				continue
 			}
-			stepLane(ctx, mc, prof, lr)
+			stepLane(ctx, mc, name, sh, lr)
 			if lr.done {
 				active--
 			}
@@ -232,8 +248,8 @@ func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile,
 	}
 
 	// Cost attribution for the EWMA model: the group's wall time (shared
-	// front fill included) split evenly across the lanes that produced a
-	// result — per-lane duration is what the model expects to see.
+	// front generation included) split evenly across the lanes that
+	// produced a result — per-lane duration is what the model expects.
 	wall := time.Since(start)
 	ok := 0
 	for _, ln := range lanes {
@@ -251,86 +267,48 @@ func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile,
 	}
 }
 
-// stepLane advances one lane by one chunk (or phase boundary), recovering
+// stepLane advances one lane by one chunk (and across the warm-up
+// boundary or to its result when the chunk ends a phase), recovering
 // panics into the lane's error.
-func stepLane(ctx context.Context, mc MachineConfig, prof workload.Profile, lr *laneRun) {
+func stepLane(ctx context.Context, mc MachineConfig, name string, sh *obs.Shard, lr *laneRun) {
 	defer func() {
 		if r := recover(); r != nil {
-			lr.ln.err = &harness.PanicError{Value: fmt.Sprint(r), Stack: string(debug.Stack())}
-			lr.done = true
+			lr.fail(&harness.PanicError{Value: fmt.Sprint(r), Stack: string(debug.Stack())})
 		}
 	}()
 	if err := ctx.Err(); err != nil {
-		lr.ln.err = err
-		lr.done = true
+		lr.fail(err)
+		return
+	}
+	if t := lr.ln.timeout; t > 0 && lr.spent >= t {
+		lr.fail(fmt.Errorf("%w: lane ran %v of its %v", context.DeadlineExceeded, lr.spent.Round(time.Millisecond), t))
 		return
 	}
 	if lr.ln.injectPanic {
 		lr.ln.injectPanic = false
 		panic(fmt.Sprintf("faultinject: injected panic into %s (batch lane)", lr.ln.sp.key()))
 	}
-	step := uint64(runChunk)
-	if lr.left < step {
-		step = lr.left
-	}
+	start := time.Now()
+	step := lr.step()
 	lr.cs = lr.m.core.Run(step)
-	lr.flush()
+	lr.m.flush(sh)
 	lr.left -= step
+	lr.spent += time.Since(start)
 	if lr.left > 0 {
 		return
 	}
 	if lr.inWarmup {
-		// The warmup boundary: the same reset set, in the same order, as
-		// runOneFromState (the lane's private predictor is idle in replay
-		// mode — the core's BP mirror is what ResetStats zeroes).
-		m := lr.m
-		m.core.ResetStats()
-		m.l2.ResetStats()
-		m.mem.ResetStats()
-		m.pred.ResetStats()
-		m.dl1.ResetStats(m.core.Now())
-		m.il1Plain.ResetStats()
-		lr.inWarmup = false
-		lr.left = mc.Instructions
+		lr.m.resetStats()
+		lr.inWarmup, lr.left = false, mc.Instructions
 		return
 	}
-	finishLane(mc, prof, lr)
 	lr.done = true
-}
-
-// finishLane assembles the lane's RunResult exactly as runOneFromState
-// does, with the core's replay-accumulated BP standing in for the scalar
-// path's predictor stats.
-func finishLane(mc MachineConfig, prof workload.Profile, lr *laneRun) {
-	m, cs := lr.m, lr.cs
-	m.dl1.Finish(m.core.Now())
-	meas := energy.RunMeasurement{
-		Cycles:            cs.Cycles,
-		Instructions:      cs.Instructions,
-		StandbyLineCycles: m.dl1.StandbyLineCycles(),
-		DCacheDynJ:        m.dl1.Energy.Total(),
-		L2DynJ:            m.l2.DynJ,
-		MemDynJ:           m.mem.DynJ,
-		ICacheDynJ:        m.il1Plain.DynJ,
-		ClockJ: float64(cs.Cycles) * (m.dl1.AccessE.PerCycleClock +
-			mc.Tech.ChipBackgroundW/mc.Tech.ClockHz),
-		DStats: m.dl1.Stats,
-	}
-	lr.ln.res = RunResult{
-		Bench:       prof.Name,
-		Params:      lr.params,
-		CPU:         cs,
-		DStats:      m.dl1.Stats,
-		L2Stats:     m.l2.Stats,
-		ICStats:     m.il1Plain.Stats,
-		Bpred:       m.core.BP,
-		TurnoffRat:  m.dl1.TurnoffRatio(),
-		Measurement: meas,
-	}
-	if err := checkRun(lr.ln.res); err != nil {
+	res := lr.m.result(mc, name, lr.params, lr.cs)
+	if err := checkRun(res); err != nil {
 		// Same acceptance bar as the supervisor's Check hook; a rejected
-		// result re-runs on the scalar path where retry semantics apply.
-		lr.ln.res = RunResult{}
-		lr.ln.err = err
+		// result is retried by the supervisor.
+		lr.fail(err)
+		return
 	}
+	lr.ln.res = res
 }

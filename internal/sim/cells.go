@@ -122,30 +122,34 @@ func checkRun(r RunResult) error {
 	return nil
 }
 
-// job runs the cell under the per-attempt context (deadline + suite
-// cancellation) and folds its wall time into the cost model. FaultNaN
-// injection happens here — the generic supervisor cannot corrupt a
-// RunResult, so the job corrupts its own energy figure and check catches
-// it.
+// job retries a cell whose lane failed: one attempt is the cell run as a
+// group of one lane under the per-attempt context (deadline + suite
+// cancellation), on the worker's reusable BatchState, with its wall time
+// folded into the cost model. FaultNaN injection happens here — the
+// generic supervisor cannot corrupt a RunResult, so the job corrupts its
+// own energy figure and check catches it.
 func (k energyKind) job(sp runSpec) harness.Job[RunResult] {
 	e := k.e
 	s := e.suite(sp.l2)
 	return harness.Job[RunResult]{
 		Cost: e.costOf(sp),
 		Run: func(ctx context.Context) (RunResult, error) {
-			params := leakctl.DefaultParams(sp.tech, sp.interval)
 			// Fresh adapter state per attempt: a retried run must not
 			// inherit a failed attempt's learned intervals.
-			var adapter leakctl.Adapter
+			ln := &batchLane{sp: sp}
 			if e.AdapterFor != nil {
-				adapter = e.AdapterFor(sp.prof.Name, sp.tech, sp.interval)
+				ln.adapter = e.AdapterFor(sp.prof.Name, sp.tech, sp.interval)
 			}
-			st, _ := harness.WorkerValue(ctx).(*RunState)
+			bs, _ := harness.WorkerValue(ctx).(*BatchState)
+			if bs == nil {
+				bs = new(BatchState)
+			}
 			start := time.Now()
-			r, err := runOneFromState(ctx, s.MC, sp.prof.Name, workload.NewGenerator(sp.prof), params, adapter, st)
-			if err != nil {
-				return RunResult{}, err
+			runBatchGroup(ctx, s.MC, sp.prof, []*batchLane{ln}, nil, bs)
+			if ln.err != nil {
+				return RunResult{}, ln.err
 			}
+			r := ln.res
 			e.mu.Lock()
 			e.noteCostLocked(sp, time.Since(start))
 			e.mu.Unlock()

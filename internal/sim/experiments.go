@@ -21,9 +21,9 @@ import (
 	"hotleakage/internal/workload"
 )
 
-// Lockstep-batch outcome metrics: executed groups, the lanes they
-// carried, lanes bounced back to the scalar supervisor, and the last
-// sweep's mean occupancy (lanes per group, in hundredths).
+// Lockstep-batch outcome metrics: executed groups of two or more lanes,
+// the lanes they carried, lanes whose cell the supervisor retried, and the
+// last sweep's mean occupancy (lanes per shared group, in hundredths).
 var (
 	obsBatchGroups    = obs.Default.Counter(obs.MetricBatchGroups)
 	obsBatchLanes     = obs.Default.Counter(obs.MetricBatchLanes)
@@ -100,10 +100,10 @@ type Experiments struct {
 	// runtime.GOMAXPROCS(0) when Parallel and 1 otherwise; an explicit
 	// value wins either way, so Workers=1 is equivalent to serial.
 	Workers int
-	// DisableBatch turns off lockstep batch execution and runs every cell
-	// through the scalar supervisor path (the pre-batch behaviour; results
-	// are bit-identical either way — the parity suite enforces it — so
-	// this is a debugging/benchmarking knob, not a correctness one).
+	// DisableBatch runs every cell as a group of one lane, so no two
+	// cells share a front. Results are bit-identical either way — the
+	// parity suite enforces it — so this is a debugging/benchmarking knob,
+	// not a correctness one.
 	DisableBatch bool
 
 	// Store, when non-nil, is the content-addressed result store: before a
@@ -175,10 +175,10 @@ type Experiments struct {
 	remoted   int // runs delegated to a remote daemon
 	storeErr  error
 
-	// batchGroups / batchLanes count lockstep groups executed and the
-	// cells they carried; batchStates is the pool of per-goroutine batch
-	// scratch (front window, lane RunStates) reused across groups and
-	// batch phases.
+	// batchGroups / batchLanes count lockstep groups of two or more lanes
+	// executed and the cells they carried; batchStates is the pool of
+	// per-goroutine batch scratch (front window, lane RunStates) reused
+	// across groups and batch phases.
 	batchGroups int
 	batchLanes  int
 	batchStates []*BatchState
@@ -356,29 +356,13 @@ func (e *Experiments) noteCostLocked(sp runSpec, d time.Duration) {
 	e.costs[k] = obs
 }
 
-// batch is the energy kind's batch phase: it executes as much of pending
-// as possible through the lockstep batch executor and returns what is
-// left for the scalar path plus the cells it simulated. Cells it
-// cannot (or could not) run — singleton groups, divergent configs, failed
-// lanes — stay pending for the supervisor, which owns retry/timeout
-// semantics.
-//
-// The phase runs only when the batch machinery can reproduce the scalar
-// semantics exactly: no per-run deadline (the scalar supervisor enforces
-// RunTimeout per attempt, which has no lockstep equivalent), no adaptive
-// adapters (adapter state is timing-coupled and per-attempt), and a live
-// suite context. Per-group requirements — a shared machine config without
-// IL1 control, and at least two lanes to amortize the front — demote
-// individual cells, not the phase.
+// batch is the energy kind's batch phase, the one way cells are
+// simulated: it runs every pending cell as a lane of a lockstep group —
+// one group per (benchmark, machine config), or one lane per group under
+// DisableBatch — and returns the cells whose lane failed, for the
+// supervisor to retry, plus the cells it simulated.
 func (k energyKind) batch(pending []runSpec) (remaining []runSpec, ran []settled[runSpec, RunResult]) {
 	e := k.e
-	if e.DisableBatch || e.AdapterFor != nil || e.RunTimeout != 0 ||
-		e.ctx().Err() != nil || len(pending) < 2 {
-		return pending, nil
-	}
-
-	// Group by (benchmark, machine config) in first-seen order; demote
-	// cells whose config the batch executor cannot lockstep.
 	type batchGroup struct {
 		prof  workload.Profile
 		l2    int
@@ -388,34 +372,22 @@ func (k energyKind) batch(pending []runSpec) (remaining []runSpec, ran []settled
 	index := make(map[string]*batchGroup)
 	var groups []*batchGroup
 	for _, sp := range pending {
-		if e.suite(sp.l2).MC.IL1Control != nil {
-			remaining = append(remaining, sp)
-			continue
+		key := fmt.Sprintf("%s/%d", sp.prof.Name, sp.l2)
+		if e.DisableBatch {
+			key = sp.key()
 		}
-		k := fmt.Sprintf("%s/%d", sp.prof.Name, sp.l2)
-		g := index[k]
+		g := index[key]
 		if g == nil {
 			g = &batchGroup{prof: sp.prof, l2: sp.l2}
-			index[k] = g
+			index[key] = g
 			groups = append(groups, g)
 		}
-		g.lanes = append(g.lanes, &batchLane{sp: sp})
-		g.cost += e.costOf(sp)
-	}
-	kept := groups[:0]
-	for _, g := range groups {
-		if len(g.lanes) < 2 {
-			// A singleton cannot amortize the shared front.
-			for _, ln := range g.lanes {
-				remaining = append(remaining, ln.sp)
-			}
-			continue
+		ln := &batchLane{sp: sp, timeout: e.RunTimeout}
+		if e.AdapterFor != nil {
+			ln.adapter = e.AdapterFor(sp.prof.Name, sp.tech, sp.interval)
 		}
-		kept = append(kept, g)
-	}
-	groups = kept
-	if len(groups) == 0 {
-		return remaining, nil
+		g.lanes = append(g.lanes, ln)
+		g.cost += e.costOf(sp)
 	}
 
 	// LPT at group granularity: ordering whole groups (not cells) by
@@ -451,12 +423,15 @@ func (k energyKind) batch(pending []runSpec) (remaining []runSpec, ran []settled
 	close(queue)
 	wg.Wait()
 
-	lanes := 0
+	// The batch counters describe lockstep sharing, so they count groups
+	// of two or more lanes only.
+	shared, lanes := 0, 0
 	e.mu.Lock()
 	for _, g := range groups {
-		e.batchGroups++
-		e.batchLanes += len(g.lanes)
-		lanes += len(g.lanes)
+		if len(g.lanes) > 1 {
+			shared++
+			lanes += len(g.lanes)
+		}
 		for _, ln := range g.lanes {
 			if ln.err != nil {
 				remaining = append(remaining, ln.sp)
@@ -467,10 +442,14 @@ func (k energyKind) batch(pending []runSpec) (remaining []runSpec, ran []settled
 			ran = append(ran, settled[runSpec, RunResult]{ln.sp, ln.res})
 		}
 	}
+	e.batchGroups += shared
+	e.batchLanes += lanes
 	e.mu.Unlock()
-	obsBatchGroups.Add(uint64(len(groups)))
-	obsBatchLanes.Add(uint64(lanes))
-	obsBatchOccupancy.Set(int64(lanes * 100 / len(groups)))
+	if shared > 0 {
+		obsBatchGroups.Add(uint64(shared))
+		obsBatchLanes.Add(uint64(lanes))
+		obsBatchOccupancy.Set(int64(lanes * 100 / shared))
+	}
 	return remaining, ran
 }
 
@@ -493,16 +472,17 @@ func (e *Experiments) releaseBatchState(bs *BatchState) {
 	e.batchStates = append(e.batchStates, bs)
 }
 
-// BatchGroups returns how many lockstep groups this process has executed;
-// BatchLanes returns how many cells those groups carried. Their ratio is
-// the sweep's lane occupancy.
+// BatchGroups returns how many lockstep groups of two or more lanes this
+// process has executed; BatchLanes returns how many cells those groups
+// carried. Their ratio is the sweep's lane occupancy.
 func (e *Experiments) BatchGroups() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.batchGroups
 }
 
-// BatchLanes returns the number of cells executed as lockstep batch lanes.
+// BatchLanes returns the number of cells executed as lanes of lockstep
+// groups of two or more.
 func (e *Experiments) BatchLanes() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -520,9 +500,9 @@ func (e *Experiments) run(prof workload.Profile, l2 int, t leakctl.Technique, in
 // lookups are cheap. Each benchmark's baseline and technique variants are
 // planned together in one call: they share an instruction stream and a
 // machine config, so the batch phase locksteps the whole row — baseline
-// included — as one group (planning baselines separately would strand
-// them in singleton groups on the scalar path). Individual failures are
-// memoized, not fatal.
+// included — as one group (planning baselines separately would run each
+// as a group of one, generating its stream again). Individual failures
+// are memoized, not fatal.
 func (e *Experiments) prefetch(l2 int, techs []leakctl.Technique, intervals []uint64) {
 	specs := make([]runSpec, 0, len(e.Profiles)*(1+len(techs)*len(intervals)))
 	for _, prof := range e.Profiles {

@@ -191,7 +191,7 @@ func (l *ladder[P, S, R]) supervisor() (*harness.Supervisor[R], error) {
 		// Each worker goroutine carries one reusable simulation state;
 		// energy jobs retrieve it through harness.WorkerValue, attack jobs
 		// leave it unused.
-		WorkerState: func() any { return new(RunState) },
+		WorkerState: func() any { return new(BatchState) },
 	})
 	return l.sup, nil
 }

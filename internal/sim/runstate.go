@@ -3,28 +3,28 @@ package sim
 import (
 	"fmt"
 
-	"hotleakage/internal/bpred"
 	"hotleakage/internal/cache"
 	"hotleakage/internal/cpu"
+	"hotleakage/internal/energy"
 	"hotleakage/internal/leakctl"
+	"hotleakage/internal/obs"
 )
 
-// machine is one assembled simulation stack: the memory hierarchy, the
-// predictor and the core, wired exactly as RunOneFrom has always built
-// them.
+// machine is one assembled simulation stack: the memory hierarchy and the
+// core. Its stream (and the predictor that runs ahead over it) is the
+// group's shared front, attached per run.
 type machine struct {
 	mem      *cache.Memory
 	l2       *cache.Cache
 	dl1      *leakctl.DCache
 	il1Plain *cache.Cache
 	il1Ctl   *leakctl.DCache
-	pred     *bpred.Predictor
 	core     *cpu.Core
 }
 
 // RunState is a worker-confined cache of simulation components reused
-// across runs: the L2's megabyte of line bookkeeping, the predictor
-// tables, the core's window arrays. Each component is reset to its
+// across runs: the L2's megabyte of line bookkeeping and the core's window
+// arrays. Each component is reset to its
 // just-constructed state between runs (see the Reset methods in cache,
 // leakctl, bpred and cpu.Recycle), so a reused machine is bit-identical
 // to a freshly built one — the reuse only removes the allocations, which
@@ -32,8 +32,7 @@ type machine struct {
 // sweep.
 //
 // The zero value is ready to use. A RunState must not be shared between
-// concurrently executing runs; the harness hands each worker its own (see
-// harness.Config.WorkerState).
+// concurrently executing runs; each lane of a BatchState has its own.
 type RunState struct {
 	mc    MachineConfig
 	m     machine
@@ -48,7 +47,7 @@ func machineEqual(a, b MachineConfig) bool {
 	if a.Tech == nil || b.Tech == nil || *a.Tech != *b.Tech {
 		return false
 	}
-	if a.CPU != b.CPU || a.Bpred != b.Bpred ||
+	if a.CPU != b.CPU ||
 		a.L1I != b.L1I || a.L1D != b.L1D || a.L2 != b.L2 ||
 		a.MemLatency != b.MemLatency {
 		return false
@@ -64,16 +63,16 @@ func machineEqual(a, b MachineConfig) bool {
 
 // assemble builds (or, via st, reuses) the simulation stack for one run.
 // mc and params have already been validated by the caller.
-func assemble(mc MachineConfig, src cpu.InstrSource, params leakctl.Params, adapter leakctl.Adapter, st *RunState) (machine, error) {
+func assemble(mc MachineConfig, params leakctl.Params, adapter leakctl.Adapter, st *RunState) (machine, error) {
 	if st != nil && st.valid && machineEqual(st.mc, mc) {
-		if m, err := st.reuse(mc, src, params, adapter); err == nil {
+		if m, err := st.reuse(mc, params, adapter); err == nil {
 			return m, nil
 		}
 		// A failed reset (e.g. params rejected mid-reset) leaves partially
 		// reset components; invalidate and fall through to a fresh build.
 		st.valid = false
 	}
-	m, err := buildMachine(mc, src, params, adapter)
+	m, err := buildMachine(mc, params, adapter)
 	if err != nil {
 		return machine{}, err
 	}
@@ -85,9 +84,8 @@ func assemble(mc MachineConfig, src cpu.InstrSource, params leakctl.Params, adap
 	return m, nil
 }
 
-// buildMachine constructs a fresh stack, preserving RunOneFrom's original
-// construction order and error wrapping.
-func buildMachine(mc MachineConfig, src cpu.InstrSource, params leakctl.Params, adapter leakctl.Adapter) (machine, error) {
+// buildMachine constructs a fresh stack.
+func buildMachine(mc MachineConfig, params leakctl.Params, adapter leakctl.Adapter) (machine, error) {
 	var m machine
 	m.mem = cache.NewMemory(mc.Tech, mc.MemLatency)
 	var err error
@@ -119,14 +117,13 @@ func buildMachine(mc MachineConfig, src cpu.InstrSource, params leakctl.Params, 
 		l1i = m.il1Plain
 	}
 
-	m.pred = bpred.New(mc.Bpred)
-	m.core = cpu.New(mc.CPU, src, m.pred, l1i, m.dl1)
+	m.core = cpu.New(mc.CPU, nil, nil, l1i, m.dl1)
 	return m, nil
 }
 
 // reuse resets every cached component to its just-built state and rewires
 // it for the new run.
-func (st *RunState) reuse(mc MachineConfig, src cpu.InstrSource, params leakctl.Params, adapter leakctl.Adapter) (machine, error) {
+func (st *RunState) reuse(mc MachineConfig, params leakctl.Params, adapter leakctl.Adapter) (machine, error) {
 	m := st.m
 	m.mem.Reset()
 	m.l2.Reset(m.mem)
@@ -146,8 +143,89 @@ func (st *RunState) reuse(mc MachineConfig, src cpu.InstrSource, params leakctl.
 		m.il1Plain.Reset(m.l2)
 		l1i = m.il1Plain
 	}
-	m.pred.Reset()
-	m.core = cpu.Recycle(m.core, mc.CPU, src, m.pred, l1i, m.dl1)
+	m.core = cpu.Recycle(m.core, mc.CPU, nil, nil, l1i, m.dl1)
 	st.m = m
 	return m, nil
+}
+
+// flush adds the machine's counters since the last flush to sh.
+func (m machine) flush(sh *obs.Shard) {
+	m.core.ObsFlush(sh)
+	m.dl1.ObsFlush(sh)
+	m.l2.ObsFlush(sh)
+	if m.il1Ctl != nil {
+		m.il1Ctl.ObsFlush(sh)
+	} else {
+		m.il1Plain.ObsFlush(sh)
+	}
+}
+
+// resetStats is the warm-up boundary: every counter restarts, while the
+// caches, decay state, predictor and in-flight window carry on.
+func (m machine) resetStats() {
+	now := m.core.Now()
+	m.core.ResetStats()
+	m.l2.ResetStats()
+	m.mem.ResetStats()
+	m.dl1.ResetStats(now)
+	if m.il1Ctl != nil {
+		m.il1Ctl.ResetStats(now)
+	} else {
+		m.il1Plain.ResetStats()
+	}
+}
+
+// result closes the run's books at the current cycle and assembles its
+// RunResult from the measured window's counters cs.
+func (m machine) result(mc MachineConfig, name string, params leakctl.Params, cs cpu.Stats) RunResult {
+	now := m.core.Now()
+	m.dl1.Finish(now)
+	icDynJ, icStats := 0.0, cache.Stats{}
+	if m.il1Ctl != nil {
+		m.il1Ctl.Finish(now)
+		icDynJ = m.il1Ctl.Energy.Total()
+		icStats = cache.Stats{
+			Accesses: m.il1Ctl.Stats.Accesses,
+			Hits:     m.il1Ctl.Stats.Hits + m.il1Ctl.Stats.SlowHits,
+			Misses:   m.il1Ctl.Stats.Misses,
+		}
+	} else {
+		icDynJ, icStats = m.il1Plain.DynJ, m.il1Plain.Stats
+	}
+	meas := energy.RunMeasurement{
+		Cycles:            cs.Cycles,
+		Instructions:      cs.Instructions,
+		StandbyLineCycles: m.dl1.StandbyLineCycles(),
+		DCacheDynJ:        m.dl1.Energy.Total(),
+		L2DynJ:            m.l2.DynJ,
+		MemDynJ:           m.mem.DynJ,
+		ICacheDynJ:        icDynJ,
+		// Per-cycle background: D-cache periphery clock plus the
+		// whole-chip background dynamic power (cost item #4 — what
+		// makes extra runtime expensive).
+		ClockJ: float64(cs.Cycles) * (m.dl1.AccessE.PerCycleClock +
+			mc.Tech.ChipBackgroundW/mc.Tech.ClockHz),
+		DStats: m.dl1.Stats,
+	}
+	res := RunResult{
+		Bench:       name,
+		Params:      params,
+		CPU:         cs,
+		DStats:      m.dl1.Stats,
+		L2Stats:     m.l2.Stats,
+		ICStats:     icStats,
+		Bpred:       m.core.BP,
+		TurnoffRat:  m.dl1.TurnoffRatio(),
+		Measurement: meas,
+	}
+	if m.il1Ctl != nil {
+		im := meas
+		im.StandbyLineCycles = m.il1Ctl.StandbyLineCycles()
+		im.DStats = m.il1Ctl.Stats
+		res.IL1Meas = &im
+		st := m.il1Ctl.Stats
+		res.IL1Stats = &st
+		res.IL1Turnoff = m.il1Ctl.TurnoffRatio()
+	}
+	return res
 }

@@ -17,7 +17,6 @@ import (
 	"hotleakage/internal/energy"
 	"hotleakage/internal/leakage"
 	"hotleakage/internal/leakctl"
-	"hotleakage/internal/obs"
 	"hotleakage/internal/tech"
 	"hotleakage/internal/workload"
 )
@@ -139,149 +138,29 @@ func RunOne(ctx context.Context, mc MachineConfig, prof workload.Profile, params
 	return RunOneFrom(ctx, mc, prof.Name, workload.NewGenerator(prof), params, adapter)
 }
 
-// runChunk is how many committed instructions are simulated between
-// context checks: frequent enough that deadlines bite within milliseconds,
-// coarse enough that the check is free. Chunking does not perturb results —
-// core.Run accumulates, so N chunks equal one long run bit-for-bit.
-const runChunk = 50_000
-
-// runCommitted advances the core by n committed instructions, honouring
-// cancellation between chunks, and returns the cumulative stats. flush, if
-// non-nil, runs after every chunk — the observability layer's batched
-// counter flush, deliberately off the simulate loop's hot path.
-func runCommitted(ctx context.Context, core *cpu.Core, n uint64, flush func()) (cpu.Stats, error) {
-	var cs cpu.Stats
-	for done := uint64(0); done < n; {
-		if err := ctx.Err(); err != nil {
-			return cs, err
-		}
-		step := uint64(runChunk)
-		if n-done < step {
-			step = n - done
-		}
-		cs = core.Run(step)
-		done += step
-		if flush != nil {
-			flush()
-		}
-	}
-	return cs, nil
-}
-
 // RunOneFrom is RunOne over an arbitrary instruction source — a live
-// generator or a recorded trace (package trace) replayed from disk.
+// generator or a recorded trace (package trace) replayed from disk. A run
+// reads its source no further than frontSlack instructions past warm-up
+// plus measurement, so a trace recorded that long never wraps.
 func RunOneFrom(ctx context.Context, mc MachineConfig, name string, src cpu.InstrSource, params leakctl.Params, adapter leakctl.Adapter) (RunResult, error) {
 	return runOneFromState(ctx, mc, name, src, params, adapter, nil)
 }
 
-// runOneFromState is RunOneFrom with optional component reuse: a non-nil
-// st contributes its previously built (and reset) machine when the
-// configuration matches, and caches this run's machine for the next one.
+// runOneFromState is RunOneFrom as a group of one lane, with optional
+// component reuse: a non-nil st contributes its previously built (and
+// reset) machine when the configuration matches, and caches this run's
+// machine for the next one.
 func runOneFromState(ctx context.Context, mc MachineConfig, name string, src cpu.InstrSource, params leakctl.Params, adapter leakctl.Adapter, st *RunState) (RunResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	if st == nil {
+		st = new(RunState)
 	}
-	if err := mc.Validate(); err != nil {
-		return RunResult{}, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+	ln := &batchLane{
+		sp:      runSpec{prof: workload.Profile{Name: name}, l2: mc.L2.HitLatency, tech: params.Technique, interval: params.Interval},
+		params:  &params,
+		adapter: adapter,
 	}
-	if err := params.Validate(); err != nil {
-		return RunResult{}, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-	}
-	m, err := assemble(mc, src, params, adapter, st)
-	if err != nil {
-		return RunResult{}, err
-	}
-	mem, l2, dl1 := m.mem, m.l2, m.dl1
-	il1Plain, il1Ctl := m.il1Plain, m.il1Ctl
-	pred, core := m.pred, m.core
-
-	// Observability: this run-goroutine's private counter shard, flushed
-	// as batched deltas at chunk boundaries and merged on snapshot.
-	sh := obs.Default.AcquireShard()
-	defer sh.Release()
-	flush := func() {
-		core.ObsFlush(sh)
-		dl1.ObsFlush(sh)
-		l2.ObsFlush(sh)
-		if il1Plain != nil {
-			il1Plain.ObsFlush(sh)
-		} else {
-			il1Ctl.ObsFlush(sh)
-		}
-	}
-
-	if mc.Warmup > 0 {
-		if _, err := runCommitted(ctx, core, mc.Warmup, flush); err != nil {
-			return RunResult{}, err
-		}
-		core.ResetStats()
-		l2.ResetStats()
-		mem.ResetStats()
-		pred.ResetStats()
-		dl1.ResetStats(core.Now())
-		if il1Plain != nil {
-			il1Plain.ResetStats()
-		} else {
-			il1Ctl.ResetStats(core.Now())
-		}
-	}
-	cs, err := runCommitted(ctx, core, mc.Instructions, flush)
-	if err != nil {
-		return RunResult{}, err
-	}
-	dl1.Finish(core.Now())
-
-	var icDynJ float64
-	var icStats cache.Stats
-	if il1Plain != nil {
-		icDynJ = il1Plain.DynJ
-		icStats = il1Plain.Stats
-	} else {
-		il1Ctl.Finish(core.Now())
-		icDynJ = il1Ctl.Energy.Total()
-		icStats = cache.Stats{
-			Accesses: il1Ctl.Stats.Accesses,
-			Hits:     il1Ctl.Stats.Hits + il1Ctl.Stats.SlowHits,
-			Misses:   il1Ctl.Stats.Misses,
-		}
-	}
-
-	meas := energy.RunMeasurement{
-		Cycles:            cs.Cycles,
-		Instructions:      cs.Instructions,
-		StandbyLineCycles: dl1.StandbyLineCycles(),
-		DCacheDynJ:        dl1.Energy.Total(),
-		L2DynJ:            l2.DynJ,
-		MemDynJ:           mem.DynJ,
-		ICacheDynJ:        icDynJ,
-		// Per-cycle background: D-cache periphery clock plus the
-		// whole-chip background dynamic power (cost item #4 — what
-		// makes extra runtime expensive).
-		ClockJ: float64(cs.Cycles) * (dl1.AccessE.PerCycleClock +
-			mc.Tech.ChipBackgroundW/mc.Tech.ClockHz),
-		DStats: dl1.Stats,
-	}
-	res := RunResult{
-		Bench:       name,
-		Params:      params,
-		CPU:         cs,
-		DStats:      dl1.Stats,
-		L2Stats:     l2.Stats,
-		ICStats:     icStats,
-		Bpred:       pred.Stats,
-		TurnoffRat:  dl1.TurnoffRatio(),
-		Measurement: meas,
-	}
-	if il1Ctl != nil {
-		im := meas
-		im.StandbyLineCycles = il1Ctl.StandbyLineCycles()
-		im.DStats = il1Ctl.Stats
-		res.IL1Meas = &im
-		st := il1Ctl.Stats
-		res.IL1Stats = &st
-		res.IL1Turnoff = il1Ctl.TurnoffRatio()
-	}
-	return res, nil
+	runGroup(ctx, mc, name, src, []*batchLane{ln}, nil, &BatchState{lanes: []*RunState{st}})
+	return ln.res, ln.err
 }
 
 // Point is one evaluated (benchmark, technique) cell of a figure.
