@@ -493,7 +493,8 @@ func (s *Server) run(sw *Sweep) {
 // local is the single-node Executor: each sweep runs its own
 // sim.Experiments over the shared store and a checkpoint file named by the
 // request hash, so a daemon killed mid-sweep resumes exactly that
-// request's remaining cells on restart.
+// request's remaining cells on restart. A sweep that completes with every
+// result stored deletes its checkpoint.
 type local struct {
 	cfg Config
 }
@@ -591,9 +592,16 @@ func (l *local) Execute(sw *Sweep) Verdict {
 		// or deadline: the sweep is canceled, not completed.
 		v.State, v.Error = api.StateCanceled, sw.Ctx.Err().Error()
 	}
-	if v.State == api.StateCompleted && infraErr != nil {
+	switch {
+	case v.State == api.StateCompleted && infraErr != nil:
 		v.Degraded = infraErr.Error()
 		sw.Degrade("store trouble: " + infraErr.Error())
+	case v.State == api.StateCompleted:
+		// Every completed cell is in the store, so the checkpoint has
+		// nothing left to resume. Kept, it would outlive store GC and
+		// serve results GC dropped; a canceled or killed sweep keeps its
+		// file for the resume.
+		_ = os.Remove(e.CheckpointPath)
 	}
 	return v
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"time"
 
 	"hotleakage/internal/harness"
@@ -32,10 +33,11 @@ func (cs CellSpec) labels() (string, string) { return cs.Bench, cs.Technique.Str
 
 // cellIdentity is the canonical serialization a cell is content-addressed
 // by: the full machine description (which embeds the instruction budget),
-// the benchmark, the technique, the decay interval — and the simulator's
-// checkpointVersion, so results can never alias across a format or
-// semantics change. The JSON field order is irrelevant: the store hashes
-// the canonicalized (sorted-key) form.
+// the benchmark and, when it is not the registered one, its profile, the
+// technique, the decay interval — and the simulator's checkpointVersion,
+// so results can never alias across a format or semantics change. The
+// JSON field order is irrelevant: the store hashes the canonicalized
+// (sorted-key) form.
 type cellIdentity struct {
 	// Kind discriminates cell kinds in the store. Energy cells leave it
 	// empty — omitempty drops the field from the canonical JSON, so every
@@ -47,8 +49,34 @@ type cellIdentity struct {
 	CheckpointVersion int           `json:"checkpoint_version"`
 	Machine           MachineConfig `json:"machine"`
 	Bench             string        `json:"bench"`
-	Technique         string        `json:"technique"`
-	Interval          uint64        `json:"interval"`
+	// Profile is the benchmark's stream parameters when they differ from
+	// the registered profile of that name (workload.ByName), as an edited
+	// Experiments.Profiles entry does. A registered profile leaves it nil,
+	// which omitempty drops, so every recorded hash stays byte-identical.
+	Profile   *workload.Profile `json:"profile,omitempty"`
+	Technique string            `json:"technique"`
+	Interval  uint64            `json:"interval"`
+}
+
+// customProfile returns prof when it is not the registered profile of its
+// name — the stream a CellSpec, a daemon or a name-keyed record means —
+// and nil when it is.
+func customProfile(prof workload.Profile) *workload.Profile {
+	if reg, ok := workload.ByName(prof.Name); ok && reflect.DeepEqual(reg, prof) {
+		return nil
+	}
+	return &prof
+}
+
+// customProfiles lists the entries of profs that customProfile keeps.
+func customProfiles(profs []workload.Profile) []workload.Profile {
+	var out []workload.Profile
+	for _, p := range profs {
+		if c := customProfile(p); c != nil {
+			out = append(out, *c)
+		}
+	}
+	return out
 }
 
 // cellIdentityFor builds the identity document for one cell on mc.
@@ -99,7 +127,9 @@ func (energyKind) public(sp runSpec) CellSpec {
 }
 
 func (k energyKind) identity(sp runSpec) any {
-	return cellIdentityFor(k.e.suite(sp.l2).MC, sp.prof.Name, sp.tech, sp.interval)
+	id := cellIdentityFor(k.e.suite(sp.l2).MC, sp.prof.Name, sp.tech, sp.interval)
+	id.Profile = customProfile(sp.prof)
+	return id
 }
 
 func (energyKind) check(r RunResult) error { return checkRun(r) }
@@ -162,6 +192,23 @@ func (k energyKind) job(sp runSpec) harness.Job[RunResult] {
 	}
 }
 
-func (k energyKind) remote(ctx context.Context, specs []CellSpec) ([]RemoteCell, error) {
-	return k.e.Remote.RunCells(ctx, k.e.Instructions, k.e.Warmup, specs)
+// remote ships cells by name, so a cell over an edited profile fails here:
+// the daemon would simulate the registered profile of that name instead.
+func (k energyKind) remote(ctx context.Context, sps []runSpec) ([]RemoteCell, error) {
+	var ship []CellSpec
+	var refused []RemoteCell
+	for _, sp := range sps {
+		if customProfile(sp.prof) == nil {
+			ship = append(ship, k.public(sp))
+			continue
+		}
+		refused = append(refused, RemoteCell{Spec: k.public(sp), Err: fmt.Sprintf(
+			"%v: profile %q differs from the registered one, and a remote daemon simulates registered profiles only",
+			ErrInvalidConfig, sp.prof.Name)})
+	}
+	if len(ship) == 0 {
+		return refused, nil
+	}
+	cells, err := k.e.Remote.RunCells(ctx, k.e.Instructions, k.e.Warmup, ship)
+	return append(cells, refused...), err
 }

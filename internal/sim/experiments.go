@@ -49,13 +49,16 @@ const checkpointVersion = 1
 // under. Resuming against a mismatched header is refused, so results from
 // a different -n/-warmup are never silently reused, and a resumed sweep
 // cannot mix faulted and clean cells: the fault-injection spec is part of
-// the fingerprint (omitted when empty, so clean checkpoints keep their
-// original header form).
+// the fingerprint. Checkpoint records are keyed by benchmark name, so the
+// profiles that differ from their registered ones are part of it too. Both
+// are omitted when empty, so clean checkpoints over registered profiles
+// keep their original header form.
 type ckptHeader struct {
-	Version      int    `json:"version"`
-	Instructions uint64 `json:"instructions"`
-	Warmup       uint64 `json:"warmup"`
-	FaultInject  string `json:"faultinject,omitempty"`
+	Version      int                `json:"version"`
+	Instructions uint64             `json:"instructions"`
+	Warmup       uint64             `json:"warmup"`
+	FaultInject  string             `json:"faultinject,omitempty"`
+	Profiles     []workload.Profile `json:"profiles,omitempty"`
 }
 
 // injectorSpec renders an injector for the checkpoint header. Only

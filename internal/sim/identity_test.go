@@ -1,0 +1,236 @@
+package sim
+
+import (
+	"context"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"hotleakage/internal/attack"
+	"hotleakage/internal/leakctl"
+	"hotleakage/internal/store"
+	"hotleakage/internal/workload"
+)
+
+// seededExperiments is a small figure set whose profile seeds are XORed
+// with xor, the way a caller that edits Experiments.Profiles studies
+// another draw of each benchmark.
+func seededExperiments(xor uint64, st *store.Store) *Experiments {
+	e := NewExperiments()
+	e.Instructions = 40_000
+	e.Warmup = 10_000
+	e.Profiles = e.Profiles[:3]
+	for i := range e.Profiles {
+		e.Profiles[i].Seed ^= xor
+	}
+	e.Store = st
+	return e
+}
+
+// TestEditedProfilesDoNotShareStoredCells is the aliasing probe: two
+// figure sets over one store, the second with every profile seed XORed
+// with 7. The second must simulate its own cells and return the figure a
+// storeless run of the same profiles returns, not the first set's.
+func TestEditedProfilesDoNotShareStoredCells(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "cells"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	figure := func(e *Experiments) (Figure, Figure) {
+		defer e.Close()
+		return e.LatencyFigure("S", "P", 11, 110, DefaultInterval)
+	}
+	firstSav, _ := figure(seededExperiments(0, st))
+
+	second := seededExperiments(7, st)
+	sav, perf := figure(second)
+	wantSav, wantPerf := figure(seededExperiments(7, nil))
+	if second.StoreHits() != 0 || second.Executed() != 9 {
+		t.Errorf("edited profiles: store_hits=%d executed=%d, want 0/9", second.StoreHits(), second.Executed())
+	}
+	if !reflect.DeepEqual(sav, wantSav) || !reflect.DeepEqual(perf, wantPerf) {
+		t.Fatalf("edited profiles over a shared store returned another figure:\ngot  %v\nwant %v", sav, wantSav)
+	}
+	if reflect.DeepEqual(firstSav, wantSav) {
+		t.Fatal("XORing the seeds did not change the figure; the probe proves nothing")
+	}
+}
+
+// perturb changes one profile field to another valid value, copying
+// rather than mutating anything the field shares with the registry.
+func perturb(t *testing.T, name string, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(v.String() + "-edited")
+	case reflect.Float64:
+		if f := v.Float(); f != 0 {
+			v.SetFloat(f / 2)
+		} else {
+			v.SetFloat(0.01)
+		}
+	case reflect.Int:
+		if n := v.Int(); n != 0 {
+			v.SetInt(2 * n)
+		} else {
+			v.SetInt(64)
+		}
+	case reflect.Uint64:
+		v.SetUint(v.Uint() ^ 7)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Slice:
+		if v.Len() == 0 {
+			t.Fatalf("field %s: the base profile leaves it empty, so the guard cannot perturb it", name)
+		}
+		v.Set(v.Slice(0, v.Len()-1))
+	default:
+		t.Fatalf("field %s: no perturbation for kind %s; teach perturb one", name, v.Kind())
+	}
+}
+
+// TestCellIdentityCoversProfile is the general guard behind the aliasing
+// fix: every exported workload.Profile field, found by reflection so a
+// field added later is covered too, is perturbed in turn, and whenever the
+// perturbation changes what RunOne returns it must change the cell's
+// content address too. The registered profile must keep the hash CellHash
+// (and every recorded pin) gives it.
+func TestCellIdentityCoversProfile(t *testing.T) {
+	e := NewExperiments()
+	e.Instructions = 20_000
+	e.Warmup = 5_000
+	k := energyKind{e}
+	mc := e.suite(11).MC
+	params := leakctl.DefaultParams(leakctl.TechDrowsy, DefaultInterval)
+	run := func(p workload.Profile) (RunResult, string) {
+		t.Helper()
+		r, err := RunOne(context.Background(), mc, p, params, nil)
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		h, err := store.CanonicalHash(k.identity(runSpec{p, 11, params.Technique, params.Interval}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, h
+	}
+	base, _ := workload.ByName("mcf")
+	r0, h0 := run(base)
+	if pinned, err := CellHash(mc, base.Name, params.Technique, params.Interval); err != nil || h0 != pinned {
+		t.Fatalf("registered profile hashes %s, CellHash gives %s (%v)", h0, pinned, err)
+	}
+	typ := reflect.TypeOf(base)
+	moved := 0
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		p := base
+		perturb(t, f.Name, reflect.ValueOf(&p).Elem().Field(i))
+		r, h := run(p)
+		if reflect.DeepEqual(r, r0) {
+			continue
+		}
+		moved++
+		if h == h0 {
+			t.Errorf("changing Profile.%s changes RunOne's result but not the cell hash", f.Name)
+		}
+	}
+	if moved < typ.NumField()/2 {
+		t.Fatalf("only %d of %d perturbations changed the result; the guard is not exercising the simulation", moved, typ.NumField())
+	}
+}
+
+// recordingRunner is a RemoteRunner that simulates what it is sent with a
+// second Experiments (standing in for a daemon) and records the benchmark
+// names that crossed the wire.
+type recordingRunner struct {
+	inner *Experiments
+	mu    sync.Mutex
+	sent  []string
+}
+
+func (r *recordingRunner) RunCells(_ context.Context, _, _ uint64, specs []CellSpec) ([]RemoteCell, error) {
+	r.mu.Lock()
+	for _, cs := range specs {
+		r.sent = append(r.sent, cs.Bench)
+	}
+	r.mu.Unlock()
+	outs, err := r.inner.RunCells(specs)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]RemoteCell, len(outs))
+	for i, o := range outs {
+		cells[i] = RemoteCell{Spec: o.Spec, Result: o.Result}
+		if o.Err != nil {
+			cells[i].Err = o.Err.Error()
+		}
+	}
+	return cells, nil
+}
+
+func (r *recordingRunner) RunAttackCells(context.Context, []AttackSpec) ([]RemoteOutcome[AttackSpec, attack.Result], error) {
+	return nil, nil
+}
+
+// TestRemoteRefusesEditedProfile pins that a cell over an edited profile
+// is never shipped by name, where the daemon would simulate the registered
+// profile instead: it fails as an invalid configuration, while a cell over
+// a registered profile still goes remote.
+func TestRemoteRefusesEditedProfile(t *testing.T) {
+	r := &recordingRunner{inner: seededExperiments(0, nil)}
+	e := seededExperiments(0, nil)
+	e.Profiles[0].Seed ^= 7
+	e.Remote = r
+	defer e.Close()
+	if _, err := e.run(e.Profiles[0], 11, leakctl.TechDrowsy, DefaultInterval); err == nil || !strings.Contains(err.Error(), ErrInvalidConfig.Error()) {
+		t.Fatalf("edited profile over Remote: err = %v, want %v", err, ErrInvalidConfig)
+	}
+	if _, err := e.run(e.Profiles[1], 11, leakctl.TechDrowsy, DefaultInterval); err != nil {
+		t.Fatalf("registered profile over Remote: %v", err)
+	}
+	if want := []string{e.Profiles[1].Name}; !reflect.DeepEqual(r.sent, want) {
+		t.Fatalf("shipped %v, want only %v", r.sent, want)
+	}
+}
+
+// TestCheckpointRefusesEditedProfiles pins the checkpoint header guard:
+// records are keyed by benchmark name, so a resume whose edited profiles
+// differ from the ones that wrote the file is refused, and a resume with
+// the same profiles is accepted.
+func TestCheckpointRefusesEditedProfiles(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	open := func(xor uint64, resume bool) (*Experiments, error) {
+		e := seededExperiments(xor, nil)
+		e.CheckpointPath = path
+		e.Resume = resume
+		return e, e.Init()
+	}
+	e, err := open(7, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.run(e.Profiles[0], 11, leakctl.TechDrowsy, DefaultInterval); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	for _, xor := range []uint64{0, 5} {
+		if e, err := open(xor, true); err == nil {
+			e.Close()
+			t.Fatalf("resume with profile seeds XOR %d accepted a checkpoint written with XOR 7", xor)
+		}
+	}
+	again, err := open(7, true)
+	if err != nil {
+		t.Fatalf("resume with the same edited profiles refused: %v", err)
+	}
+	defer again.Close()
+	if _, err := again.run(again.Profiles[0], 11, leakctl.TechDrowsy, DefaultInterval); err != nil || again.Resumed() != 1 {
+		t.Fatalf("resume: err=%v resumed=%d, want the checkpointed cell back", err, again.Resumed())
+	}
+}

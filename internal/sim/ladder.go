@@ -54,8 +54,9 @@ type cellKind[P cellSpec, S, R any] interface {
 	// kind with a cost model. The ladder fills in the key and labels and
 	// makes ErrInvalidConfig failures permanent.
 	job(S) harness.Job[R]
-	// remote delegates cells to Experiments.Remote.
-	remote(ctx context.Context, specs []P) ([]RemoteOutcome[P, R], error)
+	// remote delegates cells to Experiments.Remote. A cell the wire
+	// cannot name faithfully comes back failed instead of shipped.
+	remote(ctx context.Context, specs []S) ([]RemoteOutcome[P, R], error)
 }
 
 // cellSpec is a kind's public spec: Key is its run key (the memo,
@@ -171,6 +172,7 @@ func (l *ladder[P, S, R]) supervisor() (*harness.Supervisor[R], error) {
 					Instructions: e.Instructions,
 					Warmup:       e.Warmup,
 					FaultInject:  injectorSpec(e.Injector),
+					Profiles:     customProfiles(e.Profiles),
 				},
 				e.Resume)
 			if err != nil {
@@ -331,7 +333,7 @@ func (l *ladder[P, S, R]) delegate(pending []S) error {
 	for i, sp := range pending {
 		specs[i] = l.kind.public(sp)
 	}
-	cells, err := l.kind.remote(l.e.ctx(), specs)
+	cells, err := l.kind.remote(l.e.ctx(), pending)
 	if err != nil {
 		return fmt.Errorf("remote: %w", err)
 	}
