@@ -433,10 +433,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // per-worker state reuse. Each iteration builds a fresh Experiments and
 // regenerates one full figure pair (every benchmark: baseline + drowsy +
 // gated), so the numbers include scheduling, simulation and evaluation.
-// The variants isolate the batch executor: "full" is the default path
-// (lockstep batch execution off one shared front per benchmark group) and
-// "scalar" disables batching and runs every cell through the per-cell
-// supervisor path. `make bench-batch` fails when "full" is the slower.
+// The variants isolate lockstep sharing: "full" is the default path (one
+// group per benchmark, its lanes stepping off one shared front) and
+// "onelane" sets DisableBatch, so every cell runs as a group of one lane
+// with its own front. `make bench-batch` fails when "full" is the slower.
 //
 // Methodology: the variants are NOT separate sub-benchmarks. Sub-benchmarks
 // run back to back, each in its own multi-second window, so slow drift in
@@ -456,7 +456,7 @@ func BenchmarkSuiteSweep(b *testing.B) {
 		configure func(*sim.Experiments)
 	}{
 		{"full", nil},
-		{"scalar", func(e *sim.Experiments) { e.DisableBatch = true }},
+		{"onelane", func(e *sim.Experiments) { e.DisableBatch = true }},
 	}
 	b.ReportAllocs()
 	elapsed := make([]time.Duration, len(variants))
