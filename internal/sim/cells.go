@@ -170,10 +170,7 @@ func (k energyKind) job(sp runSpec) harness.Job[RunResult] {
 			if e.AdapterFor != nil {
 				ln.adapter = e.AdapterFor(sp.prof.Name, sp.tech, sp.interval)
 			}
-			bs, _ := harness.WorkerValue(ctx).(*BatchState)
-			if bs == nil {
-				bs = new(BatchState)
-			}
+			bs := harness.WorkerValue(ctx).(*BatchState)
 			start := time.Now()
 			runBatchGroup(ctx, s.MC, sp.prof, []*batchLane{ln}, nil, bs)
 			if ln.err != nil {

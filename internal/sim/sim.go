@@ -151,9 +151,6 @@ func RunOneFrom(ctx context.Context, mc MachineConfig, name string, src cpu.Inst
 // reset) machine when the configuration matches, and caches this run's
 // machine for the next one.
 func runOneFromState(ctx context.Context, mc MachineConfig, name string, src cpu.InstrSource, params leakctl.Params, adapter leakctl.Adapter, st *RunState) (RunResult, error) {
-	if st == nil {
-		st = new(RunState)
-	}
 	ln := &batchLane{
 		sp:      runSpec{prof: workload.Profile{Name: name}, l2: mc.L2.HitLatency, tech: params.Technique, interval: params.Interval},
 		params:  &params,
