@@ -101,6 +101,16 @@ func (f *Front) Advance(lo, hi int) {
 	f.extend(hi)
 }
 
+// Reserve makes room for n resident records without generating any, so a
+// window that will grow to n allocates once.
+func (f *Front) Reserve(n int) {
+	if cap(f.recs) < n {
+		recs := make([]FrontRec, len(f.recs), n)
+		copy(recs, f.recs)
+		f.recs = recs
+	}
+}
+
 // Resident returns how many records the window holds storage for: its
 // memory footprint, in records.
 func (f *Front) Resident() int { return cap(f.recs) }

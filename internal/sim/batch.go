@@ -25,10 +25,10 @@ const runChunk = 50_000
 
 // frontSlack bounds how far past warm-up plus measurement a run reads its
 // instruction source: the core's fetch-ahead (cpu.Core.Reach, about 100
-// instructions on the Table 2 machine) plus each chunk's commit overshoot
-// (at most CommitWidth-1) stay far below it at any budget used here, so a
-// trace recorded frontSlack instructions longer than the run replays
-// without wrapping.
+// instructions on the Table 2 machine) plus the commit overshoot each
+// chunk may add (at most CommitWidth-1, a few hundred over a run of
+// millions) stay far below it, so a trace recorded frontSlack
+// instructions longer than the run replays without wrapping.
 const frontSlack = 4096
 
 // obsFrontsFilled counts the shared fronts of lockstep groups (two or more
@@ -112,7 +112,9 @@ func failLanes(lanes []*batchLane, err error) {
 }
 
 // fillFront starts the group's shared instruction stream from src. The
-// first advance generates the records the lanes' first step reads.
+// first advance generates the records the lanes' first step reads. The
+// window is sized for the longest step up front: grown from a short
+// warm-up step to a full chunk, it would allocate twice per group.
 func fillFront(bs *BatchState, mc MachineConfig, src cpu.InstrSource) {
 	if bs.pred == nil || bs.predCfg != mc.Bpred {
 		bs.pred = bpred.New(mc.Bpred)
@@ -121,6 +123,8 @@ func fillFront(bs *BatchState, mc MachineConfig, src cpu.InstrSource) {
 		bs.pred.Reset()
 	}
 	bs.front.Fill(src, bs.pred, 0)
+	step := min(runChunk, max(mc.Warmup, mc.Instructions))
+	bs.front.Reserve(int(step + step/8))
 }
 
 // advanceFront slides the group's window over the next lockstep round:
