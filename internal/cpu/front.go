@@ -125,9 +125,7 @@ func (f *Front) extend(hi int) {
 		return
 	}
 	if cap(f.recs) < n {
-		recs := make([]FrontRec, old, n+n/8)
-		copy(recs, f.recs)
-		f.recs = recs
+		f.Reserve(n + n/8)
 	}
 	f.recs = f.recs[:n]
 	src, pred, lastLine := f.src, f.pred, f.lastLine
