@@ -38,7 +38,7 @@ smoke-security:
 # kill -9 mid-sweep, restart-recovery, GC reclamation, bit-identical
 # results vs a fault-free reference). See DESIGN.md §11.
 chaos:
-	$(GO) test -race -run 'TestChaos|TestFault|TestGC|TestQuarantine|TestHub|TestSSE|TestPanic|TestSweepWatchdog|TestDegraded|TestHealthz|TestBreaker|TestRetry' ./internal/store/ ./internal/server/... ./internal/harness/faultinject/
+	$(GO) test -race -run 'TestChaos|TestCrash|TestFault|TestGC|TestQuarantine|TestHub|TestSSE|TestPanic|TestSweepWatchdog|TestDegraded|TestHealthz|TestBreaker|TestRetry' ./internal/store/ ./internal/server/... ./internal/harness/faultinject/
 	./scripts/chaos_smoke.sh
 
 # Batched-vs-one-lane regression guard: fail if sharing one front per

@@ -229,12 +229,6 @@ func OpenOptions(dir string, o Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	if len(s.segs) == 0 {
-		if err := s.rotateLocked(); err != nil {
-			s.closeAll()
-			return nil, err
-		}
-	}
 	if err := s.loadMeta(); err != nil {
 		s.closeAll()
 		return nil, err
@@ -363,8 +357,10 @@ func (s *Store) loadMeta() error {
 
 // rotateLocked opens a fresh append segment under the next monotonic
 // sequence number (sequence numbers are never reused, even after GC
-// removes old segments). Caller holds s.mu (or has exclusive access
-// during Open).
+// removes old segments). The new name is durable only once the directory
+// is synced: without that, a crash could take a record acknowledged into
+// the segment away with its name. A segment whose name cannot be synced
+// is abandoned empty. Caller holds s.mu.
 func (s *Store) rotateLocked() error {
 	path := filepath.Join(s.dir, fmt.Sprintf("seg-%06d.jsonl", s.nextSeq))
 	f, err := s.fs.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
@@ -372,6 +368,11 @@ func (s *Store) rotateLocked() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.nextSeq++
+	if err := s.fs.SyncDir(s.dir); err != nil {
+		f.Close()
+		s.fs.Remove(path)
+		return fmt.Errorf("store: sync dir for %s: %w", filepath.Base(path), err)
+	}
 	s.segs = append(s.segs, &segment{path: path, f: f})
 	return nil
 }
@@ -498,13 +499,14 @@ func (s *Store) Put(hash string, key, value any) error {
 	if _, dup := s.index[hash]; dup {
 		return nil
 	}
-	seg := s.segs[len(s.segs)-1]
-	if seg.poisoned || (seg.size > 0 && seg.size+int64(len(line)) > s.SegmentMaxBytes) {
+	// The first Put into an empty store creates its first segment.
+	if n := len(s.segs); n == 0 || s.segs[n-1].poisoned ||
+		(s.segs[n-1].size > 0 && s.segs[n-1].size+int64(len(line)) > s.SegmentMaxBytes) {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}
-		seg = s.segs[len(s.segs)-1]
 	}
+	seg := s.segs[len(s.segs)-1]
 	if _, err := seg.f.Write(line); err != nil {
 		s.repairAppendLocked(seg)
 		return fmt.Errorf("store: append %s: %w", hash, err)
