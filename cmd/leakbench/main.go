@@ -8,16 +8,19 @@
 //	leakbench -n 2000000 -fig 12   # longer runs
 //	leakbench -attack              # leakage vs. savings frontier (prime+probe)
 //	leakbench -attack -scenario occupancy -attack-intervals 1024,8192
+//	leakbench -all -store DIR      # record every cell; a re-run resumes
 //
 // Output is text tables: one row per benchmark, one column per technique —
 // the harness's equivalent of the paper's bar charts.
 //
 // Long regenerations run supervised: each simulation has an optional
-// deadline (-timeout), transient failures retry (-max-retries), completed
-// runs are checkpointed (-checkpoint) and an interrupted suite resumes
-// (-resume) re-executing only the missing runs. SIGINT drains cleanly:
-// in-flight runs stop, completed results are kept (and checkpointed), and
-// the failure summary reports what was cut short. A run that fails for any
+// deadline (-timeout) and transient failures retry (-max-retries). With
+// -store DIR every completed run is written to a content-addressed result
+// store as it finishes, and a later run over the same store — after a
+// SIGINT, a kill -9 or a failure — re-executes only the missing runs; a
+// run over a complete store simulates nothing. SIGINT drains cleanly:
+// in-flight runs stop, completed results are kept (and stored), and the
+// failure summary reports what was cut short. A run that fails for any
 // reason degrades to an ERR cell in its figures; the command then exits
 // non-zero after rendering everything that succeeded.
 package main
@@ -39,6 +42,7 @@ import (
 	"hotleakage/internal/obs"
 	"hotleakage/internal/server/api"
 	"hotleakage/internal/sim"
+	"hotleakage/internal/store"
 	"hotleakage/internal/tech"
 )
 
@@ -62,8 +66,7 @@ func run() int {
 		attackIvs  = flag.String("attack-intervals", "1024,4096,32768", "comma-separated decay intervals for -attack")
 		asCSV      = flag.Bool("csv", false, "emit figures as CSV instead of text tables")
 		timeout    = flag.Duration("timeout", 0, "per-run deadline (e.g. 30s; 0 = none)")
-		checkpoint = flag.String("checkpoint", "", "JSON-lines file recording completed runs")
-		resume     = flag.Bool("resume", false, "resume from -checkpoint (its header must match -n/-warmup)")
+		storeDir   = flag.String("store", "", "content-addressed result store directory: completed runs are recorded there, and runs already there are not simulated again")
 		maxRetries = flag.Int("max-retries", 2, "re-executions of a transiently failed run")
 		faultSpec  = flag.String("faultinject", "", "inject faults for testing, e.g. panic:1/8[:seed=N][:sticky]")
 		remote     = flag.String("remote", "", "delegate simulation to a leakd daemon at this address (host:port or URL); evaluation and rendering stay local")
@@ -86,7 +89,7 @@ func run() int {
 	defer stopProf()
 
 	// SIGINT/SIGTERM cancel the suite: workers drain, completed runs are
-	// kept and checkpointed, and the failure summary reports the rest.
+	// kept (and stored), and the failure summary reports the rest.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -99,8 +102,6 @@ func run() int {
 	e.Ctx = ctx
 	e.RunTimeout = *timeout
 	e.MaxRetries = *maxRetries
-	e.CheckpointPath = *checkpoint
-	e.Resume = *resume
 	if *vary {
 		e.Variation = leakage.DefaultVariation70nm()
 	}
@@ -114,16 +115,16 @@ func run() int {
 	}
 	if *remote != "" {
 		// Thin-client mode: cells are simulated by the daemon (which has
-		// its own store, checkpoints and retry policy); the local flags
+		// its own store and retry policy); the local flags
 		// governing execution no longer apply.
 		e.Remote = api.NewClient(*remote)
 		e.RemoteFallback = *remoteFB
 		fmt.Fprintf(os.Stderr, "remote: delegating simulation to %s\n", *remote)
 	}
 
-	// Observability: JSONL telemetry file (snapshots + harness trace
-	// events joinable to checkpoint records by run key), a scrape
-	// endpoint, and a live single-line progress display.
+	// Observability: JSONL telemetry file (snapshots + trace events keyed
+	// by run key), a scrape endpoint, and a live single-line progress
+	// display.
 	var tw *obs.TraceWriter
 	if *telemetry != "" {
 		f, err := os.OpenFile(*telemetry, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -157,18 +158,18 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
-	if *resume && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint")
-		return 2
-	}
 	if *n < 300_000 {
 		fmt.Fprintf(os.Stderr, "warning: -n %d is small; cold-start effects dominate below ~300000 instructions and gated-Vss is unfairly penalized\n", *n)
 	}
-	if err := e.Init(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+	if *storeDir != "" {
+		st, err := store.Open(*storeDir)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		defer st.Close()
+		e.Store = st
 	}
-	defer e.Close()
 
 	csv = *asCSV
 	start := time.Now()
@@ -202,17 +203,17 @@ func run() int {
 	} else if *table != 0 {
 		runTable(e, *table)
 	}
-	if e.Resumed() > 0 {
-		fmt.Fprintf(os.Stderr, "%d run(s) restored from %s, %d executed\n",
-			e.Resumed(), *checkpoint, e.Executed())
+	if e.StoreHits() > 0 {
+		fmt.Fprintf(os.Stderr, "%d run(s) served from %s, %d executed\n",
+			e.StoreHits(), *storeDir, e.Executed())
 	}
 	fmt.Fprintf(os.Stderr, "total %.1fs\n", time.Since(start).Seconds())
 
 	code := 0
 	if s := e.FailureSummary(); s != "" {
 		fmt.Fprint(os.Stderr, s)
-		if *checkpoint != "" {
-			fmt.Fprintf(os.Stderr, "re-run with -checkpoint %s -resume to re-execute only the failed runs\n", *checkpoint)
+		if *storeDir != "" {
+			fmt.Fprintf(os.Stderr, "re-run with -store %s to re-execute only the failed runs\n", *storeDir)
 		}
 		code = 1
 	}
@@ -221,10 +222,6 @@ func run() int {
 		code = 1
 	}
 	if err := tw.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		code = 1
-	}
-	if err := e.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		code = 1
 	}

@@ -1,9 +1,11 @@
 // Command leakd serves the leakage-control simulation as a service: an
 // HTTP/JSON API over the harness with a content-addressed result store, so
 // repeated and overlapping sweeps are answered from disk and only new cells
-// are simulated. SIGTERM/SIGINT drain gracefully — queued sweeps are
-// canceled, in-flight cells finish or checkpoint, and a restarted daemon
-// resumes from the store plus per-sweep checkpoints.
+// are simulated. The store is the daemon's one durable record: each cell
+// is written to it as it settles, before it counts as done. SIGTERM/SIGINT
+// drain gracefully — queued sweeps are canceled and in-flight cells
+// finish or stop — and a restarted daemon resumes a resubmitted sweep from
+// the store, simulating only the cells no earlier run stored.
 //
 // Usage:
 //
@@ -12,8 +14,8 @@
 // Sweeps carry two cell kinds: energy cells (a benchmark under a leakage
 // technique, the default) and attack cells (`"kind":"attack"` with a
 // `scenario` name — an adversarial prime+probe run scored with channel
-// metrics; see DESIGN.md §14). Both kinds ride the same store, checkpoint
-// and federation machinery, and `leakbench -attack -remote` renders the
+// metrics; see DESIGN.md §14). Both kinds ride the same store and
+// federation machinery, and `leakbench -attack -remote` renders the
 // leakage-vs-savings frontier from a daemon.
 //
 // Cluster mode: `leakd -coordinator -cluster w1:8081,w2:8082,w3:8083` runs

@@ -200,8 +200,8 @@ type csweep struct {
 	done   []bool
 	failed []string
 	// aggregated counters: coordinator store hits plus worker tallies.
-	executed, storeHits, resumed int
-	degradedMsg                  string
+	executed, storeHits int
+	degradedMsg         string
 }
 
 // cellHashes computes every cell's content address up front (cheap: one
@@ -241,7 +241,7 @@ func (sw *csweep) view() server.Verdict {
 	v := server.Verdict{
 		Degraded: sw.degradedMsg,
 		Cells:    make([]api.CellStatus, len(sw.Cells)),
-		Executed: sw.executed, StoreHits: sw.storeHits, Resumed: sw.resumed,
+		Executed: sw.executed, StoreHits: sw.storeHits,
 	}
 	for i, wc := range sw.Cells {
 		cs := api.CellStatus{Cell: wc, Hash: sw.hashes[i], State: "pending"}
@@ -618,7 +618,7 @@ func (d *Dispatcher) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacked
 	// Wait on the worker's event stream, piping it into the sweep's hub
 	// live. Worker sweep_* lifecycle records are dropped (the coordinator
 	// owns the sweep lifecycle); everything else — run_start, run_done,
-	// store_hit, checkpoint_hit — flows through so the client sees
+	// store_hit — flows through so the client sees
 	// per-cell progress across the whole cluster in one stream.
 	final, err := w.client.WatchSweep(sw.Ctx, st.ID, func(rec obs.Record) {
 		if !strings.HasPrefix(rec.Type, "sweep_") {
@@ -700,7 +700,6 @@ func (d *Dispatcher) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacked
 	sw.mu.Lock()
 	sw.executed += final.Executed
 	sw.storeHits += final.StoreHits
-	sw.resumed += final.Resumed
 	sw.mu.Unlock()
 	// The worker's status omitted cells we sent: account them failed
 	// rather than hanging the shard.

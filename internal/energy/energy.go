@@ -27,7 +27,7 @@ import (
 // ErrDegenerate reports a comparison whose inputs cannot be scored: a run
 // that committed zero instructions or zero cycles (e.g. a cancelled-then-
 // resumed cell), or a non-positive clock. Scoring such a run would put
-// NaN/Inf percentages into figures and checkpoints; callers get a typed
+// NaN/Inf percentages into figures and stored results; callers get a typed
 // error to test with errors.Is instead.
 var ErrDegenerate = errors.New("energy: degenerate comparison input")
 

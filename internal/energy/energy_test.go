@@ -227,7 +227,7 @@ func TestTagsAwakeRaisesStandbyLinePower(t *testing.T) {
 func TestDegenerateRunsAreTypedErrors(t *testing.T) {
 	// A cancelled-then-resumed cell can surface a measurement with zero
 	// committed instructions or cycles; scoring it used to leak NaN/Inf
-	// percentages into figures and checkpoints.
+	// percentages into figures and stored results.
 	m := hotModel()
 	cfg := dl1Cfg()
 	good := mkMeas(1_000_000, 0, 0)

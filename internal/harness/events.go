@@ -7,9 +7,8 @@ import (
 )
 
 // EventSink receives structured trace events from the supervisor. The
-// records carry the job key as RunID — the same string used as the
-// checkpoint identity — so a telemetry stream joins against checkpoint
-// records directly. *obs.TraceWriter satisfies the interface.
+// records carry the job key as RunID, so one run's events join on it.
+// *obs.TraceWriter satisfies the interface.
 type EventSink interface {
 	Write(obs.Record)
 }
@@ -17,14 +16,13 @@ type EventSink interface {
 // Supervisor-level counters: low-frequency outcome events, recorded
 // through the registry's shared base shard.
 var (
-	obsRunsCompleted  = obs.Default.Counter(obs.MetricRunsCompleted)
-	obsRunsFailed     = obs.Default.Counter(obs.MetricRunsFailed)
-	obsCheckpointHits = obs.Default.Counter(obs.MetricCheckpointHits)
-	obsRetries        = obs.Default.Counter("harness_retries_total")
-	obsFaults         = obs.Default.Counter("harness_faults_injected_total")
-	obsPanics         = obs.Default.Counter("harness_panics_total")
-	obsWorkerBusy     = obs.Default.Counter(obs.MetricWorkerBusyMS)
-	obsWorkersGauge   = obs.Default.Gauge(obs.GaugeWorkers)
+	obsRunsCompleted = obs.Default.Counter(obs.MetricRunsCompleted)
+	obsRunsFailed    = obs.Default.Counter(obs.MetricRunsFailed)
+	obsRetries       = obs.Default.Counter("harness_retries_total")
+	obsFaults        = obs.Default.Counter("harness_faults_injected_total")
+	obsPanics        = obs.Default.Counter("harness_panics_total")
+	obsWorkerBusy    = obs.Default.Counter(obs.MetricWorkerBusyMS)
+	obsWorkersGauge  = obs.Default.Gauge(obs.GaugeWorkers)
 )
 
 // workerBusyGauge returns the cumulative busy-time gauge for worker w.

@@ -1,6 +1,6 @@
 // Package faultinject provides deterministic fault injection for the
 // supervised experiment runner (package harness). It exists so the
-// supervisor's recovery, retry and checkpoint paths are themselves
+// supervisor's recovery and retry paths are themselves
 // exercised by tests and by `leakbench -faultinject` instead of waiting for
 // a real panic to prove them out.
 //
@@ -77,9 +77,8 @@ type Deterministic struct {
 	Sticky bool
 }
 
-// String renders the canonical spec form (the inverse of Parse), used to
-// record the injector in checkpoint headers. A nil or disabled injector
-// renders as "" — the same as no injection at all.
+// String renders the canonical spec form (the inverse of Parse). A nil
+// or disabled injector renders as "" — the same as no injection at all.
 func (d *Deterministic) String() string {
 	if d == nil || d.N == 0 || d.Fault == FaultNone {
 		return ""

@@ -7,8 +7,7 @@ import (
 
 // FuzzParse checks the run-level grammar kind:1/N[:seed=S][:sticky]: Parse
 // never panics, and an accepted spec's String re-parses to the same
-// injector, so the spec a checkpoint header records replays the same
-// schedule. The seed corpus under testdata/fuzz/FuzzParse holds the specs
+// injector, so a rendered spec replays the same schedule. The seed corpus under testdata/fuzz/FuzzParse holds the specs
 // of the package's test tables.
 func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string) {

@@ -8,8 +8,10 @@
 //   - enforces a per-run deadline and honours suite-wide context
 //     cancellation (SIGINT drains cleanly),
 //   - retries transient failures with capped exponential backoff, and
-//   - checkpoints each completed result as JSON so an interrupted suite
-//     resumes from where it died instead of re-simulating hours of work.
+//   - hands each accepted result to a Settled hook before reporting it
+//     done, so the caller can make it durable first (package sim writes
+//     it to the content-addressed store, where an interrupted suite
+//     resumes from instead of re-simulating hours of work).
 //
 // The package is generic over the result type so it stays free of
 // simulation imports; package sim instantiates it with RunResult.
@@ -17,11 +19,9 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
@@ -30,19 +30,12 @@ import (
 )
 
 // Job is one supervised unit of work. Key must be unique within a suite
-// (it is the checkpoint identity); Benchmark and Technique are carried
-// into RunError for reporting.
+// (it is the event identity); Benchmark and Technique are carried into
+// RunError for reporting.
 type Job[T any] struct {
 	Key       string
 	Benchmark string
 	Technique string
-	// Cost is the job's estimated execution cost in arbitrary but mutually
-	// comparable units (e.g. instruction count scaled by an observed
-	// ns-per-instruction). Run dispatches costlier jobs first so a long
-	// cell cannot land on the tail of the schedule and stretch the whole
-	// batch; equal costs (including the all-zero default) dispatch in job
-	// order.
-	Cost float64
 	// Run executes the job. It is called with a context that carries the
 	// per-run deadline and the attempt number (see Attempt); it must stop
 	// promptly when the context is cancelled.
@@ -54,16 +47,11 @@ type Result[T any] struct {
 	Key   string
 	Value T
 	Err   *RunError
-	// FromCheckpoint reports that Value was loaded from the checkpoint
-	// file rather than executed.
-	FromCheckpoint bool
-	// Attempts is the number of executions performed (0 for a
-	// checkpoint hit).
+	// Attempts is the number of executions performed.
 	Attempts int
 	// Duration is the wall-clock time the job spent executing (all
-	// attempts, including backoff sleeps); zero for checkpoint hits and
-	// jobs cancelled before starting. Callers feed it back into future
-	// Cost estimates.
+	// attempts, including backoff sleeps); zero for jobs cancelled before
+	// starting.
 	Duration time.Duration
 }
 
@@ -169,16 +157,15 @@ type Config[T any] struct {
 	MaxBackoff time.Duration
 	// Injector, when non-nil, injects faults into attempts (testing).
 	Injector faultinject.Injector
-	// Checkpoint, when non-nil, is consulted before executing a job and
-	// appended to after each success.
-	Checkpoint *Checkpoint
 	// Check validates a produced value before it is accepted; a non-nil
 	// return is treated as a retryable run failure (e.g. NaN energy).
 	Check func(T) error
+	// Settled, when non-nil, receives each accepted value — after Check,
+	// before the job's run_done event — on the worker that produced it.
+	Settled func(key string, v T)
 	// Events, when non-nil, receives structured trace events (run_start,
-	// run_retry, run_fault, run_done, run_error, checkpoint_hit) keyed by
-	// the job Key, which is also the checkpoint identity. Outcome counters
-	// in the obs registry are updated regardless.
+	// run_retry, run_fault, run_done, run_error) keyed by the job Key.
+	// Outcome counters in the obs registry are updated regardless.
 	Events EventSink
 	// WorkerState, when non-nil, is invoked once per worker goroutine when
 	// the pool starts; the returned value rides in every run context on
@@ -192,12 +179,8 @@ type Supervisor[T any] struct {
 	cfg Config[T]
 }
 
-// Workers returns the resolved pool size (always >= 1), so callers can
-// report how wide a sweep will run.
-func (s *Supervisor[T]) Workers() int { return s.cfg.Workers }
-
 // New builds a supervisor. The zero Config runs jobs serially with no
-// deadline, no retries and no checkpoint — but still recovers panics.
+// deadline and no retries — but still recovers panics.
 func New[T any](cfg Config[T]) *Supervisor[T] {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
@@ -217,38 +200,18 @@ func New[T any](cfg Config[T]) *Supervisor[T] {
 // they report Canceled errors) and queued jobs are failed without
 // starting. Completed results are always retained.
 //
-// Execution uses a fixed pool of Config.Workers goroutines pulling from a
-// queue ordered by descending Job.Cost (stable, so equal costs keep job
-// order). Longest-first dispatch keeps an expensive cell from starting
-// last and stretching the batch's tail; the pool (rather than the old
-// goroutine-per-job semaphore) gives each worker a stable identity for
-// WorkerState reuse and busy-time accounting.
+// Execution uses a fixed pool of Config.Workers goroutines pulling jobs
+// in order; the pool gives each worker a stable identity for WorkerState
+// reuse and busy-time accounting.
 func (s *Supervisor[T]) Run(ctx context.Context, jobs []Job[T]) []Result[T] {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	results := make([]Result[T], len(jobs))
-	runnable := make([]int, 0, len(jobs))
-	for i, job := range jobs {
-		// Checkpoint hits resolve inline: no worker, no re-execution.
-		if v, ok := s.lookup(job.Key); ok {
-			results[i] = Result[T]{Key: job.Key, Value: v, FromCheckpoint: true}
-			obsCheckpointHits.Add(1)
-			s.emit(obs.Record{Type: "checkpoint_hit", RunID: job.Key})
-			continue
-		}
-		runnable = append(runnable, i)
-	}
-	if len(runnable) == 0 {
+	if len(jobs) == 0 {
 		return results
 	}
-	sort.SliceStable(runnable, func(a, b int) bool {
-		return jobs[runnable[a]].Cost > jobs[runnable[b]].Cost
-	})
-	workers := s.cfg.Workers
-	if workers > len(runnable) {
-		workers = len(runnable)
-	}
+	workers := min(s.cfg.Workers, len(jobs))
 	obsWorkersGauge.Set(int64(workers))
 	queue := make(chan int)
 	var wg sync.WaitGroup
@@ -278,29 +241,12 @@ func (s *Supervisor[T]) Run(ctx context.Context, jobs []Job[T]) []Result[T] {
 			workerBusyGauge(w).Add(busy.Milliseconds())
 		}(w)
 	}
-	for _, i := range runnable {
+	for i := range jobs {
 		queue <- i
 	}
 	close(queue)
 	wg.Wait()
 	return results
-}
-
-// lookup fetches and decodes a checkpointed value.
-func (s *Supervisor[T]) lookup(key string) (T, bool) {
-	var v T
-	if s.cfg.Checkpoint == nil {
-		return v, false
-	}
-	raw, ok := s.cfg.Checkpoint.Lookup(key)
-	if !ok {
-		return v, false
-	}
-	if err := json.Unmarshal(raw, &v); err != nil {
-		// A corrupt entry is re-executed rather than trusted.
-		return v, false
-	}
-	return v, true
 }
 
 // runJob is the retry loop for one job.
@@ -321,10 +267,8 @@ func (s *Supervisor[T]) runJob(ctx context.Context, job Job[T]) Result[T] {
 			err = s.cfg.Check(v)
 		}
 		if err == nil {
-			if s.cfg.Checkpoint != nil {
-				// Append errors are recorded on the checkpoint (the
-				// result itself is still good); see Checkpoint.Err.
-				_ = s.cfg.Checkpoint.Append(job.Key, v)
+			if s.cfg.Settled != nil {
+				s.cfg.Settled(job.Key, v)
 			}
 			obsRunsCompleted.Add(1)
 			s.emit(obs.Record{Type: "run_done", RunID: job.Key, Attempt: attempts})

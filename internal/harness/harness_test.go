@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +11,7 @@ import (
 	"time"
 
 	"hotleakage/internal/harness/faultinject"
+	"hotleakage/internal/obs"
 )
 
 // job builds a trivial job returning its key length.
@@ -205,138 +204,47 @@ func TestBackoffIsCappedExponential(t *testing.T) {
 	}
 }
 
-func TestCheckpointSkipsCompletedRuns(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "runs.json")
-	type hdr struct{ N int }
-
-	ck, err := OpenCheckpoint(path, hdr{N: 5}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calls atomic.Int32
-	mk := func() []Job[int] {
-		return []Job[int]{
-			job("one", func(context.Context) (int, error) { calls.Add(1); return 1, nil }),
-			job("two", func(context.Context) (int, error) { calls.Add(1); return 2, nil }),
-		}
-	}
-	s := New(Config[int]{Checkpoint: ck})
-	if res := s.Run(context.Background(), mk()); res[0].Err != nil || res[1].Err != nil {
-		t.Fatalf("first pass failed: %+v", res)
-	}
-	if err := ck.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("executed %d runs, want 2", calls.Load())
-	}
-
-	// Reopen with resume: nothing re-executes and values round-trip.
-	ck2, err := OpenCheckpoint(path, hdr{N: 5}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck2.Close()
-	if ck2.Loaded() != 2 {
-		t.Fatalf("loaded %d entries, want 2", ck2.Loaded())
-	}
-	s2 := New(Config[int]{Checkpoint: ck2})
-	res := s2.Run(context.Background(), mk())
-	if calls.Load() != 2 {
-		t.Fatalf("resume re-executed runs (%d calls)", calls.Load())
-	}
-	if !res[0].FromCheckpoint || res[0].Value != 1 || !res[1].FromCheckpoint || res[1].Value != 2 {
-		t.Fatalf("checkpointed values wrong: %+v", res)
-	}
+// eventLog records the types of the events it receives, in order.
+type eventLog struct {
+	mu   sync.Mutex
+	seen []string
 }
 
-func TestCheckpointHeaderMismatchRefusesResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "runs.json")
-	type hdr struct{ N int }
-	ck, err := OpenCheckpoint(path, hdr{N: 5}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.Append("k", 1); err != nil {
-		t.Fatal(err)
-	}
-	ck.Close()
-	if _, err := OpenCheckpoint(path, hdr{N: 9}, true); err == nil {
-		t.Fatal("header mismatch accepted")
-	}
+func (l *eventLog) Write(rec obs.Record) { l.add(rec.Type) }
+
+func (l *eventLog) add(s string) {
+	l.mu.Lock()
+	l.seen = append(l.seen, s)
+	l.mu.Unlock()
 }
 
-func TestCheckpointTornTailIsDiscarded(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "runs.json")
-	type hdr struct{ N int }
-	ck, err := OpenCheckpoint(path, hdr{N: 1}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck.Append("good", 1)
-	ck.Close()
-
-	// Simulate a crash mid-write: append half a JSON line.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"key":"torn","val`)
-	f.Close()
-
-	ck2, err := OpenCheckpoint(path, hdr{N: 1}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck2.Close()
-	if _, ok := ck2.Lookup("good"); !ok {
-		t.Fatal("intact entry lost")
-	}
-	if _, ok := ck2.Lookup("torn"); ok {
-		t.Fatal("torn entry survived")
-	}
-}
-
-func TestCheckpointFreshOpenTruncates(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "runs.json")
-	type hdr struct{ N int }
-	ck, _ := OpenCheckpoint(path, hdr{N: 1}, false)
-	ck.Append("old", 1)
-	ck.Close()
-	ck2, err := OpenCheckpoint(path, hdr{N: 1}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck2.Close()
-	if _, ok := ck2.Lookup("old"); ok {
-		t.Fatal("non-resume open kept old entries")
-	}
-}
-
-func TestCostOrderDispatch(t *testing.T) {
-	// One worker makes dispatch order observable: costlier jobs must run
-	// first, and equal costs keep job order.
-	s := New(Config[int]{Workers: 1})
-	var order []string
-	var mu sync.Mutex
-	mk := func(key string, cost float64) Job[int] {
-		j := job(key, func(context.Context) (int, error) {
-			mu.Lock()
-			order = append(order, key)
-			mu.Unlock()
-			return 0, nil
-		})
-		j.Cost = cost
-		return j
-	}
-	s.Run(context.Background(), []Job[int]{
-		mk("cheap", 1), mk("big", 100), mk("mid-a", 10), mk("mid-b", 10),
+// TestSettledSeesOnlyAcceptedValues pins the Settled hook's place: it
+// receives the value Check accepted, never one it rejected, and before
+// the job's run_done event.
+func TestSettledSeesOnlyAcceptedValues(t *testing.T) {
+	var log eventLog
+	var n atomic.Int32
+	s := New(Config[int]{
+		MaxRetries: 1,
+		Backoff:    time.Millisecond,
+		Check: func(v int) error {
+			if v == 0 {
+				return errors.New("rejected")
+			}
+			return nil
+		},
+		Settled: func(key string, v int) { log.add(fmt.Sprintf("settled %s=%d", key, v)) },
+		Events:  &log,
 	})
-	want := []string{"big", "mid-a", "mid-b", "cheap"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("dispatch order %v, want %v", order, want)
-		}
+	res := s.Run(context.Background(), []Job[int]{
+		job("k", func(context.Context) (int, error) { return int(n.Add(1)) - 1, nil }),
+	})
+	if res[0].Err != nil || res[0].Value != 1 {
+		t.Fatalf("result %+v, want 1 on the retry", res[0])
+	}
+	want := []string{"run_start", "run_retry", "settled k=1", "run_done"}
+	if fmt.Sprint(log.seen) != fmt.Sprint(want) {
+		t.Fatalf("events %v, want %v", log.seen, want)
 	}
 }
 

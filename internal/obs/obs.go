@@ -276,12 +276,18 @@ const (
 	// flushed by internal/cpu; the sampler derives instr/s from it.
 	MetricInstructions = "sim_instructions_total"
 	// GaugeCellsPlanned is the number of cells the suite has planned so
-	// far (internal/sim), including checkpoint-resolved ones.
+	// far (internal/sim), including store-served ones.
 	GaugeCellsPlanned = "suite_cells_planned"
-	// MetricRunsCompleted / MetricRunsFailed / MetricCheckpointHits are
-	// the harness's per-cell outcome counters.
-	MetricRunsCompleted  = "harness_runs_completed_total"
-	MetricRunsFailed     = "harness_runs_failed_total"
+	// MetricRunsCompleted / MetricRunsFailed are the harness's per-cell
+	// outcome counters; with MetricStoreHits they count every planned
+	// cell's answer.
+	MetricRunsCompleted = "harness_runs_completed_total"
+	MetricRunsFailed    = "harness_runs_failed_total"
+	// MetricCheckpointHits is retired: it counted cells restored from the
+	// harness checkpoint, which the result store replaced (a restored cell
+	// is now a store hit), so nothing registers or increments it. The name
+	// stays for readers that still look it up (the benchmark's per-layer
+	// report), which read it as 0.
 	MetricCheckpointHits = "harness_checkpoint_hits_total"
 	// MetricWorkerBusyMS is the harness pool's cumulative busy time in
 	// milliseconds summed over workers; GaugeWorkers is the pool size of
@@ -314,7 +320,7 @@ const (
 	// transitions (internal/server/api); remote batches the resolution
 	// ladder degraded to local simulation (internal/sim); and the
 	// server's recovered handler panics, watchdog-killed sweeps, and
-	// sweeps completed despite store/checkpoint trouble (internal/server).
+	// sweeps completed despite store trouble (internal/server).
 	MetricFaultplaneInjected  = "faultplane_injected_total"
 	MetricStoreQuarantined    = "store_quarantined_total"
 	MetricStoreGCRuns         = "store_gc_runs_total"

@@ -70,7 +70,7 @@ func (s *Sampler) loop() {
 		}
 		prevInstr, prevAt = instr, now
 
-		done := int64(snap.Counter(MetricRunsCompleted) + snap.Counter(MetricRunsFailed) + snap.Counter(MetricCheckpointHits))
+		done := int64(snap.Counter(MetricRunsCompleted) + snap.Counter(MetricRunsFailed) + snap.Counter(MetricStoreHits))
 		planned := snap.Gauge(GaugeCellsPlanned)
 		var eta float64
 		if done > 0 && planned > done {

@@ -11,9 +11,8 @@ import (
 // Record is one JSONL telemetry line. Every record carries a Type
 // discriminator ("snapshot" for sampler output; event types such as
 // "run_start", "run_retry", "run_fault", "run_done", "run_error",
-// "checkpoint_hit" for harness traces) and a wall-clock timestamp. Event
-// records carry the RunID — the harness job key, which is also the
-// checkpoint key — so telemetry joins against checkpoint records directly.
+// "store_hit" for run traces) and a wall-clock timestamp. Event records
+// carry the RunID — the run key — so one cell's records join on it.
 type Record struct {
 	Type string    `json:"type"`
 	Time time.Time `json:"time"`

@@ -148,8 +148,10 @@ type SweepStatus struct {
 	Total     int `json:"total"`
 	Completed int `json:"completed"`
 	// Executed counts cells actually simulated by this daemon process;
-	// StoreHits counts cells served from the content-addressed store;
-	// Resumed counts cells restored from the sweep's harness checkpoint.
+	// StoreHits counts cells served from the content-addressed store.
+	// Resumed is always 0: it counted cells restored from a per-sweep
+	// checkpoint, which the store replaced (a resumed cell is a store
+	// hit). It stays on the wire for clients that read it.
 	Executed  int `json:"executed"`
 	StoreHits int `json:"store_hits"`
 	Resumed   int `json:"resumed"`

@@ -180,8 +180,8 @@ func satMul(a, b int) int {
 }
 
 // RequestHash is the sweep's identity: budget plus the sorted cell set.
-// It names the checkpoint file and dedupes identical in-flight requests —
-// on the coordinator as on a single node.
+// It dedupes identical in-flight requests — on the coordinator as on a
+// single node.
 func RequestHash(instructions, warmup uint64, wire []Cell) (string, error) {
 	sorted := append([]Cell(nil), wire...)
 	sort.Slice(sorted, func(i, j int) bool {

@@ -126,7 +126,7 @@ func TestRequestHashBackwardCompat(t *testing.T) {
 	}
 	// The pre-kinds hash of the same request, computed before Kind and
 	// Scenario existed on the wire struct. If this moves, in-flight sweep
-	// dedup and checkpoint file names silently fork across versions.
+	// dedup silently forks across versions.
 	const pinned = "225f62d89220850c2cf63ba9fb0b48265ddfba8721bb13c720222c9548d3e25f"
 	if h1 != pinned {
 		t.Fatalf("energy-only request hash moved: %s != pinned %s", h1, pinned)

@@ -2,9 +2,10 @@
 // sweeps into a bounded dual-priority queue (interactive requests overtake
 // bulk sweeps), runs them on an Executor and serves their status, SSE
 // progress, stored cells, health and metrics. The single-node daemon's
-// executor runs each sweep on the simulation harness with per-sweep
-// checkpoints, resolving through the content-addressed store first so
-// repeated or overlapping sweeps simulate only the delta. The cluster
+// executor runs each sweep on the simulation harness over the
+// content-addressed store, which serves repeated or overlapping sweeps so
+// they simulate only the delta, and records each cell as it settles so a
+// killed daemon's resubmitted sweep resumes from it. The cluster
 // coordinator (internal/cluster) mounts this same front door over an
 // executor that shards sweeps across worker daemons.
 package server
@@ -16,8 +17,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -71,7 +70,7 @@ type Config struct {
 	// SweepTimeout is the watchdog: a sweep running longer than this is
 	// canceled and marked failed (0 = no watchdog). The cancellation
 	// propagates through the harness, so in-flight cells drain and
-	// completed cells stay checkpointed and stored.
+	// completed cells stay stored.
 	SweepTimeout time.Duration
 	// Plane, when non-nil, injects faults into request handling (the
 	// server.handler site) and sweep execution (server.sweep) — chaos
@@ -183,8 +182,8 @@ type Verdict struct {
 	// has an answer: status then shows every cell pending and counts
 	// progress from the tallies.
 	Cells []api.CellStatus
-	// Executed, StoreHits and Resumed tally where answers came from.
-	Executed, StoreHits, Resumed int
+	// Executed and StoreHits tally where answers came from.
+	Executed, StoreHits int
 }
 
 // Live installs the executor's progress view; status reads call it until
@@ -222,9 +221,6 @@ func (sw *Sweep) finish(v Verdict) {
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("server: Config.Store is required")
-	}
-	if err := os.MkdirAll(filepath.Join(cfg.Store.Dir(), "checkpoints"), 0o755); err != nil {
-		return nil, fmt.Errorf("server: checkpoint dir: %w", err)
 	}
 	s := newServer(cfg)
 	s.startExecutors()
@@ -486,15 +482,14 @@ func (s *Server) run(sw *Sweep) {
 			failed++
 		}
 	}
-	s.cfg.Log.Printf("leakd: sweep %s %s (executed=%d store_hits=%d resumed=%d failed=%d)",
-		sw.ID, v.State, v.Executed, v.StoreHits, v.Resumed, failed)
+	s.cfg.Log.Printf("leakd: sweep %s %s (executed=%d store_hits=%d failed=%d)",
+		sw.ID, v.State, v.Executed, v.StoreHits, failed)
 }
 
 // local is the single-node Executor: each sweep runs its own
-// sim.Experiments over the shared store and a checkpoint file named by the
-// request hash, so a daemon killed mid-sweep resumes exactly that
-// request's remaining cells on restart. A sweep that completes with every
-// result stored deletes its checkpoint.
+// sim.Experiments over the shared store, which records every cell as it
+// settles, so a daemon killed mid-sweep simulates only the cells it had
+// not finished when the sweep is resubmitted.
 type local struct {
 	cfg Config
 }
@@ -511,8 +506,8 @@ func (m multiSink) Write(rec obs.Record) {
 }
 
 // Execute runs one sweep to a verdict. Every completed cell is in the
-// store (and the sweep's checkpoint) before it returns, so a drain
-// mid-sweep loses no finished work.
+// store before it counts as executed, so a drain or a kill mid-sweep
+// loses no finished work.
 func (l *local) Execute(sw *Sweep) Verdict {
 	// The watchdog bounds the whole sweep; its cancellation propagates
 	// through the harness exactly like a drain (in-flight cells stop,
@@ -535,16 +530,12 @@ func (l *local) Execute(sw *Sweep) Verdict {
 	e.MaxRetries = l.cfg.MaxRetries
 	e.Peer = l.cfg.Peer
 	e.Events = multiSink{sw, l.cfg.Events}
-	ckptDir := filepath.Join(l.cfg.Store.Dir(), "checkpoints")
-	_ = os.MkdirAll(ckptDir, 0o755)
-	e.CheckpointPath = filepath.Join(ckptDir, sw.ReqHash+".jsonl")
-	e.Resume = true
 	sw.Live(func() Verdict {
-		return Verdict{Executed: e.Executed(), StoreHits: e.StoreHits(), Resumed: e.Resumed()}
+		return Verdict{Executed: e.Executed(), StoreHits: e.StoreHits()}
 	})
 
-	// Both cell kinds run under one Experiments, so they share the store,
-	// the checkpoint file (disjoint key namespaces) and the live counters.
+	// Both cell kinds run under one Experiments, so they share the store
+	// and the live counters.
 	outs, runErr := e.RunCells(sw.Specs)
 	var attackOuts []sim.AttackOutcome
 	if runErr == nil {
@@ -555,8 +546,7 @@ func (l *local) Execute(sw *Sweep) Verdict {
 	// degraded-complete (the daemon recomputes next time instead of lying
 	// about durability), not failed.
 	infraErr := e.Err()
-	v := Verdict{State: api.StateCompleted, Executed: e.Executed(), StoreHits: e.StoreHits(), Resumed: e.Resumed()}
-	_ = e.Close()
+	v := Verdict{State: api.StateCompleted, Executed: e.Executed(), StoreHits: e.StoreHits()}
 
 	// The watchdog fired iff the run context died while the sweep's own
 	// context (drain, client deadline) is still alive.
@@ -592,16 +582,9 @@ func (l *local) Execute(sw *Sweep) Verdict {
 		// or deadline: the sweep is canceled, not completed.
 		v.State, v.Error = api.StateCanceled, sw.Ctx.Err().Error()
 	}
-	switch {
-	case v.State == api.StateCompleted && infraErr != nil:
+	if v.State == api.StateCompleted && infraErr != nil {
 		v.Degraded = infraErr.Error()
 		sw.Degrade("store trouble: " + infraErr.Error())
-	case v.State == api.StateCompleted:
-		// Every completed cell is in the store, so the checkpoint has
-		// nothing left to resume. Kept, it would outlive store GC and
-		// serve results GC dropped; a canceled or killed sweep keeps its
-		// file for the resume.
-		_ = os.Remove(e.CheckpointPath)
 	}
 	return v
 }
@@ -622,7 +605,7 @@ func cellStatus(c api.Cell, hash string, err *harness.RunError) api.CellStatus {
 
 // Shutdown drains the daemon: new submissions get 503, queued sweeps are
 // canceled, running sweeps get their contexts canceled (in-flight cells
-// drain; completed cells are already checkpointed and stored), and the
+// drain; completed cells are already stored), and the
 // executors exit. It blocks until the drain finishes or ctx expires.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
@@ -817,9 +800,9 @@ func (sw *Sweep) status(withCells bool) api.SweepStatus {
 		v = live()
 	}
 	st.Error, st.Degraded = v.Error, v.Degraded
-	st.Executed, st.StoreHits, st.Resumed = v.Executed, v.StoreHits, v.Resumed
+	st.Executed, st.StoreHits = v.Executed, v.StoreHits
 	if v.Cells == nil {
-		st.Completed = v.Executed + v.StoreHits + v.Resumed
+		st.Completed = v.Executed + v.StoreHits
 		if withCells {
 			for _, c := range sw.Cells {
 				st.Cells = append(st.Cells, api.CellStatus{Cell: c, State: "pending"})
@@ -858,8 +841,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the sweep's trace events as SSE: the buffered
 // history first, then live events until the sweep finishes or the client
-// goes away. Event types are the harness's record types (run_start,
-// run_done, checkpoint_hit, store_hit, sweep_*).
+// goes away. Event types are the run trace's record types (run_start,
+// run_done, store_hit, sweep_*).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sw := s.lookup(r.PathValue("id"))
 	if sw == nil {

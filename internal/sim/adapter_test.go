@@ -7,11 +7,15 @@ package sim
 
 import (
 	"context"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"hotleakage/internal/adaptive"
 	"hotleakage/internal/leakage"
 	"hotleakage/internal/leakctl"
+	"hotleakage/internal/store"
 	"hotleakage/internal/workload"
 )
 
@@ -71,5 +75,57 @@ func TestExperimentsAdapterForReachesRuns(t *testing.T) {
 	}
 	if r.DStats == base.DStats {
 		t.Fatal("AdapterFor-supplied adapter had no effect on the supervised run")
+	}
+}
+
+// TestAdapterForRefusesTheStore is the aliasing probe for adaptive runs. A
+// cell's content address cannot name an adapter, so an adaptive gcc run
+// stored under it would be served to a later fixed-interval run of the
+// same cell. An Experiments with AdapterFor therefore fails its cells
+// when it has a Store or a Remote (which ships cells by name), and the
+// fixed run simulates its own result.
+func TestAdapterForRefusesTheStore(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "cells"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	prof, _ := workload.ByName("gcc")
+	adaptFor := func(_ string, tq leakctl.Technique, iv uint64) leakctl.Adapter {
+		if tq == leakctl.TechNone {
+			return nil
+		}
+		return aggressiveFeedback(iv)
+	}
+
+	adapted := tinyExperiments()
+	adapted.Store = st
+	adapted.AdapterFor = adaptFor
+	if _, err := adapted.run(prof, 5, leakctl.TechDrowsy, 4096); err == nil || !strings.Contains(err.Error(), ErrInvalidConfig.Error()) {
+		t.Fatalf("AdapterFor with a Store: err = %v, want %v", err, ErrInvalidConfig)
+	}
+	r := &recordingRunner{inner: tinyExperiments()}
+	remote := tinyExperiments()
+	remote.Remote = r
+	remote.AdapterFor = adaptFor
+	if _, err := remote.run(prof, 5, leakctl.TechDrowsy, 4096); err == nil || len(r.sent) != 0 {
+		t.Fatalf("AdapterFor with a Remote: err = %v, shipped %v; want a failure and nothing shipped", err, r.sent)
+	}
+
+	fixed := tinyExperiments()
+	fixed.Store = st
+	got, err := fixed.run(prof, 5, leakctl.TechDrowsy, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fixed.StoreHits() != 0 || fixed.Executed() != 1 {
+		t.Fatalf("fixed run over the same store: store_hits=%d executed=%d, want 0/1", fixed.StoreHits(), fixed.Executed())
+	}
+	want, err := tinyExperiments().run(prof, 5, leakctl.TechDrowsy, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the fixed run over the store differs from a fixed run without one")
 	}
 }

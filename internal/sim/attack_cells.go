@@ -25,8 +25,7 @@ type AttackSpec struct {
 }
 
 // Key returns the cell's run key. The "attack/" prefix keeps attack keys
-// disjoint from energy run keys in the memo, the checkpoint file and the
-// event stream.
+// disjoint from energy run keys in the memo and the event stream.
 func (as AttackSpec) Key() string {
 	return fmt.Sprintf("attack/%s/%d/%d/%d", as.Scenario, as.L2, as.Technique, as.Interval)
 }
@@ -94,19 +93,23 @@ func (e *Experiments) RunAttackCells(specs []AttackSpec) ([]AttackOutcome, error
 // attackKind is the attack cell kind: a prime+probe scenario against the
 // controlled L1, measured as a timing channel. Attack runs are cheap (tens
 // of thousands of serialized cache accesses), so the kind has no batch
-// phase and no cost model. Its specs reach the ladder with a registered
-// scenario (RunAttackCells and FrontierFigure check the name).
+// phase. Its specs reach the ladder with a registered scenario
+// (RunAttackCells and FrontierFigure check the name).
 type attackKind struct{ e *Experiments }
 
 func (attackKind) public(as AttackSpec) AttackSpec { return as }
+
+// unaddressed is always nil: an attack cell's identity covers everything
+// its run reads.
+func (attackKind) unaddressed() error { return nil }
 
 func (k attackKind) identity(as AttackSpec) any {
 	sc, _ := attack.ByName(as.Scenario)
 	return attackIdentityFor(k.e.suite(as.L2).MC, sc, as.Technique, as.Interval)
 }
 
-// check rejects corrupt attack results before they enter the memo, the
-// checkpoint or the store.
+// check rejects corrupt attack results before they enter the memo or the
+// store.
 func (attackKind) check(r attack.Result) error {
 	if r.Scenario == "" || r.Probes == 0 {
 		return fmt.Errorf("empty attack result")

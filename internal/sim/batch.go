@@ -67,7 +67,6 @@ type batchLane struct {
 	timeout time.Duration
 
 	res RunResult
-	dur time.Duration
 	err error
 	// injectPanic arms a mid-batch injected panic: the lane panics on its
 	// first execution round, after its batch-mates have started running.
@@ -167,7 +166,6 @@ func runGroup(ctx context.Context, mc MachineConfig, name string, src cpu.InstrS
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	start := time.Now()
 	if err := mc.Validate(); err != nil {
 		failLanes(lanes, fmt.Errorf("%w: %v", ErrInvalidConfig, err))
 		return
@@ -247,25 +245,6 @@ func runGroup(ctx context.Context, mc MachineConfig, name string, src cpu.InstrS
 			stepLane(ctx, mc, name, sh, lr)
 			if lr.done {
 				active--
-			}
-		}
-	}
-
-	// Cost attribution for the EWMA model: the group's wall time (shared
-	// front generation included) split evenly across the lanes that
-	// produced a result — per-lane duration is what the model expects.
-	wall := time.Since(start)
-	ok := 0
-	for _, ln := range lanes {
-		if ln.err == nil {
-			ok++
-		}
-	}
-	if ok > 0 {
-		per := wall / time.Duration(ok)
-		for _, ln := range lanes {
-			if ln.err == nil {
-				ln.dur = per
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"time"
 
 	"hotleakage/internal/harness"
 	"hotleakage/internal/harness/faultinject"
@@ -26,7 +25,7 @@ type CellSpec struct {
 	Interval  uint64
 }
 
-// Key returns the cell's run key (the harness job / checkpoint identity).
+// Key returns the cell's run key (the memo and event identity).
 func (cs CellSpec) Key() string { return runKey(cs.Bench, cs.L2, cs.Technique, cs.Interval) }
 
 func (cs CellSpec) labels() (string, string) { return cs.Bench, cs.Technique.String() }
@@ -68,17 +67,6 @@ func customProfile(prof workload.Profile) *workload.Profile {
 	return &prof
 }
 
-// customProfiles lists the entries of profs that customProfile keeps.
-func customProfiles(profs []workload.Profile) []workload.Profile {
-	var out []workload.Profile
-	for _, p := range profs {
-		if c := customProfile(p); c != nil {
-			out = append(out, *c)
-		}
-	}
-	return out
-}
-
 // cellIdentityFor builds the identity document for one cell on mc.
 func cellIdentityFor(mc MachineConfig, bench string, t leakctl.Technique, interval uint64) cellIdentity {
 	return cellIdentity{
@@ -118,8 +106,8 @@ func (e *Experiments) RunCells(specs []CellSpec) ([]CellOutcome, error) {
 }
 
 // energyKind is the energy cell kind: one benchmark run on one machine,
-// scored later for net leakage savings. Its batch phase and cost model
-// (batch, saveCosts) live in experiments.go.
+// scored later for net leakage savings. Its batch phase (batch) lives in
+// experiments.go.
 type energyKind struct{ e *Experiments }
 
 func (energyKind) public(sp runSpec) CellSpec {
@@ -132,11 +120,22 @@ func (k energyKind) identity(sp runSpec) any {
 	return id
 }
 
+// unaddressed refuses the store and the wire to an Experiments whose
+// AdapterFor supplies adapters: a cell's identity cannot name a func, so
+// an adaptive result would take a fixed-interval cell's content address,
+// and Remote ships cells by name.
+func (k energyKind) unaddressed() error {
+	if k.e.AdapterFor != nil {
+		return fmt.Errorf("%w: AdapterFor results have no content address, so they cannot use Store, Peer or Remote", ErrInvalidConfig)
+	}
+	return nil
+}
+
 func (energyKind) check(r RunResult) error { return checkRun(r) }
 
 // checkRun rejects results with non-finite energies before they are
-// accepted (and before they would poison the JSON checkpoint); the
-// supervisor treats the rejection as a retryable failure.
+// accepted (and before they would poison the store); the supervisor
+// treats the rejection as a retryable failure.
 func checkRun(r RunResult) error {
 	for _, v := range []float64{
 		r.Measurement.DCacheDynJ, r.Measurement.L2DynJ, r.Measurement.MemDynJ,
@@ -154,15 +153,13 @@ func checkRun(r RunResult) error {
 
 // job retries a cell whose lane failed: one attempt is the cell run as a
 // group of one lane under the per-attempt context (deadline + suite
-// cancellation), on the worker's reusable BatchState, with its wall time
-// folded into the cost model. FaultNaN injection happens here — the
-// generic supervisor cannot corrupt a RunResult, so the job corrupts its
-// own energy figure and check catches it.
+// cancellation), on the worker's reusable BatchState. FaultNaN injection
+// happens here — the generic supervisor cannot corrupt a RunResult, so
+// the job corrupts its own energy figure and check catches it.
 func (k energyKind) job(sp runSpec) harness.Job[RunResult] {
 	e := k.e
 	s := e.suite(sp.l2)
 	return harness.Job[RunResult]{
-		Cost: e.costOf(sp),
 		Run: func(ctx context.Context) (RunResult, error) {
 			// Fresh adapter state per attempt: a retried run must not
 			// inherit a failed attempt's learned intervals.
@@ -171,15 +168,11 @@ func (k energyKind) job(sp runSpec) harness.Job[RunResult] {
 				ln.adapter = e.AdapterFor(sp.prof.Name, sp.tech, sp.interval)
 			}
 			bs := harness.WorkerValue(ctx).(*BatchState)
-			start := time.Now()
 			runBatchGroup(ctx, s.MC, sp.prof, []*batchLane{ln}, nil, bs)
 			if ln.err != nil {
 				return RunResult{}, ln.err
 			}
 			r := ln.res
-			e.mu.Lock()
-			e.noteCostLocked(sp, time.Since(start))
-			e.mu.Unlock()
 			if e.Injector != nil &&
 				e.Injector.Decide(sp.key(), harness.Attempt(ctx)) == faultinject.FaultNaN {
 				r.Measurement.DCacheDynJ = math.NaN()

@@ -3,8 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"maps"
-	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -42,53 +40,21 @@ const DefaultInterval = 4096
 var SweepIntervals = []uint64{1024, 2048, 4096, 8192, 16384, 32768, 65536}
 
 // checkpointVersion is bumped whenever the simulator changes in a way that
-// invalidates previously checkpointed RunResults.
+// invalidates previously stored results. Every content address includes
+// it, so it stays 1 until such a change.
 const checkpointVersion = 1
-
-// ckptHeader fingerprints the configuration a checkpoint was produced
-// under. Resuming against a mismatched header is refused, so results from
-// a different -n/-warmup are never silently reused, and a resumed sweep
-// cannot mix faulted and clean cells: the fault-injection spec is part of
-// the fingerprint. Checkpoint records are keyed by benchmark name, so the
-// profiles that differ from their registered ones are part of it too. Both
-// are omitted when empty, so clean checkpoints over registered profiles
-// keep their original header form.
-type ckptHeader struct {
-	Version      int                `json:"version"`
-	Instructions uint64             `json:"instructions"`
-	Warmup       uint64             `json:"warmup"`
-	FaultInject  string             `json:"faultinject,omitempty"`
-	Profiles     []workload.Profile `json:"profiles,omitempty"`
-}
-
-// injectorSpec renders an injector for the checkpoint header. Only
-// injectors that can describe themselves — notably the flag-built
-// faultinject.Deterministic, whose String is the canonical spec — are
-// fingerprinted; an anonymous test injector (faultinject.Func) has no
-// stable description and stays outside the header contract. Failed runs
-// are never checkpointed and NaN-corrupted ones are rejected by the energy
-// kind's check,
-// so the values in a checkpoint are clean either way — the header guard's
-// job is to keep a resumed *flag-driven* sweep from silently changing its
-// injection config between passes.
-func injectorSpec(inj faultinject.Injector) string {
-	if s, ok := inj.(fmt.Stringer); ok {
-		return s.String()
-	}
-	return ""
-}
 
 // Experiments runs and caches every simulation the paper's figures need.
 // Timing runs are cached by (benchmark, L2 latency, technique, interval),
 // so the 85C and 110C variants of a figure reuse one run, and Table 3
 // shares the sweep with Figures 12-13.
 //
-// Every simulation is executed under the harness supervisor: panics are
-// recovered into structured failures, per-run deadlines and suite-wide
-// cancellation are enforced, transient failures retry with backoff, and
-// completed runs are checkpointed. A failed run degrades to an ERR cell in
-// the affected figures instead of aborting the suite; Failures and
-// FailureSummary report what went wrong.
+// Every simulation is executed under supervision: panics are recovered
+// into structured failures, per-run deadlines and suite-wide cancellation
+// are enforced, transient failures retry with backoff, and with a Store
+// each completed run is written to it as it settles. A failed run degrades
+// to an ERR cell in the affected figures instead of aborting the suite;
+// Failures and FailureSummary report what went wrong.
 type Experiments struct {
 	// Instructions / Warmup configure run length (committed instructions).
 	Instructions uint64
@@ -109,12 +75,12 @@ type Experiments struct {
 	// not a correctness one.
 	DisableBatch bool
 
-	// Store, when non-nil, is the content-addressed result store: before a
-	// cell is executed (or even checkpoint-resolved) its hash is looked up,
-	// and every completed cell is persisted, so identical cells are served
-	// from disk across processes and daemon restarts. The EWMA cost model
-	// is persisted in the store's meta segment, so a fresh process
-	// schedules longest-first from its first batch.
+	// Store, when non-nil, is the content-addressed result store and the
+	// one durable record of a run: before a cell is executed its hash is
+	// looked up, and every cell simulated is persisted as it settles,
+	// before it counts as executed, so identical cells are served from disk
+	// across processes and daemon restarts, and a killed suite resumes from
+	// the cells it finished.
 	Store *store.Store
 
 	// Peer, when non-nil, extends the resolution ladder with a federated
@@ -132,8 +98,8 @@ type Experiments struct {
 	Remote RemoteRunner
 	// RemoteFallback lets a batch whose remote delegation fails at the
 	// transport level (daemon down, circuit open, sweep failed) degrade to
-	// the local resolution ladder — store, checkpoint, simulation —
-	// instead of failing the batch. Per-cell remote failures are still
+	// the local resolution ladder — store, simulation — instead of failing
+	// the batch. Per-cell remote failures are still
 	// per-cell verdicts, not a reason to re-run locally.
 	RemoteFallback bool
 
@@ -148,32 +114,24 @@ type Experiments struct {
 	MaxRetries int
 	// Injector, when non-nil, injects faults into runs (testing only).
 	Injector faultinject.Injector
-	// CheckpointPath, when non-empty, appends each completed run to a
-	// JSON-lines file; Resume loads it first so only missing runs execute.
-	CheckpointPath string
-	Resume         bool
-	// Events, when non-nil, receives the supervisor's structured trace
-	// events (run start/retry/fault/done/error, checkpoint hits), keyed by
-	// the run key so they join against checkpoint records.
+	// Events, when non-nil, receives the structured trace events (run
+	// start/retry/fault/done/error, store hits), keyed by the run key. A
+	// cell's run_done arrives after its Store write.
 	Events harness.EventSink
 	// AdapterFor, when non-nil, supplies the leakage-control adapter for
 	// each run (adaptive-decay studies through the supervised path). It is
 	// invoked once per attempt so retried runs get fresh adapter state and
-	// stay deterministic.
+	// stay deterministic. A cell's content address cannot name a func, and
+	// Remote ships cells by name, so with Store, Peer or Remote set every
+	// energy cell fails with ErrInvalidConfig.
 	AdapterFor func(bench string, t leakctl.Technique, interval uint64) leakctl.Adapter
 
 	mu     sync.Mutex
 	suites map[int]*Suite // per L2 latency
 	// energy and attacks are the two kinds' resolution ladders (ladder.go).
-	energy  *ladder[CellSpec, runSpec, RunResult]
-	attacks *ladder[AttackSpec, AttackSpec, attack.Result]
-	// opened records that the first supervisor opened the shared
-	// checkpoint (ckpt, or the failure in supErr).
-	opened    bool
-	ckpt      *harness.Checkpoint
-	supErr    error
+	energy    *ladder[CellSpec, runSpec, RunResult]
+	attacks   *ladder[AttackSpec, AttackSpec, attack.Result]
 	executed  int // runs actually simulated this process
-	resumed   int // runs restored from the checkpoint
 	storeHits int // runs served from the content-addressed store
 	remoted   int // runs delegated to a remote daemon
 	storeErr  error
@@ -185,11 +143,6 @@ type Experiments struct {
 	batchGroups int
 	batchLanes  int
 	batchStates []*BatchState
-
-	// costs is the dispatch cost model: observed ns/instr EWMA keyed by
-	// bench+"/"+technique, fed back from completed run durations so later
-	// batches dispatch their slowest cells first.
-	costs map[string]float64
 }
 
 // NewExperiments returns the paper's experiment set at reduced scale
@@ -202,7 +155,6 @@ func NewExperiments() *Experiments {
 		Profiles:     workload.Profiles(),
 		Parallel:     true,
 		suites:       make(map[int]*Suite),
-		costs:        make(map[string]float64),
 	}
 	e.energy = newLadder[CellSpec, runSpec, RunResult](e, energyKind{e})
 	e.attacks = newLadder[AttackSpec, AttackSpec, attack.Result](e, attackKind{e})
@@ -234,14 +186,6 @@ func runKey(bench string, l2 int, t leakctl.Technique, interval uint64) string {
 	return fmt.Sprintf("%s/%d/%d/%d", bench, l2, t, interval)
 }
 
-// Init eagerly builds the supervisor (opening the checkpoint file if one
-// is configured) so commands fail fast on an unusable checkpoint instead
-// of discovering it after the first simulated run.
-func (e *Experiments) Init() error {
-	_, err := e.energy.supervisor()
-	return err
-}
-
 // workers sizes the supervisor and batch worker pools: Workers when set,
 // else GOMAXPROCS when Parallel, else 1.
 func (e *Experiments) workers() int {
@@ -263,50 +207,6 @@ func (e *Experiments) keepStoreErr(err error) {
 	e.mu.Unlock()
 }
 
-// CostModelMetaKey names the persisted EWMA cost model in the result
-// store's meta segment. Values are observed ns per instruction keyed by
-// bench+"/"+technique — host-dependent but self-correcting: the EWMA folds
-// fresh observations in, so a model learned on another machine converges
-// rather than poisons. Exported so the cluster coordinator can warm its
-// shard scheduler from the same model and fold its own observations back.
-const CostModelMetaKey = "cost_model_ns_per_instr"
-
-// warmCostsLocked loads the persisted cost model from the store's meta
-// segment into an empty model, so a fresh process schedules longest-first
-// from its very first batch instead of re-learning ns/instr from zero.
-// Caller holds e.mu.
-func (e *Experiments) warmCostsLocked() {
-	if e.Store == nil || len(e.costs) > 0 {
-		return
-	}
-	var persisted map[string]float64
-	if ok, err := e.Store.GetMeta(CostModelMetaKey, &persisted); err == nil && ok {
-		for k, v := range persisted {
-			if v > 0 && !math.IsNaN(v) && !math.IsInf(v, 0) {
-				e.costs[k] = v
-			}
-		}
-	}
-}
-
-// saveCosts persists the current cost model to the store's meta segment.
-// Failures are retained for Err, not fatal: a read-only store degrades
-// scheduling, not results.
-func (k energyKind) saveCosts() {
-	e := k.e
-	e.mu.Lock()
-	if e.Store == nil || len(e.costs) == 0 {
-		e.mu.Unlock()
-		return
-	}
-	snapshot := maps.Clone(e.costs)
-	st := e.Store
-	e.mu.Unlock()
-	if err := st.PutMeta(CostModelMetaKey, snapshot); err != nil {
-		e.keepStoreErr(err)
-	}
-}
-
 // runSpec names one simulation the supervisor should produce.
 type runSpec struct {
 	prof     workload.Profile
@@ -317,60 +217,17 @@ type runSpec struct {
 
 func (sp runSpec) key() string { return runKey(sp.prof.Name, sp.l2, sp.tech, sp.interval) }
 
-// costKey groups specs the cost model treats as equivalent: the same
-// benchmark under the same technique costs about the same regardless of L2
-// latency or decay interval.
-func (sp runSpec) costKey() string { return sp.prof.Name + "/" + sp.tech.String() }
-
-// costOf estimates a spec's wall-clock cost (arbitrary units, only the
-// ordering matters) from the observed ns/instr of its cost group. Unseen
-// groups use the mean of the seen ones — or a flat 1 when nothing has run
-// yet, which leaves the initial batch in job order.
-func (e *Experiments) costOf(sp runSpec) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.warmCostsLocked()
-	w, ok := e.costs[sp.costKey()]
-	if !ok {
-		w = 1
-		if len(e.costs) > 0 {
-			sum := 0.0
-			for _, v := range e.costs {
-				sum += v
-			}
-			w = sum / float64(len(e.costs))
-		}
-	}
-	return w * float64(e.Instructions+e.Warmup)
-}
-
-// noteCostLocked folds one completed run's duration into the cost model
-// (EWMA, so drifting hosts converge). Caller holds e.mu.
-func (e *Experiments) noteCostLocked(sp runSpec, d time.Duration) {
-	n := e.Instructions + e.Warmup
-	if d <= 0 || n == 0 {
-		return
-	}
-	obs := float64(d.Nanoseconds()) / float64(n)
-	k := sp.costKey()
-	if prev, ok := e.costs[k]; ok {
-		obs = 0.6*prev + 0.4*obs
-	}
-	e.costs[k] = obs
-}
-
 // batch is the energy kind's batch phase, the one way cells are
 // simulated: it runs every pending cell as a lane of a lockstep group —
 // one group per (benchmark, machine config), or one lane per group under
-// DisableBatch — and returns the cells whose lane failed, for the
-// supervisor to retry, plus the cells it simulated.
-func (k energyKind) batch(pending []runSpec) (remaining []runSpec, ran []settled[runSpec, RunResult]) {
+// DisableBatch — hands each lane's result to settle as its group ends,
+// and returns the cells whose lane failed, for the supervisor to retry.
+func (k energyKind) batch(pending []runSpec, settle func(runSpec, RunResult)) (remaining []runSpec) {
 	e := k.e
 	type batchGroup struct {
 		prof  workload.Profile
 		l2    int
 		lanes []*batchLane
-		cost  float64
 	}
 	index := make(map[string]*batchGroup)
 	var groups []*batchGroup
@@ -390,14 +247,13 @@ func (k energyKind) batch(pending []runSpec) (remaining []runSpec, ran []settled
 			ln.adapter = e.AdapterFor(sp.prof.Name, sp.tech, sp.interval)
 		}
 		g.lanes = append(g.lanes, ln)
-		g.cost += e.costOf(sp)
 	}
 
-	// LPT at group granularity: ordering whole groups (not cells) by
-	// predicted cost keeps batchable cells together — interleaving cells
-	// across workers would fragment the batches — while the heaviest
-	// groups still start first. Stable, so equal costs keep plan order.
-	sort.SliceStable(groups, func(i, j int) bool { return groups[i].cost > groups[j].cost })
+	// Largest group first, as the cluster coordinator books shards: whole
+	// groups (not cells) are the dispatch unit, so batchable cells stay
+	// together, and a wide group cannot start last and stretch the phase's
+	// tail. Stable, so equal widths keep plan order.
+	sort.SliceStable(groups, func(i, j int) bool { return len(groups[i].lanes) > len(groups[j].lanes) })
 
 	workers := min(e.workers(), len(groups))
 	ctx := e.ctx()
@@ -417,6 +273,16 @@ func (k energyKind) batch(pending []runSpec) (remaining []runSpec, ran []settled
 					}
 				}
 				runBatchGroup(ctx, s.MC, g.prof, g.lanes, e.Injector, bs)
+				for _, ln := range g.lanes {
+					if ln.err != nil {
+						continue
+					}
+					settle(ln.sp, ln.res)
+					obsRunsCompleted.Add(1)
+					if e.Events != nil {
+						e.Events.Write(obs.Record{Type: "run_done", RunID: ln.sp.key(), Attempt: 1})
+					}
+				}
 			}
 		}()
 	}
@@ -439,10 +305,7 @@ func (k energyKind) batch(pending []runSpec) (remaining []runSpec, ran []settled
 			if ln.err != nil {
 				remaining = append(remaining, ln.sp)
 				obsBatchFallback.Add(1)
-				continue
 			}
-			e.noteCostLocked(ln.sp, ln.dur)
-			ran = append(ran, settled[runSpec, RunResult]{ln.sp, ln.res})
 		}
 	}
 	e.batchGroups += shared
@@ -453,7 +316,7 @@ func (k energyKind) batch(pending []runSpec) (remaining []runSpec, ran []settled
 		obsBatchLanes.Add(uint64(lanes))
 		obsBatchOccupancy.Set(int64(lanes * 100 / shared))
 	}
-	return remaining, ran
+	return remaining
 }
 
 // acquireBatchState pops (or creates) one batch executor's reusable
@@ -554,19 +417,12 @@ func (e *Experiments) FailureSummary() string {
 	return b.String()
 }
 
-// Executed returns how many runs were actually simulated by this process;
-// Resumed returns how many were restored from the checkpoint instead.
+// Executed returns how many runs were actually simulated by this process.
+// With a Store, each counted run was written to it first.
 func (e *Experiments) Executed() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.executed
-}
-
-// Resumed returns the number of runs served from the checkpoint file.
-func (e *Experiments) Resumed() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.resumed
 }
 
 // StoreHits returns the number of runs served from the content-addressed
@@ -584,34 +440,19 @@ func (e *Experiments) Remoted() int {
 	return e.remoted
 }
 
-// Err surfaces checkpoint or store trouble: a failed open (also returned
-// by Init), any checkpoint append failure during the suite, or the first
-// result-store read/write failure (results themselves are unaffected).
+// Err surfaces the first result-store read or write failure. Results
+// themselves are unaffected: a cell whose write failed is still returned,
+// and simulated again by the next process.
 func (e *Experiments) Err() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.supErr != nil {
-		return e.supErr
-	}
-	if e.ckpt != nil {
-		if err := e.ckpt.Err(); err != nil {
-			return err
-		}
-	}
 	return e.storeErr
 }
 
-// Close releases the checkpoint file, if one was opened.
-func (e *Experiments) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.ckpt == nil {
-		return nil
-	}
-	err := e.ckpt.Close()
-	e.ckpt = nil
-	return err
-}
+// Close releases nothing: an Experiments holds no files (its Store belongs
+// to whoever opened it). It stays so callers can pair it with
+// NewExperiments.
+func (e *Experiments) Close() error { return nil }
 
 // model builds a fresh leakage model (with the configured variation).
 func (e *Experiments) model(l2 int) *leakage.Model {

@@ -145,6 +145,136 @@ func TestCellIdentityCoversProfile(t *testing.T) {
 	}
 }
 
+// leafFields calls visit with the index path and name of every exported
+// leaf field reachable from typ through structs and pointers to structs.
+func leafFields(typ reflect.Type, path []int, name string, visit func(path []int, name string)) {
+	for typ.Kind() == reflect.Pointer {
+		typ = typ.Elem()
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		p := append(append([]int(nil), path...), i)
+		ft := f.Type
+		for ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
+		}
+		if ft.Kind() == reflect.Struct {
+			leafFields(ft, p, name+"."+f.Name, visit)
+			continue
+		}
+		visit(p, name+"."+f.Name)
+	}
+}
+
+// fieldAt returns the field at path in v, allocating nil pointers on the
+// way so an optional section (IL1Control) can be perturbed too.
+func fieldAt(v reflect.Value, path []int) reflect.Value {
+	for _, i := range path {
+		for v.Kind() == reflect.Pointer {
+			if v.IsNil() {
+				v.Set(reflect.New(v.Type().Elem()))
+			}
+			v = v.Elem()
+		}
+		v = v.Field(i)
+	}
+	return v
+}
+
+// TestCellIdentityCoversMachine extends the profile guard to the machine:
+// every exported leaf field of MachineConfig, found by reflection, is
+// perturbed in turn on a fresh machine (perturbations Validate rejects are
+// skipped), and whenever CellHash stays put RunOne's result must stay put
+// too. A field the identity dropped would fail here.
+func TestCellIdentityCoversMachine(t *testing.T) {
+	machine := func() MachineConfig {
+		mc := DefaultMachine(11)
+		mc.Instructions, mc.Warmup = 20_000, 5_000
+		return mc
+	}
+	prof, _ := workload.ByName("mcf")
+	params := leakctl.DefaultParams(leakctl.TechDrowsy, DefaultInterval)
+	h0, err := CellHash(machine(), prof.Name, params.Technique, params.Interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0, err := RunOne(context.Background(), machine(), prof, params, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves, valid := 0, 0
+	leafFields(reflect.TypeOf(MachineConfig{}), nil, "MachineConfig", func(path []int, name string) {
+		leaves++
+		mc := machine()
+		perturb(t, name, fieldAt(reflect.ValueOf(&mc).Elem(), path))
+		if mc.Validate() != nil {
+			return
+		}
+		valid++
+		h, err := CellHash(mc, prof.Name, params.Technique, params.Interval)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if h != h0 {
+			return
+		}
+		if r, err := RunOne(context.Background(), mc, prof, params, nil); err != nil || !reflect.DeepEqual(r, r0) {
+			t.Errorf("changing %s changes RunOne's result (err %v) but not the cell hash", name, err)
+		}
+	})
+	t.Logf("%d of %d machine leaf perturbations validate", valid, leaves)
+	if valid < leaves/2 {
+		t.Fatalf("only %d of %d machine perturbations validate; the guard is not exercising the identity", valid, leaves)
+	}
+}
+
+// TestAttackIdentityCoversScenario is the same guard for attack cells:
+// every exported leaf field of attack.Scenario that AttackHash does not
+// see must leave attack.Run's result alone.
+func TestAttackIdentityCoversScenario(t *testing.T) {
+	mc := DefaultMachine(11)
+	base, ok := attack.ByName("smoke")
+	if !ok {
+		t.Fatal("smoke scenario missing")
+	}
+	params := leakctl.DefaultParams(leakctl.TechDrowsy, 2048)
+	h0, err := AttackHash(mc, base, params.Technique, params.Interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0, err := attack.Run(attackMachine(mc), base, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves, valid := 0, 0
+	leafFields(reflect.TypeOf(base), nil, "Scenario", func(path []int, name string) {
+		leaves++
+		sc := base
+		perturb(t, name, fieldAt(reflect.ValueOf(&sc).Elem(), path))
+		if sc.Validate() != nil {
+			return
+		}
+		valid++
+		h, err := AttackHash(mc, sc, params.Technique, params.Interval)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if h != h0 {
+			return
+		}
+		if r, err := attack.Run(attackMachine(mc), sc, params); err != nil || !reflect.DeepEqual(r, r0) {
+			t.Errorf("changing %s changes attack.Run's result (err %v) but not the attack hash", name, err)
+		}
+	})
+	t.Logf("%d of %d scenario leaf perturbations validate", valid, leaves)
+	if valid < leaves/2 {
+		t.Fatalf("only %d of %d scenario perturbations validate; the guard is not exercising the identity", valid, leaves)
+	}
+}
+
 // recordingRunner is a RemoteRunner that simulates what it is sent with a
 // second Experiments (standing in for a daemon) and records the benchmark
 // names that crossed the wire.
@@ -196,41 +326,5 @@ func TestRemoteRefusesEditedProfile(t *testing.T) {
 	}
 	if want := []string{e.Profiles[1].Name}; !reflect.DeepEqual(r.sent, want) {
 		t.Fatalf("shipped %v, want only %v", r.sent, want)
-	}
-}
-
-// TestCheckpointRefusesEditedProfiles pins the checkpoint header guard:
-// records are keyed by benchmark name, so a resume whose edited profiles
-// differ from the ones that wrote the file is refused, and a resume with
-// the same profiles is accepted.
-func TestCheckpointRefusesEditedProfiles(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	open := func(xor uint64, resume bool) (*Experiments, error) {
-		e := seededExperiments(xor, nil)
-		e.CheckpointPath = path
-		e.Resume = resume
-		return e, e.Init()
-	}
-	e, err := open(7, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.run(e.Profiles[0], 11, leakctl.TechDrowsy, DefaultInterval); err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-	for _, xor := range []uint64{0, 5} {
-		if e, err := open(xor, true); err == nil {
-			e.Close()
-			t.Fatalf("resume with profile seeds XOR %d accepted a checkpoint written with XOR 7", xor)
-		}
-	}
-	again, err := open(7, true)
-	if err != nil {
-		t.Fatalf("resume with the same edited profiles refused: %v", err)
-	}
-	defer again.Close()
-	if _, err := again.run(again.Profiles[0], 11, leakctl.TechDrowsy, DefaultInterval); err != nil || again.Resumed() != 1 {
-		t.Fatalf("resume: err=%v resumed=%d, want the checkpointed cell back", err, again.Resumed())
 	}
 }

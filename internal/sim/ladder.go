@@ -13,14 +13,14 @@ import (
 )
 
 // Ladder outcome metrics. obsCellsPlanned counts the cells planned so far;
-// the sampler pairs it with the harness outcome counters for progress/ETA.
-// The store and federation counters split cells served from the local
-// store or the peer's view from those resolved further down, and
-// obsRemoteDegraded counts batches that fell back from a sick remote
-// daemon to the local rungs (RemoteFallback). Cells restored from the
-// checkpoint or simulated outside the supervisor count through the
-// harness's own counters (registration is idempotent by name), so
-// progress/ETA math sees every cell through one pair.
+// the sampler pairs it with the harness outcome counters and the store
+// hits for progress/ETA. The store and federation counters split cells
+// served from the local store or the peer's view from those resolved
+// further down, and obsRemoteDegraded counts batches that fell back from
+// a sick remote daemon to the local rungs (RemoteFallback). Cells
+// simulated in the batch phase count through the harness's own completion
+// counter (registration is idempotent by name), so progress/ETA math sees
+// every simulated cell through one counter.
 var (
 	obsCellsPlanned     = obs.Default.Gauge(obs.GaugeCellsPlanned)
 	obsStoreHits        = obs.Default.Counter(obs.MetricStoreHits)
@@ -29,14 +29,14 @@ var (
 	obsFederationMisses = obs.Default.Counter(obs.MetricFederationMisses)
 	obsRemoteDegraded   = obs.Default.Counter(obs.MetricRemoteDegraded)
 	obsRunsCompleted    = obs.Default.Counter(obs.MetricRunsCompleted)
-	obsCheckpointHits   = obs.Default.Counter(obs.MetricCheckpointHits)
 )
 
 // cellKind is what one kind of cell supplies to the resolution ladder. P
 // is the kind's public spec (CellSpec, AttackSpec), S the resolved spec
 // the ladder carries and R the result. Everything else — memo, remote
-// delegation with fallback, store and peer lookup, checkpoint, supervised
-// execution, store write-back — is the ladder's, once for every kind.
+// delegation with fallback, store and peer lookup, supervised execution,
+// the store write as each cell settles — is the ladder's, once for every
+// kind.
 //
 // A new kind supplies an identity document and a run function (identity
 // and job), a check on its result type, and one-liners mapping its spec
@@ -47,48 +47,43 @@ type cellKind[P cellSpec, S, R any] interface {
 	// identity returns the canonical document the cell is
 	// content-addressed by.
 	identity(S) any
-	// check rejects a corrupt result before it is memoized, checkpointed
-	// or stored; a stored or fetched record that fails it is a miss.
+	// unaddressed returns why this Experiments' cells of the kind have no
+	// faithful content address or wire name, or nil; the ladder then fails
+	// them rather than consult or write the store, a peer or a remote.
+	unaddressed() error
+	// check rejects a corrupt result before it is memoized or stored; a
+	// stored or fetched record that fails it is a miss.
 	check(R) error
-	// job returns the cell's supervised execution: Run, and Cost for a
-	// kind with a cost model. The ladder fills in the key and labels and
-	// makes ErrInvalidConfig failures permanent.
+	// job returns the cell's supervised execution. The ladder fills in the
+	// key and labels and makes ErrInvalidConfig failures permanent.
 	job(S) harness.Job[R]
 	// remote delegates cells to Experiments.Remote. A cell the wire
 	// cannot name faithfully comes back failed instead of shipped.
 	remote(ctx context.Context, specs []S) ([]RemoteOutcome[P, R], error)
 }
 
-// cellSpec is a kind's public spec: Key is its run key (the memo,
-// checkpoint and event identity) and labels name its workload and
-// technique in failure records.
+// cellSpec is a kind's public spec: Key is its run key (the memo and
+// event identity) and labels name its workload and technique in failure
+// records.
 type cellSpec interface {
 	Key() string
 	labels() (name, technique string)
 }
 
 // batchKind is a cellKind with a batch phase ahead of the supervisor.
-// Only energy cells have one (lockstep groups off one shared front); they
-// also keep the dispatch cost model, which saveCosts persists after every
-// resolution that simulated cells.
+// Only energy cells have one (lockstep groups off one shared front).
 type batchKind[S, R any] interface {
-	// batch runs what it can of pending and returns the cells left for
-	// the supervisor plus the ones it simulated.
-	batch(pending []S) (rest []S, ran []settled[S, R])
-	saveCosts()
-}
-
-// settled is one cell the ladder resolved, on its way to the store.
-type settled[S, R any] struct {
-	sp S
-	r  R
+	// batch runs what it can of pending, handing each cell it simulates
+	// to settle as the cell's group ends, and returns the cells left for
+	// the supervisor.
+	batch(pending []S, settle func(S, R)) (rest []S)
 }
 
 // Outcome is one cell's result from RunCells or RunAttackCells: the
 // content address and value on success, or the structured failure.
 type Outcome[P, R any] struct {
 	Spec P
-	// Key is the run key (harness job / checkpoint identity).
+	// Key is the run key (the memo and event identity).
 	Key string
 	// Hash is the cell's content address (empty when the cell failed).
 	Hash   string
@@ -128,17 +123,17 @@ type CellFetcher interface {
 }
 
 // ladder resolves the cells of one kind, top rung first: in-process memo,
-// remote daemon (Remote), content-addressed store and federated peer,
-// harness checkpoint, the kind's batch phase if it has one, and
-// supervised execution. Every cell a lower rung resolves is written back
-// to the store. Experiments holds one ladder per kind; e.mu guards the
-// memo, the failure map and the supervisor.
+// remote daemon (Remote), content-addressed store and federated peer, the
+// kind's batch phase if it has one, and supervised execution. The store is
+// the one durable record: each cell a lower rung simulates is written to
+// it as it settles (settle), before it counts as executed or is reported
+// done. Experiments holds one ladder per kind; e.mu guards the memo and
+// the failure map.
 type ladder[P cellSpec, S, R any] struct {
 	e        *Experiments
 	kind     cellKind[P, S, R]
 	runs     map[string]R
 	failures map[string]*harness.RunError
-	sup      *harness.Supervisor[R]
 }
 
 func newLadder[P cellSpec, S, R any](e *Experiments, kind cellKind[P, S, R]) *ladder[P, S, R] {
@@ -153,55 +148,21 @@ func (l *ladder[P, S, R]) fail(p P, msg string) *harness.RunError {
 	return &harness.RunError{Key: p.Key(), Benchmark: name, Technique: tech, Err: msg}
 }
 
-// supervisor lazily builds the kind's supervisor. The first one built
-// opens the checkpoint, which every kind shares (their keys never
-// collide).
-func (l *ladder[P, S, R]) supervisor() (*harness.Supervisor[R], error) {
-	e := l.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if l.sup != nil || e.supErr != nil {
-		return l.sup, e.supErr
+// failAll memoizes one failure for every pending cell.
+func (l *ladder[P, S, R]) failAll(pending []S, msg string, canceled bool) {
+	l.e.mu.Lock()
+	defer l.e.mu.Unlock()
+	for _, sp := range pending {
+		re := l.fail(l.kind.public(sp), msg)
+		re.Canceled = canceled
+		l.failures[re.Key] = re
 	}
-	if !e.opened {
-		e.opened = true
-		if e.CheckpointPath != "" {
-			ckpt, err := harness.OpenCheckpoint(e.CheckpointPath,
-				ckptHeader{
-					Version:      checkpointVersion,
-					Instructions: e.Instructions,
-					Warmup:       e.Warmup,
-					FaultInject:  injectorSpec(e.Injector),
-					Profiles:     customProfiles(e.Profiles),
-				},
-				e.Resume)
-			if err != nil {
-				e.supErr = err
-				return nil, err
-			}
-			e.ckpt = ckpt
-		}
-	}
-	l.sup = harness.New(harness.Config[R]{
-		Workers:    e.workers(),
-		Timeout:    e.RunTimeout,
-		MaxRetries: e.MaxRetries,
-		Injector:   e.Injector,
-		Checkpoint: e.ckpt,
-		Check:      l.kind.check,
-		Events:     e.Events,
-		// Each worker goroutine carries one reusable simulation state;
-		// energy jobs retrieve it through harness.WorkerValue, attack jobs
-		// leave it unused.
-		WorkerState: func() any { return new(BatchState) },
-	})
-	return l.sup, nil
 }
 
 // resolve runs specs down the ladder, memoizing results and failures.
 // Cells already resolved (cached or failed) are skipped; failed keys are
-// not retried within this process — the memo is what makes -resume
-// re-execute only missing runs.
+// not retried within this process. A later process over the same store
+// resumes: it simulates only what no earlier one stored.
 func (l *ladder[P, S, R]) resolve(specs []S) error {
 	e := l.e
 	e.mu.Lock()
@@ -224,9 +185,16 @@ func (l *ladder[P, S, R]) resolve(specs []S) error {
 		return nil
 	}
 	// Progress accounting for the sampler's ETA: every pending cell is one
-	// planned cell; the harness outcome counters record completions.
+	// planned cell; the harness outcome counters and the store hits record
+	// completions.
 	obsCellsPlanned.Add(int64(len(pending)))
 
+	if e.Store != nil || e.Peer != nil || e.Remote != nil {
+		if err := l.kind.unaddressed(); err != nil {
+			l.failAll(pending, err.Error(), false)
+			return nil
+		}
+	}
 	if e.Remote != nil {
 		err := l.delegate(pending)
 		if err == nil {
@@ -236,14 +204,7 @@ func (l *ladder[P, S, R]) resolve(specs []S) error {
 			// Terminal for this batch: memoize the batch error per cell so
 			// figures render ERR and FailureSummary makes the command exit
 			// non-zero — a silent 0 would misreport a dead daemon as success.
-			canceled := e.ctx().Err() != nil
-			e.mu.Lock()
-			for _, sp := range pending {
-				re := l.fail(l.kind.public(sp), err.Error())
-				re.Canceled = canceled
-				l.failures[re.Key] = re
-			}
-			e.mu.Unlock()
+			l.failAll(pending, err.Error(), e.ctx().Err() != nil)
 			return err
 		}
 		// The daemon is sick (or the breaker is open): degrade this batch
@@ -255,54 +216,66 @@ func (l *ladder[P, S, R]) resolve(specs []S) error {
 		}
 	}
 
-	sup, err := l.supervisor()
-	if err != nil {
-		return err
-	}
 	if e.Store != nil || e.Peer != nil {
 		if pending = l.fromStore(pending); len(pending) == 0 {
 			return nil
 		}
 	}
-	pending, done := l.fromCheckpoint(pending)
-
-	bk, batched := l.kind.(batchKind[S, R])
-	simulated := 0
-	if batched {
-		var ran []settled[S, R]
-		pending, ran = bk.batch(pending)
-		l.ranOutside(ran)
-		done = append(done, ran...)
-		simulated += len(ran)
-	}
-	if len(pending) > 0 {
-		jobs := make([]harness.Job[R], len(pending))
-		for i, sp := range pending {
-			jobs[i] = l.job(sp)
+	if bk, ok := l.kind.(batchKind[S, R]); ok {
+		if pending = bk.batch(pending, l.settle); len(pending) == 0 {
+			return nil
 		}
-		results := sup.Run(e.ctx(), jobs)
-		e.mu.Lock()
-		for i, res := range results {
-			if res.Err != nil {
-				l.failures[res.Key] = res.Err
-				continue
-			}
-			l.runs[res.Key] = res.Value
-			done = append(done, settled[S, R]{pending[i], res.Value})
-			if res.FromCheckpoint {
-				e.resumed++
-			} else {
-				e.executed++
-				simulated++
-			}
+	}
+	bySpec := make(map[string]S, len(pending))
+	jobs := make([]harness.Job[R], len(pending))
+	for i, sp := range pending {
+		bySpec[l.key(sp)] = sp
+		jobs[i] = l.job(sp)
+	}
+	sup := harness.New(harness.Config[R]{
+		Workers:    e.workers(),
+		Timeout:    e.RunTimeout,
+		MaxRetries: e.MaxRetries,
+		Injector:   e.Injector,
+		Check:      l.kind.check,
+		Settled:    func(k string, r R) { l.settle(bySpec[k], r) },
+		Events:     e.Events,
+		// Each worker goroutine carries one reusable simulation state;
+		// energy jobs retrieve it through harness.WorkerValue, attack jobs
+		// leave it unused.
+		WorkerState: func() any { return new(BatchState) },
+	})
+	results := sup.Run(e.ctx(), jobs)
+	e.mu.Lock()
+	for _, res := range results {
+		if res.Err != nil {
+			l.failures[res.Key] = res.Err
 		}
-		e.mu.Unlock()
 	}
-	l.persist(done)
-	if batched && simulated > 0 {
-		bk.saveCosts()
-	}
+	e.mu.Unlock()
 	return nil
+}
+
+// settle records one cell a lower rung simulated: written to the store
+// first, then memoized and counted, so a cell that counts as executed or
+// is reported done is already durable. Store trouble degrades to Err,
+// never to a lost result.
+func (l *ladder[P, S, R]) settle(sp S, r R) {
+	e := l.e
+	if e.Store != nil {
+		id := l.kind.identity(sp)
+		h, err := store.CanonicalHash(id)
+		if err == nil {
+			err = e.Store.Put(h, id, r)
+		}
+		if err != nil {
+			e.keepStoreErr(err)
+		}
+	}
+	e.mu.Lock()
+	l.runs[l.key(sp)] = r
+	e.executed++
+	e.mu.Unlock()
 }
 
 // job wraps the kind's supervised execution of one cell.
@@ -449,87 +422,6 @@ func (l *ladder[P, S, R]) fromPeer(h string, id any) (R, bool) {
 		}
 	}
 	return r, true
-}
-
-// fromCheckpoint restores pending cells from the harness checkpoint (a
-// corrupt entry is a miss and re-executes), returning the rest and the
-// restored cells.
-func (l *ladder[P, S, R]) fromCheckpoint(pending []S) (rest []S, done []settled[S, R]) {
-	e := l.e
-	e.mu.Lock()
-	ckpt := e.ckpt
-	e.mu.Unlock()
-	if ckpt == nil {
-		return pending, nil
-	}
-	for _, sp := range pending {
-		k := l.key(sp)
-		if raw, ok := ckpt.Lookup(k); ok {
-			var r R
-			if json.Unmarshal(raw, &r) == nil {
-				done = append(done, settled[S, R]{sp, r})
-				obsCheckpointHits.Add(1)
-				if e.Events != nil {
-					e.Events.Write(obs.Record{Type: "checkpoint_hit", RunID: k})
-				}
-				continue
-			}
-		}
-		rest = append(rest, sp)
-	}
-	e.mu.Lock()
-	for _, d := range done {
-		l.runs[l.key(d.sp)] = d.r
-		e.resumed++
-	}
-	e.mu.Unlock()
-	return rest, done
-}
-
-// ranOutside records cells simulated outside the supervisor (the batch
-// phase) exactly as the supervisor records its runs: memoized,
-// checkpointed, counted and reported.
-func (l *ladder[P, S, R]) ranOutside(ran []settled[S, R]) {
-	e := l.e
-	e.mu.Lock()
-	ckpt := e.ckpt
-	for _, d := range ran {
-		l.runs[l.key(d.sp)] = d.r
-		e.executed++
-	}
-	e.mu.Unlock()
-	for _, d := range ran {
-		k := l.key(d.sp)
-		if ckpt != nil {
-			// Append errors are recorded on the checkpoint (the result is
-			// still good); see Checkpoint.Err.
-			_ = ckpt.Append(k, d.r)
-		}
-		obsRunsCompleted.Add(1)
-		if e.Events != nil {
-			e.Events.Write(obs.Record{Type: "run_done", RunID: k, Attempt: 1})
-		}
-	}
-}
-
-// persist writes every newly resolved cell — simulated or
-// checkpoint-restored — to the content-addressed store. Store trouble
-// degrades to Err, never to lost results.
-func (l *ladder[P, S, R]) persist(done []settled[S, R]) {
-	if l.e.Store == nil {
-		return
-	}
-	for _, d := range done {
-		id := l.kind.identity(d.sp)
-		h, err := store.CanonicalHash(id)
-		if err == nil {
-			err = l.e.Store.Put(h, id, d.r)
-		}
-		if err != nil {
-			l.e.keepStoreErr(err)
-			return
-		}
-	}
 }
 
 // get returns one cell's result, resolving it first if needed. A failed

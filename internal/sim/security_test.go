@@ -220,14 +220,19 @@ func TestFrontierFigure(t *testing.T) {
 	}
 }
 
-// Attack cells ride the checkpoint: a second experiment set resuming the
-// same file restores the attack run instead of re-simulating it.
+// Attack cells resume from the store like energy cells: a second
+// experiment set over the same store serves the attack run instead of
+// re-simulating it.
 func TestAttackCheckpointResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	st, err := store.Open(filepath.Join(t.TempDir(), "cells"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	spec := []AttackSpec{{Scenario: "smoke", L2: 11, Technique: leakctl.TechDrowsy, Interval: 2048}}
 
 	e1 := attackExperiments()
-	e1.CheckpointPath = path
+	e1.Store = st
 	first, err := e1.RunAttackCells(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -235,26 +240,21 @@ func TestAttackCheckpointResume(t *testing.T) {
 	if first[0].Err != nil {
 		t.Fatal(first[0].Err)
 	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	e2 := attackExperiments()
-	e2.CheckpointPath = path
-	e2.Resume = true
+	e2.Store = st
 	second, err := e2.RunAttackCells(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e2.Close()
 	if second[0].Err != nil {
 		t.Fatal(second[0].Err)
 	}
-	if e2.Executed() != 0 || e2.Resumed() != 1 {
-		t.Fatalf("resume: executed=%d resumed=%d, want 0/1", e2.Executed(), e2.Resumed())
+	if e2.Executed() != 0 || e2.StoreHits() != 1 {
+		t.Fatalf("resume: executed=%d store_hits=%d, want 0/1", e2.Executed(), e2.StoreHits())
 	}
 	if !reflect.DeepEqual(second[0].Result, first[0].Result) {
-		t.Fatalf("checkpoint round trip not bit-identical")
+		t.Fatalf("store round trip not bit-identical")
 	}
 }
 

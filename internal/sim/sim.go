@@ -241,8 +241,8 @@ func ctxDone(ctx context.Context) <-chan struct{} {
 	return ctx.Done()
 }
 
-// SetBaseline seeds the baseline cache with an already-computed run — used
-// when resuming from a checkpoint, so a restored baseline is not re-simulated.
+// SetBaseline seeds the baseline cache with an already-computed run — a
+// memoized or store-served one — so it is not re-simulated.
 func (s *Suite) SetBaseline(name string, r RunResult) {
 	s.mu.Lock()
 	if c, ok := s.baselines[name]; ok {

@@ -3,9 +3,12 @@ package sim
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"hotleakage/internal/leakctl"
+	"hotleakage/internal/obs"
 	"hotleakage/internal/store"
 	"hotleakage/internal/workload"
 )
@@ -60,17 +63,6 @@ func TestExperimentsStoreAcrossProcesses(t *testing.T) {
 		t.Fatalf("cold run store error: %v", err)
 	}
 	e1.Close()
-
-	// The cost model must have been persisted for day-one LPT scheduling.
-	var costs map[string]float64
-	if ok, err := st.GetMeta("cost_model_ns_per_instr", &costs); err != nil || !ok {
-		t.Fatalf("cost model not persisted: ok=%v err=%v", ok, err)
-	}
-	for k, v := range costs {
-		if v <= 0 {
-			t.Errorf("cost model entry %s = %v, want > 0", k, v)
-		}
-	}
 	st.Close()
 
 	// "Restart the daemon": fresh store handle, fresh experiment set.
@@ -166,5 +158,93 @@ func TestCellHashSensitivity(t *testing.T) {
 		if h == base {
 			t.Errorf("changing %s did not change the cell hash", name)
 		}
+	}
+}
+
+// eventCheck records each trace event with whether its cell was already
+// in the store when the event arrived.
+type eventCheck struct {
+	st     *store.Store
+	hashes map[string]string // run key -> content address
+	mu     sync.Mutex
+	seen   []checkedEvent
+}
+
+type checkedEvent struct {
+	typ, key string
+	stored   bool
+}
+
+func (c *eventCheck) Write(rec obs.Record) {
+	stored := c.st.Has(c.hashes[rec.RunID])
+	c.mu.Lock()
+	c.seen = append(c.seen, checkedEvent{rec.Type, rec.RunID, stored})
+	c.mu.Unlock()
+}
+
+// TestRunDoneFollowsStoreWrite pins one durable record per cell: with one
+// worker, two lockstep groups run one after the other, largest first;
+// every cell is in the store by the time its run_done event arrives, and
+// the first group's cells are done before the second group starts — a
+// kill between the groups loses only the second.
+func TestRunDoneFollowsStoreWrite(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "cells"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	e := storeExperiments(t, st)
+	e.Workers = 1
+	// The narrower group is planned first; the wider one must run first.
+	cells := []CellSpec{
+		{Bench: "gcc", L2: 11, Technique: leakctl.TechNone},
+		{Bench: "gcc", L2: 11, Technique: leakctl.TechDrowsy, Interval: 4096},
+		{Bench: "gzip", L2: 11, Technique: leakctl.TechNone},
+		{Bench: "gzip", L2: 11, Technique: leakctl.TechDrowsy, Interval: 4096},
+		{Bench: "gzip", L2: 11, Technique: leakctl.TechGated, Interval: 4096},
+	}
+	check := &eventCheck{st: st, hashes: map[string]string{}}
+	for _, cs := range cells {
+		h, err := CellHash(e.suite(cs.L2).MC, cs.Bench, cs.Technique, cs.Interval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check.hashes[cs.Key()] = h
+	}
+	e.Events = check
+	outs, err := e.RunCells(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range outs {
+		if o.Err != nil {
+			t.Fatalf("cell %s failed: %v", o.Key, o.Err)
+		}
+	}
+	bench := func(key string) string { return strings.SplitN(key, "/", 2)[0] }
+	var order []string
+	done := map[string]int{}
+	for _, ev := range check.seen {
+		switch ev.typ {
+		case "run_done":
+			if !ev.stored {
+				t.Errorf("run_done for %s arrived before its store write", ev.key)
+			}
+			done[bench(ev.key)]++
+		case "run_start":
+			if len(order) == 0 || order[len(order)-1] != bench(ev.key) {
+				order = append(order, bench(ev.key))
+			}
+			if len(order) == 2 && done[order[0]] != 3 {
+				t.Fatalf("group %s started with %d of group %s's 3 cells done; events %v",
+					order[1], done[order[0]], order[0], check.seen)
+			}
+		}
+	}
+	if len(order) != 2 || order[0] != "gzip" {
+		t.Fatalf("groups started in order %v, want the wider gzip group first, then gcc", order)
+	}
+	if e.Executed() != len(cells) || done["gzip"]+done["gcc"] != len(cells) {
+		t.Fatalf("executed=%d, run_done for %v, want %d each", e.Executed(), done, len(cells))
 	}
 }

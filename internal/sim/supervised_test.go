@@ -9,6 +9,7 @@ import (
 
 	"hotleakage/internal/harness/faultinject"
 	"hotleakage/internal/leakctl"
+	"hotleakage/internal/store"
 	"hotleakage/internal/workload"
 )
 
@@ -90,15 +91,21 @@ func TestParallelMatchesSerialFigure(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeReproducesCleanFigure: the store is the checkpoint.
+// Pass 1 runs over a store with one run panicking; its cell degrades to
+// ERR, and the rest are stored as they settle. Pass 2, without the
+// injector over the same store, simulates only the failed run.
 func TestCheckpointResumeReproducesCleanFigure(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "runs.json")
+	st, err := store.Open(filepath.Join(t.TempDir(), "cells"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 
-	// Pass 1: one run panics; its cell degrades to ERR, the rest are
-	// checkpointed.
 	e1 := tinyExperiments()
 	victim := runKey(e1.Profiles[0].Name, 5, leakctl.TechGated, 4096)
 	e1.Injector = panicKey(victim)
-	e1.CheckpointPath = path
+	e1.Store = st
 	sav1, _ := e1.LatencyFigure("S", "P", 5, 110, 4096)
 	if sav1.FailedCells() != 1 {
 		t.Fatalf("pass 1: FailedCells = %d, want 1", sav1.FailedCells())
@@ -106,25 +113,17 @@ func TestCheckpointResumeReproducesCleanFigure(t *testing.T) {
 	if e1.Executed() != 5 { // 2 baselines + 4 technique runs - 1 failure
 		t.Fatalf("pass 1 executed %d runs, want 5", e1.Executed())
 	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	// Pass 2: resume without the injector. Only the failed run executes.
 	e2 := tinyExperiments()
-	e2.CheckpointPath = path
-	e2.Resume = true
+	e2.Store = st
 	sav2, perf2 := e2.LatencyFigure("S", "P", 5, 110, 4096)
 	if sav2.FailedCells() != 0 || perf2.FailedCells() != 0 {
 		t.Fatalf("pass 2 still failing:\n%s", e2.FailureSummary())
 	}
-	if e2.Executed() != 1 {
-		t.Fatalf("resume executed %d runs, want only the failed one", e2.Executed())
+	if e2.Executed() != 1 || e2.StoreHits() != 5 {
+		t.Fatalf("pass 2: executed=%d store_hits=%d, want only the failed run executed and 5 served", e2.Executed(), e2.StoreHits())
 	}
-	if e2.Resumed() != 5 {
-		t.Fatalf("resume restored %d runs, want 5", e2.Resumed())
-	}
-	if err := e2.Close(); err != nil {
+	if err := e2.Err(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,30 +136,6 @@ func TestCheckpointResumeReproducesCleanFigure(t *testing.T) {
 	}
 	if sav2.String() != sav3.String() {
 		t.Fatal("rendered figures differ after resume")
-	}
-}
-
-func TestCheckpointHeaderGuardsRunLength(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "runs.json")
-	e1 := tinyExperiments()
-	e1.CheckpointPath = path
-	if err := e1.Init(); err != nil {
-		t.Fatal(err)
-	}
-	prof := e1.Profiles[0]
-	if _, err := e1.run(prof, 5, leakctl.TechNone, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	e2 := tinyExperiments()
-	e2.Instructions = e1.Instructions * 2 // different settings
-	e2.CheckpointPath = path
-	e2.Resume = true
-	if err := e2.Init(); err == nil {
-		t.Fatal("resume with mismatched run length was not refused")
 	}
 }
 
@@ -231,79 +206,5 @@ func TestNaNInjectionIsRetried(t *testing.T) {
 	}
 	if len(e.Failures()) != 0 {
 		t.Fatalf("unexpected failures: %+v", e.Failures())
-	}
-}
-
-// ckptWith opens (and immediately closes) a checkpoint at path under the
-// given injector, leaving only the header on disk.
-func ckptWith(t *testing.T, path string, inj faultinject.Injector) {
-	t.Helper()
-	e := tinyExperiments()
-	e.CheckpointPath = path
-	e.Injector = inj
-	if err := e.Init(); err != nil {
-		t.Fatalf("writing checkpoint header: %v", err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestResumeRefusedOnFaultConfigMismatch(t *testing.T) {
-	// The fault-injection spec is part of the checkpoint fingerprint: a
-	// resumed flag-driven sweep must not silently change what it injects
-	// between passes.
-	inj := func() *faultinject.Deterministic {
-		// Fires on ~1 in 2^40 keys: a realistic nonempty spec that will
-		// never actually trigger here.
-		return &faultinject.Deterministic{Fault: faultinject.FaultError, N: 1 << 40, Seed: 7}
-	}
-
-	resume := func(path string, in faultinject.Injector) error {
-		e := tinyExperiments()
-		e.CheckpointPath = path
-		e.Resume = true
-		e.Injector = in
-		err := e.Init()
-		if cerr := e.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}
-
-	faulted := filepath.Join(t.TempDir(), "faulted.json")
-	ckptWith(t, faulted, inj())
-
-	// Dropping the injector on resume is refused...
-	if err := resume(faulted, nil); err == nil || !strings.Contains(err.Error(), "different settings") {
-		t.Fatalf("resume without the injector: err = %v, want settings mismatch", err)
-	}
-	// ...as is changing its spec...
-	weaker := inj()
-	weaker.N = 1 << 20
-	if err := resume(faulted, weaker); err == nil || !strings.Contains(err.Error(), "different settings") {
-		t.Fatalf("resume with a different spec: err = %v, want settings mismatch", err)
-	}
-	// ...but an identical spec (a fresh value with the same fields, as
-	// flag re-parsing produces) resumes fine.
-	if err := resume(faulted, inj()); err != nil {
-		t.Fatalf("resume with the matching spec refused: %v", err)
-	}
-
-	// The other direction: a clean checkpoint refuses a -faultinject resume.
-	clean := filepath.Join(t.TempDir(), "clean.json")
-	ckptWith(t, clean, nil)
-	if err := resume(clean, inj()); err == nil || !strings.Contains(err.Error(), "different settings") {
-		t.Fatalf("clean checkpoint accepted a faulted resume: err = %v", err)
-	}
-	// A disabled Deterministic renders as the empty spec — no injection
-	// is no injection, however it is spelled.
-	if err := resume(clean, &faultinject.Deterministic{}); err != nil {
-		t.Fatalf("clean checkpoint refused a disabled injector: %v", err)
-	}
-	// Anonymous test injectors (faultinject.Func) are outside the header
-	// contract and do not perturb the fingerprint.
-	if err := resume(clean, panicKey("nope")); err != nil {
-		t.Fatalf("clean checkpoint refused an anonymous injector: %v", err)
 	}
 }

@@ -126,11 +126,7 @@ func TestExperimentsWorkersOverride(t *testing.T) {
 		e := NewExperiments()
 		e.Parallel = c.parallel
 		e.Workers = c.workers
-		sup, err := e.energy.supervisor()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := sup.Workers()
+		got := e.workers()
 		if got < c.wantMin || got > c.wantMax {
 			t.Fatalf("Parallel=%v Workers=%d resolved to %d workers", c.parallel, c.workers, got)
 		}

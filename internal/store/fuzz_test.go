@@ -39,3 +39,41 @@ func FuzzCanonicalize(f *testing.F) {
 		}
 	})
 }
+
+// FuzzOpen writes the input as a store's only segment and opens it. Open
+// must never panic; Get on every hash it indexed returns that hash's
+// record or an error, never another record; and every line is indexed,
+// skipped or a duplicate, so Len() + Skipped() never exceeds the number of
+// lines. The seed corpus (testdata/fuzz/FuzzOpen) holds a few Puts, a torn
+// tail and a corrupt middle line.
+func FuzzOpen(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seg []byte) {
+		const dir = "/store"
+		s, err := OpenOptions(dir, Options{
+			FS:   memFSFrom(map[string][]byte{dir + "/seg-000001.jsonl": seg}),
+			Logf: quiet,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		s.mu.Lock()
+		hashes := make([]string, 0, len(s.index))
+		for h := range s.index {
+			hashes = append(hashes, h)
+		}
+		s.mu.Unlock()
+		for _, h := range hashes {
+			if rec, ok, err := s.Get(h); err == nil && (!ok || rec.Hash != h) {
+				t.Fatalf("Get(%q) = record %q, found=%v", h, rec.Hash, ok)
+			}
+		}
+		lines := bytes.Count(seg, []byte("\n"))
+		if len(seg) > 0 && seg[len(seg)-1] != '\n' {
+			lines++
+		}
+		if n := s.Len() + s.Skipped(); n > lines {
+			t.Fatalf("Len %d + Skipped %d exceeds the %d lines", s.Len(), s.Skipped(), lines)
+		}
+	})
+}

@@ -1,20 +1,24 @@
-// Package store is the daemon's content-addressed result store. Each
-// simulation cell — machine config, technique, decay interval, benchmark,
-// instruction budget and checkpoint version — is canonically serialized
-// and hashed; the hash addresses the cell's result forever, so a repeated
-// or overlapping sweep is served from disk instead of re-simulated. This
-// generalizes the harness checkpoint from "within one process" to "across
-// every request the daemon ever served".
+// Package store is the content-addressed result store, and the one
+// durable record of every simulated cell. Each cell — machine config,
+// technique, decay interval, benchmark, instruction budget and checkpoint
+// version — is canonically serialized and hashed; the hash addresses the
+// cell's result forever, so a repeated, overlapping or interrupted sweep
+// is served from disk instead of re-simulated, within one process and
+// across every process and daemon that opens the directory.
 //
 // # On-disk layout
 //
 //	<dir>/seg-000001.jsonl   result segments: {"h":..,"k":..,"v":..,"t":..}
 //	<dir>/seg-000002.jsonl   lines (appended; rotated at SegmentMaxBytes)
-//	<dir>/meta.jsonl         meta segment: {"m":..,"v":..} lines, last wins
 //
-// Segments are append-only JSON lines, synced per record like the harness
-// checkpoint, so a crash loses at most the record being written. Open
-// rebuilds the in-memory index by scanning the segments. Damage is
+// Open reads nothing else, so other files in the directory (a meta.jsonl
+// or checkpoints/ left by older versions) are ignored.
+//
+// Segments are append-only JSON lines. Put syncs each record, and the
+// directory whenever it creates a segment, before acknowledging it, so a
+// crash loses at most the record being written (crash_test.go checks
+// every crash point). Open rebuilds the in-memory index by scanning the
+// segments. Damage is
 // handled per record, not per segment: a complete line that fails to
 // parse is quarantined — counted, logged, and skipped, with every valid
 // record before and after it kept — while an incomplete final line is a
@@ -106,12 +110,6 @@ type segRecord struct {
 	T     int64           `json:"t,omitempty"`
 }
 
-// metaRecord is the on-disk framing of one meta-segment line.
-type metaRecord struct {
-	Name  string          `json:"m"`
-	Value json.RawMessage `json:"v"`
-}
-
 // Record is one stored result: the cell's canonical key document and its
 // value, both raw JSON exactly as first persisted (content addressing
 // means the bytes for a hash never change).
@@ -168,8 +166,6 @@ type Store struct {
 	mu          sync.Mutex
 	segs        []*segment
 	index       map[string]loc
-	meta        map[string]json.RawMessage
-	metaF       File
 	nextSeq     int // sequence number for the next rotated segment
 	torn        int // incomplete final lines found at open time
 	quarantined int // corrupt complete lines skipped at open time
@@ -212,7 +208,6 @@ func OpenOptions(dir string, o Options) (*Store, error) {
 		now:             o.Now,
 		logf:            o.Logf,
 		index:           make(map[string]loc),
-		meta:            make(map[string]json.RawMessage),
 		nextSeq:         1,
 	}
 	names, err := s.fs.Glob(filepath.Join(dir, "seg-*.jsonl"))
@@ -228,10 +223,6 @@ func OpenOptions(dir string, o Options) (*Store, error) {
 			s.closeAll()
 			return nil, err
 		}
-	}
-	if err := s.loadMeta(); err != nil {
-		s.closeAll()
-		return nil, err
 	}
 	return s, nil
 }
@@ -317,41 +308,6 @@ func (s *Store) openSegment(path string, last bool) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.segs = append(s.segs, &segment{path: path, f: f, size: size})
-	return nil
-}
-
-// loadMeta replays the meta segment (last record per name wins; a torn
-// tail is dropped) and leaves the file open for appends.
-func (s *Store) loadMeta() error {
-	path := filepath.Join(s.dir, "meta.jsonl")
-	f, err := s.fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	var offset, good int64
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	for sc.Scan() {
-		line := sc.Bytes()
-		var rec metaRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Name == "" {
-			break
-		}
-		s.meta[rec.Name] = append(json.RawMessage(nil), rec.Value...)
-		offset += int64(len(line)) + 1
-		good = offset
-	}
-	if st, err := f.Stat(); err == nil && good < st.Size() {
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return fmt.Errorf("store: truncate meta tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	s.metaF = f
 	return nil
 }
 
@@ -545,60 +501,12 @@ func (s *Store) repairAppendLocked(seg *segment) {
 		filepath.Base(seg.path), err)
 }
 
-// PutMeta stores a named non-cell document (e.g. the harness cost model)
-// in the meta segment. Later writes under the same name win on reload.
-func (s *Store) PutMeta(name string, v any) error {
-	if name == "" || strings.ContainsRune(name, '\n') {
-		return fmt.Errorf("store: bad meta name %q", name)
-	}
-	vb, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("store: marshal meta %s: %w", name, err)
-	}
-	line, err := json.Marshal(metaRecord{Name: name, Value: vb})
-	if err != nil {
-		return fmt.Errorf("store: frame meta %s: %w", name, err)
-	}
-	line = append(line, '\n')
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
-	if _, err := s.metaF.Write(line); err != nil {
-		return fmt.Errorf("store: append meta %s: %w", name, err)
-	}
-	if err := s.metaF.Sync(); err != nil {
-		return fmt.Errorf("store: sync meta %s: %w", name, err)
-	}
-	s.meta[name] = vb
-	return nil
-}
-
-// GetMeta decodes the named meta document into v, reporting whether it
-// exists.
-func (s *Store) GetMeta(name string, v any) (bool, error) {
-	s.mu.Lock()
-	raw, ok := s.meta[name]
-	s.mu.Unlock()
-	if !ok {
-		return false, nil
-	}
-	if err := json.Unmarshal(raw, v); err != nil {
-		return false, fmt.Errorf("store: decode meta %s: %w", name, err)
-	}
-	return true, nil
-}
-
 // closeAll closes every open file without locking (Open-failure path).
 func (s *Store) closeAll() {
 	for _, seg := range s.segs {
 		if seg.f != nil {
 			seg.f.Close()
 		}
-	}
-	if s.metaF != nil {
-		s.metaF.Close()
 	}
 }
 
@@ -613,11 +521,6 @@ func (s *Store) Close() error {
 	var first error
 	for _, seg := range s.segs {
 		if err := seg.f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if s.metaF != nil {
-		if err := s.metaF.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -132,9 +132,6 @@ func TestStoreRoundTripAndReload(t *testing.T) {
 	if err := s.Put(hashes[0], nil, cellVal{N: 999}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutMeta("cost_model", map[string]float64{"gzip/drowsy": 123.5}); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +157,45 @@ func TestStoreRoundTripAndReload(t *testing.T) {
 			t.Errorf("cell %d round-tripped as %+v", i, v)
 		}
 	}
-	var costs map[string]float64
-	ok, err := s2.GetMeta("cost_model", &costs)
-	if err != nil || !ok {
-		t.Fatalf("GetMeta = %v, %v", ok, err)
+}
+
+// TestOpenIgnoresOtherFiles: a store directory an older version left a
+// meta.jsonl (its cost-model segment) and a checkpoints/ directory in
+// opens clean, and Open neither reads nor touches either.
+func TestOpenIgnoresOtherFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if costs["gzip/drowsy"] != 123.5 {
-		t.Errorf("meta round-tripped as %v", costs)
+	h := mustPut(t, s, 1)
+	s.Close()
+	meta := []byte(`{"m":"cost_model_ns_per_instr","v":{"gzip/drowsy":123.5}}` + "\n" + `{"m":"torn`)
+	ckpt := []byte(`{"header":{"version":1}}` + "\n" + `{"key":"gzip/11/1/4096","value":{}}` + "\n")
+	if err := os.WriteFile(filepath.Join(dir, "meta.jsonl"), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "checkpoints", "req.jsonl"), ckpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.Len() != 1 || s2.Skipped() != 0 {
+		t.Fatalf("reopened len=%d skipped=%d, want 1/0", s2.Len(), s2.Skipped())
+	}
+	if _, ok, err := s2.Get(h); !ok || err != nil {
+		t.Fatalf("Get(%s) = %v, %v", h, ok, err)
+	}
+	mustPut(t, s2, 2)
+	if b, err := os.ReadFile(filepath.Join(dir, "meta.jsonl")); err != nil || string(b) != string(meta) {
+		t.Errorf("meta.jsonl changed: %q, %v", b, err)
 	}
 }
 
@@ -330,10 +359,6 @@ func TestStoreConcurrent(t *testing.T) {
 				}
 				other, _ := CanonicalHash(map[string]any{"w": (w + 1) % writers, "i": i})
 				if _, _, err := s.Get(other); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := s.PutMeta(fmt.Sprintf("m%d", w), i); err != nil {
 					t.Error(err)
 					return
 				}

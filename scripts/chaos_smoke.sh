@@ -154,7 +154,7 @@ while read -r h; do
 done <"$TMP/acked.txt"
 echo "all $ACKED acknowledged cells intact and bit-identical"
 
-# The interrupted sweep completes on resubmit (checkpoint + store resume).
+# The interrupted sweep completes on resubmit, resuming from the store.
 BIG=$(submit_and_wait "$BIGREQ") || { cat "$TMP/recover.log"; exit 1; }
 echo "$BIG" | jq '{id, state, executed, store_hits, resumed}'
 [ "$(echo "$BIG" | jq -r .state)" = completed ] || { echo "interrupted sweep did not recover"; exit 1; }
