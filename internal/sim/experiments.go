@@ -99,8 +99,8 @@ type Experiments struct {
 	// RemoteFallback lets a batch whose remote delegation fails at the
 	// transport level (daemon down, circuit open, sweep failed) degrade to
 	// the local resolution ladder — store, simulation — instead of failing
-	// the batch. Per-cell remote failures are still
-	// per-cell verdicts, not a reason to re-run locally.
+	// the batch. Per-cell remote failures are still per-cell verdicts, not
+	// a reason to re-run locally.
 	RemoteFallback bool
 
 	// Ctx, when non-nil, cancels the whole suite (SIGINT handling in the
