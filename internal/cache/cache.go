@@ -28,7 +28,8 @@ type Config struct {
 func (c Config) Sets() int { return c.SizeBytes / (c.LineBytes * c.Assoc) }
 
 // Validate reports configuration errors (non-power-of-two geometry, zero
-// sizes) before they become index-arithmetic bugs.
+// sizes, more ways than a byte can rank, a tag wide enough to reach the
+// line-state flags) before they become index-arithmetic bugs.
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Assoc <= 0 {
 		return fmt.Errorf("cache %q: size, line and assoc must be positive", c.Name)
@@ -45,6 +46,12 @@ func (c Config) Validate() error {
 	}
 	if c.HitLatency < 1 {
 		return fmt.Errorf("cache %q: hit latency must be >= 1", c.Name)
+	}
+	if c.Assoc > maxAssoc {
+		return fmt.Errorf("cache %q: associativity %d exceeds %d (a way's LRU rank is one byte)", c.Name, c.Assoc, maxAssoc)
+	}
+	if b := bits.TrailingZeros(uint(c.LineBytes)) + bits.TrailingZeros(uint(s)); b < flagBits {
+		return fmt.Errorf("cache %q: %d line-offset plus set-index bits leave no room for the %d line-state flags above the tag", c.Name, b, flagBits)
 	}
 	return nil
 }
@@ -67,13 +74,18 @@ func (c Config) Geometry() power.CacheGeometry {
 	}
 }
 
-// Line is one cache line's bookkeeping state.
-type Line struct {
-	Tag     uint64
-	Valid   bool
-	Dirty   bool
-	LastUse uint64 // access-order stamp for LRU
-}
+// A line's state is one tag word and one LRU rank. The word holds the tag
+// with two flags in its top bits; a tag is an address shifted right by its
+// line-offset and set-index bits, so once those are at least flagBits
+// (Validate) the flags never overlap it. An invalid line's word is 0.
+const (
+	lineValid uint64 = 1 << 63
+	lineDirty uint64 = 1 << 62
+	flagBits         = 2
+
+	// maxAssoc is the most ways a one-byte rank can order.
+	maxAssoc = 256
+)
 
 // Stats accumulates per-level event counts.
 type Stats struct {
@@ -149,11 +161,16 @@ type Cache struct {
 	Energy power.CacheEnergy
 	DynJ   float64 // accumulated dynamic energy in joules
 
-	lines     []Line // sets*assoc, row-major by set
+	// Line state, sets*assoc entries each, row-major by set: tags holds
+	// each line's tag word (see lineValid), ranks its LRU rank — 0 for
+	// the most recently used way of its set, assoc-1 for the least. A
+	// set's ranks are always a permutation of 0..assoc-1.
+	tags      []uint64
+	ranks     []uint8
 	assoc     int
 	setMask   uint64
+	setBits   uint
 	lineShift uint
-	useStamp  uint64
 
 	// Observability flush state (see obs.go): counter IDs resolved once,
 	// and the Stats value at the last flush for delta computation.
@@ -172,28 +189,34 @@ func New(p *tech.Params, cfg Config, next Level) (*Cache, error) {
 		return nil, err
 	}
 	sets := cfg.Sets()
-	return &Cache{
+	c := &Cache{
 		Cfg:       cfg,
 		Next:      next,
 		Energy:    power.NewCacheEnergy(p, cfg.Geometry()),
-		lines:     make([]Line, sets*cfg.Assoc),
+		tags:      make([]uint64, sets*cfg.Assoc),
+		ranks:     make([]uint8, sets*cfg.Assoc),
 		assoc:     cfg.Assoc,
 		setMask:   uint64(sets - 1),
+		setBits:   uint(bits.TrailingZeros(uint(sets))),
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-	}, nil
+	}
+	for i := range c.ranks {
+		c.ranks[i] = uint8(i % cfg.Assoc)
+	}
+	return c, nil
 }
 
 // Reset returns the cache to the state New leaves it in — cold contents,
-// zero stats and energy — while keeping the line array and energy model.
+// zero stats and energy — while keeping the line state and energy model.
 // It lets a worker reuse one cache allocation across many runs (the L2's
-// line array is the dominant per-run allocation). next replaces the
-// downstream level, which may itself have been reset.
+// line state is the dominant per-run allocation). next replaces the
+// downstream level, which may itself have been reset. The ranks stay:
+// a set of invalid lines fills by way index, whatever its ranks.
 func (c *Cache) Reset(next Level) {
 	c.Next = next
 	c.Stats = Stats{}
 	c.DynJ = 0
-	clear(c.lines)
-	c.useStamp = 0
+	clear(c.tags)
 	c.obsPrev = Stats{}
 }
 
@@ -227,36 +250,56 @@ func (c *Cache) ResetStats() {
 // Index splits a byte address into set index and tag.
 func (c *Cache) Index(addr uint64) (set uint64, tag uint64) {
 	lineAddr := addr >> c.lineShift
-	return lineAddr & c.setMask, lineAddr >> bits.TrailingZeros64(c.setMask+1)
+	return lineAddr & c.setMask, lineAddr >> c.setBits
 }
 
-// set returns the ways of set s as a slice.
-func (c *Cache) set(s uint64) []Line {
-	base := int(s) * c.assoc
-	return c.lines[base : base+c.assoc]
+// way returns the way of the set starting at line base that holds tag,
+// or -1.
+func (c *Cache) way(base int, tag uint64) int {
+	want := tag | lineValid
+	for i, w := range c.tags[base : base+c.assoc] {
+		if w&^lineDirty == want {
+			return i
+		}
+	}
+	return -1
+}
+
+// touch makes way the most recently used of the set starting at line
+// base: it takes rank 0, and every way used more recently than it was
+// ages by one. The least recently used way therefore always holds rank
+// assoc-1.
+func (c *Cache) touch(base, way int) {
+	ranks := c.ranks[base : base+c.assoc]
+	r := ranks[way]
+	if r == 0 {
+		return
+	}
+	for i, q := range ranks {
+		if q < r {
+			ranks[i] = q + 1
+		}
+	}
+	ranks[way] = 0
 }
 
 // Access implements Level: LRU lookup, miss to Next, write-back
 // write-allocate fill.
 func (c *Cache) Access(addr uint64, write bool, cycle uint64) int {
 	c.Stats.Accesses++
-	c.useStamp++
 	set, tag := c.Index(addr)
-	ways := c.set(set)
+	base := int(set) * c.assoc
 
-	for i := range ways {
-		l := &ways[i]
-		if l.Valid && l.Tag == tag {
-			c.Stats.Hits++
-			l.LastUse = c.useStamp
-			if write {
-				l.Dirty = true
-				c.DynJ += c.Energy.WriteHit
-			} else {
-				c.DynJ += c.Energy.ReadHit
-			}
-			return c.Cfg.HitLatency
+	if i := c.way(base, tag); i >= 0 {
+		c.Stats.Hits++
+		c.touch(base, i)
+		if write {
+			c.tags[base+i] |= lineDirty
+			c.DynJ += c.Energy.WriteHit
+		} else {
+			c.DynJ += c.Energy.ReadHit
 		}
+		return c.Cfg.HitLatency
 	}
 
 	// Miss.
@@ -266,68 +309,68 @@ func (c *Cache) Access(addr uint64, write bool, cycle uint64) int {
 	if c.Next != nil {
 		lat += c.Next.Access(addr, false, cycle)
 	}
-	c.fill(set, tag, write, cycle)
+	c.fill(set, base, tag, write, cycle)
 	return lat
 }
 
-// fill installs addr's line into set, evicting the LRU way (writing back a
+// fill installs tag's line into the set starting at line base, evicting
+// the first invalid way, else the least recently used one (writing back a
 // dirty victim).
-func (c *Cache) fill(set, tag uint64, write bool, cycle uint64) {
-	ways := c.set(set)
-	victim := 0
-	for i := range ways {
-		if !ways[i].Valid {
+func (c *Cache) fill(set uint64, base int, tag uint64, write bool, cycle uint64) {
+	tags := c.tags[base : base+c.assoc]
+	victim := -1
+	for i, w := range tags {
+		if w&lineValid == 0 {
 			victim = i
 			break
 		}
-		if ways[i].LastUse < ways[victim].LastUse {
-			victim = i
+	}
+	if victim < 0 {
+		lru := uint8(c.assoc - 1)
+		for i, r := range c.ranks[base : base+c.assoc] {
+			if r == lru {
+				victim = i
+				break
+			}
+		}
+		if w := tags[victim]; w&lineDirty != 0 {
+			c.writeback(set, w, cycle)
 		}
 	}
-	v := &ways[victim]
-	if v.Valid && v.Dirty {
-		c.writeback(set, v, cycle)
+	w := tag | lineValid
+	if write {
+		w |= lineDirty
 	}
-	*v = Line{Tag: tag, Valid: true, Dirty: write, LastUse: c.useStamp}
+	tags[victim] = w
+	c.touch(base, victim)
 	c.Stats.Fills++
 	c.DynJ += c.Energy.LineFill
 }
 
-// writeback pushes a dirty victim to the next level (off the critical path;
-// energy and traffic only).
-func (c *Cache) writeback(set uint64, v *Line, cycle uint64) {
+// writeback pushes the dirty line w of set to the next level (off the
+// critical path; energy and traffic only).
+func (c *Cache) writeback(set, w uint64, cycle uint64) {
 	c.Stats.Writebacks++
 	c.DynJ += c.Energy.LineRead
 	if c.Next != nil {
-		setsBits := bits.TrailingZeros64(c.setMask + 1)
-		addr := ((v.Tag << setsBits) | set) << c.lineShift
-		c.Next.Access(addr, true, cycle)
+		tag := w &^ (lineValid | lineDirty)
+		c.Next.Access(((tag<<c.setBits)|set)<<c.lineShift, true, cycle)
 	}
-	v.Dirty = false
 }
 
 // Contains reports whether addr's line is present (for tests and the
 // harness; does not touch LRU or stats).
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.Index(addr)
-	for _, l := range c.set(set) {
-		if l.Valid && l.Tag == tag {
-			return true
-		}
-	}
-	return false
+	return c.way(int(set)*c.assoc, tag) >= 0
 }
 
 // Flush invalidates every line, writing back dirty ones.
 func (c *Cache) Flush(cycle uint64) {
-	sets := int(c.setMask) + 1
-	for s := 0; s < sets; s++ {
-		ways := c.set(uint64(s))
-		for i := range ways {
-			if ways[i].Valid && ways[i].Dirty {
-				c.writeback(uint64(s), &ways[i], cycle)
-			}
-			ways[i] = Line{}
+	for i, w := range c.tags {
+		if w&lineDirty != 0 {
+			c.writeback(uint64(i/c.assoc), w, cycle)
 		}
+		c.tags[i] = 0
 	}
 }

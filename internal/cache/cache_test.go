@@ -23,13 +23,63 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "notpow2", SizeBytes: 3 * 1024, LineBytes: 64, Assoc: 2, HitLatency: 1},
 		{Name: "oddline", SizeBytes: 1024, LineBytes: 48, Assoc: 2, HitLatency: 1},
 		{Name: "nolat", SizeBytes: 1024, LineBytes: 64, Assoc: 2, HitLatency: 0},
+		// A way's LRU rank is one byte.
+		{Name: "assoc512", SizeBytes: 512 * 64, LineBytes: 64, Assoc: 512, HitLatency: 1},
+		// Fewer than two line-offset plus set-index bits: the tag would
+		// reach the valid and dirty flags.
+		{Name: "nobits", SizeBytes: 2, LineBytes: 1, Assoc: 2, HitLatency: 1},
+		{Name: "onebit", SizeBytes: 4, LineBytes: 2, Assoc: 2, HitLatency: 1},
+		{Name: "oneset", SizeBytes: 4, LineBytes: 1, Assoc: 2, HitLatency: 1},
 	}
 	for _, c := range cases {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %q accepted", c.Name)
 		}
 	}
+	// The edges of both limits are valid.
+	for _, c := range []Config{
+		{Name: "assoc256", SizeBytes: 256 * 64, LineBytes: 64, Assoc: 256, HitLatency: 1},
+		{Name: "twobits", SizeBytes: 8, LineBytes: 2, Assoc: 2, HitLatency: 1},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("config %q rejected: %v", c.Name, err)
+		}
+	}
 }
+
+// TestNarrowGeometryKeepsTags drives the narrowest valid geometry (two
+// line-offset plus set-index bits) with an address whose tag fills every
+// remaining bit, in the second set: no tag may be mistaken for another,
+// and a dirty line must write back to the address it was filled from.
+func TestNarrowGeometryKeepsTags(t *testing.T) {
+	mem := NewMemory(p70(), 10)
+	c := MustNew(p70(), Config{Name: "n", SizeBytes: 8, LineBytes: 2, Assoc: 2, HitLatency: 1}, mem)
+	hi, lo := ^uint64(0)&^1, uint64(0x4)
+	c.Access(hi, true, 1)
+	c.Access(lo, false, 2)
+	if !c.Contains(hi) || !c.Contains(lo) || c.Contains(hi^1<<63) {
+		t.Fatal("tag with its top bit set not told apart")
+	}
+	wb := &recordingLevel{}
+	c.Next = wb
+	c.Flush(3)
+	if len(wb.writes) != 1 || wb.writes[0] != hi {
+		t.Fatalf("flush wrote back %#x, want [%#x]", wb.writes, hi)
+	}
+}
+
+// recordingLevel is a next level that records the addresses written to
+// it.
+type recordingLevel struct{ writes []uint64 }
+
+func (r *recordingLevel) Access(addr uint64, write bool, _ uint64) int {
+	if write {
+		r.writes = append(r.writes, addr)
+	}
+	return 0
+}
+
+func (r *recordingLevel) Name() string { return "rec" }
 
 func TestConfigSets(t *testing.T) {
 	c := Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 2}

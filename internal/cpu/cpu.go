@@ -1130,32 +1130,32 @@ func (c *Core) fetch(cycle uint64) bool {
 		seq := c.nextSeq
 		c.nextSeq = seq + 1
 		s := seq & mask
-		if d := uint64(uint32(rec.Ins.Src1)); d != 0 && seq > d {
+		if d := uint64(uint32(rec.Src1)); d != 0 && seq > d {
 			c.src1[s] = seq - d
 		} else {
 			c.src1[s] = 0
 		}
-		if d := uint64(uint32(rec.Ins.Src2)); d != 0 && seq > d {
+		if d := uint64(uint32(rec.Src2)); d != 0 && seq > d {
 			c.src2[s] = seq - d
 		} else {
 			c.src2[s] = 0
 		}
-		c.addr[s] = rec.Ins.Addr
-		c.ops[s] = rec.Ins.Op
+		c.addr[s] = rec.Addr
+		c.ops[s] = rec.Op
 
 		stop := false
 		flags := rec.Flags
 
 		// I-cache: one access per new line in the fetch stream.
 		if flags&FrontICAccess != 0 {
-			if lat := c.ICache.Access(rec.Ins.PC, false, cycle); lat > c.ICache.HitLat() {
+			if lat := c.ICache.Access(rec.PC, false, cycle); lat > c.ICache.HitLat() {
 				c.Stats.ICacheStalls++
 				c.fetchStall = cycle + uint64(lat)
 				stop = true
 			}
 		}
 
-		if rec.Ins.Op.IsCTI() {
+		if rec.Op.IsCTI() {
 			c.Stats.Branches++
 			if flags&FrontBPUpdate != 0 {
 				c.BP.Branches++
@@ -1177,7 +1177,7 @@ func (c *Core) fetch(cycle uint64) bool {
 				c.fetchStall = cycle + 2
 				return true
 			}
-			if rec.Ins.Taken {
+			if flags&FrontTaken != 0 {
 				// Correct taken prediction: redirected fetch
 				// continues next cycle.
 				return true

@@ -47,13 +47,22 @@ const (
 	// FrontBPDirMisp / FrontBPBTBMiss carry the Update call's Stats deltas.
 	FrontBPDirMisp
 	FrontBPBTBMiss
+	// FrontTaken marks a taken CTI: a correctly predicted one redirects
+	// fetch to the next cycle.
+	FrontTaken
 )
 
-// FrontRec is one precomputed instruction: the decoded fields plus the
-// variant-independent front-end outcome flags.
+// FrontRec is one precomputed instruction: the decoded fields fetch reads
+// plus the variant-independent front-end outcome flags, 32 bytes in all.
+// A CTI's direction is a flag, and its target is not kept: the predictor
+// consumes it while the record is generated.
 type FrontRec struct {
-	Ins   workload.Instr
-	Flags uint8
+	PC   uint64
+	Addr uint64 // memory ops: byte address
+	// Src1 and Src2 are dependence distances in instructions (0 = none).
+	Src1, Src2 int32
+	Op         workload.OpClass
+	Flags      uint8
 }
 
 // Front is a sliding window onto a precomputed stream: stream positions
@@ -129,18 +138,20 @@ func (f *Front) extend(hi int) {
 	}
 	f.recs = f.recs[:n]
 	src, pred, lastLine := f.src, f.pred, f.lastLine
+	var ins workload.Instr
 	for i := old; i < n; i++ {
-		r := &f.recs[i]
-		ins := &r.Ins
-		src.Next(ins)
+		src.Next(&ins)
 		flags := uint8(0)
 		if line := ins.PC >> 6; line != lastLine {
 			lastLine = line
 			flags = FrontICAccess
 		}
 		if ins.Op.IsCTI() {
+			if ins.Taken {
+				flags |= FrontTaken
+			}
 			before := pred.Stats
-			misp, bubble := predictCTI(pred, ins)
+			misp, bubble := predictCTI(pred, &ins)
 			if misp {
 				flags |= FrontMisp
 			}
@@ -157,7 +168,7 @@ func (f *Front) extend(hi int) {
 				flags |= FrontBPBTBMiss
 			}
 		}
-		r.Flags = flags
+		f.recs[i] = FrontRec{PC: ins.PC, Addr: ins.Addr, Src1: ins.Src1, Src2: ins.Src2, Op: ins.Op, Flags: flags}
 	}
 	f.lastLine = lastLine
 }

@@ -37,7 +37,7 @@ const frontSlack = 4096
 var obsFrontsFilled = obs.Default.Counter("sim_front_fill_live_total")
 
 // BatchState is one executor goroutine's reusable scratch: the shared
-// front window (about runChunk records, 3 MB, recycled across groups), the
+// front window (about runChunk records, 1.8 MB, recycled across groups), the
 // front's predictor, and one RunState per lane so every lane's machine
 // components are reused run to run (cpu.Recycle / RunState.reuse reset
 // them to pristine; the reuse parity tests pin this).
@@ -68,6 +68,10 @@ type batchLane struct {
 
 	res RunResult
 	err error
+	// expired reports that err is the lane's own timeout firing: the lane
+	// spent the cell's first attempt, and retrying it at once would only
+	// pay the deadline again.
+	expired bool
 	// injectPanic arms a mid-batch injected panic: the lane panics on its
 	// first execution round, after its batch-mates have started running.
 	injectPanic bool
@@ -265,6 +269,7 @@ func stepLane(ctx context.Context, mc MachineConfig, name string, sh *obs.Shard,
 	}
 	if t := lr.ln.timeout; t > 0 && lr.spent >= t {
 		lr.fail(fmt.Errorf("%w: lane ran %v of its %v", context.DeadlineExceeded, lr.spent.Round(time.Millisecond), t))
+		lr.ln.expired = true
 		return
 	}
 	if lr.ln.injectPanic {

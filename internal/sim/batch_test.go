@@ -3,9 +3,12 @@ package sim
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"hotleakage/internal/cpu"
 	"hotleakage/internal/harness/faultinject"
 	"hotleakage/internal/leakctl"
 	"hotleakage/internal/workload"
@@ -120,6 +123,36 @@ func TestBatchFrontWindowBounded(t *testing.T) {
 		if !reflect.DeepEqual(want, ln.res) {
 			t.Fatalf("%s: windowed batch lane diverged from scalar", ln.sp.key())
 		}
+	}
+}
+
+// TestLaneFootprint pins what one lane of a group costs, so a later change
+// cannot silently regrow it: a Table 2 machine — mostly the L2's 32,768
+// lines at nine bytes each — builds in at most 400 KB, and a front record
+// is 32 bytes. The least of three builds is taken, since allocation by
+// anything else running only adds to the count.
+func TestLaneFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(cpu.FrontRec{}); got != 32 {
+		t.Errorf("cpu.FrontRec is %d bytes, want 32", got)
+	}
+	mc := DefaultMachine(11)
+	params := leakctl.DefaultParams(leakctl.TechDrowsy, DefaultInterval)
+	least := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		m, err := buildMachine(mc, params, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(m)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a Table 2 lane's machine allocates %d B", least)
+	if least > 400_000 {
+		t.Errorf("a Table 2 lane's machine allocates %d B, want at most 400,000", least)
 	}
 }
 

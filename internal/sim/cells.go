@@ -94,15 +94,30 @@ type RemoteCell = RemoteOutcome[CellSpec, RunResult]
 
 // RunCells executes an explicit set of cells (the daemon's entry point:
 // a sweep request is a list of CellSpecs) through the resolution ladder.
-// The returned outcomes parallel specs.
+// A cell's benchmark is the Profiles entry of that name, as in the
+// figures, else the registered profile. The returned outcomes parallel
+// specs.
 func (e *Experiments) RunCells(specs []CellSpec) ([]CellOutcome, error) {
 	return e.energy.outcomes(specs, func(cs CellSpec) (runSpec, error) {
-		prof, ok := workload.ByName(cs.Bench)
+		prof, ok := e.profile(cs.Bench)
 		if !ok {
 			return runSpec{}, fmt.Errorf("unknown benchmark %q", cs.Bench)
 		}
 		return runSpec{prof, cs.L2, cs.Technique, cs.Interval}, nil
 	})
+}
+
+// profile resolves a benchmark name the way the figures see it: the
+// Profiles entry of that name, else the registered profile. A cell named
+// over the API therefore runs the same stream, under the same run key, as
+// the figure cell it shares that key with.
+func (e *Experiments) profile(name string) (workload.Profile, bool) {
+	for _, p := range e.Profiles {
+		if p.Name == name {
+			return p, true
+		}
+	}
+	return workload.ByName(name)
 }
 
 // energyKind is the energy cell kind: one benchmark run on one machine,
@@ -153,14 +168,23 @@ func checkRun(r RunResult) error {
 
 // job retries a cell whose lane failed: one attempt is the cell run as a
 // group of one lane under the per-attempt context (deadline + suite
-// cancellation), on the worker's reusable BatchState. FaultNaN injection
+// cancellation), on the worker's reusable BatchState. A lane that ran out
+// of its deadline already was the cell's attempt 0, so that attempt
+// reports the lane's error without running again. FaultNaN injection
 // happens here — the generic supervisor cannot corrupt a RunResult, so
 // the job corrupts its own energy figure and check catches it.
 func (k energyKind) job(sp runSpec) harness.Job[RunResult] {
 	e := k.e
 	s := e.suite(sp.l2)
+	e.mu.Lock()
+	expired := e.expired[sp.key()]
+	delete(e.expired, sp.key())
+	e.mu.Unlock()
 	return harness.Job[RunResult]{
 		Run: func(ctx context.Context) (RunResult, error) {
+			if expired != nil && harness.Attempt(ctx) == 0 {
+				return RunResult{}, expired
+			}
 			// Fresh adapter state per attempt: a retried run must not
 			// inherit a failed attempt's learned intervals.
 			ln := &batchLane{sp: sp}

@@ -143,6 +143,10 @@ type Experiments struct {
 	batchGroups int
 	batchLanes  int
 	batchStates []*BatchState
+	// expired holds, by run key, the error of each batch lane that ran
+	// out of RunTimeout, until the supervisor's job for that cell takes
+	// it as the cell's attempt 0.
+	expired map[string]error
 }
 
 // NewExperiments returns the paper's experiment set at reduced scale
@@ -222,6 +226,8 @@ func (sp runSpec) key() string { return runKey(sp.prof.Name, sp.l2, sp.tech, sp.
 // one group per (benchmark, machine config), or one lane per group under
 // DisableBatch — hands each lane's result to settle as its group ends,
 // and returns the cells whose lane failed, for the supervisor to retry.
+// A lane that ran out of RunTimeout counts as its cell's attempt 0 (see
+// energyKind.job).
 func (k energyKind) batch(pending []runSpec, settle func(runSpec, RunResult)) (remaining []runSpec) {
 	e := k.e
 	type batchGroup struct {
@@ -305,6 +311,12 @@ func (k energyKind) batch(pending []runSpec, settle func(runSpec, RunResult)) (r
 			if ln.err != nil {
 				remaining = append(remaining, ln.sp)
 				obsBatchFallback.Add(1)
+			}
+			if ln.expired {
+				if e.expired == nil {
+					e.expired = make(map[string]error)
+				}
+				e.expired[ln.sp.key()] = ln.err
 			}
 		}
 	}
@@ -737,7 +749,7 @@ func (e *Experiments) Table3() string {
 // benchmark and technique (used by ablation benches and the adaptive
 // study). Intervals whose run failed are omitted from the curve.
 func (e *Experiments) IntervalCurve(bench string, t leakctl.Technique, l2 int, tempC float64) []Point {
-	prof, ok := workload.ByName(bench)
+	prof, ok := e.profile(bench)
 	if !ok {
 		return nil
 	}

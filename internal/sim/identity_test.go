@@ -328,3 +328,66 @@ func TestRemoteRefusesEditedProfile(t *testing.T) {
 		t.Fatalf("shipped %v, want only %v", r.sent, want)
 	}
 }
+
+// TestRunCellsUsesEditedProfiles pins that a cell named over RunCells runs
+// the Experiments' own profile of that name, as its figures do: with the
+// first profile's seed edited, RunCells ahead of the figure must return
+// what RunOne returns on the edited profile under the edited profile's
+// content address, and the figure that then reads it from the memo must
+// equal a figure computed without RunCells. Over Remote the cell fails
+// instead of shipping the registered profile's name.
+func TestRunCellsUsesEditedProfiles(t *testing.T) {
+	e := tinyExperiments()
+	defer e.Close()
+	e.Profiles[0].Seed ^= 7
+	prof := e.Profiles[0]
+	cs := CellSpec{Bench: prof.Name, L2: 11, Technique: leakctl.TechDrowsy, Interval: DefaultInterval}
+	outs, err := e.RunCells([]CellSpec{cs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0].Err != nil {
+		t.Fatalf("RunCells: %v", outs[0].Err)
+	}
+	mc := e.suite(11).MC
+	want, err := RunOne(context.Background(), mc, prof, leakctl.DefaultParams(cs.Technique, cs.Interval), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(outs[0].Result, want) {
+		t.Fatal("RunCells simulated another stream than the edited profile")
+	}
+	hash, err := store.CanonicalHash(energyKind{e}.identity(runSpec{prof, 11, cs.Technique, cs.Interval}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered, err := CellHash(mc, prof.Name, cs.Technique, cs.Interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0].Hash != hash || hash == registered {
+		t.Fatalf("RunCells hash %s, want the edited profile's %s (registered: %s)", outs[0].Hash, hash, registered)
+	}
+
+	sav, perf := e.LatencyFigure("S", "P", 11, 110, DefaultInterval)
+	ref := tinyExperiments()
+	defer ref.Close()
+	ref.Profiles[0].Seed ^= 7
+	wantSav, wantPerf := ref.LatencyFigure("S", "P", 11, 110, DefaultInterval)
+	if !reflect.DeepEqual(sav, wantSav) || !reflect.DeepEqual(perf, wantPerf) {
+		t.Fatalf("figure after RunCells differs from one without it:\ngot  %v\nwant %v", sav, wantSav)
+	}
+
+	r := &recordingRunner{inner: tinyExperiments()}
+	remote := tinyExperiments()
+	defer remote.Close()
+	remote.Profiles[0].Seed ^= 7
+	remote.Remote = r
+	outs, err = remote.RunCells([]CellSpec{cs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0].Err == nil || !strings.Contains(outs[0].Err.Error(), ErrInvalidConfig.Error()) || len(r.sent) != 0 {
+		t.Fatalf("edited profile over Remote: err = %v, shipped %v; want %v and nothing shipped", outs[0].Err, r.sent, ErrInvalidConfig)
+	}
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,9 +23,11 @@ func (a slowAdapter) Recommend(uint64, leakctl.Stats) uint64 {
 func (slowAdapter) Every() uint64 { return 500 }
 
 // TestLaneDeadlineFiresAlone fires one lane's deadline in the middle of
-// its group: the slow cell fails as a timeout (its retry under the
-// supervisor times out too), and its batch-mates, which spend a fraction
-// of the deadline stepping, end exactly as a run without a deadline ends.
+// its group: the slow cell fails as a timeout, and its batch-mates, which
+// spend a fraction of the deadline stepping, end exactly as a run without
+// a deadline ends. The timed-out lane is the cell's first attempt: with no
+// retries the supervisor reports it without running the cell again, so
+// the slow adapter is built once, and the deadline is paid once.
 func TestLaneDeadlineFiresAlone(t *testing.T) {
 	ref := tinyExperiments()
 	defer ref.Close()
@@ -33,9 +36,12 @@ func TestLaneDeadlineFiresAlone(t *testing.T) {
 	e := tinyExperiments()
 	defer e.Close()
 	e.RunTimeout = 100 * time.Millisecond
+	e.MaxRetries = 0
 	victim := e.Profiles[0]
+	var built atomic.Int32
 	e.AdapterFor = func(bench string, tq leakctl.Technique, _ uint64) leakctl.Adapter {
 		if bench == victim.Name && tq == leakctl.TechDrowsy {
+			built.Add(1)
 			return slowAdapter{10 * time.Millisecond}
 		}
 		return nil
@@ -48,8 +54,11 @@ func TestLaneDeadlineFiresAlone(t *testing.T) {
 		t.Fatalf("want exactly the slow cell failed:\n%s", sav.String())
 	}
 	fails := e.Failures()
-	if len(fails) != 1 || !fails[0].Timeout || fails[0].Key != runKey(victim.Name, 11, leakctl.TechDrowsy, DefaultInterval) {
-		t.Fatalf("failures = %+v, want one timeout of the slow cell", fails)
+	if len(fails) != 1 || !fails[0].Timeout || fails[0].Attempts != 1 || fails[0].Key != runKey(victim.Name, 11, leakctl.TechDrowsy, DefaultInterval) {
+		t.Fatalf("failures = %+v, want one timeout of the slow cell after one attempt", fails)
+	}
+	if n := built.Load(); n != 1 {
+		t.Fatalf("the slow cell built %d adapters, want 1: its timed-out lane is its only attempt", n)
 	}
 	for _, prof := range e.Profiles {
 		for _, tq := range []leakctl.Technique{leakctl.TechNone, leakctl.TechDrowsy, leakctl.TechGated} {

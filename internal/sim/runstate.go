@@ -23,8 +23,8 @@ type machine struct {
 }
 
 // RunState is a worker-confined cache of simulation components reused
-// across runs: the L2's megabyte of line bookkeeping and the core's window
-// arrays. Each component is reset to its
+// across runs: the L2's line state (288 KB on the Table 2 machine) and the
+// core's window arrays. Each component is reset to its
 // just-constructed state between runs (see the Reset methods in cache,
 // leakctl, bpred and cpu.Recycle), so a reused machine is bit-identical
 // to a freshly built one — the reuse only removes the allocations, which

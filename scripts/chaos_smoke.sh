@@ -6,10 +6,14 @@
 #      failing, handler 5xx) — the sweep must still complete, and every
 #      result the daemon acknowledged durably (fetchable by content
 #      address) is captured;
-#   3. kill -9 mid-sweep, restart on the same store — the daemon must come
-#      back healthy, no acknowledged result may be lost or corrupted
-#      (bit-identical to the fault-free reference), and the interrupted
-#      sweep must complete on resubmit;
+#   3. stop the chaos daemon, restart it fault-free on the same store, and
+#      kill -9 a sweep that is seen part-done (0 < completed < total, with
+#      at least one cell simulated rather than served from the store; it
+#      spans more lockstep groups than the daemon has workers), restart —
+#      the daemon must come back healthy, no acknowledged result may be
+#      lost or corrupted (bit-identical to the fault-free reference), and
+#      the interrupted sweep must complete on resubmit, serving at least
+#      the cells it had completed from the store;
 #   4. GC run with a halved byte budget — the store must shrink.
 #
 # Needs curl and jq. Override the port with LEAKD_PORT.
@@ -75,7 +79,9 @@ stop_leakd() { # graceful
 REQ='{"cells":[
   {"bench":"gzip","l2_latency":11,"technique":"drowsy","interval":4096},
   {"bench":"gzip","l2_latency":11,"technique":"gated-vss","interval":4096}]}'
-BIGREQ='{"benchmarks":["gzip"],"techniques":["drowsy"],"include_baselines":true,
+# Eleven lockstep groups (one per benchmark) of 13 lanes each.
+BIGREQ='{"benchmarks":["gcc","gzip","parser","vortex","gap","perl","twolf","bzip2","vpr","mcf","crafty"],
+  "techniques":["drowsy","gated-vss"],"include_baselines":true,
   "intervals":[1024,2048,4096,8192,16384,32768]}'
 
 submit_and_wait() { # submit_and_wait REQUEST -> final sweep JSON
@@ -126,12 +132,31 @@ done
 ACKED=$(wc -l <"$TMP/acked.txt")
 echo "durably acknowledged cells: $ACKED"
 
-echo "== phase 3: kill -9 mid-sweep, restart, recover =="
+echo "== phase 3: kill -9 a part-done sweep, restart, recover =="
+# The chaos daemon's store.sync faults may legitimately drop cells, so the
+# kill hits a fault-free daemon on the same store. One worker runs the
+# sweep's groups one after another.
+stop_leakd
+start_leakd "$TMP/chaos-store" "$TMP/big.log" -workers 1
 BIGID=$(req POST /v1/sweeps "$BIGREQ" | jq -r .id)
-sleep 0.4   # let some cells land, then die mid-write
+SEEN=""
+for _ in $(seq 1 1000); do
+    st=$(req GET "/v1/sweeps/$BIGID")
+    n=$(echo "$st" | jq -r .completed)
+    total=$(echo "$st" | jq -r .total)
+    # Phase 2's cells are store hits from the start; wait for a group.
+    if [ "$(echo "$st" | jq -r .executed)" -gt 0 ] && [ "$n" -lt "$total" ]; then
+        SEEN=$n
+        break
+    fi
+    case "$(echo "$st" | jq -r .state)" in completed|failed|canceled) break ;; esac
+    sleep 0.02
+done
+[ -n "$SEEN" ] || { echo "sweep $BIGID never seen part-done before it ended: $st"; cat "$TMP/big.log"; exit 1; }
 kill -9 "$LEAKD_PID"
 wait "$LEAKD_PID" 2>/dev/null || true
 LEAKD_PID=""
+echo "killed the sweep at $SEEN of $total cells completed"
 
 start_leakd "$TMP/chaos-store" "$TMP/recover.log"   # clean restart, no faults
 HEALTH=$(req GET /healthz)
@@ -154,10 +179,13 @@ while read -r h; do
 done <"$TMP/acked.txt"
 echo "all $ACKED acknowledged cells intact and bit-identical"
 
-# The interrupted sweep completes on resubmit, resuming from the store.
+# The interrupted sweep completes on resubmit, resuming from the store:
+# every cell it had completed before the kill is a store hit.
 BIG=$(submit_and_wait "$BIGREQ") || { cat "$TMP/recover.log"; exit 1; }
 echo "$BIG" | jq '{id, state, executed, store_hits, resumed}'
 [ "$(echo "$BIG" | jq -r .state)" = completed ] || { echo "interrupted sweep did not recover"; exit 1; }
+HITS=$(echo "$BIG" | jq -r .store_hits)
+[ "$HITS" -ge "$SEEN" ] || { echo "resubmit served $HITS cells from the store, but $SEEN had completed before the kill"; exit 1; }
 stop_leakd
 
 echo "== phase 4: GC reclaims space =="
