@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify smoke-daemon smoke-cluster smoke-security chaos bench-batch bench-all profile clean
+.PHONY: build test verify golden smoke-daemon smoke-cluster smoke-security chaos bench-batch bench-all profile clean
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,18 @@ test: build
 verify: build
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# Golden drift gate: the fingerprint fixtures must match the simulator bit
+# for bit. Regenerate them (the -update-golden flow) and fail if that
+# changed anything: a drifted fixture means the simulator's observable
+# results changed. CI runs this as its golden drift step.
+golden:
+	$(GO) test ./internal/sim -run TestGoldenFingerprints -count=1
+	$(GO) test ./internal/sim -run TestGoldenFingerprints -count=1 -update-golden
+	git diff --exit-code -- internal/sim/testdata/golden
+	$(GO) test ./internal/attack -run TestGoldenSmokeMetrics -count=1
+	$(GO) test ./internal/attack -run TestGoldenSmokeMetrics -count=1 -update-golden
+	git diff --exit-code -- internal/attack/testdata/golden
 
 # End-to-end daemon smoke: start leakd on a temp store, run a sweep over
 # HTTP, require the warm resubmit to be 100% store hits, SIGTERM-drain.

@@ -96,8 +96,10 @@ func run() int {
 	e := sim.NewExperiments()
 	e.Instructions = *n
 	e.Warmup = *warmup
-	e.Parallel = !*serial
 	e.Workers = *workers
+	if *serial && *workers == 0 {
+		e.Workers = 1
+	}
 	e.DisableBatch = *noBatch
 	e.Ctx = ctx
 	e.RunTimeout = *timeout

@@ -2,7 +2,7 @@
 // write-back, write-allocate caches with LRU replacement, plus a
 // fixed-latency main memory. The baseline L1 instruction cache, the unified
 // L2 and memory live here; the leakage-controlled L1 data cache (package
-// leakctl) is built from the same primitives.
+// leakctl) is built on the same line store, Lines.
 package cache
 
 import (
@@ -73,19 +73,6 @@ func (c Config) Geometry() power.CacheGeometry {
 		TagBits: tb, Banks: banks,
 	}
 }
-
-// A line's state is one tag word and one LRU rank. The word holds the tag
-// with two flags in its top bits; a tag is an address shifted right by its
-// line-offset and set-index bits, so once those are at least flagBits
-// (Validate) the flags never overlap it. An invalid line's word is 0.
-const (
-	lineValid uint64 = 1 << 63
-	lineDirty uint64 = 1 << 62
-	flagBits         = 2
-
-	// maxAssoc is the most ways a one-byte rank can order.
-	maxAssoc = 256
-)
 
 // Stats accumulates per-level event counts.
 type Stats struct {
@@ -161,16 +148,7 @@ type Cache struct {
 	Energy power.CacheEnergy
 	DynJ   float64 // accumulated dynamic energy in joules
 
-	// Line state, sets*assoc entries each, row-major by set: tags holds
-	// each line's tag word (see lineValid), ranks its LRU rank — 0 for
-	// the most recently used way of its set, assoc-1 for the least. A
-	// set's ranks are always a permutation of 0..assoc-1.
-	tags      []uint64
-	ranks     []uint8
-	assoc     int
-	setMask   uint64
-	setBits   uint
-	lineShift uint
+	lines Lines
 
 	// Observability flush state (see obs.go): counter IDs resolved once,
 	// and the Stats value at the last flush for delta computation.
@@ -188,35 +166,24 @@ func New(p *tech.Params, cfg Config, next Level) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sets := cfg.Sets()
-	c := &Cache{
-		Cfg:       cfg,
-		Next:      next,
-		Energy:    power.NewCacheEnergy(p, cfg.Geometry()),
-		tags:      make([]uint64, sets*cfg.Assoc),
-		ranks:     make([]uint8, sets*cfg.Assoc),
-		assoc:     cfg.Assoc,
-		setMask:   uint64(sets - 1),
-		setBits:   uint(bits.TrailingZeros(uint(sets))),
-		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-	}
-	for i := range c.ranks {
-		c.ranks[i] = uint8(i % cfg.Assoc)
-	}
-	return c, nil
+	return &Cache{
+		Cfg:    cfg,
+		Next:   next,
+		Energy: power.NewCacheEnergy(p, cfg.Geometry()),
+		lines:  NewLines(cfg),
+	}, nil
 }
 
 // Reset returns the cache to the state New leaves it in — cold contents,
-// zero stats and energy — while keeping the line state and energy model.
+// zero stats and energy — while keeping the line store and energy model.
 // It lets a worker reuse one cache allocation across many runs (the L2's
-// line state is the dominant per-run allocation). next replaces the
-// downstream level, which may itself have been reset. The ranks stay:
-// a set of invalid lines fills by way index, whatever its ranks.
+// line store is the dominant per-run allocation). next replaces the
+// downstream level, which may itself have been reset.
 func (c *Cache) Reset(next Level) {
 	c.Next = next
 	c.Stats = Stats{}
 	c.DynJ = 0
-	clear(c.tags)
+	c.lines.Clear()
 	c.obsPrev = Stats{}
 }
 
@@ -239,6 +206,10 @@ func (c *Cache) HitLat() int { return c.Cfg.HitLatency }
 // Tick is a no-op for an uncontrolled cache (cpu.FetchCache).
 func (c *Cache) Tick(uint64) {}
 
+// NextTickEvent reports that an uncontrolled cache never needs a Tick
+// (cpu.FetchCache).
+func (c *Cache) NextTickEvent() uint64 { return ^uint64(0) }
+
 // ResetStats zeroes the event counters and energy meter, keeping contents
 // (warmup support).
 func (c *Cache) ResetStats() {
@@ -247,54 +218,17 @@ func (c *Cache) ResetStats() {
 	c.obsPrev = Stats{}
 }
 
-// Index splits a byte address into set index and tag.
-func (c *Cache) Index(addr uint64) (set uint64, tag uint64) {
-	lineAddr := addr >> c.lineShift
-	return lineAddr & c.setMask, lineAddr >> c.setBits
-}
-
-// way returns the way of the set starting at line base that holds tag,
-// or -1.
-func (c *Cache) way(base int, tag uint64) int {
-	want := tag | lineValid
-	for i, w := range c.tags[base : base+c.assoc] {
-		if w&^lineDirty == want {
-			return i
-		}
-	}
-	return -1
-}
-
-// touch makes way the most recently used of the set starting at line
-// base: it takes rank 0, and every way used more recently than it was
-// ages by one. The least recently used way therefore always holds rank
-// assoc-1.
-func (c *Cache) touch(base, way int) {
-	ranks := c.ranks[base : base+c.assoc]
-	r := ranks[way]
-	if r == 0 {
-		return
-	}
-	for i, q := range ranks {
-		if q < r {
-			ranks[i] = q + 1
-		}
-	}
-	ranks[way] = 0
-}
-
 // Access implements Level: LRU lookup, miss to Next, write-back
 // write-allocate fill.
 func (c *Cache) Access(addr uint64, write bool, cycle uint64) int {
 	c.Stats.Accesses++
-	set, tag := c.Index(addr)
-	base := int(set) * c.assoc
+	base, tag := c.lines.Locate(addr)
 
-	if i := c.way(base, tag); i >= 0 {
+	if i := c.lines.Find(base, tag); i >= 0 {
 		c.Stats.Hits++
-		c.touch(base, i)
+		c.lines.Touch(base, i)
 		if write {
-			c.tags[base+i] |= lineDirty
+			c.lines.SetDirty(i, true)
 			c.DynJ += c.Energy.WriteHit
 		} else {
 			c.DynJ += c.Energy.ReadHit
@@ -309,68 +243,40 @@ func (c *Cache) Access(addr uint64, write bool, cycle uint64) int {
 	if c.Next != nil {
 		lat += c.Next.Access(addr, false, cycle)
 	}
-	c.fill(set, base, tag, write, cycle)
+	// Fill the first invalid line, else the least recently used one,
+	// writing back a dirty victim.
+	v := c.lines.Victim(base)
+	if c.lines.Dirty(v) {
+		c.writeback(v, cycle)
+	}
+	c.lines.Fill(base, v, tag, write)
+	c.Stats.Fills++
+	c.DynJ += c.Energy.LineFill
 	return lat
 }
 
-// fill installs tag's line into the set starting at line base, evicting
-// the first invalid way, else the least recently used one (writing back a
-// dirty victim).
-func (c *Cache) fill(set uint64, base int, tag uint64, write bool, cycle uint64) {
-	tags := c.tags[base : base+c.assoc]
-	victim := -1
-	for i, w := range tags {
-		if w&lineValid == 0 {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		lru := uint8(c.assoc - 1)
-		for i, r := range c.ranks[base : base+c.assoc] {
-			if r == lru {
-				victim = i
-				break
-			}
-		}
-		if w := tags[victim]; w&lineDirty != 0 {
-			c.writeback(set, w, cycle)
-		}
-	}
-	w := tag | lineValid
-	if write {
-		w |= lineDirty
-	}
-	tags[victim] = w
-	c.touch(base, victim)
-	c.Stats.Fills++
-	c.DynJ += c.Energy.LineFill
-}
-
-// writeback pushes the dirty line w of set to the next level (off the
-// critical path; energy and traffic only).
-func (c *Cache) writeback(set, w uint64, cycle uint64) {
+// writeback pushes dirty line i to the next level (off the critical path;
+// energy and traffic only).
+func (c *Cache) writeback(i int, cycle uint64) {
 	c.Stats.Writebacks++
 	c.DynJ += c.Energy.LineRead
 	if c.Next != nil {
-		tag := w &^ (lineValid | lineDirty)
-		c.Next.Access(((tag<<c.setBits)|set)<<c.lineShift, true, cycle)
+		c.Next.Access(c.lines.Addr(i), true, cycle)
 	}
 }
 
 // Contains reports whether addr's line is present (for tests and the
 // harness; does not touch LRU or stats).
 func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.Index(addr)
-	return c.way(int(set)*c.assoc, tag) >= 0
+	return c.lines.Find(c.lines.Locate(addr)) >= 0
 }
 
 // Flush invalidates every line, writing back dirty ones.
 func (c *Cache) Flush(cycle uint64) {
-	for i, w := range c.tags {
-		if w&lineDirty != 0 {
-			c.writeback(uint64(i/c.assoc), w, cycle)
+	for i := range c.lines.Len() {
+		if c.lines.Dirty(i) {
+			c.writeback(i, cycle)
 		}
-		c.tags[i] = 0
 	}
+	c.lines.Clear()
 }

@@ -237,8 +237,8 @@ func TestIndexRoundTrip(t *testing.T) {
 	f := func(a, b uint64) bool {
 		a &= (1 << 40) - 1
 		b &= (1 << 40) - 1
-		sa, ta := c.Index(a)
-		sb, tb := c.Index(b)
+		sa, ta := c.lines.Locate(a)
+		sb, tb := c.lines.Locate(b)
 		if a>>6 == b>>6 {
 			return sa == sb && ta == tb
 		}

@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"hotleakage/internal/bpred"
-	"hotleakage/internal/cache"
 	"hotleakage/internal/leakctl"
 	"hotleakage/internal/workload"
 )
@@ -191,20 +190,14 @@ type InstrSource interface {
 
 // FetchCache is the instruction-cache contract: a plain cache.Cache or a
 // leakage-controlled leakctl.DCache both satisfy it, which is how the
-// I-cache leakage-control extension plugs in.
+// I-cache leakage-control extension plugs in. Tick does real work only on
+// scheduled cycles (decay rollovers, adapter consultations); NextTickEvent
+// returns the next such cycle, or never for a cache whose Tick is a no-op,
+// and the core skips the Tick call on every other cycle.
 type FetchCache interface {
 	Access(addr uint64, write bool, cycle uint64) int
 	HitLat() int
 	Tick(cycle uint64)
-}
-
-// TickEventer is a FetchCache whose Tick does real work only on scheduled
-// cycles (decay rollovers, adapter consultations). NextTickEvent returns
-// the next cycle at which Tick must observe time; the core skips the Tick
-// call on every other cycle. A FetchCache that implements neither this nor
-// a no-op Tick (plain cache.Cache) is ticked every cycle and disables
-// fast-forwarding, since the core cannot know when its Tick matters.
-type TickEventer interface {
 	NextTickEvent() uint64
 }
 
@@ -346,10 +339,9 @@ type Core struct {
 
 	// Tick scheduling: dcNext/icNext cache the caches' next scheduled
 	// tick event so the per-cycle loop is two compares instead of two
-	// interface calls. icTick selects the I-cache's tick regime.
+	// interface calls.
 	dcNext uint64
 	icNext uint64
-	icTick icTickMode
 	// fuBlocked records that a ready instruction was denied a functional
 	// unit this cycle: the machine is stalled on structural hazards that
 	// clear by themselves next cycle, so the cycle is not skippable.
@@ -389,15 +381,6 @@ const ownWindow = 4096
 // longer than a lap are handled by re-filing on pop, so the size only
 // trades memory against the rare-lap cost.
 const wheelSize = 1024
-
-// icTickMode classifies the I-cache's Tick behaviour.
-type icTickMode uint8
-
-const (
-	icTickNone  icTickMode = iota // plain cache.Cache: Tick is a no-op, never call
-	icTickEvent                   // TickEventer: call only at scheduled events
-	icTickEvery                   // unknown implementation: call every cycle
-)
 
 // New builds a core over the given instruction source, predictor and
 // hierarchy. With a non-nil source the core owns a window onto that
@@ -496,14 +479,6 @@ func build(cfg Config, src InstrSource, pred *bpred.Predictor, ic FetchCache, dc
 	if src != nil {
 		c.front, c.own = new(Front), true
 		c.front.Fill(src, pred, 0)
-	}
-	switch ic.(type) {
-	case *cache.Cache:
-		c.icTick = icTickNone // documented no-op Tick: skip the dispatch
-	case TickEventer:
-		c.icTick = icTickEvent
-	default:
-		c.icTick = icTickEvery
 	}
 	return c
 }
@@ -722,14 +697,9 @@ func (c *Core) Run(n uint64) Stats {
 			c.DCache.Tick(c.now)
 			c.dcNext = c.DCache.NextTickEvent()
 		}
-		switch c.icTick {
-		case icTickEvent:
-			if c.now >= c.icNext {
-				c.ICache.Tick(c.now)
-				c.icNext = c.ICache.(TickEventer).NextTickEvent()
-			}
-		case icTickEvery:
+		if c.now >= c.icNext {
 			c.ICache.Tick(c.now)
+			c.icNext = c.ICache.NextTickEvent()
 		}
 		c.fuBlocked = false
 		// The pop/issue/dispatch calls are guarded by their cheapest
@@ -749,7 +719,7 @@ func (c *Core) Run(n uint64) Stats {
 		if c.fetch(c.now) {
 			active = true
 		}
-		if !active && !c.fuBlocked && !c.DisableFastForward && c.icTick != icTickEvery {
+		if !active && !c.fuBlocked && !c.DisableFastForward {
 			c.fastForward()
 		}
 	}
@@ -766,14 +736,9 @@ func (c *Core) stepTimed() {
 		c.DCache.Tick(c.now)
 		c.dcNext = c.DCache.NextTickEvent()
 	}
-	switch c.icTick {
-	case icTickEvent:
-		if c.now >= c.icNext {
-			c.ICache.Tick(c.now)
-			c.icNext = c.ICache.(TickEventer).NextTickEvent()
-		}
-	case icTickEvery:
+	if c.now >= c.icNext {
 		c.ICache.Tick(c.now)
+		c.icNext = c.ICache.NextTickEvent()
 	}
 	c.stageNS[stageTick] += uint64(time.Since(t))
 	c.fuBlocked = false
@@ -798,7 +763,7 @@ func (c *Core) stepTimed() {
 		active = true
 	}
 	c.stageNS[stageFetch] += uint64(time.Since(t))
-	if !active && !c.fuBlocked && !c.DisableFastForward && c.icTick != icTickEvery {
+	if !active && !c.fuBlocked && !c.DisableFastForward {
 		c.fastForward()
 	}
 }
@@ -818,10 +783,7 @@ func (c *Core) stepTimed() {
 // and the decay machines do nothing between their scheduled rollovers and
 // adapter consultations, which both caches expose via NextTickEvent.
 func (c *Core) fastForward() {
-	next := c.dcNext
-	if c.icTick == icTickEvent && c.icNext < next {
-		next = c.icNext
-	}
+	next := min(c.dcNext, c.icNext)
 	if c.fetchStall > c.now && c.fetchStall < next {
 		next = c.fetchStall
 	}

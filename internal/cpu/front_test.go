@@ -70,9 +70,9 @@ func TestFrontWindowMatchesFill(t *testing.T) {
 		// Replay: one core over the full front, one over a window advanced
 		// before every chunk to [position, position+chunk+slack).
 		params := leakctl.DefaultParams(leakctl.TechDrowsy, 4096)
-		ref := buildWith(prof, DefaultConfig(), params)
+		ref := buildWith(prof, DefaultConfig(), params, nil)
 		ref.AttachFront(&full)
-		lane := buildWith(prof, DefaultConfig(), params)
+		lane := buildWith(prof, DefaultConfig(), params, nil)
 		win.Fill(workload.NewGenerator(prof), bpred.New(bpred.DefaultConfig()), chunk+slack)
 		lane.AttachFront(&win)
 		for round := 0; round < 4; round++ {

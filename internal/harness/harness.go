@@ -131,17 +131,6 @@ func Attempt(ctx context.Context) int {
 	return n
 }
 
-// workerCtxKey carries the per-worker state in the run context.
-type workerCtxKey struct{}
-
-// WorkerValue returns the value Config.WorkerState produced for the worker
-// executing this run, or nil outside a supervised run (or when no
-// WorkerState was configured). Jobs use it for reusable scratch state —
-// simulator components reset between runs instead of reallocated.
-func WorkerValue(ctx context.Context) any {
-	return ctx.Value(workerCtxKey{})
-}
-
 // Config configures a Supervisor.
 type Config[T any] struct {
 	// Workers bounds concurrent job execution (default 1).
@@ -167,11 +156,6 @@ type Config[T any] struct {
 	// run_retry, run_fault, run_done, run_error) keyed by the job Key.
 	// Outcome counters in the obs registry are updated regardless.
 	Events EventSink
-	// WorkerState, when non-nil, is invoked once per worker goroutine when
-	// the pool starts; the returned value rides in every run context on
-	// that worker (see WorkerValue). The value is confined to its worker,
-	// so jobs may mutate it without locking.
-	WorkerState func() any
 }
 
 // Supervisor executes batches of jobs under the configured discipline.
@@ -201,8 +185,8 @@ func New[T any](cfg Config[T]) *Supervisor[T] {
 // starting. Completed results are always retained.
 //
 // Execution uses a fixed pool of Config.Workers goroutines pulling jobs
-// in order; the pool gives each worker a stable identity for WorkerState
-// reuse and busy-time accounting.
+// in order; the pool gives each worker a stable identity for busy-time
+// accounting.
 func (s *Supervisor[T]) Run(ctx context.Context, jobs []Job[T]) []Result[T] {
 	if ctx == nil {
 		ctx = context.Background()
@@ -219,10 +203,6 @@ func (s *Supervisor[T]) Run(ctx context.Context, jobs []Job[T]) []Result[T] {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			wctx := ctx
-			if s.cfg.WorkerState != nil {
-				wctx = context.WithValue(ctx, workerCtxKey{}, s.cfg.WorkerState())
-			}
 			var busy time.Duration
 			for i := range queue {
 				job := jobs[i]
@@ -233,7 +213,7 @@ func (s *Supervisor[T]) Run(ctx context.Context, jobs []Job[T]) []Result[T] {
 					continue
 				}
 				start := time.Now()
-				results[i] = s.runJob(wctx, job)
+				results[i] = s.runJob(ctx, job)
 				results[i].Duration = time.Since(start)
 				busy += results[i].Duration
 			}

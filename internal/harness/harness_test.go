@@ -248,60 +248,6 @@ func TestSettledSeesOnlyAcceptedValues(t *testing.T) {
 	}
 }
 
-func TestWorkerStateIsPerWorkerAndReused(t *testing.T) {
-	// Every job must see a state object, and the number of distinct
-	// objects must not exceed the pool size: states belong to workers, not
-	// to jobs.
-	type state struct{ uses int }
-	s := New(Config[int]{Workers: 3, WorkerState: func() any { return new(state) }})
-	var mu sync.Mutex
-	seen := make(map[*state]int)
-	var jobs []Job[int]
-	for i := 0; i < 24; i++ {
-		jobs = append(jobs, job(fmt.Sprintf("j%02d", i), func(ctx context.Context) (int, error) {
-			st, ok := WorkerValue(ctx).(*state)
-			if !ok || st == nil {
-				return 0, errors.New("no worker state in context")
-			}
-			mu.Lock()
-			seen[st]++
-			mu.Unlock()
-			time.Sleep(200 * time.Microsecond) // let every worker participate
-			return 0, nil
-		}))
-	}
-	for _, r := range s.Run(context.Background(), jobs) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-	if len(seen) == 0 || len(seen) > 3 {
-		t.Fatalf("saw %d distinct states for a 3-worker pool", len(seen))
-	}
-	total := 0
-	for _, n := range seen {
-		total += n
-	}
-	if total != 24 {
-		t.Fatalf("state uses %d, want 24", total)
-	}
-}
-
-func TestWorkerValueWithoutStateIsNil(t *testing.T) {
-	s := New(Config[int]{})
-	res := s.Run(context.Background(), []Job[int]{
-		job("plain", func(ctx context.Context) (int, error) {
-			if WorkerValue(ctx) != nil {
-				return 0, errors.New("unexpected worker state")
-			}
-			return 1, nil
-		}),
-	})
-	if res[0].Err != nil {
-		t.Fatal(res[0].Err)
-	}
-}
-
 func TestResultDurationRecorded(t *testing.T) {
 	s := New(Config[int]{})
 	res := s.Run(context.Background(), []Job[int]{

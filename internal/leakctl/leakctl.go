@@ -109,7 +109,8 @@ type Params struct {
 	// PerLineAdaptive selects the Kaxiras-style per-line adaptive decay
 	// (2-bit selectors choosing among exponentially spaced intervals,
 	// starting from Interval). Premature decays promote a line to a
-	// longer interval; decays never missed demote it.
+	// longer interval; decays never missed demote it. It counts with the
+	// noaccess policy only.
 	PerLineAdaptive bool
 }
 
@@ -139,6 +140,9 @@ func (p Params) Validate() error {
 	}
 	if p.PerLineAdaptive && p.Interval == 0 {
 		return fmt.Errorf("leakctl: per-line adaptive decay needs a non-zero base interval")
+	}
+	if p.PerLineAdaptive && p.Policy != decay.PolicyNoAccess {
+		return fmt.Errorf("leakctl: per-line adaptive decay counts with the noaccess policy only")
 	}
 	return nil
 }
@@ -216,12 +220,11 @@ func (e Energy) Total() float64 {
 	return e.AccessJ + e.CounterJ + e.TransitionJ + e.WritebackJ
 }
 
-// Per-line state bits in DCache.flags.
+// Per-line standby state bits in DCache.state. A standby line is always
+// valid: only a valid line decays, and a fill clears the byte.
 const (
-	lineValid uint8 = 1 << iota
-	lineDirty
-	lineStandby
-	lineHadLive // gated: standby and contents were live when decayed
+	lineStandby uint8 = 1 << iota
+	lineHadLive       // gated: standby and contents were live when decayed
 )
 
 // DCache is the leakage-controlled L1 data cache.
@@ -242,18 +245,10 @@ type DCache struct {
 	TechE   power.TechniqueEnergy
 	Machine *decay.Machine
 
-	// Line state, struct-of-arrays: the way-probe loop on every access
-	// reads only flags and tags, so splitting the old per-line struct
-	// keeps the probed footprint to nine bytes per way instead of a
-	// 32-byte struct; lastUse is touched only on hits and fills.
-	tags      []uint64
-	lastUse   []uint64
-	flags     []uint8
-	assoc     int
-	setMask   uint64
-	lineShift uint
-	tagShift  uint
-	useStamp  uint64
+	// Line state: the shared line store (tag word with the valid and
+	// dirty flags, LRU rank) plus one standby-state byte per line.
+	lines cache.Lines
+	state []uint8
 
 	curCycle        uint64
 	standbyCount    int
@@ -286,54 +281,25 @@ const l2SampleMask = 15
 
 // New builds a controlled L1 D-cache over next. Technique TechNone with
 // Interval 0 is the baseline. Invalid cache or control configurations are
-// reported as errors before any state is built.
+// reported as errors.
 func New(p *tech.Params, cfg cache.Config, params Params, next cache.Level) (*DCache, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := params.Validate(); err != nil {
+	lines := cache.NewLines(cfg)
+	d := &DCache{Cfg: cfg, lines: lines, state: make([]uint8, lines.Len())}
+	if err := d.Reset(p, params, next); err != nil {
 		return nil, err
 	}
-	sets := cfg.Sets()
-	nlines := sets * cfg.Assoc
-	machine := decay.New(nlines, params.Interval, params.Policy)
-	if params.PerLineAdaptive && params.Interval != 0 {
-		machine = decay.NewPerLine(nlines, params.Interval)
-	}
-	d := &DCache{
-		Cfg:     cfg,
-		P:       params,
-		Next:    next,
-		AccessE: power.NewCacheEnergy(p, cfg.Geometry()),
-		TechE:   power.NewTechniqueEnergy(p, cfg.LineBytes, params.Technique == TechGated),
-		Machine: machine,
-		tags:    make([]uint64, nlines),
-		lastUse: make([]uint64, nlines),
-		flags:   make([]uint8, nlines),
-		assoc:   cfg.Assoc,
-		setMask: uint64(sets - 1),
-	}
-	ls := 0
-	for 1<<ls < cfg.LineBytes {
-		ls++
-	}
-	ss := 0
-	for 1<<ss < sets {
-		ss++
-	}
-	d.lineShift = uint(ls)
-	d.tagShift = uint(ss)
 	return d, nil
 }
 
 // Reset returns the cache to the state New(p, d.Cfg, params, next) leaves
-// it in, reusing the line array (run-to-run reuse). The geometry (Cfg) is
+// it in, reusing the line state (run-to-run reuse). The geometry (Cfg) is
 // fixed at construction; technique parameters and the technology point may
 // change between runs, so the energy models and the decay machine are
-// rebuilt. The Adapter, set externally after New, is cleared the same way.
+// rebuilt, and every other field starts from its zero value — the Adapter,
+// set externally after New, included.
 func (d *DCache) Reset(p *tech.Params, params Params, next cache.Level) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -341,40 +307,26 @@ func (d *DCache) Reset(p *tech.Params, params Params, next cache.Level) error {
 	if err := params.Validate(); err != nil {
 		return err
 	}
-	nlines := len(d.flags)
-	machine := decay.New(nlines, params.Interval, params.Policy)
-	if params.PerLineAdaptive && params.Interval != 0 {
-		machine = decay.NewPerLine(nlines, params.Interval)
+	n := d.lines.Len()
+	var machine *decay.Machine
+	if params.PerLineAdaptive {
+		machine = decay.NewPerLine(n, params.Interval)
+	} else {
+		machine = decay.New(n, params.Interval, params.Policy)
 	}
-	d.P = params
-	d.Next = next
-	d.Stats = Stats{}
-	d.Energy = Energy{}
-	d.Adapter = nil
-	d.AdaptChanges = 0
-	d.nextAdapt = 0
-	d.AccessE = power.NewCacheEnergy(p, d.Cfg.Geometry())
-	d.TechE = power.NewTechniqueEnergy(p, d.Cfg.LineBytes, params.Technique == TechGated)
-	d.Machine = machine
-	clear(d.tags)
-	clear(d.lastUse)
-	clear(d.flags)
-	d.useStamp = 0
-	d.curCycle = 0
-	d.standbyCount = 0
-	d.lastOccCycle = 0
-	d.standbyIntegral = 0
-	d.settleDebt = 0
-	d.finished = false
-	d.finalCycles = 0
-	d.statsStart = 0
-	d.machineBase = decay.Machine{}
-	d.l2NS = 0
-	d.l2Sampled = 0
-	d.obsPrev = Stats{}
-	d.obsPrevAdapt = 0
-	d.obsPrevL2NS = 0
-	d.obsPrevL2Samp = 0
+	d.lines.Clear()
+	clear(d.state)
+	*d = DCache{
+		Cfg:     d.Cfg,
+		P:       params,
+		Next:    next,
+		AccessE: power.NewCacheEnergy(p, d.Cfg.Geometry()),
+		TechE:   power.NewTechniqueEnergy(p, d.Cfg.LineBytes, params.Technique == TechGated),
+		Machine: machine,
+		lines:   d.lines,
+		state:   d.state,
+		obsIDs:  d.obsIDs,
+	}
 	return nil
 }
 
@@ -395,13 +347,7 @@ func (d *DCache) Name() string { return d.Cfg.Name }
 func (d *DCache) HitLat() int { return d.Cfg.HitLatency }
 
 // Lines returns the number of cache lines under control.
-func (d *DCache) Lines() int { return len(d.flags) }
-
-// index splits a byte address into set and tag.
-func (d *DCache) index(addr uint64) (set, tag uint64) {
-	la := addr >> d.lineShift
-	return la & d.setMask, la >> d.tagShift
-}
+func (d *DCache) Lines() int { return d.lines.Len() }
 
 // occSync folds elapsed standby line-cycles into the integral.
 func (d *DCache) occSync(cycle uint64) {
@@ -413,8 +359,8 @@ func (d *DCache) occSync(cycle uint64) {
 
 // expire is the decay callback: move line i to standby.
 func (d *DCache) expire(i int) {
-	f := d.flags[i]
-	if f&lineValid == 0 || f&lineStandby != 0 {
+	s := d.state[i]
+	if !d.lines.Valid(i) || s&lineStandby != 0 {
 		return
 	}
 	d.occSync(d.curCycle)
@@ -423,36 +369,34 @@ func (d *DCache) expire(i int) {
 	d.settleDebt += uint64(d.P.SettleSleep)
 
 	if d.P.Technique == TechGated {
-		if f&lineDirty != 0 {
+		if d.lines.Dirty(i) {
 			// The discarded line's contents must survive: write
 			// back before disconnecting (cache-decay behaviour).
 			d.Stats.DecayWritebacks++
 			d.Energy.WritebackJ += d.AccessE.LineRead
 			d.writebackToNext(i)
-			f &^= lineDirty
+			d.lines.SetDirty(i, false)
 		}
-		f |= lineHadLive
+		s |= lineHadLive
 	}
-	d.flags[i] = f | lineStandby
+	d.state[i] = s | lineStandby
 	d.standbyCount++
 }
 
 // writebackToNext pushes line i's contents to the next level.
 func (d *DCache) writebackToNext(i int) {
-	set := uint64(i / d.assoc)
-	addr := ((d.tags[i] << d.tagShift) | set) << d.lineShift
 	if d.Next != nil {
-		d.Next.Access(addr, true, d.curCycle)
+		d.Next.Access(d.lines.Addr(i), true, d.curCycle)
 	}
 }
 
 // wake returns line i to the active state.
 func (d *DCache) wake(i int) {
-	if d.flags[i]&lineStandby == 0 {
+	if d.state[i]&lineStandby == 0 {
 		return
 	}
 	d.occSync(d.curCycle)
-	d.flags[i] &^= lineStandby | lineHadLive
+	d.state[i] = 0
 	d.standbyCount--
 	d.Stats.WakeTransitions++
 	d.Energy.TransitionJ += d.TechE.WakeTransition
@@ -473,7 +417,7 @@ func (d *DCache) Tick(cycle uint64) {
 
 // NextTickEvent returns the next cycle at which Tick does observable work:
 // the decay machine's next global-counter rollover or the adapter's next
-// consultation, whichever is sooner (cpu.TickEventer). Between those
+// consultation, whichever is sooner (cpu.FetchCache). Between those
 // cycles Tick only re-stamps curCycle, which every state-changing path
 // re-stamps anyway, so the core may skip the calls without changing any
 // counter, energy meter or expire ordering.
@@ -495,57 +439,36 @@ func (d *DCache) Access(addr uint64, write bool, cycle uint64) int {
 		d.Machine.Advance(cycle, d.expire)
 	}
 	d.Stats.Accesses++
-	d.useStamp++
-	set, tag := d.index(addr)
-	base := int(set) * d.assoc
-
-	hitWay := -1
-	standbyMatch := -1
-	anyStandby := false
-	flags, tags := d.flags, d.tags
-	for w := 0; w < d.assoc; w++ {
-		i := base + w
-		f := flags[i]
-		if f&lineValid == 0 {
-			continue
-		}
-		if f&lineStandby != 0 {
-			anyStandby = true
-			if tags[i] == tag {
-				standbyMatch = i
-			}
-			continue
-		}
-		if tags[i] == tag {
-			hitWay = i
-		}
-	}
-
-	preserving := d.P.Technique.StatePreserving() || d.P.Technique == TechNone
+	base, tag := d.lines.Locate(addr)
+	i := d.lines.Find(base, tag)
 
 	// Fast hit on an active line: identical for every technique.
-	if hitWay >= 0 {
-		return d.finishHit(hitWay, write, false)
+	if i >= 0 && d.state[i]&lineStandby == 0 {
+		return d.finishHit(base, i, write, false)
 	}
+	// From here on i, when >= 0, is a standby line holding the tag.
+
+	preserving := d.P.Technique.StatePreserving() || d.P.Technique == TechNone
 
 	// Standby line holds the data and the technique preserves state:
 	// "slow hit" — wake it, pay the wake latency, no L2 access. The
 	// first probe found the line asleep; after wake-up the tags and
 	// data are probed again, so a slow hit costs one extra array access
 	// on top of the wake transition.
-	if preserving && standbyMatch >= 0 {
+	if preserving && i >= 0 {
 		d.Stats.SlowHits++
 		d.Energy.AccessJ += d.AccessE.ReadHit
 		// Per-line adaptive: this decay was premature.
-		d.Machine.Promote(standbyMatch)
-		d.wake(standbyMatch)
-		return d.finishHit(standbyMatch, write, true)
+		d.Machine.Promote(i)
+		d.wake(i)
+		return d.finishHit(base, i, write, true)
 	}
 
 	// Miss path.
 	d.Stats.Misses++
+	sleeper := d.lruStandby(base)
 	extra := 0
-	if preserving && d.P.DecayTags && anyStandby {
+	if preserving && d.P.DecayTags && sleeper >= 0 {
 		// Drowsy/RBB must wake the standby ways' tags before the
 		// miss can be confirmed ("gated-Vss is actually faster" on
 		// these true misses).
@@ -554,11 +477,11 @@ func (d *DCache) Access(addr uint64, write bool, cycle uint64) int {
 		d.Energy.AccessJ += d.AccessE.TagProbe
 		d.Energy.TransitionJ += tagFraction * d.TechE.WakeTransition
 	}
-	if d.P.Technique == TechGated && standbyMatch >= 0 && d.flags[standbyMatch]&lineHadLive != 0 {
+	if d.P.Technique == TechGated && i >= 0 && d.state[i]&lineHadLive != 0 {
 		// The data was live when the line was disconnected: this L2
 		// access exists only because of the leakage control.
 		d.Stats.InducedMisses++
-		d.Machine.Promote(standbyMatch)
+		d.Machine.Promote(i)
 	} else {
 		d.Stats.TrueMisses++
 	}
@@ -578,7 +501,18 @@ func (d *DCache) Access(addr uint64, write bool, cycle uint64) int {
 			lat += d.Next.Access(addr, false, cycle)
 		}
 	}
-	d.fill(set, tag, standbyMatch, write)
+	// A standby line holding the tag (gated) is refilled in place.
+	// Otherwise the victim is the line store's — the first invalid line,
+	// else the least recently used — except that a full set gives up its
+	// least recently used standby line first (gated: its data is already
+	// dead; drowsy: sleepers are the stalest by construction).
+	victim := i
+	if victim < 0 {
+		if victim = d.lines.Victim(base); d.lines.Valid(victim) && sleeper >= 0 {
+			victim = sleeper
+		}
+	}
+	d.fill(base, victim, tag, victim == i, write)
 	return lat
 }
 
@@ -586,13 +520,25 @@ func (d *DCache) Access(addr uint64, write bool, cycle uint64) int {
 // tag (the paper: "tags account for 5-10% of the leakage energy").
 const tagFraction = 0.07
 
-// finishHit applies LRU/dirty/energy bookkeeping for a hit on way index i
-// and returns its latency.
-func (d *DCache) finishHit(i int, write, slow bool) int {
-	d.lastUse[i] = d.useStamp
+// lruStandby returns the least recently used standby line of the set
+// starting at base, or -1 when none of its lines is in standby.
+func (d *DCache) lruStandby(base int) int {
+	v := -1
+	for i := base; i < base+d.Cfg.Assoc; i++ {
+		if d.state[i]&lineStandby != 0 && (v < 0 || d.lines.Rank(i) > d.lines.Rank(v)) {
+			v = i
+		}
+	}
+	return v
+}
+
+// finishHit applies LRU/dirty/energy bookkeeping for a hit on line i of
+// the set starting at base and returns its latency.
+func (d *DCache) finishHit(base, i int, write, slow bool) int {
+	d.lines.Touch(base, i)
 	d.Machine.Touch(i)
 	if write {
-		d.flags[i] |= lineDirty
+		d.lines.SetDirty(i, true)
 		d.Energy.AccessJ += d.AccessE.WriteHit
 	} else {
 		d.Energy.AccessJ += d.AccessE.ReadHit
@@ -612,72 +558,33 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// fill installs (set, tag) after a miss. standbyMatch, if >= 0, is a
-// standby way already holding this tag (gated induced/true miss target):
-// it is refilled in place.
-func (d *DCache) fill(set, tag uint64, standbyMatch int, write bool) {
-	base := int(set) * d.assoc
-	flags, lastUse := d.flags, d.lastUse
-	victim := -1
-	if standbyMatch >= 0 {
-		victim = standbyMatch
-	} else {
-		// Invalid way first.
-		for w := 0; w < d.assoc; w++ {
-			if flags[base+w]&lineValid == 0 {
-				victim = base + w
-				break
-			}
-		}
-		// Then LRU among standby ways (gated: their data is already
-		// dead; drowsy: prefer evicting sleepers, they are the
-		// stalest by construction).
-		if victim < 0 {
-			for w := 0; w < d.assoc; w++ {
-				if flags[base+w]&lineStandby != 0 && (victim < 0 || lastUse[base+w] < lastUse[victim]) {
-					victim = base + w
-				}
-			}
-		}
-		// Finally LRU among active ways.
-		if victim < 0 {
-			victim = base
-			for w := 1; w < d.assoc; w++ {
-				if lastUse[base+w] < lastUse[victim] {
-					victim = base + w
-				}
-			}
-		}
-	}
-
-	vf := flags[victim]
-	if vf&(lineValid|lineDirty) == lineValid|lineDirty {
+// fill installs tag in line victim of the set starting at base after a
+// miss, writing back a dirty victim. refill marks a standby line that
+// already held this tag (a gated induced or true miss), refilled in place.
+func (d *DCache) fill(base, victim int, tag uint64, refill, write bool) {
+	standby := d.state[victim]&lineStandby != 0
+	if d.lines.Dirty(victim) {
 		// A drowsy dirty victim must be woken to read its contents
 		// out (energy only; off the critical path).
-		if vf&lineStandby != 0 {
+		if standby {
 			d.Energy.TransitionJ += d.TechE.WakeTransition
 		}
 		d.Stats.EvictWritebacks++
 		d.Energy.WritebackJ += d.AccessE.LineRead
 		d.writebackToNext(victim)
 	}
-	if vf&lineStandby != 0 {
+	if standby {
 		d.occSync(d.curCycle)
 		d.standbyCount--
-		if victim != standbyMatch {
+		if !refill {
 			// The decayed line is dying without ever having been
 			// missed: its decay was correct — per-line adaptive
 			// moves it toward a shorter interval.
 			d.Machine.Demote(victim)
 		}
 	}
-	d.tags[victim] = tag
-	lastUse[victim] = d.useStamp
-	nf := lineValid
-	if write {
-		nf |= lineDirty
-	}
-	flags[victim] = nf
+	d.lines.Fill(base, victim, tag, write)
+	d.state[victim] = 0
 	d.Machine.Touch(victim)
 	d.Stats.Fills++
 	d.Energy.AccessJ += d.AccessE.LineFill
@@ -741,7 +648,7 @@ func (d *DCache) TurnoffRatio() float64 {
 	if mc == 0 {
 		return 0
 	}
-	return float64(d.StandbyLineCycles()) / (float64(len(d.flags)) * float64(mc))
+	return float64(d.StandbyLineCycles()) / (float64(d.lines.Len()) * float64(mc))
 }
 
 // StandbyNow returns the number of lines currently in standby (tests).
@@ -750,17 +657,7 @@ func (d *DCache) StandbyNow() int { return d.standbyCount }
 // Contains reports whether addr's line is present with live contents (for
 // tests; does not touch LRU, counters or stats).
 func (d *DCache) Contains(addr uint64) bool {
-	set, tag := d.index(addr)
-	base := int(set) * d.assoc
-	for w := 0; w < d.assoc; w++ {
-		f := d.flags[base+w]
-		if f&lineValid == 0 || d.tags[base+w] != tag {
-			continue
-		}
-		if f&lineStandby != 0 && d.P.Technique == TechGated {
-			return false // contents destroyed
-		}
-		return true
-	}
-	return false
+	i := d.lines.Find(d.lines.Locate(addr))
+	// A gated standby line's contents are destroyed.
+	return i >= 0 && (d.state[i]&lineStandby == 0 || d.P.Technique != TechGated)
 }

@@ -1,10 +1,12 @@
 package leakctl
 
 import (
+	"fmt"
 	"testing"
 
 	"hotleakage/internal/cache"
 	"hotleakage/internal/decay"
+	"hotleakage/internal/stats"
 	"hotleakage/internal/tech"
 )
 
@@ -209,6 +211,72 @@ func TestVictimPrefersStandbyWay(t *testing.T) {
 	}
 }
 
+// TestVictimIsLeastRecentlyUsedStandbyLine fills a 4-way drowsy set, lets
+// every line decay, wakes two of them with slow hits and then misses: of
+// the two lines still in standby, the least recently used one goes.
+func TestVictimIsLeastRecentlyUsedStandbyLine(t *testing.T) {
+	mem := cache.NewMemory(p70(), 100)
+	cfg := cache.Config{Name: "dl1", SizeBytes: 4096, LineBytes: 64, Assoc: 4, HitLatency: 2}
+	d := MustNew(p70(), cfg, DefaultParams(TechDrowsy, 4096), mem)
+	for tag := uint64(1); tag <= 4; tag++ {
+		d.Access(addr(0, tag), false, tag)
+	}
+	cyc := idle(d, 4, 4096)
+	if d.StandbyNow() != 4 {
+		t.Fatalf("%d lines in standby, want all 4", d.StandbyNow())
+	}
+	d.Access(addr(0, 1), false, cyc+1)
+	d.Access(addr(0, 3), false, cyc+2)
+	if d.Stats.SlowHits != 2 {
+		t.Fatalf("slow hits = %d, want 2", d.Stats.SlowHits)
+	}
+	d.Access(addr(0, 5), false, cyc+3)
+	if d.Contains(addr(0, 2)) {
+		t.Fatal("tag 2, the least recently used standby line, was kept")
+	}
+	for _, tag := range []uint64{1, 3, 4, 5} {
+		if !d.Contains(addr(0, tag)) {
+			t.Fatalf("tag %d was evicted in place of tag 2", tag)
+		}
+	}
+}
+
+// TestUncontrolledMatchesPlainCache runs one seeded read/write stream
+// through a TechNone DCache and a cache.Cache of the same geometry: the two
+// replace by the same line store, so every latency, count and write-back
+// must agree.
+func TestUncontrolledMatchesPlainCache(t *testing.T) {
+	for _, assoc := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("assoc%d", assoc), func(t *testing.T) {
+			cfg := cache.Config{Name: "dl1", SizeBytes: 4096, LineBytes: 64, Assoc: assoc, HitLatency: 2}
+			dmem, cmem := cache.NewMemory(p70(), 100), cache.NewMemory(p70(), 100)
+			d := MustNew(p70(), cfg, DefaultParams(TechNone, 0), dmem)
+			c := cache.MustNew(p70(), cfg, cmem)
+			rng := stats.NewRNG(7 + uint64(assoc))
+			for i := uint64(1); i <= 100_000; i++ {
+				addr := uint64(rng.Intn(256)) * 64
+				if rng.Bool(0.3) {
+					addr = uint64(rng.Intn(32)) * 64 // hot subset
+				}
+				write := rng.Bool(0.3)
+				if dl, cl := d.Access(addr, write, i), c.Access(addr, write, i); dl != cl {
+					t.Fatalf("access %d (addr %#x): DCache latency %d, cache %d", i, addr, dl, cl)
+				}
+			}
+			ds, cs := d.Stats, c.Stats
+			if ds.Hits != cs.Hits || ds.Misses != cs.Misses || ds.Fills != cs.Fills || ds.EvictWritebacks != cs.Writebacks {
+				t.Fatalf("counts diverged:\nDCache %+v\ncache  %+v", ds, cs)
+			}
+			if dmem.Stats != cmem.Stats {
+				t.Fatalf("memory traffic diverged: DCache's %+v, cache's %+v", dmem.Stats, cmem.Stats)
+			}
+			if cs.Hits == 0 || cs.Misses == 0 || cs.Writebacks == 0 {
+				t.Fatalf("degenerate stream: %+v", cs)
+			}
+		})
+	}
+}
+
 func TestResetStatsKeepsState(t *testing.T) {
 	d, _ := build(TechDrowsy, 4096)
 	d.Access(addr(0, 1), false, 1)
@@ -391,6 +459,8 @@ func TestParamsValidate(t *testing.T) {
 		{Technique: TechDrowsy, Interval: 4096, SettleSleep: -1},
 		{Technique: TechDrowsy, Interval: 4096, WakeLatency: -3},
 		{Technique: TechGated, PerLineAdaptive: true},
+		// Per-line adaptive decay counts with the noaccess policy only.
+		{Technique: TechGated, Interval: 1024, Policy: decay.PolicySimple, PerLineAdaptive: true},
 	}
 	for i, p := range cases {
 		if err := p.Validate(); err == nil {

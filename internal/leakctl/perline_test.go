@@ -98,3 +98,25 @@ func TestPerLineAdaptiveReducesInducedMisses(t *testing.T) {
 		t.Fatalf("per-line adaptive (%d induced) not below fixed (%d)", adaptive, fixed)
 	}
 }
+
+// TestVictimPrefersStandbyOverLeastRecentlyUsed gives one line of a 2-way
+// drowsy set a longer per-line interval, so the set's least recently used
+// line stays active while its most recently used one decays: a miss must
+// evict the standby line, not the least recently used one.
+func TestVictimPrefersStandbyOverLeastRecentlyUsed(t *testing.T) {
+	p := DefaultParams(TechDrowsy, 1024)
+	p.PerLineAdaptive = true
+	d := buildParams(p)
+	d.Access(addr(0, 1), false, 1)
+	cyc := idle(d, 1, 1024)
+	d.Access(addr(0, 1), false, cyc) // slow hit: tag 1's line promoted
+	d.Access(addr(0, 2), false, cyc+1)
+	cyc = idle(d, cyc+1, 1024) // tag 2 decays, tag 1 does not
+	if d.StandbyNow() != 1 {
+		t.Fatalf("%d lines in standby, want tag 2's alone", d.StandbyNow())
+	}
+	d.Access(addr(0, 3), false, cyc+1)
+	if d.Contains(addr(0, 2)) || !d.Contains(addr(0, 1)) {
+		t.Fatal("the miss evicted the least recently used line, not the standby one")
+	}
+}

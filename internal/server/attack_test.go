@@ -89,7 +89,7 @@ func TestAttackSweep(t *testing.T) {
 	e := sim.NewExperiments()
 	e.Instructions = testInstr
 	e.Warmup = testWarmup
-	e.Parallel = false
+	e.Workers = 1
 	defer e.Close()
 	local, err := e.RunAttackCells(specs)
 	if err != nil {
@@ -164,7 +164,7 @@ func TestRemoteRunAttackCells(t *testing.T) {
 	}
 
 	e := sim.NewExperiments()
-	e.Parallel = false
+	e.Workers = 1
 	defer e.Close()
 	local, err := e.RunAttackCells(specs)
 	if err != nil {

@@ -522,7 +522,6 @@ func (l *local) Execute(sw *Sweep) Verdict {
 	e := sim.NewExperiments()
 	e.Instructions = sw.Instructions
 	e.Warmup = sw.Warmup
-	e.Parallel = true
 	e.Workers = l.cfg.Workers
 	e.Store = l.cfg.Store
 	e.Ctx = runCtx

@@ -48,7 +48,7 @@ func TestSuiteEvaluatePlumbsAdapter(t *testing.T) {
 
 func TestExperimentsAdapterForReachesRuns(t *testing.T) {
 	fixed := tinyExperiments()
-	fixed.Parallel = false
+	fixed.Workers = 1
 	prof := fixed.Profiles[0]
 	base, err := fixed.run(prof, 5, leakctl.TechDrowsy, 4096)
 	if err != nil {
@@ -56,7 +56,7 @@ func TestExperimentsAdapterForReachesRuns(t *testing.T) {
 	}
 
 	adapted := tinyExperiments()
-	adapted.Parallel = false
+	adapted.Workers = 1
 	calls := 0
 	adapted.AdapterFor = func(bench string, tq leakctl.Technique, iv uint64) leakctl.Adapter {
 		calls++

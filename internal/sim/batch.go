@@ -36,9 +36,9 @@ const frontSlack = 4096
 // is not counted. The counter keeps its historical name.
 var obsFrontsFilled = obs.Default.Counter("sim_front_fill_live_total")
 
-// BatchState is one executor goroutine's reusable scratch: the shared
-// front window (about runChunk records, 1.8 MB, recycled across groups), the
-// front's predictor, and one RunState per lane so every lane's machine
+// BatchState is one executor's reusable scratch: the shared front window
+// (about runChunk records, 1.8 MB, recycled across groups), the front's
+// predictor, and one RunState per lane so every lane's machine
 // components are reused run to run (cpu.Recycle / RunState.reuse reset
 // them to pristine; the reuse parity tests pin this).
 //

@@ -168,11 +168,12 @@ func checkRun(r RunResult) error {
 
 // job retries a cell whose lane failed: one attempt is the cell run as a
 // group of one lane under the per-attempt context (deadline + suite
-// cancellation), on the worker's reusable BatchState. A lane that ran out
-// of its deadline already was the cell's attempt 0, so that attempt
-// reports the lane's error without running again. FaultNaN injection
-// happens here — the generic supervisor cannot corrupt a RunResult, so
-// the job corrupts its own energy figure and check catches it.
+// cancellation), on a BatchState from the batch phase's pool. A lane that
+// ran out of its deadline already was the cell's attempt 0, so that
+// attempt reports the lane's error without running again. FaultNaN
+// injection happens here — the generic supervisor cannot corrupt a
+// RunResult, so the job corrupts its own energy figure and check catches
+// it.
 func (k energyKind) job(sp runSpec) harness.Job[RunResult] {
 	e := k.e
 	s := e.suite(sp.l2)
@@ -191,7 +192,8 @@ func (k energyKind) job(sp runSpec) harness.Job[RunResult] {
 			if e.AdapterFor != nil {
 				ln.adapter = e.AdapterFor(sp.prof.Name, sp.tech, sp.interval)
 			}
-			bs := harness.WorkerValue(ctx).(*BatchState)
+			bs := e.acquireBatchState()
+			defer e.releaseBatchState(bs)
 			runBatchGroup(ctx, s.MC, sp.prof, []*batchLane{ln}, nil, bs)
 			if ln.err != nil {
 				return RunResult{}, ln.err

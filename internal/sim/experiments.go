@@ -63,11 +63,8 @@ type Experiments struct {
 	Profiles []workload.Profile
 	// Variation optionally enables the inter-die Monte Carlo.
 	Variation leakage.VariationConfig
-	// Parallel enables concurrent simulation across runs.
-	Parallel bool
-	// Workers sizes the supervisor's worker pool. 0 defaults to
-	// runtime.GOMAXPROCS(0) when Parallel and 1 otherwise; an explicit
-	// value wins either way, so Workers=1 is equivalent to serial.
+	// Workers sizes the supervisor and batch worker pools: 0 means
+	// runtime.GOMAXPROCS(0), and 1 runs serially.
 	Workers int
 	// DisableBatch runs every cell as a group of one lane, so no two
 	// cells share a front. Results are bit-identical either way — the
@@ -138,8 +135,8 @@ type Experiments struct {
 
 	// batchGroups / batchLanes count lockstep groups of two or more lanes
 	// executed and the cells they carried; batchStates is the pool of
-	// per-goroutine batch scratch (front window, lane RunStates) reused
-	// across groups and batch phases.
+	// batch scratch (front window, lane RunStates) reused across groups,
+	// batch phases and the supervisor's retries.
 	batchGroups int
 	batchLanes  int
 	batchStates []*BatchState
@@ -157,7 +154,6 @@ func NewExperiments() *Experiments {
 		Instructions: 1_000_000,
 		Warmup:       300_000,
 		Profiles:     workload.Profiles(),
-		Parallel:     true,
 		suites:       make(map[int]*Suite),
 	}
 	e.energy = newLadder[CellSpec, runSpec, RunResult](e, energyKind{e})
@@ -191,15 +187,12 @@ func runKey(bench string, l2 int, t leakctl.Technique, interval uint64) string {
 }
 
 // workers sizes the supervisor and batch worker pools: Workers when set,
-// else GOMAXPROCS when Parallel, else 1.
+// else GOMAXPROCS.
 func (e *Experiments) workers() int {
 	if e.Workers > 0 {
 		return e.Workers
 	}
-	if e.Parallel {
-		return runtime.GOMAXPROCS(0)
-	}
-	return 1
+	return runtime.GOMAXPROCS(0)
 }
 
 // keepStoreErr retains the first result-store failure for Err.

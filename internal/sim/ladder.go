@@ -240,10 +240,6 @@ func (l *ladder[P, S, R]) resolve(specs []S) error {
 		Check:      l.kind.check,
 		Settled:    func(k string, r R) { l.settle(bySpec[k], r) },
 		Events:     e.Events,
-		// Each worker goroutine carries one reusable simulation state;
-		// energy jobs retrieve it through harness.WorkerValue, attack jobs
-		// leave it unused.
-		WorkerState: func() any { return new(BatchState) },
 	})
 	results := sup.Run(e.ctx(), jobs)
 	e.mu.Lock()

@@ -80,7 +80,7 @@ func remoteExperiments(t *testing.T, r RemoteRunner) *Experiments {
 	e.Instructions = 60_000
 	e.Warmup = 20_000
 	e.Profiles = workload.Profiles()[:1]
-	e.Parallel = false
+	e.Workers = 1
 	e.Remote = r
 	return e
 }

@@ -82,7 +82,7 @@ func attackExperiments() *Experiments {
 	e.Instructions = 60_000
 	e.Warmup = 20_000
 	e.Profiles = workload.Profiles()[:1]
-	e.Parallel = false
+	e.Workers = 1
 	return e
 }
 

@@ -20,7 +20,7 @@ func storeExperiments(t *testing.T, st *store.Store) *Experiments {
 	e.Instructions = 60_000
 	e.Warmup = 20_000
 	e.Profiles = workload.Profiles()[:2]
-	e.Parallel = false
+	e.Workers = 1
 	e.Store = st
 	return e
 }

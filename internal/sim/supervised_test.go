@@ -80,9 +80,9 @@ func TestInjectedPanicKeepsSiblingCells(t *testing.T) {
 
 func TestParallelMatchesSerialFigure(t *testing.T) {
 	par := tinyExperiments()
-	par.Parallel = true
+	par.Workers = 0
 	ser := tinyExperiments()
-	ser.Parallel = false
+	ser.Workers = 1
 
 	ps, pp := par.LatencyFigure("S", "P", 5, 110, 4096)
 	ss, sp := ser.LatencyFigure("S", "P", 5, 110, 4096)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hotleakage/internal/leakctl"
@@ -110,25 +111,17 @@ func TestRunStateReuseParity(t *testing.T) {
 }
 
 // TestExperimentsWorkersOverride checks the worker-count resolution rules:
-// an explicit Workers wins, Parallel=false defaults to 1.
+// an explicit Workers wins, and 0 means GOMAXPROCS.
 func TestExperimentsWorkersOverride(t *testing.T) {
-	for _, c := range []struct {
-		parallel bool
-		workers  int
-		wantMin  int
-		wantMax  int
-	}{
-		{false, 0, 1, 1},
-		{true, 0, 1, 1 << 20}, // GOMAXPROCS: at least one
-		{true, 3, 3, 3},
-		{false, 5, 5, 5},
+	for _, c := range []struct{ workers, want int }{
+		{0, runtime.GOMAXPROCS(0)},
+		{1, 1},
+		{3, 3},
 	} {
 		e := NewExperiments()
-		e.Parallel = c.parallel
 		e.Workers = c.workers
-		got := e.workers()
-		if got < c.wantMin || got > c.wantMax {
-			t.Fatalf("Parallel=%v Workers=%d resolved to %d workers", c.parallel, c.workers, got)
+		if got := e.workers(); got != c.want {
+			t.Fatalf("Workers=%d resolved to %d workers, want %d", c.workers, got, c.want)
 		}
 	}
 }
