@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify golden smoke-daemon smoke-cluster smoke-security chaos bench-batch bench-all profile clean
+.PHONY: build test verify golden smoke-daemon smoke-cluster smoke-security chaos bench-batch bench-pairs bench-all profile clean
 
 build:
 	$(GO) build ./...
@@ -83,6 +83,16 @@ bench-batch:
 	    if (f < s) { print "FAIL: batched sweep is slower than one lane per group"; exit 1 } \
 	  }' bench_batch.tmp || { rm -f bench_batch.tmp; exit 1; }
 	rm -f bench_batch.tmp
+
+# Paired end-to-end recording of the working tree against PARENT (a git
+# revision, exported outside the repository): PAIRS alternating pairs of
+# bench/run.sh runs of WORKLOAD at SEED, then bench -compare. The JSON
+# files stay under results/pairs/. Example:
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=frontier
+SEED ?= 1
+PAIRS ?= 10
+bench-pairs:
+	./scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
 
 # CPU and heap profiles of the simulator throughput benchmark, written
 # under the gitignored results/profiles/ for pprof analysis (recipe in

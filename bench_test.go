@@ -266,8 +266,18 @@ func BenchmarkAblationRBB(b *testing.B) {
 	b.ReportMetric(p, "perfloss%/rbb")
 }
 
+// tagsAwake returns gated-Vss params that keep the tags awake. An adaptive
+// controller that reads induced misses needs them: only a decayed line's
+// kept tag tells an induced miss from a true one (Section 5.4), so its
+// runs are scored without the tags' standby savings.
+func tagsAwake() leakctl.Params {
+	p := leakctl.DefaultParams(leakctl.TechGated, sim.DefaultInterval)
+	p.DecayTags = false
+	return p
+}
+
 // BenchmarkAblationAdaptive compares fixed-interval gated-Vss against the
-// Section 5.4 feedback controller.
+// Section 5.4 feedback controller, which runs with its tags awake.
 func BenchmarkAblationAdaptive(b *testing.B) {
 	mc := benchMachine()
 	var fs, fp, as, ap float64
@@ -279,7 +289,7 @@ func BenchmarkAblationAdaptive(b *testing.B) {
 		for _, name := range ablationBenches {
 			prof, _ := workload.ByName(name)
 			ctl := adaptive.NewFeedback(sim.DefaultInterval, 8)
-			run := must(sim.RunOne(ctx0, mc, prof, leakctl.DefaultParams(leakctl.TechGated, sim.DefaultInterval), ctl))
+			run := must(sim.RunOne(ctx0, mc, prof, tagsAwake(), ctl))
 			pt := must(suite.EvaluateRun(ctx0, prof, run, 110, model))
 			as += pt.Cmp.NetSavingsPct
 			ap += pt.Cmp.PerfLossPct
@@ -295,13 +305,14 @@ func BenchmarkAblationAdaptive(b *testing.B) {
 
 // BenchmarkAblationPerLineAdaptive compares the three adaptive options the
 // paper lists in Section 5.4: fixed interval, the Kaxiras-style per-line
-// selectors, and the feedback controller.
+// selectors (which promote a line on an induced miss, so run with the tags
+// awake), and the feedback controller.
 func BenchmarkAblationPerLineAdaptive(b *testing.B) {
 	mc := benchMachine()
 	var fixed, perline float64
 	for i := 0; i < b.N; i++ {
 		fixed, _ = runAblation(mc, leakctl.DefaultParams(leakctl.TechGated, sim.DefaultInterval), nil)
-		pl := leakctl.DefaultParams(leakctl.TechGated, sim.DefaultInterval)
+		pl := tagsAwake()
 		pl.PerLineAdaptive = true
 		perline, _ = runAblation(mc, pl, nil)
 	}

@@ -63,10 +63,14 @@ func main() {
 			}
 		}
 
-		// Feedback controller, started from the default interval.
+		// Feedback controller, started from the default interval. It
+		// counts induced misses, which only a kept tag reveals, so its
+		// tags stay awake and are scored that way.
 		ctl := adaptive.NewFeedback(sim.DefaultInterval, 8)
+		awake := leakctl.DefaultParams(leakctl.TechGated, sim.DefaultInterval)
+		awake.DecayTags = false
 		fb := must(suite.EvaluateRun(ctx, prof,
-			must(sim.RunOne(ctx, mc, prof, leakctl.DefaultParams(leakctl.TechGated, sim.DefaultInterval), ctl)),
+			must(sim.RunOne(ctx, mc, prof, awake, ctl)),
 			tempC, model))
 
 		fmt.Printf("%-8s %8.1f %8.1f (%3dk) %8.1f (%3dk) %9d\n",
@@ -79,8 +83,9 @@ func main() {
 	}
 	n := float64(len(profiles))
 	fmt.Printf("%-8s %8.1f %8.1f %15.1f\n", "AVG", fxSum/n, orSum/n, fbSum/n)
-	fmt.Println("\nThe controller recovers roughly half the oracle's headroom with no")
-	fmt.Println("offline profiling, and rescues the worst fixed-interval cases (crafty)")
-	fmt.Println("outright — the paper's argument for adaptive gated-Vss. The per-line")
-	fmt.Println("scheme (BenchmarkAblationPerLineAdaptive) closes most of the rest.")
+	fmt.Println("\nScored with the tags it keeps awake, the controller recovers under a")
+	fmt.Println("third of the oracle's headroom with no offline profiling, and rescues")
+	fmt.Println("the worst fixed-interval case (crafty) outright — the paper's argument")
+	fmt.Println("for adaptive gated-Vss. The per-line scheme")
+	fmt.Println("(BenchmarkAblationPerLineAdaptive) gains more.")
 }

@@ -28,8 +28,8 @@ type Config struct {
 func (c Config) Sets() int { return c.SizeBytes / (c.LineBytes * c.Assoc) }
 
 // Validate reports configuration errors (non-power-of-two geometry, zero
-// sizes, more ways than a byte can rank, a tag wide enough to reach the
-// line-state flags) before they become index-arithmetic bugs.
+// sizes, more ways than a byte can rank, too few index bits for a tag to
+// cover every 32-bit address) before they become index-arithmetic bugs.
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Assoc <= 0 {
 		return fmt.Errorf("cache %q: size, line and assoc must be positive", c.Name)
@@ -50,8 +50,8 @@ func (c Config) Validate() error {
 	if c.Assoc > maxAssoc {
 		return fmt.Errorf("cache %q: associativity %d exceeds %d (a way's LRU rank is one byte)", c.Name, c.Assoc, maxAssoc)
 	}
-	if b := bits.TrailingZeros(uint(c.LineBytes)) + bits.TrailingZeros(uint(s)); b < flagBits {
-		return fmt.Errorf("cache %q: %d line-offset plus set-index bits leave no room for the %d line-state flags above the tag", c.Name, b, flagBits)
+	if b := bits.TrailingZeros(uint(c.LineBytes)) + bits.TrailingZeros(uint(s)); b < minIndexBits {
+		return fmt.Errorf("cache %q: %d line-offset plus set-index bits and a %d-bit tag do not cover a 32-bit address", c.Name, b, tagBits)
 	}
 	return nil
 }

@@ -48,24 +48,41 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestNarrowGeometryKeepsTags drives the narrowest valid geometry (two
-// line-offset plus set-index bits) with an address whose tag fills every
-// remaining bit, in the second set: no tag may be mistaken for another,
-// and a dirty line must write back to the address it was filled from.
+// line-offset plus set-index bits) with the widest tag a line's word
+// holds, all 30 bits set, in the second set: it must not be mistaken for
+// the tag that differs in its top bit, and a dirty line must write back to
+// the address it was filled from. A tag one bit wider must panic rather
+// than alias a line.
 func TestNarrowGeometryKeepsTags(t *testing.T) {
 	mem := NewMemory(p70(), 10)
 	c := MustNew(p70(), Config{Name: "n", SizeBytes: 8, LineBytes: 2, Assoc: 2, HitLatency: 1}, mem)
-	hi, lo := ^uint64(0)&^1, uint64(0x4)
+	hi, lo := uint64(1<<32-2), uint64(0x4)
 	c.Access(hi, true, 1)
 	c.Access(lo, false, 2)
-	if !c.Contains(hi) || !c.Contains(lo) || c.Contains(hi^1<<63) {
+	if !c.Contains(hi) || !c.Contains(lo) || c.Contains(hi^1<<31) {
 		t.Fatal("tag with its top bit set not told apart")
+	}
+	before := c.Stats
+	if !wideTagPanics(func() { c.Access(hi|1<<32, true, 3) }) {
+		t.Fatal("a 31-bit tag did not panic")
+	}
+	if got := c.Stats; got.Hits != before.Hits || got.Fills != before.Fills || got.Writebacks != before.Writebacks {
+		t.Fatalf("a refused access moved the stats: %+v, want %+v", got, before)
 	}
 	wb := &recordingLevel{}
 	c.Next = wb
-	c.Flush(3)
+	c.Flush(4)
 	if len(wb.writes) != 1 || wb.writes[0] != hi {
 		t.Fatalf("flush wrote back %#x, want [%#x]", wb.writes, hi)
 	}
+}
+
+// wideTagPanics reports whether f panics with Locate's refusal of a tag
+// wider than a line's word holds.
+func wideTagPanics(f func()) (ok bool) {
+	defer func() { _, ok = recover().(wideTagError) }()
+	f()
+	return false
 }
 
 // recordingLevel is a next level that records the addresses written to

@@ -1,15 +1,24 @@
 package cache
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// A line's state is one tag word and one LRU rank. The word holds the tag
-// with two flags in its top bits; a tag is an address shifted right by its
-// line-offset and set-index bits, so once those are at least flagBits
-// (Validate) the flags never overlap it. An invalid line's word is 0.
+// A line's state is one tag word and one LRU rank. The word holds the
+// valid flag in bit 31, the dirty flag in bit 30 and the tag in the low
+// tagBits bits; a tag is an address shifted right by its line-offset and
+// set-index bits. Locate refuses an address whose tag needs more bits
+// rather than alias it to another line's. An invalid line's word is 0.
 const (
-	lineValid uint64 = 1 << 63
-	lineDirty uint64 = 1 << 62
-	flagBits         = 2
+	lineValid uint32 = 1 << 31
+	lineDirty uint32 = 1 << 30
+	tagBits          = 30
+
+	// minIndexBits is the fewest line-offset plus set-index bits a
+	// geometry may have (Validate): with them a tag covers every 32-bit
+	// address.
+	minIndexBits = 32 - tagBits
 
 	// maxAssoc is the most ways a one-byte rank can order.
 	maxAssoc = 256
@@ -25,7 +34,7 @@ const (
 // for the most recently used line of its set and assoc-1 for the least,
 // so a set's ranks are always a permutation of 0..assoc-1.
 type Lines struct {
-	tags      []uint64
+	tags      []uint32
 	ranks     []uint8
 	assoc     int
 	setMask   uint64
@@ -38,7 +47,7 @@ type Lines struct {
 func NewLines(cfg Config) Lines {
 	sets := cfg.Sets()
 	l := Lines{
-		tags:      make([]uint64, sets*cfg.Assoc),
+		tags:      make([]uint32, sets*cfg.Assoc),
 		ranks:     make([]uint8, sets*cfg.Assoc),
 		assoc:     cfg.Assoc,
 		setMask:   uint64(sets - 1),
@@ -58,15 +67,28 @@ func (l *Lines) Len() int { return len(l.tags) }
 // fills by line index, whatever its ranks.
 func (l *Lines) Clear() { clear(l.tags) }
 
-// Locate returns the first line of addr's set and addr's tag.
-func (l *Lines) Locate(addr uint64) (base int, tag uint64) {
+// Locate returns the first line of addr's set and addr's tag. It panics
+// if the tag needs more than tagBits bits.
+func (l *Lines) Locate(addr uint64) (base int, tag uint32) {
 	la := addr >> l.lineShift
-	return int(la&l.setMask) * l.assoc, la >> l.setBits
+	t := la >> l.setBits
+	if t>>tagBits != 0 {
+		panic(wideTagError(addr))
+	}
+	return int(la&l.setMask) * l.assoc, uint32(t)
+}
+
+// wideTagError is the address Locate refused: its tag needs more than
+// the 30 bits a line's tag word holds.
+type wideTagError uint64
+
+func (e wideTagError) Error() string {
+	return fmt.Sprintf("cache: address %#x has a tag wider than %d bits", uint64(e), tagBits)
 }
 
 // Find returns the valid line of the set starting at base that holds tag,
 // or -1.
-func (l *Lines) Find(base int, tag uint64) int {
+func (l *Lines) Find(base int, tag uint32) int {
 	want := tag | lineValid
 	for i, w := range l.tags[base : base+l.assoc] {
 		if w&^lineDirty == want {
@@ -112,7 +134,7 @@ func (l *Lines) Victim(base int) int {
 
 // Fill installs tag in line i of the set starting at base, dirty or clean,
 // and makes it the set's most recently used line.
-func (l *Lines) Fill(base, i int, tag uint64, dirty bool) {
+func (l *Lines) Fill(base, i int, tag uint32, dirty bool) {
 	w := tag | lineValid
 	if dirty {
 		w |= lineDirty
@@ -143,7 +165,7 @@ func (l *Lines) Rank(i int) int { return int(l.ranks[i]) }
 // Addr returns the address of valid line i's first byte, where a write-back
 // of the line goes.
 func (l *Lines) Addr(i int) uint64 {
-	tag := l.tags[i] &^ (lineValid | lineDirty)
+	tag := uint64(l.tags[i] &^ (lineValid | lineDirty))
 	set := uint64(i / l.assoc)
 	return ((tag << l.setBits) | set) << l.lineShift
 }

@@ -561,7 +561,7 @@ func b2u(b bool) uint64 {
 // fill installs tag in line victim of the set starting at base after a
 // miss, writing back a dirty victim. refill marks a standby line that
 // already held this tag (a gated induced or true miss), refilled in place.
-func (d *DCache) fill(base, victim int, tag uint64, refill, write bool) {
+func (d *DCache) fill(base, victim int, tag uint32, refill, write bool) {
 	standby := d.state[victim]&lineStandby != 0
 	if d.lines.Dirty(victim) {
 		// A drowsy dirty victim must be woken to read its contents

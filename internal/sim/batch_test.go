@@ -128,7 +128,7 @@ func TestBatchFrontWindowBounded(t *testing.T) {
 
 // TestLaneFootprint pins what one lane of a group costs, so a later change
 // cannot silently regrow it: a Table 2 machine — mostly the L2's 32,768
-// lines at nine bytes each — builds in at most 365 KB, and a front record
+// lines at five bytes each — builds in at most 230 KB, and a front record
 // is 32 bytes. The least of three builds is taken, since allocation by
 // anything else running only adds to the count.
 func TestLaneFootprint(t *testing.T) {
@@ -151,8 +151,42 @@ func TestLaneFootprint(t *testing.T) {
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
 	t.Logf("a Table 2 lane's machine allocates %d B", least)
-	if least > 365_000 {
-		t.Errorf("a Table 2 lane's machine allocates %d B, want at most 365,000", least)
+	if least > 230_000 {
+		t.Errorf("a Table 2 lane's machine allocates %d B, want at most 230,000", least)
+	}
+}
+
+// TestRunStateReusesAcrossL2Latency: the L2's hit latency sizes nothing,
+// so a RunState that ran a cell at L2 = 5 keeps its machine, line stores
+// included, for the same cell at L2 = 17, and that second run equals a
+// fresh build bit for bit.
+func TestRunStateReusesAcrossL2Latency(t *testing.T) {
+	ctx := context.Background()
+	prof, _ := workload.ByName("gcc")
+	params := leakctl.DefaultParams(leakctl.TechDrowsy, 4096)
+	st := new(RunState)
+	first, err := runOneFromState(ctx, parityMachine(5), prof.Name, workload.NewGenerator(prof), params, nil, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := st.m
+	mc := parityMachine(17)
+	got, err := runOneFromState(ctx, mc, prof.Name, workload.NewGenerator(prof), params, nil, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.m.l2 != built.l2 || st.m.dl1 != built.dl1 || st.m.il1Plain != built.il1Plain {
+		t.Fatal("an L2-latency change rebuilt the lane's caches")
+	}
+	want, err := RunOne(ctx, mc, prof, params, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("a machine reused across an L2-latency change diverged from a fresh build")
+	}
+	if reflect.DeepEqual(first.CPU, got.CPU) {
+		t.Fatal("the L2 latency changed no counter; the test shows nothing")
 	}
 }
 

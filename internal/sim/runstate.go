@@ -23,7 +23,7 @@ type machine struct {
 }
 
 // RunState is a worker-confined cache of simulation components reused
-// across runs: the L2's line state (288 KB on the Table 2 machine) and the
+// across runs: the L2's line state (160 KB on the Table 2 machine) and the
 // core's window arrays. Each component is reset to its
 // just-constructed state between runs (see the Reset methods in cache,
 // leakctl, bpred and cpu.Recycle), so a reused machine is bit-identical
@@ -41,14 +41,18 @@ type RunState struct {
 
 // machineEqual reports whether two machine descriptions build identical
 // hardware (every configuration struct is all-scalar, so value comparison
-// is exact). Warmup/Instructions are excluded: they shape the run, not the
-// components.
+// is exact). The L2 is compared without its hit latency: nothing built
+// depends on it (the line store and the energy model follow the
+// geometry), and reuse sets it. Warmup/Instructions are excluded: they
+// shape the run, not the components.
 func machineEqual(a, b MachineConfig) bool {
 	if a.Tech == nil || b.Tech == nil || *a.Tech != *b.Tech {
 		return false
 	}
+	l2a, l2b := a.L2, b.L2
+	l2a.HitLatency, l2b.HitLatency = 0, 0
 	if a.CPU != b.CPU ||
-		a.L1I != b.L1I || a.L1D != b.L1D || a.L2 != b.L2 ||
+		a.L1I != b.L1I || a.L1D != b.L1D || l2a != l2b ||
 		a.MemLatency != b.MemLatency {
 		return false
 	}
@@ -126,6 +130,7 @@ func buildMachine(mc MachineConfig, params leakctl.Params, adapter leakctl.Adapt
 func (st *RunState) reuse(mc MachineConfig, params leakctl.Params, adapter leakctl.Adapter) (machine, error) {
 	m := st.m
 	m.mem.Reset()
+	m.l2.Cfg.HitLatency = mc.L2.HitLatency
 	m.l2.Reset(m.mem)
 	if err := m.dl1.Reset(mc.Tech, params, m.l2); err != nil {
 		return machine{}, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
@@ -144,7 +149,7 @@ func (st *RunState) reuse(mc MachineConfig, params leakctl.Params, adapter leakc
 		l1i = m.il1Plain
 	}
 	m.core = cpu.Recycle(m.core, mc.CPU, nil, nil, l1i, m.dl1)
-	st.m = m
+	st.mc, st.m = mc, m
 	return m, nil
 }
 

@@ -276,14 +276,16 @@ func (s *Suite) Evaluate(ctx context.Context, prof workload.Profile, params leak
 }
 
 // EvaluateRun scores an existing technique run against the cached baseline
-// at the given temperature.
+// at the given temperature, with the tags in standby only if the run's
+// params decay them: a run that keeps its tags awake is not credited their
+// leakage.
 func (s *Suite) EvaluateRun(ctx context.Context, prof workload.Profile, run RunResult, tempC float64, m *leakage.Model) (Point, error) {
 	base, err := s.Baseline(ctx, prof)
 	if err != nil {
 		return Point{}, err
 	}
 	m.SetEnv(leakage.Env{TempK: leakage.CelsiusToKelvin(tempC), Vdd: s.MC.Tech.VddNominal})
-	cmp, err := energy.Compare(m, s.MC.L1D, run.Params.Technique.Mode(),
+	cmp, err := energy.CompareTags(m, s.MC.L1D, run.Params.Technique.Mode(), run.Params.DecayTags,
 		base.Measurement, run.Measurement, s.MC.Tech.ClockHz)
 	if err != nil {
 		return Point{}, err

@@ -2,9 +2,12 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	"hotleakage/internal/adaptive"
+	"hotleakage/internal/energy"
 	"hotleakage/internal/leakage"
 	"hotleakage/internal/leakctl"
 	"hotleakage/internal/workload"
@@ -91,6 +94,70 @@ func TestEvaluateProducesSaneComparison(t *testing.T) {
 	}
 	if !strings.Contains(p.String(), "drowsy") {
 		t.Fatalf("Point.String: %q", p.String())
+	}
+}
+
+// TestGatedTagDecayChangesNoCounter: under gated-Vss, whether the tags
+// decay only decides how their leakage is scored (the tag-wake stall is
+// drowsy's and RBB's). A fixed-interval, a per-line adaptive and a
+// feedback-controlled run each give the same RunResult, Params apart,
+// with the tags awake as with them decayed.
+func TestGatedTagDecayChangesNoCounter(t *testing.T) {
+	ctx := context.Background()
+	mc := fastMachine(11)
+	prof, _ := workload.ByName("twolf")
+	for _, tc := range []struct {
+		name              string
+		perLine, feedback bool
+	}{{"fixed", false, false}, {"per-line", true, false}, {"feedback", false, true}} {
+		run := func(decayTags bool) RunResult {
+			p := leakctl.DefaultParams(leakctl.TechGated, DefaultInterval)
+			p.PerLineAdaptive = tc.perLine
+			p.DecayTags = decayTags
+			var ad leakctl.Adapter
+			if tc.feedback {
+				ad = adaptive.NewFeedback(DefaultInterval, 8)
+			}
+			r := mustT(RunOne(ctx, mc, prof, p, ad))
+			r.Params = leakctl.Params{}
+			return r
+		}
+		decayed, awake := run(true), run(false)
+		if decayed.DStats.InducedMisses == 0 {
+			t.Fatalf("%s: no induced misses; the comparison shows nothing", tc.name)
+		}
+		if !reflect.DeepEqual(decayed, awake) {
+			t.Errorf("%s: keeping the tags awake changed a gated run's counters", tc.name)
+		}
+	}
+}
+
+// TestEvaluateRunScoresTheTagsARunKeeps: EvaluateRun scores a run whose
+// tags stay awake as CompareTags with decayTags false, so it is not
+// credited the tags' leakage, and a run whose tags decay as CompareTags
+// with decayTags true.
+func TestEvaluateRunScoresTheTagsARunKeeps(t *testing.T) {
+	ctx := context.Background()
+	mc := fastMachine(11)
+	s := NewSuite(mc)
+	m := leakage.New(mc.Tech)
+	prof, _ := workload.ByName("gzip")
+	base := mustT(s.Baseline(ctx, prof))
+	savings := map[bool]float64{}
+	for _, decayTags := range []bool{false, true} {
+		p := leakctl.DefaultParams(leakctl.TechGated, DefaultInterval)
+		p.DecayTags = decayTags
+		run := mustT(RunOne(ctx, mc, prof, p, nil))
+		got := mustT(s.EvaluateRun(ctx, prof, run, 110, m))
+		want := mustT(energy.CompareTags(m, mc.L1D, leakage.ModeGated, decayTags,
+			base.Measurement, run.Measurement, mc.Tech.ClockHz))
+		if got.Cmp != want {
+			t.Errorf("decayTags=%v: EvaluateRun scored %+v, CompareTags %+v", decayTags, got.Cmp, want)
+		}
+		savings[decayTags] = got.Cmp.NetSavingsPct
+	}
+	if savings[false] >= savings[true] {
+		t.Errorf("awake tags saved %.2f %%, decayed %.2f %%: awake tags must save less", savings[false], savings[true])
 	}
 }
 
