@@ -18,7 +18,6 @@ import (
 	"os"
 
 	"hotleakage/internal/sim"
-	"hotleakage/internal/trace"
 	"hotleakage/internal/workload"
 )
 
@@ -27,24 +26,9 @@ func main() {
 		bench   = flag.String("bench", "", "benchmark name (default: all)")
 		n       = flag.Uint64("n", 500_000, "instructions to generate / simulate")
 		machine = flag.Bool("machine", false, "also run the Table 2 machine over the stream")
-		record  = flag.String("record", "", "record the stream to a binary trace file (requires -bench)")
-		replay  = flag.String("replay", "", "replay and summarize a recorded trace file")
 		asJSON  = flag.Bool("json", false, "emit one JSON object per benchmark instead of text")
 	)
 	flag.Parse()
-
-	if *replay != "" {
-		replayTrace(*replay)
-		return
-	}
-	if *record != "" {
-		if *bench == "" {
-			fmt.Fprintln(os.Stderr, "-record requires -bench")
-			os.Exit(2)
-		}
-		recordTrace(*bench, *record, *n)
-		return
-	}
 
 	profs := workload.Profiles()
 	if *bench != "" {
@@ -202,60 +186,6 @@ func (s StreamSummary) printText(w io.Writer) {
 		fmt.Fprintf(w, "         IPC=%.2f dl1miss=%.2f%% il1miss=%.2f%% l2miss=%.2f%% bpred=%.2f%%\n",
 			m.IPC, 100*m.DL1MissRate, 100*m.IL1MissRate, 100*m.L2MissRate, 100*m.BpredMiss)
 	}
-}
-
-// recordTrace captures n instructions of a benchmark into path.
-func recordTrace(bench, path string, n uint64) {
-	prof, ok := workload.ByName(bench)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", bench)
-		os.Exit(2)
-	}
-	fh, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer fh.Close()
-	w, err := trace.NewWriter(fh, bench, n)
-	if err == nil {
-		err = trace.Record(workload.NewGenerator(prof), w, n)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	st, _ := fh.Stat()
-	fmt.Printf("recorded %d instructions of %s to %s (%.1f bytes/instr)\n",
-		n, bench, path, float64(st.Size())/float64(n))
-}
-
-// replayTrace loads a trace and prints its composition.
-func replayTrace(path string) {
-	fh, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer fh.Close()
-	r, err := trace.NewReader(fh)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	var ins workload.Instr
-	var mem, cti uint64
-	for i := 0; i < r.Len(); i++ {
-		r.Next(&ins)
-		if ins.Op.IsMem() {
-			mem++
-		}
-		if ins.Op.IsCTI() {
-			cti++
-		}
-	}
-	fmt.Printf("trace %q: %d instructions, mem=%.3f cti=%.3f\n",
-		r.Name(), r.Len(), f(mem, uint64(r.Len())), f(cti, uint64(r.Len())))
 }
 
 func f(a, b uint64) float64 {

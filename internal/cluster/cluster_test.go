@@ -204,8 +204,8 @@ func TestClusterParity(t *testing.T) {
 // as the victim: that worker serves the submission (its shard is in
 // flight), then every subsequent connection to it aborts — the in-process
 // stand-in for kill -9 mid-sweep. Electing by first-submission rather than
-// by ring position keeps the test deterministic in the presence of work
-// stealing (an idle runner may grab a shard before its ring owner does).
+// by placement order keeps the test deterministic in the presence of work
+// stealing (an idle runner may grab a shard before its first choice does).
 type killController struct {
 	mu     sync.Mutex
 	victim string
@@ -641,7 +641,7 @@ func TestCoordinatorMetrics(t *testing.T) {
 
 // TestClusterRefusedShard: a worker that refuses its shard with a 4xx
 // (here, more cells than its MaxCells) is alive, so nothing re-shards and
-// it stays in the ring; the shard's cells fail with the worker's message
+// it stays live; the shard's cells fail with the worker's message
 // instead of staying pending in a sweep reported completed. With every
 // cell failed, the sweep itself fails.
 func TestClusterRefusedShard(t *testing.T) {

@@ -1,7 +1,20 @@
+// Package cluster turns a fleet of leakd workers into one logical daemon.
+// A coordinator is the daemon's own front door (server.Server: submit,
+// status, SSE events, cell fetch, health, metrics) over a Dispatcher,
+// which shards each sweep's cells across the workers by their load over
+// every sweep in flight, with a rendezvous order keyed by the cells'
+// existing content addresses breaking ties, dispatches the shards over
+// the retrying API client, merges the workers' event streams into the
+// sweep's one client-facing stream, and re-shards work off workers that
+// die mid-sweep. The coordinator's content-addressed store doubles as the
+// cluster's federated read view: workers that miss locally consult it
+// before simulating.
 package cluster
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,8 +51,6 @@ type Config struct {
 	// lands here, and it is the first stop for both sweep resolution and
 	// the federated /v1/cells read path the workers consult.
 	Store *store.Store
-	// Replicas is the ring's virtual-point count per worker (default 128).
-	Replicas int
 	// ShardRetries caps how many times one shard's cells are re-dispatched
 	// after worker deaths before the cells are failed (default 2).
 	ShardRetries int
@@ -106,11 +117,11 @@ func New(cfg Config) (*Coordinator, error) {
 
 // Dispatcher is the cluster's server.Executor. It answers what the
 // coordinator store already holds, shards the rest across the workers by
-// load with the ring as tie-break, steals onto idle workers, re-shards on
-// worker death, and acks every result into the coordinator store.
+// load with a rendezvous order as tie-break, steals onto idle workers,
+// re-shards on worker death, and acks every result into the coordinator
+// store.
 type Dispatcher struct {
 	cfg     Config
-	ring    *Ring
 	workers map[string]*worker
 
 	// mu guards load and every in-flight sweep's dispatchState; cond is
@@ -124,8 +135,8 @@ type Dispatcher struct {
 }
 
 // NewDispatcher connects cfg's worker clients. It reads Workers, Store,
-// Replicas, ShardRetries, Dial and Log; the rest of Config belongs to the
-// front door.
+// ShardRetries, Dial and Log; the rest of Config belongs to the front
+// door.
 func NewDispatcher(cfg Config) (*Dispatcher, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("cluster: Config.Store is required")
@@ -144,7 +155,6 @@ func NewDispatcher(cfg Config) (*Dispatcher, error) {
 	}
 	d := &Dispatcher{
 		cfg:     cfg,
-		ring:    NewRing(cfg.Replicas),
 		workers: make(map[string]*worker, len(cfg.Workers)),
 		load:    make(map[string]int, len(cfg.Workers)),
 	}
@@ -154,7 +164,6 @@ func NewDispatcher(cfg Config) (*Dispatcher, error) {
 			return nil, fmt.Errorf("cluster: duplicate worker %q", addr)
 		}
 		d.workers[addr] = &worker{addr: addr, client: cfg.Dial(addr)}
-		d.ring.Add(addr)
 	}
 	obsWorkersAlive.Set(int64(len(d.workers)))
 	return d, nil
@@ -206,9 +215,10 @@ type csweep struct {
 
 // cellHashes computes every cell's content address up front (cheap: one
 // SHA-256 of a small identity document per cell) so the result is
-// immutable from here — the ring, the store pass, the ack path and status
-// reads all share it without coordination. Cells lists energy cells then
-// attack cells (ExpandCells' contract), so the result indexes Cells.
+// immutable from here — the tie-break keys, the store pass, the ack path
+// and status reads all share it without coordination. Cells lists energy
+// cells then attack cells (ExpandCells' contract), so the result indexes
+// Cells.
 func cellHashes(sw *server.Sweep) []string {
 	hashes := make([]string, len(sw.Cells))
 	for i, cs := range sw.Specs {
@@ -268,11 +278,11 @@ type shardGroup struct {
 	bench    string
 	l2       int
 	idxs     []int  // indices into csweep.Cells
-	key      string // ring position: the group's smallest cell hash
+	key      string // tie-break key: the group's smallest cell hash
 	attempts int
 }
 
-// Execute answers one sweep: the coordinator store first, then the ring.
+// Execute answers one sweep: the coordinator store first, then the workers.
 func (d *Dispatcher) Execute(s *server.Sweep) server.Verdict {
 	sw := &csweep{
 		Sweep:  s,
@@ -355,9 +365,10 @@ func isDeathFailure(msg string) bool {
 // dispatch books pending cells onto the workers and runs one runner per
 // live worker until every shard is resolved. Each (workload, L2) group
 // goes to the live worker with the least load across every sweep in
-// flight, ties to ring order from the group's key; runners drain their
-// own queue first and steal only when their worker has no load at all; a
-// worker death re-books its queued and unacked work onto the survivors.
+// flight, ties to the rendezvous order of the group's key; runners drain
+// their own queue first and steal only when their worker has no load at
+// all; a worker death re-books its queued and unacked work onto the
+// survivors.
 func (d *Dispatcher) dispatch(sw *csweep, pending []int) {
 	groups := groupCells(sw, pending)
 	// Largest group first, by cell count: booked first, the longest shards
@@ -423,9 +434,9 @@ type dispatchState struct {
 }
 
 // groupCells buckets pending cell indices into (workload, L2) shard
-// groups, each keyed by its smallest cell hash for a deterministic ring
-// position. Attack cells group by scenario with a kind prefix so an
-// attack scenario can never share a shard with a like-named benchmark.
+// groups, each keyed by its smallest cell hash for a deterministic
+// tie-break order. Attack cells group by scenario with a kind prefix so
+// an attack scenario can never share a shard with a like-named benchmark.
 func groupCells(sw *csweep, pending []int) []*shardGroup {
 	byBL := make(map[string]*shardGroup)
 	var order []string
@@ -460,17 +471,19 @@ func groupCells(sw *csweep, pending []int) []*shardGroup {
 }
 
 // enqueueLocked books g onto the live worker with the least load, ties
-// going to ring order from g's key, so an idle cluster places on the ring
-// owner and a death re-books onto ring successors. It reports false when
-// no live worker is left.
+// going to the highest weight(g.key, addr). So an idle cluster places each
+// key on one first choice whatever the order of Config.Workers, and a
+// death re-books only the dead worker's keys. It reports false when no
+// live worker is left.
 func (d *Dispatcher) enqueueLocked(sc *dispatchState, g *shardGroup) (string, bool) {
-	owner := ""
-	for _, addr := range d.ring.Successors(g.key) {
+	owner, best := "", uint64(0)
+	for _, addr := range d.cfg.Workers {
 		if sc.dead[addr] || d.workers[addr].isDead() {
 			continue
 		}
-		if owner == "" || d.load[addr] < d.load[owner] {
-			owner = addr
+		wt := weight(g.key, addr)
+		if owner == "" || d.load[addr] < d.load[owner] || d.load[addr] == d.load[owner] && wt > best {
+			owner, best = addr, wt
 		}
 	}
 	if owner == "" {
@@ -480,6 +493,13 @@ func (d *Dispatcher) enqueueLocked(sc *dispatchState, g *shardGroup) (string, bo
 	sc.outstanding++
 	d.load[owner] += len(g.idxs)
 	return owner, true
+}
+
+// weight is addr's rendezvous weight for key: the first 8 bytes of
+// sha256(key "|" addr), big-endian.
+func weight(key, addr string) uint64 {
+	sum := sha256.Sum256([]byte(key + "|" + addr))
+	return binary.BigEndian.Uint64(sum[:8])
 }
 
 // retireLocked takes g, booked on addr, off the books: it ended, or it
@@ -758,13 +778,13 @@ func (sw *csweep) failGroup(g *shardGroup, msg string) {
 }
 
 // FetchCell is the federated read path's fallback for a cell the
-// coordinator store lacks: it asks every live worker in ring order.
-// Workers answer /v1/cells from their local store only, so there is no
-// recursion.
+// coordinator store lacks: it asks every live worker in Config.Workers
+// order. Workers answer /v1/cells from their local store only, so there
+// is no recursion.
 func (d *Dispatcher) FetchCell(ctx context.Context, hash string) (json.RawMessage, bool, error) {
-	for _, addr := range d.ring.Nodes() {
+	for _, addr := range d.cfg.Workers {
 		w := d.workers[addr]
-		if w == nil || w.isDead() {
+		if w.isDead() {
 			continue
 		}
 		if val, hit, err := w.client.FetchCell(ctx, hash); err == nil && hit {

@@ -168,7 +168,7 @@ func (rh *recordingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // ringOwnedCell returns a fresh energy cell at interval iv, other than
-// skip, whose one-cell shard group the ring assigns to addr.
+// skip, whose one-cell shard group has addr as its first choice.
 func ringOwnedCell(t *testing.T, d *Dispatcher, addr string, iv uint64, skip api.Cell) api.Cell {
 	t.Helper()
 	mc := sim.DefaultMachine(11)
@@ -183,7 +183,7 @@ func ringOwnedCell(t *testing.T, d *Dispatcher, addr string, iv uint64, skip api
 			if err != nil {
 				t.Fatal(err)
 			}
-			if owner, _ := d.ring.Owner(h); owner == addr {
+			if firstChoice(d, h) == addr {
 				return c
 			}
 		}
@@ -193,9 +193,10 @@ func ringOwnedCell(t *testing.T, d *Dispatcher, addr string, iv uint64, skip api
 }
 
 // TestClusterPlacementAcrossSweeps: a shard goes to the idle worker, not
-// to its ring owner while that owner is busy with another sweep's shard.
-// Each round holds sweep A's shard POST on the worker it reached, then
-// submits sweep B, whose one group the ring gives to that same worker.
+// to its first choice while that worker is busy with another sweep's
+// shard. Each round holds sweep A's shard POST on the worker it reached,
+// then submits sweep B, whose one group has that same worker as its first
+// choice.
 func TestClusterPlacementAcrossSweeps(t *testing.T) {
 	const rounds = 8
 	// One slot per sweep, so no worker handler ever blocks on it.
@@ -251,7 +252,7 @@ func TestClusterPlacementAcrossSweeps(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := nextPost("sweep B's shard"); got == busy {
-			t.Errorf("round %d: sweep B's shard went to its ring owner %s, busy with sweep A's, while the other worker idled", round, busy)
+			t.Errorf("round %d: sweep B's shard went to its first choice %s, busy with sweep A's, while the other worker idled", round, busy)
 		}
 		release()
 

@@ -183,7 +183,7 @@ func (s Stats) IPC() float64 {
 }
 
 // InstrSource supplies the instruction stream: a live workload.Generator or
-// a recorded trace (package trace) replayed from disk.
+// an attack scenario's reference stream (attack.NewSource).
 type InstrSource interface {
 	Next(*workload.Instr)
 }

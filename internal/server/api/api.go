@@ -148,13 +148,10 @@ type SweepStatus struct {
 	Total     int `json:"total"`
 	Completed int `json:"completed"`
 	// Executed counts cells actually simulated by this daemon process;
-	// StoreHits counts cells served from the content-addressed store.
-	// Resumed is always 0: it counted cells restored from a per-sweep
-	// checkpoint, which the store replaced (a resumed cell is a store
-	// hit). It stays on the wire for clients that read it.
+	// StoreHits counts cells served from the content-addressed store (a
+	// cell an interrupted sweep finished is a store hit on resubmit).
 	Executed  int `json:"executed"`
 	StoreHits int `json:"store_hits"`
-	Resumed   int `json:"resumed"`
 	Failed    int `json:"failed"`
 
 	Error string `json:"error,omitempty"`

@@ -96,9 +96,9 @@ func TestNoResultsOutsideTheStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.State != api.StateCompleted || v.Executed != sub2.Total || v.StoreHits != 0 || v.Resumed != 0 {
-		t.Fatalf("resubmitted after GC: state=%s executed=%d store_hits=%d resumed=%d, want completed/%d/0/0 (%s)",
-			v.State, v.Executed, v.StoreHits, v.Resumed, sub2.Total, v.Error)
+	if v.State != api.StateCompleted || v.Executed != sub2.Total || v.StoreHits != 0 {
+		t.Fatalf("resubmitted after GC: state=%s executed=%d store_hits=%d, want completed/%d/0 (%s)",
+			v.State, v.Executed, v.StoreHits, sub2.Total, v.Error)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

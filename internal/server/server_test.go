@@ -554,13 +554,13 @@ func TestDrainAndResume(t *testing.T) {
 	if res.State != api.StateCompleted || res.Failed != 0 {
 		t.Fatalf("resumed sweep: state=%s failed=%d (%s)", res.State, res.Failed, res.Error)
 	}
-	if res.Executed+res.StoreHits+res.Resumed != total {
-		t.Fatalf("resumed accounting: executed=%d hits=%d resumed=%d, want sum %d",
-			res.Executed, res.StoreHits, res.Resumed, total)
+	if res.Executed+res.StoreHits != total {
+		t.Fatalf("resumed accounting: executed=%d hits=%d, want sum %d",
+			res.Executed, res.StoreHits, total)
 	}
-	if res.StoreHits+res.Resumed < doneFirst {
+	if res.StoreHits < doneFirst {
 		t.Errorf("restart re-simulated finished work: %d finished before drain, only %d reused",
-			doneFirst, res.StoreHits+res.Resumed)
+			doneFirst, res.StoreHits)
 	}
 	if res.Executed >= total {
 		t.Errorf("restart simulated all %d cells from scratch", total)

@@ -27,8 +27,9 @@ const runChunk = 50_000
 // instruction source: the core's fetch-ahead (cpu.Core.Reach, about 100
 // instructions on the Table 2 machine) plus the commit overshoot each
 // chunk may add (at most CommitWidth-1, a few hundred over a run of
-// millions) stay far below it, so a trace recorded frontSlack
-// instructions longer than the run replays without wrapping.
+// millions) stay far below it. The same slack on both sides of a lockstep
+// round bounds a group's front window to runChunk+2*frontSlack records,
+// the bound TestBatchFrontWindowBounded checks.
 const frontSlack = 4096
 
 // obsFrontsFilled counts the shared fronts of lockstep groups (two or more

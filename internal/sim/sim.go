@@ -130,26 +130,19 @@ type RunResult struct {
 	IL1Turnoff float64
 }
 
-// RunOne simulates the machine over one benchmark with the given
-// leakage-control parameters. adapter, if non-nil, is installed on the
-// controlled cache (adaptive decay study). The context carries the per-run
-// deadline and suite-wide cancellation; a nil context means Background.
+// RunOne simulates the machine over one benchmark's stream, generated
+// live from its profile, with the given leakage-control parameters.
+// adapter, if non-nil, is installed on the controlled cache (adaptive
+// decay study). The context carries the per-run deadline and suite-wide
+// cancellation; a nil context means Background.
 func RunOne(ctx context.Context, mc MachineConfig, prof workload.Profile, params leakctl.Params, adapter leakctl.Adapter) (RunResult, error) {
-	return RunOneFrom(ctx, mc, prof.Name, workload.NewGenerator(prof), params, adapter)
+	return runOneFromState(ctx, mc, prof.Name, workload.NewGenerator(prof), params, adapter, nil)
 }
 
-// RunOneFrom is RunOne over an arbitrary instruction source — a live
-// generator or a recorded trace (package trace) replayed from disk. A run
-// reads its source no further than frontSlack instructions past warm-up
-// plus measurement, so a trace recorded that long never wraps.
-func RunOneFrom(ctx context.Context, mc MachineConfig, name string, src cpu.InstrSource, params leakctl.Params, adapter leakctl.Adapter) (RunResult, error) {
-	return runOneFromState(ctx, mc, name, src, params, adapter, nil)
-}
-
-// runOneFromState is RunOneFrom as a group of one lane, with optional
-// component reuse: a non-nil st contributes its previously built (and
-// reset) machine when the configuration matches, and caches this run's
-// machine for the next one.
+// runOneFromState runs one cell over src as a group of one lane, with
+// optional component reuse: a non-nil st contributes its previously built
+// (and reset) machine when the configuration matches, and caches this
+// run's machine for the next one.
 func runOneFromState(ctx context.Context, mc MachineConfig, name string, src cpu.InstrSource, params leakctl.Params, adapter leakctl.Adapter, st *RunState) (RunResult, error) {
 	ln := &batchLane{
 		sp:      runSpec{prof: workload.Profile{Name: name}, l2: mc.L2.HitLatency, tech: params.Technique, interval: params.Interval},

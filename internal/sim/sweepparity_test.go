@@ -1,14 +1,12 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"hotleakage/internal/leakctl"
-	"hotleakage/internal/trace"
 	"hotleakage/internal/workload"
 )
 
@@ -20,48 +18,6 @@ func parityMachine(l2 int) MachineConfig {
 	mc.Warmup = 30_000
 	mc.Instructions = 60_000
 	return mc
-}
-
-// TestTraceReplayParityAllProfiles is the bit-identity contract behind
-// trace record/replay (tracegen -record/-replay): for every benchmark and
-// both control techniques, a run replayed from a recorded trace must
-// equal a live generator run in every field of the RunResult — stats,
-// energies, turnoff ratios, everything.
-func TestTraceReplayParityAllProfiles(t *testing.T) {
-	mc := parityMachine(11)
-	ctx := context.Background()
-	for _, prof := range workload.Profiles() {
-		var buf bytes.Buffer
-		w, err := trace.NewWriter(&buf, prof.Name, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := trace.Record(workload.NewGenerator(prof), w, mc.Warmup+mc.Instructions+frontSlack); err != nil {
-			t.Fatalf("%s record: %v", prof.Name, err)
-		}
-		for _, tech := range []leakctl.Technique{leakctl.TechDrowsy, leakctl.TechGated} {
-			params := leakctl.DefaultParams(tech, 4096)
-			live, err := RunOne(ctx, mc, prof, params, nil)
-			if err != nil {
-				t.Fatalf("%s/%s live: %v", prof.Name, tech, err)
-			}
-			r, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("%s reader: %v", prof.Name, err)
-			}
-			replay, err := RunOneFrom(ctx, mc, prof.Name, r, params, nil)
-			if err != nil {
-				t.Fatalf("%s/%s replay: %v", prof.Name, tech, err)
-			}
-			if r.Laps != 0 {
-				t.Fatalf("%s/%s: trace wrapped (%d laps); slack too small", prof.Name, tech, r.Laps)
-			}
-			if !reflect.DeepEqual(live, replay) {
-				t.Fatalf("%s/%s: replay diverged from live run\nlive   %+v\nreplay %+v",
-					prof.Name, tech, live, replay)
-			}
-		}
-	}
 }
 
 // TestRunStateReuseParity drives one RunState through a sequence of

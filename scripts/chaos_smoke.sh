@@ -182,7 +182,7 @@ echo "all $ACKED acknowledged cells intact and bit-identical"
 # The interrupted sweep completes on resubmit, resuming from the store:
 # every cell it had completed before the kill is a store hit.
 BIG=$(submit_and_wait "$BIGREQ") || { cat "$TMP/recover.log"; exit 1; }
-echo "$BIG" | jq '{id, state, executed, store_hits, resumed}'
+echo "$BIG" | jq '{id, state, executed, store_hits}'
 [ "$(echo "$BIG" | jq -r .state)" = completed ] || { echo "interrupted sweep did not recover"; exit 1; }
 HITS=$(echo "$BIG" | jq -r .store_hits)
 [ "$HITS" -ge "$SEEN" ] || { echo "resubmit served $HITS cells from the store, but $SEEN had completed before the kill"; exit 1; }
