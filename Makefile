@@ -17,11 +17,16 @@ verify: build
 # Golden drift gate: the fingerprint fixtures must match the simulator bit
 # for bit. Regenerate them (the -update-golden flow) and fail if that
 # changed anything: a drifted fixture means the simulator's observable
-# results changed. CI runs this as its golden drift step.
+# results changed. The core-config fixtures cover the timing core on
+# configurations other than Table 2's. CI runs this as its golden drift
+# step.
 golden:
 	$(GO) test ./internal/sim -run TestGoldenFingerprints -count=1
 	$(GO) test ./internal/sim -run TestGoldenFingerprints -count=1 -update-golden
 	git diff --exit-code -- internal/sim/testdata/golden
+	$(GO) test ./internal/cpu -run TestCoreConfigFingerprints -count=1
+	$(GO) test ./internal/cpu -run TestCoreConfigFingerprints -count=1 -update-golden
+	git diff --exit-code -- internal/cpu/testdata/coreconfig
 	$(GO) test ./internal/attack -run TestGoldenSmokeMetrics -count=1
 	$(GO) test ./internal/attack -run TestGoldenSmokeMetrics -count=1 -update-golden
 	git diff --exit-code -- internal/attack/testdata/golden
@@ -94,14 +99,15 @@ PAIRS ?= 10
 bench-pairs:
 	./scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
 
-# CPU and heap profiles of the simulator throughput benchmark, written
-# under the gitignored results/profiles/ for pprof analysis (recipe in
-# EXPERIMENTS.md, "Profiling the backend").
+# CPU and heap profiles of the core backend benchmark (BenchmarkCoreRun:
+# steady-state Core.Run over a pre-filled front, in ns per instruction),
+# written under the gitignored results/profiles/ for pprof analysis
+# (recipe in EXPERIMENTS.md, "Profiling the backend").
 profile:
 	mkdir -p results/profiles
-	$(GO) test -run '^$$' -bench=SimulatorThroughput -count=5 \
+	$(GO) test -run '^$$' -bench=CoreRun -count=5 \
 	  -o results/profiles/bench.test \
-	  -cpuprofile=results/profiles/cpu.pprof -memprofile=results/profiles/mem.pprof .
+	  -cpuprofile=results/profiles/cpu.pprof -memprofile=results/profiles/mem.pprof ./internal/cpu
 	$(GO) tool pprof -top -nodecount=15 results/profiles/cpu.pprof
 
 # Every benchmark (figures, tables, ablations) at minimal iteration count.

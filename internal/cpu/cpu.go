@@ -90,7 +90,8 @@ func DefaultConfig() Config {
 }
 
 // Validate rejects degenerate core configurations (zero-wide pipelines,
-// empty windows) that would deadlock or never commit an instruction.
+// empty windows, a scheduler that examines no entry, an op class with no
+// functional unit) that would deadlock or never commit an instruction.
 func (c Config) Validate() error {
 	if c.FetchWidth < 1 || c.DecodeWidth < 1 || c.IssueWidth < 1 || c.CommitWidth < 1 {
 		return fmt.Errorf("cpu: pipeline widths must be >= 1 (fetch %d, decode %d, issue %d, commit %d)",
@@ -99,27 +100,19 @@ func (c Config) Validate() error {
 	if c.RUUSize < 1 || c.LSQSize < 1 {
 		return fmt.Errorf("cpu: window sizes must be >= 1 (RUU %d, LSQ %d)", c.RUUSize, c.LSQSize)
 	}
-	if c.IntALUs < 1 || c.MemPorts < 1 {
-		return fmt.Errorf("cpu: need at least one integer ALU and one memory port (ALUs %d, ports %d)", c.IntALUs, c.MemPorts)
+	// Every op class the workloads emit needs a unit: a ready op with an
+	// empty pool never issues, and commit waits on it forever.
+	if c.IntALUs < 1 || c.IntMulDivs < 1 || c.FPALUs < 1 || c.FPMulDivs < 1 || c.MemPorts < 1 {
+		return fmt.Errorf("cpu: every functional-unit pool must be >= 1 (int ALUs %d, int mul/div %d, FP ALUs %d, FP mul/div %d, memory ports %d)",
+			c.IntALUs, c.IntMulDivs, c.FPALUs, c.FPMulDivs, c.MemPorts)
 	}
-	if c.MSHRs < 0 || c.MispredictPen < 0 || c.ScanLimit < 0 {
-		return fmt.Errorf("cpu: negative MSHRs/penalty/scan limit")
+	if c.ScanLimit < 1 {
+		return fmt.Errorf("cpu: scan limit must be >= 1 (got %d): the scheduler would examine no entry", c.ScanLimit)
+	}
+	if c.MSHRs < 0 || c.MispredictPen < 0 {
+		return fmt.Errorf("cpu: negative MSHRs/penalty")
 	}
 	return nil
-}
-
-// opLatency returns the execution latency of a non-memory op.
-func opLatency(op workload.OpClass) uint64 {
-	switch op {
-	case workload.OpIntMul:
-		return 4
-	case workload.OpFPALU:
-		return 2
-	case workload.OpFPMul:
-		return 4
-	default:
-		return 1
-	}
 }
 
 // Functional-unit pools. The issue loop selects an op's pool and latency by
@@ -135,8 +128,7 @@ const (
 )
 
 // fuClassTab and latTab are indexed by OpClass (masked to table size; CTIs
-// and anything unknown execute on an integer ALU with latency 1, matching
-// opLatency's default).
+// and anything unknown execute on an integer ALU with latency 1).
 var fuClassTab = [16]uint8{
 	workload.OpIntALU: fuIntALU,
 	workload.OpIntMul: fuIntMul,
@@ -152,9 +144,17 @@ var latTab = [16]uint64{
 	workload.OpFPMul:  4,
 }
 
+// memTab marks the ops that hold an LSQ entry and access the D-cache:
+// dispatch adds it to the LSQ count and issue sets it as done's memory bit.
+// ctiTab marks control transfers, which fetch counts as branches.
+var (
+	memTab = [16]uint8{workload.OpLoad: 1, workload.OpStore: 1}
+	ctiTab = [16]uint8{workload.OpBranch: 1, workload.OpCall: 1, workload.OpReturn: 1, workload.OpJump: 1}
+)
+
 func init() {
-	// Everything else — ALU ops, CTIs, memory ops (whose latency the cache
-	// supplies), padding slots — takes opLatency's default of 1.
+	// Everything else — ALU ops, CTIs, memory ops (a load's latency is
+	// the cache's; a store's stays 1), padding slots — takes latency 1.
 	for i, v := range latTab {
 		if v == 0 {
 			latTab[i] = 1
@@ -250,15 +250,15 @@ type Core struct {
 	// src1/src2 hold producer seqs (0 = none; seqs start at 1), addr the
 	// memory address, ops the op class — all written at fetch time, when
 	// the instruction is decoded straight into its slot. readyAt is the
-	// cycle both producers' values are available (0 = not yet computable
-	// because a producer is still un-issued); a producer's completion time
-	// is immutable once it issues, so the value is final when first
-	// derived. link chains a slot through whichever scheduler structure it
-	// currently waits in: a producer's waiter chain (readyAt unknown) or a
-	// wake-wheel slot (readyAt known and in the future) — the states are
-	// mutually exclusive, so one array serves both. waiters heads the
-	// chain of dispatched entries whose ready time becomes computable when
-	// this slot's occupant issues.
+	// cycle both producers' values are available, written when an entry
+	// is filed into the wake wheel (the only reader); a producer's
+	// completion time is immutable once it issues, so the value is final
+	// when first derived. link chains a slot through whichever scheduler
+	// structure it currently waits in: a producer's waiter chain (ready
+	// time unknown) or a wake-wheel slot (ready time known and in the
+	// future) — the states are mutually exclusive, so one array serves
+	// both. waiters heads the chain of dispatched entries whose ready time
+	// becomes computable when this slot's occupant issues.
 	src1     []uint64
 	src2     []uint64
 	addr     []uint64
@@ -273,17 +273,27 @@ type Core struct {
 	// every cycle, each dispatched entry's ready time is derived once —
 	// at dispatch if both producers have issued, otherwise when the
 	// producer it waits on issues (waiter chains) — and the entry is
-	// filed in a calendar wheel keyed by that cycle. The per-cycle work
-	// is then one wheel-slot pop plus a walk of the (small) ready list,
-	// rather than a ScanLimit-bounded scan over mostly unready entries.
+	// filed by that cycle. The per-cycle work is then one wheel-slot pop
+	// plus a walk of the ready set, rather than a ScanLimit-bounded scan
+	// over mostly unready entries.
 	//
-	// rdy holds the seqs of un-issued entries whose operands are
-	// available, sorted oldest-first — exactly the entries the reference
-	// scan would find ready. The backing array is fixed at the ring
-	// size and never reassigned (rdyLen tracks occupancy) so the hot
-	// paths store plain words, not slice headers with write barriers.
-	rdy    []uint64
-	rdyLen int
+	// rdyb is a bitmap over ring slots marking the un-issued entries
+	// whose operands are available — exactly the entries the reference
+	// scan would find ready — and rdyN its population. Issue walks its
+	// set bits in ring order from head's slot, which is age order: the
+	// window never wraps the ring.
+	rdyb []uint64
+	rdyN int
+	// nextb is the fast lane for the dominant wake distance: entries
+	// whose ready time is exactly the next cycle (single-cycle producers
+	// issue and wake dependents for cycle+1 constantly), nextN its
+	// population. They skip the wheel's chain-link stores and reloads;
+	// the next cycle's pop ORs the bitmap into rdyb. The next cycle can
+	// never be fast-forwarded over: a ready time of now+1 implies a
+	// producer with doneAt >= now+1 is still in flight, which bounds the
+	// jump.
+	nextb []uint64
+	nextN int
 	// wheel[t & wheelMask] heads a chain (through link) of entries whose
 	// readyAt is t modulo the wheel size; entries from a later lap are
 	// re-filed on pop. Wakes can never land inside a fast-forwarded
@@ -292,16 +302,6 @@ type Core struct {
 	// (the size is a compile-time constant) lets masked indexing skip
 	// the bounds check.
 	wheel [wheelSize]uint64
-	// nextRdy is the fast lane for the dominant wake distance: entries
-	// whose readyAt is exactly the next cycle (single-cycle producers
-	// issue and wake dependents for cycle+1 constantly). They skip the
-	// wheel's chain-link stores and reloads; the slice is drained
-	// unconditionally at the next cycle's pop. The next cycle can never
-	// be fast-forwarded over: readyAt == now+1 implies a producer with
-	// doneAt >= now+1 is still in flight, which bounds the jump. Fixed
-	// backing array, like rdy.
-	nextRdy    []uint64
-	nextRdyLen int
 	// wheelCount tracks entries currently filed in the wheel so the
 	// per-cycle slot probe is skipped while the wheel is empty — the
 	// usual state now that next-cycle wakes bypass it.
@@ -320,9 +320,6 @@ type Core struct {
 	// word per slot keeps the done-yet walks — commit, readyTime,
 	// fastForward — at eight slots per cache line.
 	done []uint64
-	// wakeBuf is scratch for wakeWaiters to reverse a waiter chain
-	// (capacity: ring size, the most entries that can ever wait).
-	wakeBuf []uint64
 
 	lsqUsed int
 	// mshrBusy holds the completion times of outstanding D-cache misses
@@ -391,7 +388,7 @@ func New(cfg Config, src InstrSource, pred *bpred.Predictor, ic FetchCache, dc *
 }
 
 // Recycle rebuilds old into exactly the state New(cfg, ...) would return,
-// reusing its backing arrays (ring arrays, ready lists, bitmaps) when the
+// reusing its backing arrays (ring arrays and bitmaps) when the
 // configuration matches. It lets a sweep worker amortize the core's
 // allocations across many runs; a nil or mismatched old simply falls back
 // to a fresh core.
@@ -418,6 +415,7 @@ func build(cfg Config, src InstrSource, pred *bpred.Predictor, ic FetchCache, dc
 	}
 	c := old
 	if c == nil {
+		words := (ringLen + 63) / 64
 		c = &Core{
 			src1:    make([]uint64, ringLen),
 			src2:    make([]uint64, ringLen),
@@ -426,11 +424,10 @@ func build(cfg Config, src InstrSource, pred *bpred.Predictor, ic FetchCache, dc
 			link:    make([]uint64, ringLen),
 			waiters: make([]uint64, ringLen),
 			ops:     make([]workload.OpClass, ringLen),
-			rdy:     make([]uint64, ringLen),
-			nextRdy: make([]uint64, ringLen),
-			unb:     make([]uint64, (ringLen+63)/64),
+			rdyb:    make([]uint64, words),
+			nextb:   make([]uint64, words),
+			unb:     make([]uint64, words),
 			done:    make([]uint64, ringLen),
-			wakeBuf: make([]uint64, ringLen),
 		}
 		if cfg.MSHRs > 0 {
 			c.mshrBusy = make([]uint64, cfg.MSHRs)
@@ -443,17 +440,15 @@ func build(cfg Config, src InstrSource, pred *bpred.Predictor, ic FetchCache, dc
 		clear(c.link)
 		clear(c.waiters)
 		clear(c.ops)
-		clear(c.rdy)
-		clear(c.nextRdy)
+		clear(c.rdyb)
+		clear(c.nextb)
 		clear(c.unb)
 		clear(c.done)
-		clear(c.wakeBuf)
 		clear(c.mshrBusy)
 	}
 	src1, src2, addr, readyAt, link, waiters, ops :=
 		c.src1, c.src2, c.addr, c.readyAt, c.link, c.waiters, c.ops
-	rdy, nextRdy, unb, done, wakeBuf, mshr :=
-		c.rdy, c.nextRdy, c.unb, c.done, c.wakeBuf, c.mshrBusy
+	rdyb, nextb, unb, done, mshr := c.rdyb, c.nextb, c.unb, c.done, c.mshrBusy
 	*c = Core{
 		Cfg:      cfg,
 		ICache:   ic,
@@ -466,11 +461,10 @@ func build(cfg Config, src InstrSource, pred *bpred.Predictor, ic FetchCache, dc
 		waiters:  waiters,
 		ops:      ops,
 		ringMask: uint64(ringLen - 1),
-		rdy:      rdy,
-		nextRdy:  nextRdy,
+		rdyb:     rdyb,
+		nextb:    nextb,
 		unb:      unb,
 		done:     done,
-		wakeBuf:  wakeBuf,
 		mshrBusy: mshr,
 		nextSeq:  1,
 		head:     1,
@@ -489,16 +483,15 @@ func build(cfg Config, src InstrSource, pred *bpred.Predictor, ic FetchCache, dc
 // changes afterwards: the completion time is fixed at issue, and a
 // producer that later commits was by definition done at commit time.
 // Producers are always strictly older than their consumer, so no caller
-// can pass one at or past the tail.
+// can pass one at or past the tail. No dependence (producer 0) needs no
+// test of its own: head is at least 1, so it reads as committed, and a
+// committed producer selects 0 rather than its slot's new occupant.
 func readyTime(done []uint64, mask, head, producer uint64) (uint64, bool) {
-	if producer == 0 || producer < head {
-		return 0, true // no dependence, or already committed
-	}
 	d := done[producer&mask]
-	if d == notIssued {
-		return 0, false
+	if producer < head {
+		d = 0
 	}
-	return d >> 1, true
+	return d >> 1, d != notIssued
 }
 
 // popRange counts un-issued entries in ring slots [a, b), a <= b.
@@ -531,20 +524,6 @@ func (c *Core) rank(seq uint64) int {
 	return c.unissued - c.popRange(ss, hs)
 }
 
-// rdyInsert files seq into the ready list, keeping it sorted oldest-first.
-// The list is small (bounded by issue throughput), so an insertion shift
-// beats any heap.
-func (c *Core) rdyInsert(seq uint64) {
-	r := c.rdy
-	i := c.rdyLen
-	c.rdyLen = i + 1
-	for i > 0 && r[i-1] > seq {
-		r[i] = r[i-1]
-		i--
-	}
-	r[i] = seq
-}
-
 // wheelInsert files seq to wake at cycle at.
 func (c *Core) wheelInsert(seq, at uint64) {
 	i := at & (wheelSize - 1)
@@ -553,17 +532,20 @@ func (c *Core) wheelInsert(seq, at uint64) {
 	c.wheelCount++
 }
 
-// popWheel drains the fast lane and the current cycle's wheel slot into the
-// ready list, re-filing wheel entries whose readyAt is a whole lap (or
-// more) away.
+// popWheel moves the fast lane and the current cycle's wheel slot into the
+// ready set, re-filing wheel entries whose readyAt is a whole lap (or more)
+// away.
 func (c *Core) popWheel() {
-	if nl := c.nextRdyLen; nl > 0 {
+	if c.nextN != 0 {
 		// Everything in the fast lane was filed last cycle for exactly
 		// this one; no readyAt check needed.
-		for _, s := range c.nextRdy[:nl] {
-			c.rdyInsert(s)
+		rdyb := c.rdyb
+		for i, w := range c.nextb {
+			rdyb[i] |= w
 		}
-		c.nextRdyLen = 0
+		clear(c.nextb)
+		c.rdyN += c.nextN
+		c.nextN = 0
 	}
 	if c.wheelCount == 0 {
 		return
@@ -580,9 +562,9 @@ func (c *Core) popWheel() {
 	for s != 0 {
 		i := s & mask
 		nxt := link[i]
-		link[i] = 0
 		if readyAt[i] == c.now {
-			c.rdyInsert(s)
+			c.rdyb[i>>6] |= 1 << (i & 63)
+			c.rdyN++
 			c.wheelCount--
 		} else {
 			// A later lap: keep it in the same slot (readyAt is
@@ -595,74 +577,53 @@ func (c *Core) popWheel() {
 }
 
 // Scheduling — deriving an entry's ready time if both producers have
-// issued and filing it into the ready list / fast lane / wheel, or parking
+// issued and filing it into the ready set, fast lane or wheel, or parking
 // it on the first still-unknown producer's waiter chain — is inlined at
 // its two call sites (dispatch and wakeWaiters) to reuse their loop
-// locals; an already-ready entry goes straight to the ready list, becoming
-// examinable next cycle, exactly when the reference scan would first see
-// it ready.
+// locals: a call per filed entry is a measurable share of both. Filing
+// order never matters: the ready set is a bitmap, and the order of a
+// wheel slot or a waiter chain only permutes a later batch of filings. An
+// entry dispatched ready (by this cycle or the next) goes straight into
+// the ready set, becoming examinable next cycle, exactly when the
+// reference scan would first see it ready.
 
 // wakeWaiters re-schedules every entry that was waiting on the producer in
-// slot ps, which has just issued at cycle. Each either files into the wheel
-// (its ready time, at least the producer's completion, is now known and
-// strictly in the future) or moves to its other, still-unknown producer's
-// chain.
-//
-// Dispatch parks LIFO, so the chain runs youngest-first; the chain is
-// buffered and processed in reverse so wakes happen oldest-first. Only
-// the cost changes: every woken entry reaches the sorted ready list
-// eventually, and an ascending wake order means the eventual insertions
-// are appends instead of shifts. Park order on a further producer's chain
-// changes too, but that again only permutes a future wake batch.
+// slot ps, which has just issued at cycle. Each either files for the next
+// cycle or into the wheel (its ready time, at least the producer's
+// completion, is now known and strictly in the future — so no entry joins
+// the ready set issue is walking) or moves to its other, still-unknown
+// producer's chain.
 func (c *Core) wakeWaiters(ps uint64, cycle uint64) {
 	link := c.link
 	mask := c.ringMask
-	buf := c.wakeBuf
-	n := 0
-	for s := c.waiters[ps]; s != 0; {
-		i := s & mask
-		buf[n] = s
-		n++
-		nxt := link[i]
-		link[i] = 0
-		s = nxt
-	}
-	c.waiters[ps] = 0
 	done := c.done
 	head := c.head
 	src1, src2 := c.src1, c.src2
-	for i := n - 1; i >= 0; i-- {
-		// schedule(buf[i], cycle), inlined to reuse the loop's locals —
-		// the call per woken entry was a measurable share of the wake
-		// path (see the matching inline in dispatch).
-		seq := buf[i]
+	seq := c.waiters[ps]
+	c.waiters[ps] = 0
+	for seq != 0 {
+		// schedule(seq, cycle), inlined (see the matching inline in
+		// dispatch).
 		s := seq & mask
-		if t1, known := readyTime(done, mask, head, src1[s]); !known {
-			p := src1[s] & mask
+		nxt := link[s]
+		t1, k1 := readyTime(done, mask, head, src1[s])
+		t2, k2 := readyTime(done, mask, head, src2[s])
+		if !k1 || !k2 {
+			p := src2[s]
+			if !k1 {
+				p = src1[s]
+			}
+			p &= mask
 			link[s] = c.waiters[p]
 			c.waiters[p] = seq
-		} else if t2, known := readyTime(done, mask, head, src2[s]); !known {
-			p := src2[s] & mask
-			link[s] = c.waiters[p]
-			c.waiters[p] = seq
+		} else if t := max(t1, t2); t == cycle+1 {
+			c.nextb[s>>6] |= 1 << (s & 63)
+			c.nextN++
 		} else {
-			if t2 > t1 {
-				t1 = t2
-			}
-			if t1 == 0 {
-				t1 = 1 // ready since dispatch; cycles start at 1
-			}
-			c.readyAt[s] = t1
-			switch {
-			case t1 <= cycle:
-				c.rdyInsert(seq)
-			case t1 == cycle+1:
-				c.nextRdy[c.nextRdyLen] = seq
-				c.nextRdyLen++
-			default:
-				c.wheelInsert(seq, t1)
-			}
+			c.readyAt[s] = t
+			c.wheelInsert(seq, t)
 		}
+		seq = nxt
 	}
 }
 
@@ -706,11 +667,11 @@ func (c *Core) Run(n uint64) Stats {
 		// emptiness conditions so quiet stages cost a compare, not a
 		// call. A skipped stage contributes no activity, exactly as its
 		// empty-handed call would.
-		if c.wheelCount != 0 || c.nextRdyLen != 0 {
+		if c.wheelCount|c.nextN != 0 {
 			c.popWheel()
 		}
 		active := c.commit(c.now)
-		if c.rdyLen != 0 && c.issue(c.now) {
+		if c.rdyN != 0 && c.issue(c.now) {
 			active = true
 		}
 		if c.tail != c.nextSeq && c.dispatch(c.now) {
@@ -743,13 +704,13 @@ func (c *Core) stepTimed() {
 	c.stageNS[stageTick] += uint64(time.Since(t))
 	c.fuBlocked = false
 	t = time.Now()
-	if c.wheelCount != 0 || c.nextRdyLen != 0 {
+	if c.wheelCount|c.nextN != 0 {
 		c.popWheel()
 	}
 	active := c.commit(c.now)
 	c.stageNS[stageCommit] += uint64(time.Since(t))
 	t = time.Now()
-	if c.rdyLen != 0 && c.issue(c.now) {
+	if c.rdyN != 0 && c.issue(c.now) {
 		active = true
 	}
 	c.stageNS[stageIssue] += uint64(time.Since(t))
@@ -839,8 +800,11 @@ func (c *Core) commit(cycle uint64) bool {
 	n := uint64(0)
 	lsq := 0
 	for n < lim {
+		// An un-issued entry's done word shifts to notIssued>>1, which
+		// exceeds any cycle, so one test covers "not issued" and "not
+		// done yet".
 		d := done[head&mask]
-		if d == notIssued || d>>1 > cycle {
+		if d>>1 > cycle {
 			break
 		}
 		lsq += int(d & 1)
@@ -858,105 +822,114 @@ func (c *Core) commit(cycle uint64) bool {
 
 // issue selects ready un-issued entries oldest-first, bounded by issue
 // width, FU availability and the scan limit, and reports whether anything
-// issued. The walk covers the ready list — exactly the entries the
-// reference scan finds ready, in the same age order — and the ScanLimit
-// cutoff is applied through each entry's rank among all un-issued
-// entries, which is the position the reference scan would examine it at.
-// Ready entries denied a unit set fuBlocked, which vetoes fast-forwarding
-// (the structural hazard clears on its own next cycle).
+// issued. The walk visits the ready set's bits in ring order from head's
+// slot — exactly the entries the reference scan finds ready, in the same
+// age order — and the ScanLimit cutoff is applied through each entry's
+// rank among all un-issued entries, which is the position the reference
+// scan would examine it at. No entry joins the ready set during the walk:
+// an entry woken here is ready at cycle+1 at the earliest. Ready entries
+// denied a unit set fuBlocked, which vetoes fast-forwarding (the
+// structural hazard clears on its own next cycle).
 func (c *Core) issue(cycle uint64) bool {
-	rdy := c.rdy
-	n := c.rdyLen
-	if n == 0 {
-		return false
-	}
 	fuCnt := [numFU]int{c.Cfg.IntALUs, c.Cfg.IntMulDivs, c.Cfg.FPALUs, c.Cfg.FPMulDivs, c.Cfg.MemPorts}
 	issued := 0
 	mask := c.ringMask
 	ops := c.ops
 	addr := c.addr
+	rdyb, unb := c.rdyb, c.unb
 	width, scanLim := c.Cfg.IssueWidth, c.Cfg.ScanLimit
 	mshrCap := c.Cfg.MSHRs
 	hitLat := uint64(c.DCache.Cfg.HitLatency)
 	// Ranks only need checking when the un-issued population can exceed
 	// the scan limit at all. Entries issued during this walk are removed
-	// from the bitmap, deflating later ranks by exactly the issued
-	// count k (they are all older), so k is added back: the reference
-	// scan's positions are fixed at the start of its cycle.
+	// from the bitmap, deflating later ranks by exactly the issued count
+	// (they are all older), so it is added back: the reference scan's
+	// positions are fixed at the start of its cycle.
 	checkRank := c.unissued > scanLim
-	i, k := 0, 0
 	head := c.head
-	for ; i < n && issued < width; i++ {
-		seq := rdy[i]
-		// rank(seq)+k counts un-issued entries older than seq as of the
-		// cycle start, which is at most seq-head: the subtract rules out
-		// a cutoff without touching the bitmap for the common near-head
-		// entries.
-		if checkRank && seq-head >= uint64(scanLim) && c.rank(seq)+k >= scanLim {
-			// Beyond the scan horizon; so is everything younger.
-			break
-		}
-		s := seq & mask
-		ok := false
-		var lat uint64
-		op := ops[s] & 15
-		cls := fuClassTab[op]
-		switch {
-		case fuCnt[cls] == 0:
-			c.fuBlocked = true
-		case cls != fuMem:
-			fuCnt[cls]--
-			lat = latTab[op]
-			ok = true
-		case op == workload.OpLoad:
-			if mshrCap > 0 && !c.mshrAvailable(cycle) {
-				// All miss slots busy; their release times are
-				// events, so no fuBlocked veto.
-			} else {
-				fuCnt[fuMem]--
-				c.Stats.Loads++
-				lat = uint64(c.DCache.Access(addr[s], false, cycle))
+	hs := head & mask
+	// The walk starts at head's slot and wraps at most once around the
+	// ring; its last word, back at head's, holds only the slots below
+	// head's. left counts the ready entries not yet visited.
+	hw, lowMask := hs>>6, uint64(1)<<(hs&63)-1
+	wi := hw
+	w := rdyb[wi] &^ lowMask
+	left := c.rdyN
+walk:
+	for {
+		for ; w != 0; w &= w - 1 {
+			left--
+			s := wi<<6 | uint64(bits.TrailingZeros64(w))
+			seq := head + (s-hs)&mask
+			// rank(seq)+issued counts un-issued entries older than seq as
+			// of the cycle start, which is at most seq-head: the subtract
+			// rules out a cutoff without touching the bitmap for the
+			// common near-head entries.
+			if checkRank && seq-head >= uint64(scanLim) && c.rank(seq)+issued >= scanLim {
+				// Beyond the scan horizon; so is everything younger.
+				break walk
+			}
+			op := ops[s] & 15
+			cls := fuClassTab[op]
+			if fuCnt[cls] == 0 {
+				// Denied a unit: stays ready, retried next cycle.
+				c.fuBlocked = true
+				continue
+			}
+			lat := latTab[op]
+			if cls == fuMem {
+				store := op == workload.OpStore
+				if !store && mshrCap > 0 && !c.mshrAvailable(cycle) {
+					// All miss slots busy; their release times are
+					// events, so no fuBlocked veto.
+					continue
+				}
+				// Loads and stores take one access, told apart by the
+				// write flag. Store data is buffered, so a store keeps
+				// latTab's single cycle and takes no miss slot (the
+				// cache's hit latency is at least 1); its access happens
+				// now for cache state and energy.
+				acc := uint64(c.DCache.Access(addr[s], store, cycle))
+				st := uint64(0)
+				if store {
+					st = 1
+				}
+				c.Stats.Stores += st
+				c.Stats.Loads += st ^ 1
+				if !store {
+					lat = acc
+				}
 				if lat > hitLat && mshrCap > 0 {
 					c.mshrBusy[c.mshrLen] = cycle + lat
 					c.mshrLen++
 				}
-				ok = true
 			}
-		default: // store
-			fuCnt[fuMem]--
-			c.Stats.Stores++
-			// Store data is buffered; dependents don't wait on
-			// the array write. The access happens now for cache
-			// state and energy.
-			c.DCache.Access(addr[s], true, cycle)
-			lat = 1
-			ok = true
-		}
-		if !ok {
-			// Denied a unit or a miss slot: stays ready, retried next
-			// cycle. Shift down past the entries issued so far.
-			if k > 0 {
-				rdy[i-k] = seq
+			fuCnt[cls]--
+			c.done[s] = (cycle+lat)<<1 | uint64(memTab[op])
+			bit := uint64(1) << (s & 63)
+			rdyb[wi] &^= bit
+			unb[wi] &^= bit
+			c.unissued-- // rank reads it
+			issued++
+			if c.waiters[s] != 0 {
+				c.wakeWaiters(s, cycle)
 			}
-			continue
+			if issued == width {
+				break walk
+			}
 		}
-		d := (cycle + lat) << 1
-		if cls == fuMem {
-			d |= 1
+		if left == 0 {
+			break
 		}
-		c.done[s] = d
-		c.unb[s>>6] &^= 1 << (s & 63)
-		c.unissued--
-		issued++
-		k++
-		if c.waiters[s] != 0 {
-			c.wakeWaiters(s, cycle)
+		if wi++; wi == uint64(len(rdyb)) {
+			wi = 0
+		}
+		w = rdyb[wi]
+		if wi == hw {
+			w &= lowMask
 		}
 	}
-	if k > 0 {
-		copy(rdy[i-k:], rdy[i:n])
-		c.rdyLen = n - k
-	}
+	c.rdyN -= issued
 	return issued > 0
 }
 
@@ -986,66 +959,54 @@ func (c *Core) mshrAvailable(cycle uint64) bool {
 // event-driven scheduler, and reports whether anything moved. The pending
 // backlog is the seq interval [tail, nextSeq).
 func (c *Core) dispatch(cycle uint64) bool {
-	moved := false
-	head, ruuSize := c.head, uint64(c.Cfg.RUUSize)
-	lsqSize := c.Cfg.LSQSize
+	head := c.head
+	lsq, lsqSize := c.lsqUsed, c.Cfg.LSQSize
 	done := c.done
 	mask := c.ringMask
-	src1, src2 := c.src1, c.src2
-	tail, end := c.tail, c.nextSeq
-	for w := 0; w < c.Cfg.DecodeWidth && tail < end; w++ {
-		if tail-head >= ruuSize {
-			break
-		}
-		seq := tail
+	src1, src2, ops := c.src1, c.src2, c.ops
+	start := c.tail
+	end := min(c.nextSeq, head+uint64(c.Cfg.RUUSize), start+uint64(c.Cfg.DecodeWidth))
+	seq := start
+	for ; seq < end; seq++ {
 		s := seq & mask
-		isMem := c.ops[s].IsMem()
-		if isMem && c.lsqUsed >= lsqSize {
+		m := int(memTab[ops[s]&15])
+		if lsq+m > lsqSize {
 			break
 		}
-		if isMem {
-			c.lsqUsed++
-		}
-		tail = seq + 1
+		lsq += m
 		done[s] = notIssued
-		c.unb[s>>6] |= 1 << (s & 63)
-		c.unissued++
+		bit := uint64(1) << (s & 63)
+		c.unb[s>>6] |= bit
 		// schedule(seq, cycle), inlined to reuse the loop's locals —
 		// the per-instruction call was a measurable share of dispatch.
 		// readyAt/link are always written before their next read (at
-		// scheduling and wheel/waiter filing respectively), and waiters
-		// is invariantly zero on a recycled slot — the previous
-		// occupant's chain was drained when it issued.
-		if t1, known := readyTime(done, mask, head, src1[s]); !known {
-			ps := src1[s] & mask
-			c.link[s] = c.waiters[ps]
-			c.waiters[ps] = seq
-		} else if t2, known := readyTime(done, mask, head, src2[s]); !known {
-			ps := src2[s] & mask
-			c.link[s] = c.waiters[ps]
-			c.waiters[ps] = seq
+		// wheel and waiter filing), and waiters is invariantly zero on
+		// a recycled slot — the previous occupant's chain was drained
+		// when it issued. An unknown producer parks the entry on its
+		// chain, src1's first.
+		t1, k1 := readyTime(done, mask, head, src1[s])
+		t2, k2 := readyTime(done, mask, head, src2[s])
+		if !k1 || !k2 {
+			p := src2[s]
+			if !k1 {
+				p = src1[s]
+			}
+			p &= mask
+			c.link[s] = c.waiters[p]
+			c.waiters[p] = seq
+		} else if t := max(t1, t2); t <= cycle+1 {
+			// Ready by next cycle, the first cycle issue can see it.
+			c.rdyb[s>>6] |= bit
+			c.rdyN++
 		} else {
-			if t2 > t1 {
-				t1 = t2
-			}
-			if t1 == 0 {
-				t1 = 1 // ready since dispatch; cycles start at 1
-			}
-			c.readyAt[s] = t1
-			switch {
-			case t1 <= cycle:
-				c.rdyInsert(seq)
-			case t1 == cycle+1:
-				c.nextRdy[c.nextRdyLen] = seq
-				c.nextRdyLen++
-			default:
-				c.wheelInsert(seq, t1)
-			}
+			c.readyAt[s] = t
+			c.wheelInsert(seq, t)
 		}
-		moved = true
 	}
-	c.tail = tail
-	return moved
+	c.unissued += int(seq - start)
+	c.lsqUsed = lsq
+	c.tail = seq
+	return seq != start
 }
 
 // fetch brings up to FetchWidth instructions from the front into the
@@ -1092,16 +1053,18 @@ func (c *Core) fetch(cycle uint64) bool {
 		seq := c.nextSeq
 		c.nextSeq = seq + 1
 		s := seq & mask
-		if d := uint64(uint32(rec.Src1)); d != 0 && seq > d {
-			c.src1[s] = seq - d
-		} else {
-			c.src1[s] = 0
+		// A distance of 0 (no producer) or one reaching back past the
+		// stream's first instruction means producer 0. Both read
+		// d-1 >= seq-1 unsigned: one compare, a conditional move.
+		d1, d2 := uint64(uint32(rec.Src1)), uint64(uint32(rec.Src2))
+		p1, p2 := seq-d1, seq-d2
+		if d1-1 >= seq-1 {
+			p1 = 0
 		}
-		if d := uint64(uint32(rec.Src2)); d != 0 && seq > d {
-			c.src2[s] = seq - d
-		} else {
-			c.src2[s] = 0
+		if d2-1 >= seq-1 {
+			p2 = 0
 		}
+		c.src1[s], c.src2[s] = p1, p2
 		c.addr[s] = rec.Addr
 		c.ops[s] = rec.Op
 
@@ -1117,33 +1080,24 @@ func (c *Core) fetch(cycle uint64) bool {
 			}
 		}
 
-		if rec.Op.IsCTI() {
-			c.Stats.Branches++
-			if flags&FrontBPUpdate != 0 {
-				c.BP.Branches++
-			}
-			if flags&FrontBPDirMisp != 0 {
-				c.BP.DirMispredict++
-			}
-			if flags&FrontBPBTBMiss != 0 {
-				c.BP.BTBMiss++
-			}
+		// Only CTIs carry predictor flags, so the counts add without a
+		// test; a CTI that redirects fetch ends the fetch group.
+		c.Stats.Branches += uint64(ctiTab[rec.Op&15])
+		c.BP.Branches += uint64(flags / FrontBPUpdate & 1)
+		c.BP.DirMispredict += uint64(flags / FrontBPDirMisp & 1)
+		c.BP.BTBMiss += uint64(flags / FrontBPBTBMiss & 1)
+		if flags&(FrontMisp|FrontBubble|FrontTaken) != 0 {
 			if flags&FrontMisp != 0 {
 				c.Stats.Mispredicts++
 				c.pendingBranch = seq
-				return true
-			}
-			if flags&FrontBubble != 0 {
+			} else if flags&FrontBubble != 0 {
 				// Right direction, target from decode: short
 				// front-end bubble.
 				c.fetchStall = cycle + 2
-				return true
 			}
-			if flags&FrontTaken != 0 {
-				// Correct taken prediction: redirected fetch
-				// continues next cycle.
-				return true
-			}
+			// Otherwise a correct taken prediction: redirected fetch
+			// continues next cycle.
+			return true
 		}
 		if stop {
 			return true

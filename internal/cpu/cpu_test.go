@@ -187,19 +187,33 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bad := DefaultConfig()
-	bad.IssueWidth = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero issue width validated")
+	// Each case is a config that can never commit its run: a zero-wide
+	// stage, an empty window, a scheduler that examines no entry, or an
+	// op class with no unit to issue on (gap, twolf and vpr emit FP ops).
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"zero issue width", func(c *Config) { c.IssueWidth = 0 }},
+		{"zero RUU", func(c *Config) { c.RUUSize = 0 }},
+		{"negative MSHRs", func(c *Config) { c.MSHRs = -1 }},
+		{"zero scan limit", func(c *Config) { c.ScanLimit = 0 }},
+		{"negative scan limit", func(c *Config) { c.ScanLimit = -1 }},
+		{"zero int ALUs", func(c *Config) { c.IntALUs = 0 }},
+		{"zero int mul/div", func(c *Config) { c.IntMulDivs = 0 }},
+		{"zero FP ALUs", func(c *Config) { c.FPALUs = 0 }},
+		{"zero FP mul/div", func(c *Config) { c.FPMulDivs = 0 }},
+		{"zero memory ports", func(c *Config) { c.MemPorts = 0 }},
+	} {
+		bad := DefaultConfig()
+		tc.mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s validated", tc.name)
+		}
 	}
-	bad = DefaultConfig()
-	bad.RUUSize = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero RUU validated")
-	}
-	bad = DefaultConfig()
-	bad.MSHRs = -1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("negative MSHRs validated")
+	ok := DefaultConfig()
+	ok.ScanLimit, ok.MSHRs = 1, 0
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("scan limit 1 with unlimited MSHRs rejected: %v", err)
 	}
 }
