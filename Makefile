@@ -51,11 +51,14 @@ smoke-security:
 	./scripts/security_smoke.sh
 
 # Chaos tier: fault-injected store/server suites under the race detector,
+# the attempt loop's fault tests (internal/sim: injected faults, lane
+# isolation, retries, deadlines, cancellation) three times over under it,
 # then the black-box chaos smoke (real leakd under an armed fault plane,
 # kill -9 mid-sweep, restart-recovery, GC reclamation, bit-identical
-# results vs a fault-free reference). See DESIGN.md §11.
+# results vs a fault-free reference). See DESIGN.md §11 and §12.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestCrash|TestFault|TestGC|TestQuarantine|TestHub|TestSSE|TestPanic|TestSweepWatchdog|TestDegraded|TestHealthz|TestBreaker|TestRetry' ./internal/store/ ./internal/server/... ./internal/harness/faultinject/
+	$(GO) test -race -count=3 -run 'TestInjected|TestBatchFault|TestBatchDeferred|TestNaN|TestRunTimeout|TestLaneDeadline|TestSuiteCancellation|TestPanickingCell|TestBackoff' ./internal/sim/
 	./scripts/chaos_smoke.sh
 
 # Batched-vs-one-lane regression guard: fail if sharing one front per

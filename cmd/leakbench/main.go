@@ -13,8 +13,8 @@
 // Output is text tables: one row per benchmark, one column per technique —
 // the harness's equivalent of the paper's bar charts.
 //
-// Long regenerations run supervised: each simulation has an optional
-// deadline (-timeout) and transient failures retry (-max-retries). With
+// Every simulation has an optional deadline (-timeout), and transient
+// failures retry (-max-retries). With
 // -store DIR every completed run is written to a content-addressed result
 // store as it finishes, and a later run over the same store — after a
 // SIGINT, a kill -9 or a failure — re-executes only the missing runs; a

@@ -194,10 +194,3 @@ func f(a, b uint64) float64 {
 	}
 	return float64(a) / float64(b)
 }
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -26,8 +26,7 @@
 // the next issues — modelling the pointer-chasing measurement loops real
 // prime+probe attackers use to make per-access latency architecturally
 // observable; the out-of-order core would overlap the misses and blur the
-// channel. NewSource adapts the same reference stream into the
-// dependence-chained instruction form the cores consume.
+// channel.
 //
 // Everything is deterministic for a given scenario: the victim's choices
 // come from a seeded stats.RNG and the hardware is cycle-accurate, so a
@@ -230,10 +229,9 @@ func (g geometry) victimAddr(set, k int) uint64 {
 	return victimBase + uint64(k*g.sets+set)*lineBytes
 }
 
-// tracer generates the scenario's reference stream. The victim's choices
-// depend only on the RNG and the ring cursors — never on observed latency —
-// so the same stream drives both the serialized port-level runner (Run) and
-// the instruction-stream adapter (NewSource).
+// tracer generates the scenario's reference stream for the serialized
+// port-level runner (Run). The victim's choices depend only on the RNG and
+// the ring cursors, never on observed latency.
 type tracer struct {
 	sc  Scenario
 	g   geometry

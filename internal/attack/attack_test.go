@@ -8,9 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"hotleakage/internal/bpred"
 	"hotleakage/internal/cache"
-	"hotleakage/internal/cpu"
 	"hotleakage/internal/leakctl"
 	"hotleakage/internal/tech"
 )
@@ -187,68 +185,5 @@ func TestGoldenSmokeMetrics(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("golden drift in %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
-	}
-}
-
-// The InstrSource adapter feeds the same reference stream through the
-// out-of-order core: a dependence-chained load stream the core can run for
-// any instruction budget, hitting the controlled D-cache.
-func TestSourceDrivesCore(t *testing.T) {
-	m := testMachine()
-	sc := mustScenario(t, "smoke")
-	src, err := NewSource(sc, m.L1D)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.Len() == 0 {
-		t.Fatal("empty source")
-	}
-	mem := cache.NewMemory(m.Tech, m.MemLatency)
-	l2, err := cache.New(m.Tech, m.L2, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dl1, err := leakctl.New(m.Tech, m.L1D, leakctl.DefaultParams(leakctl.TechDrowsy, 2048), l2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	il1cfg := cache.Config{Name: "il1", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 2, HitLatency: 1}
-	il1, err := cache.New(m.Tech, il1cfg, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	core := cpu.New(cpu.DefaultConfig(), src, bpred.New(bpred.DefaultConfig()), il1, dl1)
-	stats := core.Run(20_000)
-	if stats.Instructions != 20_000 {
-		t.Fatalf("core committed %d/20000 instructions", stats.Instructions)
-	}
-	if stats.Loads == 0 {
-		t.Error("core committed no loads from the attack stream")
-	}
-	if dl1.Stats.Accesses == 0 {
-		t.Error("attack stream never reached the controlled D-cache")
-	}
-}
-
-// Sources are deterministic too: two adapters over the same scenario emit
-// identical streams.
-func TestSourceDeterministic(t *testing.T) {
-	m := testMachine()
-	sc := mustScenario(t, "ws-select")
-	a, err := NewSource(sc, m.L1D)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewSource(sc, m.L1D)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != b.Len() {
-		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
-	}
-	for i := range a.refs {
-		if a.refs[i] != b.refs[i] {
-			t.Fatalf("ref %d differs: %#x vs %#x", i, a.refs[i], b.refs[i])
-		}
 	}
 }

@@ -182,8 +182,7 @@ func (s Stats) IPC() float64 {
 	return float64(s.Instructions) / float64(s.Cycles)
 }
 
-// InstrSource supplies the instruction stream: a live workload.Generator or
-// an attack scenario's reference stream (attack.NewSource).
+// InstrSource supplies the instruction stream, a live workload.Generator.
 type InstrSource interface {
 	Next(*workload.Instr)
 }

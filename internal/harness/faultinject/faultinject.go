@@ -1,8 +1,7 @@
-// Package faultinject provides deterministic fault injection for the
-// supervised experiment runner (package harness). It exists so the
-// supervisor's recovery and retry paths are themselves
-// exercised by tests and by `leakbench -faultinject` instead of waiting for
-// a real panic to prove them out.
+// Package faultinject provides deterministic fault injection for package
+// sim's attempt loop. It exists so the loop's recovery and retry paths are
+// themselves exercised by tests and by `leakbench -faultinject` instead of
+// waiting for a real panic to prove them out.
 //
 // Faults are decided per (run key, attempt) by a pure hash, so a given spec
 // always fails the same runs — a test that injects "panic into 1 of 8 runs"
@@ -19,17 +18,15 @@ import (
 // Fault is the kind of failure to inject into a run.
 type Fault int
 
-// Fault kinds. FaultNaN is applied by the simulation job itself (the
-// supervisor cannot corrupt an arbitrary result type); the others are
-// applied by the supervisor before the run starts.
+// Fault kinds. The attempt loop decides one per cell and attempt; the
+// cell's run applies it.
 const (
 	FaultNone Fault = iota
-	// FaultPanic panics inside the worker, exercising recovery.
+	// FaultPanic panics inside the run, exercising recovery.
 	FaultPanic
-	// FaultError returns an ordinary error, exercising retry.
+	// FaultError fails the run before it starts, exercising retry.
 	FaultError
-	// FaultStall blocks until the per-run deadline fires, exercising
-	// deadline enforcement.
+	// FaultStall makes the run time out, exercising deadline handling.
 	FaultStall
 	// FaultNaN corrupts the run's energy measurement to NaN, exercising
 	// result validation.

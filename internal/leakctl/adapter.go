@@ -13,8 +13,8 @@ type Adapter interface {
 	Every() uint64
 }
 
-// installAdapterHooks is called from Tick; kept separate so the fast path
-// stays small.
+// adaptTick is called from Tick; kept separate so the fast path stays
+// small.
 func (d *DCache) adaptTick(cycle uint64) {
 	if cycle < d.nextAdapt {
 		return

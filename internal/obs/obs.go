@@ -1,5 +1,5 @@
 // Package obs is the always-on observability layer: a counter/gauge
-// registry the simulation packages (cpu, cache, leakctl, harness) register
+// registry the simulation packages (cpu, cache, leakctl, sim) register
 // into, a JSONL telemetry/trace writer, a periodic snapshot sampler with a
 // live progress display, and a Prometheus-style text exposition endpoint —
 // everything needed to watch a multi-hour leakbench sweep like a production
@@ -24,7 +24,8 @@
 // construction, not by luck.
 //
 // Gauges and the direct Counter.Add path are for low-frequency events
-// (suite progress, harness retries/faults) where a shared atomic is fine.
+// (suite progress, retries and injected faults) where a shared atomic is
+// fine.
 package obs
 
 import (
@@ -278,9 +279,9 @@ const (
 	// GaugeCellsPlanned is the number of cells the suite has planned so
 	// far (internal/sim), including store-served ones.
 	GaugeCellsPlanned = "suite_cells_planned"
-	// MetricRunsCompleted / MetricRunsFailed are the harness's per-cell
-	// outcome counters; with MetricStoreHits they count every planned
-	// cell's answer.
+	// MetricRunsCompleted / MetricRunsFailed are the per-cell outcome
+	// counters of internal/sim's attempt loop; with MetricStoreHits they
+	// count every planned cell's answer.
 	MetricRunsCompleted = "harness_runs_completed_total"
 	MetricRunsFailed    = "harness_runs_failed_total"
 	// MetricCheckpointHits is retired: it counted cells restored from the
@@ -289,12 +290,6 @@ const (
 	// stays for readers that still look it up (the benchmark's per-layer
 	// report), which read it as 0.
 	MetricCheckpointHits = "harness_checkpoint_hits_total"
-	// MetricWorkerBusyMS is the harness pool's cumulative busy time in
-	// milliseconds summed over workers; GaugeWorkers is the pool size of
-	// the most recent batch. Per-worker busy time is the gauge series
-	// harness_worker_NN_busy_ms.
-	MetricWorkerBusyMS = "harness_worker_busy_ms_total"
-	GaugeWorkers       = "harness_workers"
 	// MetricTraceCacheHits is retired: it named the replays served by the
 	// shared instruction-trace cache, which no longer exists, so nothing
 	// registers or increments it. The name stays for readers that still
@@ -334,11 +329,11 @@ const (
 	MetricWatchdogTimeouts    = "server_watchdog_timeouts_total"
 	MetricSweepsDegraded      = "server_sweeps_degraded_total"
 	// Batched lockstep execution (internal/sim): groups of two or more
-	// lanes executed in lockstep, lanes (cells) those groups carried, lanes
-	// whose cell failed and went to the supervisor for a retry (the name
-	// predates the one run loop), and the most recent sweep's mean
-	// lanes-per-group occupancy in hundredths (e.g. 1450 = 14.5
-	// lanes/group).
+	// lanes executed in lockstep, lanes (cells) those groups carried,
+	// lanes of a failed energy cell's later attempts (one per cell and
+	// retry; the name predates the one run loop), and the most recent
+	// sweep's mean lanes-per-group occupancy in hundredths (e.g. 1450 =
+	// 14.5 lanes/group).
 	MetricBatchGroups         = "sim_batch_groups_total"
 	MetricBatchLanes          = "sim_batch_lanes_total"
 	MetricBatchScalarFallback = "sim_batch_scalar_fallback_total"

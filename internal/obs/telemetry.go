@@ -32,7 +32,7 @@ type Record struct {
 }
 
 // TraceWriter serializes Records as JSON lines to an io.Writer. It is safe
-// for concurrent use (the harness emits events from worker goroutines while
+// for concurrent use (package sim emits events from worker goroutines while
 // the sampler emits snapshots).
 type TraceWriter struct {
 	mu  sync.Mutex

@@ -71,10 +71,10 @@ func TestExperimentsAdapterForReachesRuns(t *testing.T) {
 	}
 
 	if calls == 0 {
-		t.Fatal("AdapterFor never consulted by the supervised job")
+		t.Fatal("AdapterFor never consulted by the cell's lane")
 	}
 	if r.DStats == base.DStats {
-		t.Fatal("AdapterFor-supplied adapter had no effect on the supervised run")
+		t.Fatal("AdapterFor-supplied adapter had no effect on the run")
 	}
 }
 

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sort"
 	"strings"
 
 	"hotleakage/internal/attack"
 	"hotleakage/internal/harness"
+	"hotleakage/internal/harness/faultinject"
 	"hotleakage/internal/leakctl"
 	"hotleakage/internal/store"
 )
@@ -92,8 +94,8 @@ func (e *Experiments) RunAttackCells(specs []AttackSpec) ([]AttackOutcome, error
 
 // attackKind is the attack cell kind: a prime+probe scenario against the
 // controlled L1, measured as a timing channel. Attack runs are cheap (tens
-// of thousands of serialized cache accesses), so the kind has no batch
-// phase. Its specs reach the ladder with a registered scenario
+// of thousands of serialized cache accesses), so each cell runs on its
+// own. Its specs reach the ladder with a registered scenario
 // (RunAttackCells and FrontierFigure check the name).
 type attackKind struct{ e *Experiments }
 
@@ -125,19 +127,46 @@ func (attackKind) check(r attack.Result) error {
 	return nil
 }
 
-func (k attackKind) job(as AttackSpec) harness.Job[attack.Result] {
-	sc, _ := attack.ByName(as.Scenario)
-	m := attackMachine(k.e.suite(as.L2).MC)
-	return harness.Job[attack.Result]{
-		Run: func(context.Context) (attack.Result, error) {
-			r, err := attack.Run(m, sc, leakctl.DefaultParams(as.Technique, as.Interval))
-			if err != nil {
-				// attack.Run fails only on a configuration it cannot build.
-				return r, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-			}
-			return r, nil
-		},
+// run is the attack kind's attempt: a Workers-wide pool of attack.Run
+// calls, each cell checked as it ends.
+func (k attackKind) run(ctx context.Context, tries []*try[AttackSpec, attack.Result], begin, end func(*try[AttackSpec, attack.Result])) {
+	fanOut(k.e.workers(), tries, func(t *try[AttackSpec, attack.Result]) {
+		begin(t)
+		t.res, t.err = k.attempt(ctx, t.sp, t.fault)
+		end(t)
+	})
+}
+
+// attempt runs one attack cell once under its injected fault, recovering
+// a panic into a harness.PanicError. A stall fails the cell as a timeout
+// at once: attack.Run has no deadline check to charge.
+func (k attackKind) attempt(ctx context.Context, as AttackSpec, fault faultinject.Fault) (r attack.Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &harness.PanicError{Value: fmt.Sprint(v), Stack: string(debug.Stack())}
+		}
+	}()
+	if err := ctx.Err(); err != nil {
+		return r, err
 	}
+	switch fault {
+	case faultinject.FaultPanic:
+		panic(fmt.Sprintf("faultinject: injected panic into %s", as.Key()))
+	case faultinject.FaultError:
+		return r, fmt.Errorf("faultinject: injected error into %s", as.Key())
+	case faultinject.FaultStall:
+		return r, fmt.Errorf("%w: faultinject: %s stalled", context.DeadlineExceeded, as.Key())
+	}
+	sc, _ := attack.ByName(as.Scenario)
+	r, err = attack.Run(attackMachine(k.e.suite(as.L2).MC), sc, leakctl.DefaultParams(as.Technique, as.Interval))
+	if err != nil {
+		// attack.Run fails only on a configuration it cannot build.
+		return r, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+	}
+	if fault == faultinject.FaultNaN {
+		r.CapacityBits = math.NaN()
+	}
+	return r, k.check(r)
 }
 
 func (k attackKind) remote(ctx context.Context, specs []AttackSpec) ([]RemoteOutcome[AttackSpec, attack.Result], error) {

@@ -51,10 +51,8 @@ type BatchState struct {
 	lanes   []*RunState
 }
 
-// batchLane is one cell riding a group: its spec and run settings going
-// in, and either a result or an error coming out. A lane that fails is
-// retried by the supervisor, which owns retry and fault-injection
-// semantics.
+// batchLane is one cell riding a group: its spec, run settings and
+// injected fault going in, and either a result or an error coming out.
 type batchLane struct {
 	sp runSpec
 	// params overrides the cell's default leakage-control parameters
@@ -66,16 +64,15 @@ type batchLane struct {
 	// this lane's own steps count, so a wide group cannot time out a cell
 	// that a run on its own would finish.
 	timeout time.Duration
+	// fault is the fault injected into this attempt at the cell: a panic
+	// fires in the lane's first step, after its batch-mates have started
+	// running; an error fails the lane before it runs; a stall charges the
+	// lane its whole timeout, so its first deadline check fails it; NaN
+	// corrupts its result ahead of checkRun.
+	fault faultinject.Fault
 
 	res RunResult
 	err error
-	// expired reports that err is the lane's own timeout firing: the lane
-	// spent the cell's first attempt, and retrying it at once would only
-	// pay the deadline again.
-	expired bool
-	// injectPanic arms a mid-batch injected panic: the lane panics on its
-	// first execution round, after its batch-mates have started running.
-	injectPanic bool
 }
 
 // laneRun is the per-lane execution bookkeeping inside a group: the
@@ -155,8 +152,8 @@ func advanceFront(f *cpu.Front, runnable []*laneRun) (err error) {
 
 // runBatchGroup executes a group of cells of one (benchmark, machine
 // config) off the benchmark's generator; see runGroup.
-func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile, lanes []*batchLane, inj faultinject.Injector, bs *BatchState) {
-	runGroup(ctx, mc, prof.Name, workload.NewGenerator(prof), lanes, inj, bs)
+func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile, lanes []*batchLane, bs *BatchState) {
+	runGroup(ctx, mc, prof.Name, workload.NewGenerator(prof), lanes, bs)
 }
 
 // runGroup is the run loop: it simulates every lane — a variant of one
@@ -167,7 +164,7 @@ func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile,
 // a group of one included. The stream is generated a window at a time,
 // before each round. Lanes that fail (panic, injected fault, deadline,
 // cancellation) carry the error out; batch-mates are unaffected.
-func runGroup(ctx context.Context, mc MachineConfig, name string, src cpu.InstrSource, lanes []*batchLane, inj faultinject.Injector, bs *BatchState) {
+func runGroup(ctx context.Context, mc MachineConfig, name string, src cpu.InstrSource, lanes []*batchLane, bs *BatchState) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -194,20 +191,9 @@ func runGroup(ctx context.Context, mc MachineConfig, name string, src cpu.InstrS
 
 	runnable := make([]*laneRun, 0, len(lanes))
 	for i, ln := range lanes {
-		// Injection decisions are taken per lane up front (the batch lane
-		// is one attempt, attempt 0). Panics are armed to fire mid-batch —
-		// that is the failure mode worth proving isolation for; every other
-		// fault kind is the supervisor's business, so the lane is bounced
-		// there without running.
-		if inj != nil {
-			switch d := inj.Decide(ln.sp.key(), 0); d {
-			case faultinject.FaultNone:
-			case faultinject.FaultPanic:
-				ln.injectPanic = true
-			default:
-				ln.err = fmt.Errorf("faultinject: %s scheduled for %s, deferring to the supervisor", d, ln.sp.key())
-				continue
-			}
+		if ln.fault == faultinject.FaultError {
+			ln.err = fmt.Errorf("faultinject: injected error into %s", ln.sp.key())
+			continue
 		}
 		params := leakctl.DefaultParams(ln.sp.tech, ln.sp.interval)
 		if ln.params != nil {
@@ -226,6 +212,9 @@ func runGroup(ctx context.Context, mc MachineConfig, name string, src cpu.InstrS
 		lr := &laneRun{ln: ln, m: m, params: params, left: mc.Instructions}
 		if mc.Warmup > 0 {
 			lr.inWarmup, lr.left = true, mc.Warmup
+		}
+		if ln.fault == faultinject.FaultStall {
+			lr.spent = ln.timeout
 		}
 		runnable = append(runnable, lr)
 	}
@@ -268,13 +257,12 @@ func stepLane(ctx context.Context, mc MachineConfig, name string, sh *obs.Shard,
 		lr.fail(err)
 		return
 	}
-	if t := lr.ln.timeout; t > 0 && lr.spent >= t {
+	// A stalled lane times out even with no deadline set.
+	if t := lr.ln.timeout; lr.spent >= t && (t > 0 || lr.ln.fault == faultinject.FaultStall) {
 		lr.fail(fmt.Errorf("%w: lane ran %v of its %v", context.DeadlineExceeded, lr.spent.Round(time.Millisecond), t))
-		lr.ln.expired = true
 		return
 	}
-	if lr.ln.injectPanic {
-		lr.ln.injectPanic = false
+	if lr.ln.fault == faultinject.FaultPanic {
 		panic(fmt.Sprintf("faultinject: injected panic into %s (batch lane)", lr.ln.sp.key()))
 	}
 	start := time.Now()
@@ -293,9 +281,10 @@ func stepLane(ctx context.Context, mc MachineConfig, name string, sh *obs.Shard,
 	}
 	lr.done = true
 	res := lr.m.result(mc, name, lr.params, lr.cs)
+	if lr.ln.fault == faultinject.FaultNaN {
+		res.Measurement.DCacheDynJ = math.NaN()
+	}
 	if err := checkRun(res); err != nil {
-		// Same acceptance bar as the supervisor's Check hook; a rejected
-		// result is retried by the supervisor.
 		lr.fail(err)
 		return
 	}

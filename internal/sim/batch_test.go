@@ -44,7 +44,7 @@ func TestBatchScalarParityAllProfiles(t *testing.T) {
 		for i, sp := range specs {
 			lanes[i] = &batchLane{sp: sp}
 		}
-		runBatchGroup(ctx, mc, prof, lanes, nil, bs)
+		runBatchGroup(ctx, mc, prof, lanes, bs)
 		for _, ln := range lanes {
 			if ln.err != nil {
 				t.Fatalf("%s lane %s: %v", prof.Name, ln.sp.key(), ln.err)
@@ -74,7 +74,7 @@ func TestBatchParityLiveFront(t *testing.T) {
 	for i, sp := range specs {
 		lanes[i] = &batchLane{sp: sp}
 	}
-	runBatchGroup(ctx, mc, prof, lanes, nil, new(BatchState))
+	runBatchGroup(ctx, mc, prof, lanes, new(BatchState))
 	for _, ln := range lanes {
 		if ln.err != nil {
 			t.Fatalf("lane %s: %v", ln.sp.key(), ln.err)
@@ -106,7 +106,7 @@ func TestBatchFrontWindowBounded(t *testing.T) {
 		lanes[i] = &batchLane{sp: sp}
 	}
 	bs := new(BatchState)
-	runBatchGroup(ctx, mc, prof, lanes, nil, bs)
+	runBatchGroup(ctx, mc, prof, lanes, bs)
 	got, bound := bs.front.Resident(), runChunk+2*frontSlack
 	t.Logf("front holds %d records", got)
 	if got > bound {
@@ -204,7 +204,7 @@ func TestBatchLaneScalarReuseParity(t *testing.T) {
 		{sp: runSpec{prof, 11, leakctl.TechDrowsy, 1024}},
 		{sp: runSpec{prof, 11, leakctl.TechGated, 65536}},
 	}
-	runBatchGroup(ctx, mc, prof, lanes, nil, bs)
+	runBatchGroup(ctx, mc, prof, lanes, bs)
 	for _, ln := range lanes {
 		if ln.err != nil {
 			t.Fatalf("batch lane %s: %v", ln.sp.key(), ln.err)
@@ -245,7 +245,7 @@ func TestBatchStateReuseBitIdentity(t *testing.T) {
 		for i, sp := range specs {
 			lanes[i] = &batchLane{sp: sp}
 		}
-		runBatchGroup(ctx, mc, prof, lanes, nil, bs)
+		runBatchGroup(ctx, mc, prof, lanes, bs)
 		return lanes
 	}
 	dirty := new(BatchState)
@@ -374,10 +374,10 @@ func TestBatchFaultIsolation(t *testing.T) {
 	}
 }
 
-// TestBatchDeferredFaultKinds checks that non-panic injected faults on a
-// batch lane defer to the scalar supervisor, where the full retry
-// semantics apply: a NaN injected only on attempt 0 ends in a clean
-// result after one retry.
+// TestBatchDeferredFaultKinds checks that a non-panic fault injected into
+// a lane of a shared group fails that lane alone and is retried as a lane
+// again: a NaN injected only on attempt 0 ends in a clean result after
+// one retry.
 func TestBatchDeferredFaultKinds(t *testing.T) {
 	e := tinyExperiments()
 	e.MaxRetries = 1

@@ -6,8 +6,6 @@ import (
 	"math"
 	"reflect"
 
-	"hotleakage/internal/harness"
-	"hotleakage/internal/harness/faultinject"
 	"hotleakage/internal/leakctl"
 	"hotleakage/internal/store"
 	"hotleakage/internal/workload"
@@ -121,7 +119,7 @@ func (e *Experiments) profile(name string) (workload.Profile, bool) {
 }
 
 // energyKind is the energy cell kind: one benchmark run on one machine,
-// scored later for net leakage savings. Its batch phase (batch) lives in
+// scored later for net leakage savings. Its attempt (run) lives in
 // experiments.go.
 type energyKind struct{ e *Experiments }
 
@@ -149,7 +147,7 @@ func (k energyKind) unaddressed() error {
 func (energyKind) check(r RunResult) error { return checkRun(r) }
 
 // checkRun rejects results with non-finite energies before they are
-// accepted (and before they would poison the store); the supervisor
+// accepted (and before they would poison the store); the attempt loop
 // treats the rejection as a retryable failure.
 func checkRun(r RunResult) error {
 	for _, v := range []float64{
@@ -164,48 +162,6 @@ func checkRun(r RunResult) error {
 		return fmt.Errorf("zero-cycle result for %s", r.Bench)
 	}
 	return nil
-}
-
-// job retries a cell whose lane failed: one attempt is the cell run as a
-// group of one lane under the per-attempt context (deadline + suite
-// cancellation), on a BatchState from the batch phase's pool. A lane that
-// ran out of its deadline already was the cell's attempt 0, so that
-// attempt reports the lane's error without running again. FaultNaN
-// injection happens here — the generic supervisor cannot corrupt a
-// RunResult, so the job corrupts its own energy figure and check catches
-// it.
-func (k energyKind) job(sp runSpec) harness.Job[RunResult] {
-	e := k.e
-	s := e.suite(sp.l2)
-	e.mu.Lock()
-	expired := e.expired[sp.key()]
-	delete(e.expired, sp.key())
-	e.mu.Unlock()
-	return harness.Job[RunResult]{
-		Run: func(ctx context.Context) (RunResult, error) {
-			if expired != nil && harness.Attempt(ctx) == 0 {
-				return RunResult{}, expired
-			}
-			// Fresh adapter state per attempt: a retried run must not
-			// inherit a failed attempt's learned intervals.
-			ln := &batchLane{sp: sp}
-			if e.AdapterFor != nil {
-				ln.adapter = e.AdapterFor(sp.prof.Name, sp.tech, sp.interval)
-			}
-			bs := e.acquireBatchState()
-			defer e.releaseBatchState(bs)
-			runBatchGroup(ctx, s.MC, sp.prof, []*batchLane{ln}, nil, bs)
-			if ln.err != nil {
-				return RunResult{}, ln.err
-			}
-			r := ln.res
-			if e.Injector != nil &&
-				e.Injector.Decide(sp.key(), harness.Attempt(ctx)) == faultinject.FaultNaN {
-				r.Measurement.DCacheDynJ = math.NaN()
-			}
-			return r, nil
-		},
-	}
 }
 
 // remote ships cells by name, so a cell over an edited profile fails here:

@@ -20,8 +20,8 @@ import (
 )
 
 // Lockstep-batch outcome metrics: executed groups of two or more lanes,
-// the lanes they carried, lanes whose cell the supervisor retried, and the
-// last sweep's mean occupancy (lanes per shared group, in hundredths).
+// the lanes they carried, lanes of a cell's second or later attempt, and
+// the last sweep's mean occupancy (lanes per shared group, in hundredths).
 var (
 	obsBatchGroups    = obs.Default.Counter(obs.MetricBatchGroups)
 	obsBatchLanes     = obs.Default.Counter(obs.MetricBatchLanes)
@@ -49,7 +49,7 @@ const checkpointVersion = 1
 // so the 85C and 110C variants of a figure reuse one run, and Table 3
 // shares the sweep with Figures 12-13.
 //
-// Every simulation is executed under supervision: panics are recovered
+// Every simulation runs through one attempt loop: panics are recovered
 // into structured failures, per-run deadlines and suite-wide cancellation
 // are enforced, transient failures retry with backoff, and with a Store
 // each completed run is written to it as it settles. A failed run degrades
@@ -63,8 +63,8 @@ type Experiments struct {
 	Profiles []workload.Profile
 	// Variation optionally enables the inter-die Monte Carlo.
 	Variation leakage.VariationConfig
-	// Workers sizes the supervisor and batch worker pools: 0 means
-	// runtime.GOMAXPROCS(0), and 1 runs serially.
+	// Workers is how many lockstep groups, or attack cells, run at once:
+	// 0 means runtime.GOMAXPROCS(0), and 1 runs serially.
 	Workers int
 	// DisableBatch runs every cell as a group of one lane, so no two
 	// cells share a front. Results are bit-identical either way — the
@@ -116,7 +116,7 @@ type Experiments struct {
 	// cell's run_done arrives after its Store write.
 	Events harness.EventSink
 	// AdapterFor, when non-nil, supplies the leakage-control adapter for
-	// each run (adaptive-decay studies through the supervised path). It is
+	// each run (adaptive-decay studies through the figure path). It is
 	// invoked once per attempt so retried runs get fresh adapter state and
 	// stay deterministic. A cell's content address cannot name a func, and
 	// Remote ships cells by name, so with Store, Peer or Remote set every
@@ -135,15 +135,11 @@ type Experiments struct {
 
 	// batchGroups / batchLanes count lockstep groups of two or more lanes
 	// executed and the cells they carried; batchStates is the pool of
-	// batch scratch (front window, lane RunStates) reused across groups,
-	// batch phases and the supervisor's retries.
+	// batch scratch (front window, lane RunStates) reused across groups
+	// and attempts.
 	batchGroups int
 	batchLanes  int
 	batchStates []*BatchState
-	// expired holds, by run key, the error of each batch lane that ran
-	// out of RunTimeout, until the supervisor's job for that cell takes
-	// it as the cell's attempt 0.
-	expired map[string]error
 }
 
 // NewExperiments returns the paper's experiment set at reduced scale
@@ -186,8 +182,8 @@ func runKey(bench string, l2 int, t leakctl.Technique, interval uint64) string {
 	return fmt.Sprintf("%s/%d/%d/%d", bench, l2, t, interval)
 }
 
-// workers sizes the supervisor and batch worker pools: Workers when set,
-// else GOMAXPROCS.
+// workers sizes the attempt loop's worker pools: Workers when set, else
+// GOMAXPROCS.
 func (e *Experiments) workers() int {
 	if e.Workers > 0 {
 		return e.Workers
@@ -204,7 +200,7 @@ func (e *Experiments) keepStoreErr(err error) {
 	e.mu.Unlock()
 }
 
-// runSpec names one simulation the supervisor should produce.
+// runSpec names one energy cell's simulation.
 type runSpec struct {
 	prof     workload.Profile
 	l2       int
@@ -214,23 +210,23 @@ type runSpec struct {
 
 func (sp runSpec) key() string { return runKey(sp.prof.Name, sp.l2, sp.tech, sp.interval) }
 
-// batch is the energy kind's batch phase, the one way cells are
-// simulated: it runs every pending cell as a lane of a lockstep group —
-// one group per (benchmark, machine config), or one lane per group under
-// DisableBatch — hands each lane's result to settle as its group ends,
-// and returns the cells whose lane failed, for the supervisor to retry.
-// A lane that ran out of RunTimeout counts as its cell's attempt 0 (see
-// energyKind.job).
-func (k energyKind) batch(pending []runSpec, settle func(runSpec, RunResult)) (remaining []runSpec) {
+// run is the energy kind's attempt: every cell runs as a lane of a
+// lockstep group — one group per (benchmark, machine config), or one lane
+// per group under DisableBatch — and ends with its group. Each lane gets
+// its cell's injected fault and a fresh adapter, so a retried cell never
+// inherits a failed attempt's learned intervals.
+func (k energyKind) run(ctx context.Context, tries []*try[runSpec, RunResult], begin, end func(*try[runSpec, RunResult])) {
 	e := k.e
 	type batchGroup struct {
 		prof  workload.Profile
 		l2    int
+		tries []*try[runSpec, RunResult]
 		lanes []*batchLane
 	}
 	index := make(map[string]*batchGroup)
 	var groups []*batchGroup
-	for _, sp := range pending {
+	for _, t := range tries {
+		sp := t.sp
 		key := fmt.Sprintf("%s/%d", sp.prof.Name, sp.l2)
 		if e.DisableBatch {
 			key = sp.key()
@@ -241,87 +237,55 @@ func (k energyKind) batch(pending []runSpec, settle func(runSpec, RunResult)) (r
 			index[key] = g
 			groups = append(groups, g)
 		}
-		ln := &batchLane{sp: sp, timeout: e.RunTimeout}
+		ln := &batchLane{sp: sp, timeout: e.RunTimeout, fault: t.fault}
 		if e.AdapterFor != nil {
 			ln.adapter = e.AdapterFor(sp.prof.Name, sp.tech, sp.interval)
 		}
+		g.tries = append(g.tries, t)
 		g.lanes = append(g.lanes, ln)
+		if t.attempt > 0 {
+			obsBatchFallback.Add(1)
+		}
 	}
 
 	// Largest group first, as the cluster coordinator books shards: whole
 	// groups (not cells) are the dispatch unit, so batchable cells stay
-	// together, and a wide group cannot start last and stretch the phase's
-	// tail. Stable, so equal widths keep plan order.
+	// together, and a wide group cannot start last and stretch the
+	// attempt's tail. Stable, so equal widths keep plan order.
 	sort.SliceStable(groups, func(i, j int) bool { return len(groups[i].lanes) > len(groups[j].lanes) })
-
-	workers := min(e.workers(), len(groups))
-	ctx := e.ctx()
-	queue := make(chan *batchGroup)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bs := e.acquireBatchState()
-			defer e.releaseBatchState(bs)
-			for g := range queue {
-				s := e.suite(g.l2)
-				if e.Events != nil {
-					for _, ln := range g.lanes {
-						e.Events.Write(obs.Record{Type: "run_start", RunID: ln.sp.key()})
-					}
-				}
-				runBatchGroup(ctx, s.MC, g.prof, g.lanes, e.Injector, bs)
-				for _, ln := range g.lanes {
-					if ln.err != nil {
-						continue
-					}
-					settle(ln.sp, ln.res)
-					obsRunsCompleted.Add(1)
-					if e.Events != nil {
-						e.Events.Write(obs.Record{Type: "run_done", RunID: ln.sp.key(), Attempt: 1})
-					}
-				}
-			}
-		}()
-	}
-	for _, g := range groups {
-		queue <- g
-	}
-	close(queue)
-	wg.Wait()
+	fanOut(e.workers(), groups, func(g *batchGroup) {
+		for _, t := range g.tries {
+			begin(t)
+		}
+		bs := e.acquireBatchState()
+		runBatchGroup(ctx, e.suite(g.l2).MC, g.prof, g.lanes, bs)
+		e.releaseBatchState(bs)
+		for i, ln := range g.lanes {
+			t := g.tries[i]
+			t.res, t.err = ln.res, ln.err
+			end(t)
+		}
+	})
 
 	// The batch counters describe lockstep sharing, so they count groups
 	// of two or more lanes only.
 	shared, lanes := 0, 0
-	e.mu.Lock()
 	for _, g := range groups {
 		if len(g.lanes) > 1 {
 			shared++
 			lanes += len(g.lanes)
 		}
-		for _, ln := range g.lanes {
-			if ln.err != nil {
-				remaining = append(remaining, ln.sp)
-				obsBatchFallback.Add(1)
-			}
-			if ln.expired {
-				if e.expired == nil {
-					e.expired = make(map[string]error)
-				}
-				e.expired[ln.sp.key()] = ln.err
-			}
-		}
 	}
+	if shared == 0 {
+		return
+	}
+	e.mu.Lock()
 	e.batchGroups += shared
 	e.batchLanes += lanes
 	e.mu.Unlock()
-	if shared > 0 {
-		obsBatchGroups.Add(uint64(shared))
-		obsBatchLanes.Add(uint64(lanes))
-		obsBatchOccupancy.Set(int64(lanes * 100 / shared))
-	}
-	return remaining
+	obsBatchGroups.Add(uint64(shared))
+	obsBatchLanes.Add(uint64(lanes))
+	obsBatchOccupancy.Set(int64(lanes * 100 / shared))
 }
 
 // acquireBatchState pops (or creates) one batch executor's reusable

@@ -5,22 +5,24 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
+	"time"
 
 	"hotleakage/internal/attack"
 	"hotleakage/internal/harness"
+	"hotleakage/internal/harness/faultinject"
 	"hotleakage/internal/obs"
 	"hotleakage/internal/store"
 )
 
 // Ladder outcome metrics. obsCellsPlanned counts the cells planned so far;
-// the sampler pairs it with the harness outcome counters and the store
-// hits for progress/ETA. The store and federation counters split cells
-// served from the local store or the peer's view from those resolved
-// further down, and obsRemoteDegraded counts batches that fell back from
-// a sick remote daemon to the local rungs (RemoteFallback). Cells
-// simulated in the batch phase count through the harness's own completion
-// counter (registration is idempotent by name), so progress/ETA math sees
-// every simulated cell through one counter.
+// the sampler pairs it with the outcome counters and the store hits for
+// progress/ETA. The store and federation counters split cells served from
+// the local store or the peer's view from those resolved further down,
+// and obsRemoteDegraded counts batches that fell back from a sick remote
+// daemon to the local rungs (RemoteFallback). The attempt loop's counters
+// — cells completed and failed, retries, injected faults and recovered
+// panics — keep their harness_ names.
 var (
 	obsCellsPlanned     = obs.Default.Gauge(obs.GaugeCellsPlanned)
 	obsStoreHits        = obs.Default.Counter(obs.MetricStoreHits)
@@ -29,18 +31,30 @@ var (
 	obsFederationMisses = obs.Default.Counter(obs.MetricFederationMisses)
 	obsRemoteDegraded   = obs.Default.Counter(obs.MetricRemoteDegraded)
 	obsRunsCompleted    = obs.Default.Counter(obs.MetricRunsCompleted)
+	obsRunsFailed       = obs.Default.Counter(obs.MetricRunsFailed)
+	obsRetries          = obs.Default.Counter("harness_retries_total")
+	obsFaults           = obs.Default.Counter("harness_faults_injected_total")
+	obsPanics           = obs.Default.Counter("harness_panics_total")
+)
+
+// The delay before a cell's next attempt starts at retryBackoff and
+// doubles per failed attempt, capped at retryBackoffCap.
+const (
+	retryBackoff    = 100 * time.Millisecond
+	retryBackoffCap = 2 * time.Second
 )
 
 // cellKind is what one kind of cell supplies to the resolution ladder. P
 // is the kind's public spec (CellSpec, AttackSpec), S the resolved spec
 // the ladder carries and R the result. Everything else — memo, remote
-// delegation with fallback, store and peer lookup, supervised execution,
-// the store write as each cell settles — is the ladder's, once for every
-// kind.
+// delegation with fallback, store and peer lookup, the attempt loop with
+// its retries, faults and events, the store write as each cell settles —
+// is the ladder's, once for every kind.
 //
-// A new kind supplies an identity document and a run function (identity
-// and job), a check on its result type, and one-liners mapping its spec
-// to the public form and to its RemoteRunner method.
+// A new kind supplies an identity document and a way to run one attempt
+// at a set of cells (identity and run), a check on its result type, and
+// one-liners mapping its spec to the public form and to its RemoteRunner
+// method.
 type cellKind[P cellSpec, S, R any] interface {
 	// public returns the cell's public coordinates.
 	public(S) P
@@ -54,9 +68,11 @@ type cellKind[P cellSpec, S, R any] interface {
 	// check rejects a corrupt result before it is memoized or stored; a
 	// stored or fetched record that fails it is a miss.
 	check(R) error
-	// job returns the cell's supervised execution. The ladder fills in the
-	// key and labels and makes ErrInvalidConfig failures permanent.
-	job(S) harness.Job[R]
+	// run makes one attempt at every cell of tries: it calls begin on each
+	// cell as it starts and end as it ends, with its result (which has
+	// passed check) or its error set. A cell applies the fault its try
+	// carries, and a panic fails its own cell as a harness.PanicError.
+	run(ctx context.Context, tries []*try[S, R], begin, end func(*try[S, R]))
 	// remote delegates cells to Experiments.Remote. A cell the wire
 	// cannot name faithfully comes back failed instead of shipped.
 	remote(ctx context.Context, specs []S) ([]RemoteOutcome[P, R], error)
@@ -70,13 +86,15 @@ type cellSpec interface {
 	labels() (name, technique string)
 }
 
-// batchKind is a cellKind with a batch phase ahead of the supervisor.
-// Only energy cells have one (lockstep groups off one shared front).
-type batchKind[S, R any] interface {
-	// batch runs what it can of pending, handing each cell it simulates
-	// to settle as the cell's group ends, and returns the cells left for
-	// the supervisor.
-	batch(pending []S, settle func(S, R)) (rest []S)
+// try is one attempt at one cell: the attempt number (0 first) and the
+// fault the Injector scheduled for it going in, its result or error coming
+// out.
+type try[S, R any] struct {
+	sp      S
+	attempt int
+	fault   faultinject.Fault
+	res     R
+	err     error
 }
 
 // Outcome is one cell's result from RunCells or RunAttackCells: the
@@ -102,7 +120,7 @@ type RemoteOutcome[P, R any] struct {
 
 // RemoteRunner executes cells on a remote leakd daemon. When
 // Experiments.Remote is set, pending cells of either kind are delegated
-// to it instead of the local supervisor — the CLI becomes a thin client
+// to it instead of being simulated here — the CLI becomes a thin client
 // and every figure renders from remotely simulated (or store-served)
 // results. Implementations live outside this package (internal/server/api)
 // to keep sim free of transport concerns.
@@ -123,11 +141,10 @@ type CellFetcher interface {
 }
 
 // ladder resolves the cells of one kind, top rung first: in-process memo,
-// remote daemon (Remote), content-addressed store and federated peer, the
-// kind's batch phase if it has one, and supervised execution. The store is
-// the one durable record: each cell a lower rung simulates is written to
-// it as it settles (settle), before it counts as executed or is reported
-// done. Experiments holds one ladder per kind; e.mu guards the memo and
+// remote daemon (Remote), content-addressed store and federated peer, and
+// the attempt loop (simulate). The store is the one durable record: each
+// cell the loop simulates is written to it as it settles (settle), before
+// it counts as executed or is reported done. Experiments holds one ladder per kind; e.mu guards the memo and
 // the failure map.
 type ladder[P cellSpec, S, R any] struct {
 	e        *Experiments
@@ -185,8 +202,8 @@ func (l *ladder[P, S, R]) resolve(specs []S) error {
 		return nil
 	}
 	// Progress accounting for the sampler's ETA: every pending cell is one
-	// planned cell; the harness outcome counters and the store hits record
-	// completions.
+	// planned cell; the attempt loop's outcome counters and the store hits
+	// record completions.
 	obsCellsPlanned.Add(int64(len(pending)))
 
 	if e.Store != nil || e.Peer != nil || e.Remote != nil {
@@ -210,10 +227,8 @@ func (l *ladder[P, S, R]) resolve(specs []S) error {
 		// The daemon is sick (or the breaker is open): degrade this batch
 		// to the local ladder rather than stalling the whole figure run.
 		obsRemoteDegraded.Add(1)
-		if e.Events != nil {
-			e.Events.Write(obs.Record{Type: "remote_degraded", Error: err.Error(),
-				Detail: fmt.Sprintf("%d cells fall back to local resolution", len(pending))})
-		}
+		l.emit(obs.Record{Type: "remote_degraded", Error: err.Error(),
+			Detail: fmt.Sprintf("%d cells fall back to local resolution", len(pending))})
 	}
 
 	if e.Store != nil || e.Peer != nil {
@@ -221,38 +236,162 @@ func (l *ladder[P, S, R]) resolve(specs []S) error {
 			return nil
 		}
 	}
-	if bk, ok := l.kind.(batchKind[S, R]); ok {
-		if pending = bk.batch(pending, l.settle); len(pending) == 0 {
-			return nil
-		}
-	}
-	bySpec := make(map[string]S, len(pending))
-	jobs := make([]harness.Job[R], len(pending))
-	for i, sp := range pending {
-		bySpec[l.key(sp)] = sp
-		jobs[i] = l.job(sp)
-	}
-	sup := harness.New(harness.Config[R]{
-		Workers:    e.workers(),
-		Timeout:    e.RunTimeout,
-		MaxRetries: e.MaxRetries,
-		Injector:   e.Injector,
-		Check:      l.kind.check,
-		Settled:    func(k string, r R) { l.settle(bySpec[k], r) },
-		Events:     e.Events,
-	})
-	results := sup.Run(e.ctx(), jobs)
-	e.mu.Lock()
-	for _, res := range results {
-		if res.Err != nil {
-			l.failures[res.Key] = res.Err
-		}
-	}
-	e.mu.Unlock()
+	l.simulate(pending)
 	return nil
 }
 
-// settle records one cell a lower rung simulated: written to the store
+// simulate is the attempt loop, the one way the ladder simulates cells.
+// Each round hands the pending cells to the kind's run and settles every
+// success as it ends. A cell that failed retryably goes round again after
+// a capped backoff until MaxRetries runs out, so no cell runs more than
+// MaxRetries+1 times. The loop alone asks the Injector, once per cell and
+// attempt, and alone writes the run_* events, the outcome counters and
+// the failure records.
+func (l *ladder[P, S, R]) simulate(pending []S) {
+	ctx := l.e.ctx()
+	tries := make([]*try[S, R], len(pending))
+	for i, sp := range pending {
+		tries[i] = l.schedule(sp, 0)
+	}
+	for len(tries) > 0 {
+		l.kind.run(ctx, tries, l.begin, l.end)
+		var again []*try[S, R]
+		for _, t := range tries {
+			switch {
+			case t.err == nil:
+			case t.attempt < l.e.MaxRetries && retryable(ctx, t.err):
+				obsRetries.Add(1)
+				l.emit(obs.Record{Type: "run_retry", RunID: l.key(t.sp), Attempt: t.attempt + 1, Error: t.err.Error()})
+				again = append(again, t)
+			default:
+				l.giveUp(t)
+			}
+		}
+		tries = tries[:0]
+		if len(again) > 0 && !sleep(ctx, backoff(again[0].attempt)) {
+			// Canceled during the backoff: each cell keeps its last error.
+			for _, t := range again {
+				l.giveUp(t)
+			}
+			return
+		}
+		for _, t := range again {
+			tries = append(tries, l.schedule(t.sp, t.attempt+1))
+		}
+	}
+}
+
+// schedule makes attempt n at a cell, with the fault the Injector decides
+// for it.
+func (l *ladder[P, S, R]) schedule(sp S, n int) *try[S, R] {
+	t := &try[S, R]{sp: sp, attempt: n}
+	if l.e.Injector != nil {
+		t.fault = l.e.Injector.Decide(l.key(sp), n)
+	}
+	return t
+}
+
+// retryable reports whether another attempt could end otherwise: an
+// invalid configuration never builds, and a canceled suite runs nothing
+// more.
+func retryable(ctx context.Context, err error) bool {
+	return ctx.Err() == nil && !errors.Is(err, ErrInvalidConfig) && !errors.Is(err, context.Canceled)
+}
+
+// begin writes a cell's run_start at its first attempt, and a run_fault
+// when the attempt carries an injected fault.
+func (l *ladder[P, S, R]) begin(t *try[S, R]) {
+	k := l.key(t.sp)
+	if t.attempt == 0 {
+		l.emit(obs.Record{Type: "run_start", RunID: k})
+	}
+	if t.fault != faultinject.FaultNone {
+		obsFaults.Add(1)
+		l.emit(obs.Record{Type: "run_fault", RunID: k, Attempt: t.attempt + 1, Detail: t.fault.String()})
+	}
+}
+
+// end settles a cell's successful attempt, then reports it done.
+func (l *ladder[P, S, R]) end(t *try[S, R]) {
+	if t.err != nil {
+		var pe *harness.PanicError
+		if errors.As(t.err, &pe) {
+			obsPanics.Add(1)
+		}
+		return
+	}
+	l.settle(t.sp, t.res)
+	obsRunsCompleted.Add(1)
+	l.emit(obs.Record{Type: "run_done", RunID: l.key(t.sp), Attempt: t.attempt + 1})
+}
+
+// giveUp memoizes the failure record of a cell from its last attempt.
+func (l *ladder[P, S, R]) giveUp(t *try[S, R]) {
+	re := l.fail(l.kind.public(t.sp), t.err.Error())
+	re.Attempts = t.attempt + 1
+	var pe *harness.PanicError
+	if errors.As(t.err, &pe) {
+		re.Panic, re.Stack = pe.Value, pe.Stack
+	}
+	re.Timeout = errors.Is(t.err, context.DeadlineExceeded)
+	re.Canceled = errors.Is(t.err, context.Canceled)
+	obsRunsFailed.Add(1)
+	l.emit(obs.Record{Type: "run_error", RunID: re.Key, Attempt: re.Attempts, Error: re.Error()})
+	l.e.mu.Lock()
+	l.failures[re.Key] = re
+	l.e.mu.Unlock()
+}
+
+// emit writes a trace event when Events is set.
+func (l *ladder[P, S, R]) emit(rec obs.Record) {
+	if l.e.Events != nil {
+		l.e.Events.Write(rec)
+	}
+}
+
+// backoff is the delay before retrying a cell whose attempt n failed.
+func backoff(n int) time.Duration {
+	d := retryBackoff
+	for i := 0; i < n && d < retryBackoffCap; i++ {
+		d *= 2
+	}
+	return min(d, retryBackoffCap)
+}
+
+// sleep waits for d, returning false if ctx was canceled first.
+func sleep(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// fanOut calls do on every item from at most workers goroutines, in item
+// order, and returns when all are done.
+func fanOut[T any](workers int, items []T, do func(T)) {
+	queue := make(chan T)
+	var wg sync.WaitGroup
+	for range min(workers, len(items)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := range queue {
+				do(it)
+			}
+		}()
+	}
+	for _, it := range items {
+		queue <- it
+	}
+	close(queue)
+	wg.Wait()
+}
+
+// settle records one cell the attempt loop simulated: written to the store
 // first, then memoized and counted, so a cell that counts as executed or
 // is reported done is already durable. Store trouble degrades to Err,
 // never to a lost result.
@@ -272,25 +411,6 @@ func (l *ladder[P, S, R]) settle(sp S, r R) {
 	l.runs[l.key(sp)] = r
 	e.executed++
 	e.mu.Unlock()
-}
-
-// job wraps the kind's supervised execution of one cell.
-func (l *ladder[P, S, R]) job(sp S) harness.Job[R] {
-	p := l.kind.public(sp)
-	j := l.kind.job(sp)
-	j.Key = p.Key()
-	j.Benchmark, j.Technique = p.labels()
-	run := j.Run
-	j.Run = func(ctx context.Context) (R, error) {
-		r, err := run(ctx)
-		if errors.Is(err, ErrInvalidConfig) {
-			// A configuration that cannot be built never will be:
-			// retrying only burns the backoff.
-			err = harness.Permanent(err)
-		}
-		return r, err
-	}
-	return j
 }
 
 // delegate resolves pending cells through the remote daemon, memoizing
@@ -367,13 +487,11 @@ func (l *ladder[P, S, R]) fromStore(pending []S) []S {
 		l.runs[k] = r
 		e.storeHits++
 		e.mu.Unlock()
-		if e.Events != nil {
-			rec := obs.Record{Type: "store_hit", RunID: k}
-			if federated {
-				rec.Detail = "federated"
-			}
-			e.Events.Write(rec)
+		rec := obs.Record{Type: "store_hit", RunID: k}
+		if federated {
+			rec.Detail = "federated"
 		}
+		l.emit(rec)
 	}
 	return rest
 }

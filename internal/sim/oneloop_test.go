@@ -25,9 +25,9 @@ func (slowAdapter) Every() uint64 { return 500 }
 // TestLaneDeadlineFiresAlone fires one lane's deadline in the middle of
 // its group: the slow cell fails as a timeout, and its batch-mates, which
 // spend a fraction of the deadline stepping, end exactly as a run without
-// a deadline ends. The timed-out lane is the cell's first attempt: with no
-// retries the supervisor reports it without running the cell again, so
-// the slow adapter is built once, and the deadline is paid once.
+// a deadline ends. The timed-out lane is the cell's attempt 0, so with no
+// retries the cell fails after it: the slow adapter is built once, and
+// the deadline is paid once.
 func TestLaneDeadlineFiresAlone(t *testing.T) {
 	ref := tinyExperiments()
 	defer ref.Close()
@@ -146,7 +146,7 @@ func TestBatchParityIL1Control(t *testing.T) {
 	for i, sp := range specs {
 		lanes[i] = &batchLane{sp: sp}
 	}
-	runBatchGroup(ctx, mc, prof, lanes, nil, new(BatchState))
+	runBatchGroup(ctx, mc, prof, lanes, new(BatchState))
 	for _, ln := range lanes {
 		if ln.err != nil {
 			t.Fatalf("lane %s: %v", ln.sp.key(), ln.err)

@@ -30,7 +30,7 @@ func shapeExperiments(t *testing.T) *Experiments {
 		// Full-length runs are ~10x slower under the race detector and
 		// blow the package test timeout. These tests assert numeric
 		// orderings, not concurrency; the parallel paths are raced by
-		// supervised_test.go and internal/harness.
+		// attempt_test.go and batch_test.go.
 		t.Skip("shape tests exceed the race-mode package timeout")
 	}
 	shapeOnce.Do(func() {

@@ -22,7 +22,7 @@ import (
 )
 
 // ErrInvalidConfig wraps configuration-validation failures. Retrying a run
-// that failed with it is pointless; the supervisor fails such runs
+// that failed with it is pointless; the attempt loop fails such runs
 // immediately.
 var ErrInvalidConfig = errors.New("sim: invalid configuration")
 
@@ -149,7 +149,7 @@ func runOneFromState(ctx context.Context, mc MachineConfig, name string, src cpu
 		params:  &params,
 		adapter: adapter,
 	}
-	runGroup(ctx, mc, name, src, []*batchLane{ln}, nil, &BatchState{lanes: []*RunState{st}})
+	runGroup(ctx, mc, name, src, []*batchLane{ln}, &BatchState{lanes: []*RunState{st}})
 	return ln.res, ln.err
 }
 

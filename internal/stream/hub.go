@@ -28,8 +28,9 @@ const subBufCap = 256
 // Hub fans a sweep's trace events out to SSE subscribers while keeping a
 // bounded replay buffer so a subscriber attaching mid-sweep (or after it
 // finished) still sees the history. It implements harness.EventSink, so the
-// supervisor's run_start/run_done/store_hit records flow through
-// unchanged — the SSE stream is the harness trace, joined by run key.
+// run_start/run_done/store_hit records of package sim's attempt loop and
+// store rung flow through unchanged — the SSE stream is the sweep's trace,
+// joined by run key.
 type Hub struct {
 	mu     sync.Mutex
 	buf    []obs.Record

@@ -587,17 +587,3 @@ var callDamp = []float64{1, 0.5, 0.25, 0.12, 0.06, 0.03}
 
 // Count returns the number of instructions generated so far.
 func (g *Generator) Count() uint64 { return g.instrCount }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
