@@ -1,262 +1,312 @@
-package harness
+package harness_test
+
+// These tests pin the failure records and trace events of package harness
+// as their one producer, package sim's attempt loop, fills them in: a
+// result the check rejects is retried, a permanent failure is not, each
+// attempt gets its own deadline, suite cancellation drains every cell as
+// Canceled, and a rejected attempt never reaches the store.
 
 import (
 	"context"
-	"errors"
+	"encoding/json"
 	"fmt"
+	"math"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"hotleakage/internal/attack"
+	"hotleakage/internal/harness"
 	"hotleakage/internal/harness/faultinject"
+	"hotleakage/internal/leakctl"
 	"hotleakage/internal/obs"
+	"hotleakage/internal/sim"
+	"hotleakage/internal/store"
 )
 
-// job builds a trivial job returning its key length.
-func job(key string, fn func(ctx context.Context) (int, error)) Job[int] {
-	return Job[int]{Key: key, Benchmark: key, Technique: "t", Run: fn}
+// experiments is a two-benchmark experiment set at minimal scale.
+func experiments() *sim.Experiments {
+	e := sim.NewExperiments()
+	e.Instructions = 40_000
+	e.Warmup = 10_000
+	e.Profiles = e.Profiles[:2]
+	return e
 }
 
-func TestPanicIsRecoveredAndSiblingsSurvive(t *testing.T) {
-	s := New(Config[int]{Workers: 4})
-	jobs := []Job[int]{
-		job("a", func(context.Context) (int, error) { return 1, nil }),
-		job("boom", func(context.Context) (int, error) { panic("kaput") }),
-		job("c", func(context.Context) (int, error) { return 3, nil }),
+// smoke is the attack cell these tests run: the cheapest scenario.
+var smoke = sim.AttackSpec{Scenario: "smoke", L2: 11, Technique: leakctl.TechDrowsy, Interval: 4096}
+
+// decisions is an Injector that counts how often it is asked about each
+// run key — once per attempt the loop makes at the cell — and injects
+// fault into the first attempt at the keys in victims.
+type decisions struct {
+	mu      sync.Mutex
+	asked   map[string]int
+	fault   faultinject.Fault
+	victims map[string]bool
+}
+
+func inject(fault faultinject.Fault, victims ...string) *decisions {
+	d := &decisions{asked: make(map[string]int), fault: fault, victims: make(map[string]bool)}
+	for _, v := range victims {
+		d.victims[v] = true
 	}
-	res := s.Run(context.Background(), jobs)
-	if res[0].Err != nil || res[0].Value != 1 || res[2].Err != nil || res[2].Value != 3 {
-		t.Fatalf("sibling results lost: %+v", res)
+	return d
+}
+
+func (d *decisions) Decide(key string, attempt int) faultinject.Fault {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.asked[key]++
+	if d.victims[key] && attempt == 0 {
+		return d.fault
 	}
-	re := res[1].Err
-	if re == nil {
-		t.Fatal("panic not converted to RunError")
+	return faultinject.FaultNone
+}
+
+func (d *decisions) attempts(key string) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.asked[key]
+}
+
+// eventLog records the trace events it receives; onEvent, when set, sees
+// each one first.
+type eventLog struct {
+	mu      sync.Mutex
+	recs    []obs.Record
+	onEvent func(obs.Record)
+}
+
+var _ harness.EventSink = (*eventLog)(nil)
+
+func (l *eventLog) Write(rec obs.Record) {
+	if l.onEvent != nil {
+		l.onEvent(rec)
 	}
-	if re.Panic != "kaput" || re.Stack == "" || re.Benchmark != "boom" {
-		t.Fatalf("RunError missing panic detail: %+v", re)
+	l.mu.Lock()
+	l.recs = append(l.recs, rec)
+	l.mu.Unlock()
+}
+
+// of returns the event types of one run key, in order.
+func (l *eventLog) of(key string) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []string
+	for _, r := range l.recs {
+		if r.RunID == key {
+			out = append(out, r.Type)
+		}
 	}
-	if !strings.Contains(re.Error(), "panic") {
+	return out
+}
+
+// TestCheckRejectsBadValues: a NaN injected into the first attempt at a
+// cell of either kind fails its result check, and the retry — the second
+// and last attempt — settles a finite result.
+func TestCheckRejectsBadValues(t *testing.T) {
+	e := experiments()
+	e.MaxRetries = 1
+	cell := sim.CellSpec{Bench: e.Profiles[0].Name, L2: 11, Technique: leakctl.TechGated, Interval: 4096}
+	inj := inject(faultinject.FaultNaN, cell.Key(), smoke.Key())
+	e.Injector = inj
+	var log eventLog
+	e.Events = &log
+
+	outs, err := e.RunCells([]sim.CellSpec{cell})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aouts, err := e.RunAttackCells([]sim.AttackSpec{smoke})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0].Err != nil || math.IsNaN(outs[0].Result.Measurement.DCacheDynJ) {
+		t.Fatalf("energy cell: check did not force a clean retry: %+v", outs[0].Err)
+	}
+	if aouts[0].Err != nil || math.IsNaN(aouts[0].Result.CapacityBits) {
+		t.Fatalf("attack cell: check did not force a clean retry: %+v", aouts[0].Err)
+	}
+	for _, key := range []string{cell.Key(), smoke.Key()} {
+		if n := inj.attempts(key); n != 2 {
+			t.Errorf("%s: %d attempts, want 2", key, n)
+		}
+		want := []string{"run_start", "run_fault", "run_retry", "run_done"}
+		if got := log.of(key); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: events %v, want %v", key, got, want)
+		}
+	}
+}
+
+// TestPermanentFailureSkipsRetry: a cell whose configuration cannot be
+// built fails on its one attempt, with retries to spare: no retry event,
+// and the Injector is asked about it once.
+func TestPermanentFailureSkipsRetry(t *testing.T) {
+	e := experiments()
+	e.MaxRetries = 5
+	inj := inject(faultinject.FaultNone)
+	e.Injector = inj
+	var log eventLog
+	e.Events = &log
+	// Decay interval 2 is below the counter resolution for both kinds.
+	cell := sim.CellSpec{Bench: e.Profiles[0].Name, L2: 11, Technique: leakctl.TechGated, Interval: 2}
+	bad := sim.AttackSpec{Scenario: "smoke", L2: 11, Technique: leakctl.TechDrowsy, Interval: 2}
+
+	outs, err := e.RunCells([]sim.CellSpec{cell})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aouts, err := e.RunAttackCells([]sim.AttackSpec{bad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, re := range map[string]*harness.RunError{cell.Key(): outs[0].Err, bad.Key(): aouts[0].Err} {
+		if re == nil || re.Attempts != 1 || re.Timeout || re.Canceled {
+			t.Errorf("%s: got %+v, want a plain failure after 1 attempt", key, re)
+		}
+		if n := inj.attempts(key); n != 1 {
+			t.Errorf("%s: permanent failure attempted %d times", key, n)
+		}
+		want := []string{"run_start", "run_error"}
+		if got := log.of(key); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: events %v, want %v", key, got, want)
+		}
+	}
+}
+
+// TestPerRunDeadline: RunTimeout bounds each attempt, not the cell: a cell
+// too long for it times out on every attempt, is retried with a fresh
+// deadline, and its record says Timeout, not Canceled.
+func TestPerRunDeadline(t *testing.T) {
+	e := experiments()
+	e.Instructions = 5_000_000 // far more than 1ms can step
+	e.Warmup = 0
+	e.RunTimeout = time.Millisecond
+	e.MaxRetries = 1
+	cell := sim.CellSpec{Bench: e.Profiles[0].Name, L2: 11, Technique: leakctl.TechGated, Interval: 4096}
+
+	outs, err := e.RunCells([]sim.CellSpec{cell})
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := outs[0].Err
+	if re == nil || !re.Timeout || re.Canceled || re.Attempts != 2 {
+		t.Fatalf("deadline not enforced per attempt: %+v", re)
+	}
+	if !strings.Contains(re.Error(), "timeout") {
 		t.Fatalf("Error() = %q", re.Error())
 	}
 }
 
-func TestResultsInJobOrder(t *testing.T) {
-	s := New(Config[int]{Workers: 8})
-	var jobs []Job[int]
-	for i := 0; i < 40; i++ {
-		i := i
-		jobs = append(jobs, job(fmt.Sprintf("j%02d", i), func(context.Context) (int, error) {
-			time.Sleep(time.Duration(40-i) * 100 * time.Microsecond) // finish out of order
-			return i, nil
-		}))
-	}
-	res := s.Run(context.Background(), jobs)
-	for i, r := range res {
-		if r.Err != nil || r.Value != i {
-			t.Fatalf("result %d out of order: %+v", i, r)
-		}
-	}
-}
-
-func TestRetryRecoversTransientFailure(t *testing.T) {
-	var calls atomic.Int32
-	s := New(Config[int]{MaxRetries: 2, Backoff: time.Millisecond})
-	res := s.Run(context.Background(), []Job[int]{
-		job("flaky", func(ctx context.Context) (int, error) {
-			if calls.Add(1) < 3 {
-				return 0, errors.New("transient")
-			}
-			if Attempt(ctx) != 2 {
-				return 0, fmt.Errorf("attempt counter = %d, want 2", Attempt(ctx))
-			}
-			return 42, nil
-		}),
-	})
-	if res[0].Err != nil || res[0].Value != 42 || res[0].Attempts != 3 {
-		t.Fatalf("retry did not recover: %+v", res[0])
-	}
-}
-
-func TestPermanentFailureSkipsRetry(t *testing.T) {
-	var calls atomic.Int32
-	s := New(Config[int]{MaxRetries: 5, Backoff: time.Millisecond})
-	res := s.Run(context.Background(), []Job[int]{
-		job("bad-config", func(context.Context) (int, error) {
-			calls.Add(1)
-			return 0, Permanent(errors.New("zero sets"))
-		}),
-	})
-	if res[0].Err == nil || calls.Load() != 1 {
-		t.Fatalf("permanent failure retried %d times: %+v", calls.Load(), res[0])
-	}
-}
-
-func TestPerRunDeadline(t *testing.T) {
-	s := New(Config[int]{Timeout: 10 * time.Millisecond})
-	res := s.Run(context.Background(), []Job[int]{
-		job("slow", func(ctx context.Context) (int, error) {
-			<-ctx.Done()
-			return 0, ctx.Err()
-		}),
-	})
-	if res[0].Err == nil || !res[0].Err.Timeout {
-		t.Fatalf("deadline not enforced: %+v", res[0])
-	}
-}
-
+// TestSuiteCancellationDrains: canceling the suite while the first of two
+// serial cells is in flight fails that cell as Canceled without a retry;
+// the queued cell either finished before the cancellation or is Canceled
+// too.
 func TestSuiteCancellationDrains(t *testing.T) {
+	e := experiments()
+	e.Workers = 1
+	e.DisableBatch = true
+	e.MaxRetries = 3
 	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	s := New(Config[int]{Workers: 1})
-	go func() {
-		<-started
-		cancel()
-	}()
-	var once atomic.Bool
-	res := s.Run(ctx, []Job[int]{
-		job("running", func(ctx context.Context) (int, error) {
-			if once.CompareAndSwap(false, true) {
-				close(started)
-			}
-			<-ctx.Done()
-			return 0, ctx.Err()
-		}),
-		job("queued", func(context.Context) (int, error) { return 2, nil }),
-	})
-	if res[0].Err == nil || !res[0].Err.Canceled {
-		t.Fatalf("in-flight run not marked canceled: %+v", res[0])
+	defer cancel()
+	e.Ctx = ctx
+	var running string
+	var once sync.Once
+	e.Events = &eventLog{onEvent: func(rec obs.Record) {
+		if rec.Type == "run_start" {
+			once.Do(func() {
+				running = rec.RunID
+				cancel()
+			})
+		}
+	}}
+	bench := e.Profiles[0].Name
+	cells := []sim.CellSpec{
+		{Bench: bench, L2: 11, Technique: leakctl.TechGated, Interval: 4096},
+		{Bench: bench, L2: 11, Technique: leakctl.TechDrowsy, Interval: 4096},
 	}
-	if res[1].Err == nil {
-		// The queued job may have slipped in before cancel on a fast
-		// machine; only its completion or cancellation are acceptable.
-		if res[1].Value != 2 {
-			t.Fatalf("queued job lost: %+v", res[1])
+
+	outs, err := e.RunCells(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if running == "" {
+		t.Fatal("no cell started")
+	}
+	for _, o := range outs {
+		if o.Key == running || o.Err != nil {
+			if o.Err == nil || !o.Err.Canceled || o.Err.Attempts != 1 {
+				t.Fatalf("%s: got %+v, want Canceled after 1 attempt", o.Key, o.Err)
+			}
 		}
 	}
 }
 
-func TestCheckRejectsBadValues(t *testing.T) {
-	var calls atomic.Int32
-	s := New(Config[int]{
-		MaxRetries: 1,
-		Backoff:    time.Millisecond,
-		Check: func(v int) error {
-			if v < 0 {
-				return errors.New("negative")
-			}
-			return nil
-		},
-	})
-	res := s.Run(context.Background(), []Job[int]{
-		job("heals", func(ctx context.Context) (int, error) {
-			calls.Add(1)
-			if Attempt(ctx) == 0 {
-				return -1, nil
-			}
-			return 7, nil
-		}),
-	})
-	if res[0].Err != nil || res[0].Value != 7 || calls.Load() != 2 {
-		t.Fatalf("check did not force retry: %+v (calls %d)", res[0], calls.Load())
-	}
-}
-
-func TestInjectedFaultsAndStickiness(t *testing.T) {
-	inj := faultinject.Func(func(key string, attempt int) faultinject.Fault {
-		if key == "victim" && attempt == 0 {
-			return faultinject.FaultPanic
-		}
-		return faultinject.FaultNone
-	})
-	s := New(Config[int]{MaxRetries: 1, Backoff: time.Millisecond, Injector: inj})
-	res := s.Run(context.Background(), []Job[int]{
-		job("victim", func(context.Context) (int, error) { return 9, nil }),
-		job("spared", func(context.Context) (int, error) { return 1, nil }),
-	})
-	if res[0].Err != nil || res[0].Value != 9 || res[0].Attempts != 2 {
-		t.Fatalf("non-sticky injected panic should be healed by retry: %+v", res[0])
-	}
-	if res[1].Err != nil {
-		t.Fatalf("uninjected job failed: %+v", res[1])
-	}
-}
-
-func TestStallHitsDeadline(t *testing.T) {
-	inj := faultinject.Func(func(string, int) faultinject.Fault { return faultinject.FaultStall })
-	s := New(Config[int]{Timeout: 10 * time.Millisecond, Injector: inj})
-	res := s.Run(context.Background(), []Job[int]{
-		job("stuck", func(context.Context) (int, error) { return 1, nil }),
-	})
-	if res[0].Err == nil || !res[0].Err.Timeout {
-		t.Fatalf("stall did not trip the deadline: %+v", res[0])
-	}
-}
-
-func TestBackoffIsCappedExponential(t *testing.T) {
-	base, max := 100*time.Millisecond, 400*time.Millisecond
-	want := []time.Duration{100, 200, 400, 400, 400}
-	for n, w := range want {
-		if got := backoff(base, max, n); got != w*time.Millisecond {
-			t.Fatalf("backoff(%d) = %v, want %v", n, got, w*time.Millisecond)
-		}
-	}
-}
-
-// eventLog records the types of the events it receives, in order.
-type eventLog struct {
-	mu   sync.Mutex
-	seen []string
-}
-
-func (l *eventLog) Write(rec obs.Record) { l.add(rec.Type) }
-
-func (l *eventLog) add(s string) {
-	l.mu.Lock()
-	l.seen = append(l.seen, s)
-	l.mu.Unlock()
-}
-
-// TestSettledSeesOnlyAcceptedValues pins the Settled hook's place: it
-// receives the value Check accepted, never one it rejected, and before
-// the job's run_done event.
+// TestSettledSeesOnlyAcceptedValues: the store receives the attack result
+// the check accepted, never the one it rejected, and before the cell's
+// run_done: the cell is absent from the store at every event up to its
+// retry, and present, finite, at run_done.
 func TestSettledSeesOnlyAcceptedValues(t *testing.T) {
-	var log eventLog
-	var n atomic.Int32
-	s := New(Config[int]{
-		MaxRetries: 1,
-		Backoff:    time.Millisecond,
-		Check: func(v int) error {
-			if v == 0 {
-				return errors.New("rejected")
-			}
-			return nil
-		},
-		Settled: func(key string, v int) { log.add(fmt.Sprintf("settled %s=%d", key, v)) },
-		Events:  &log,
-	})
-	res := s.Run(context.Background(), []Job[int]{
-		job("k", func(context.Context) (int, error) { return int(n.Add(1)) - 1, nil }),
-	})
-	if res[0].Err != nil || res[0].Value != 1 {
-		t.Fatalf("result %+v, want 1 on the retry", res[0])
+	st, err := store.Open(filepath.Join(t.TempDir(), "cells"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := []string{"run_start", "run_retry", "settled k=1", "run_done"}
-	if fmt.Sprint(log.seen) != fmt.Sprint(want) {
-		t.Fatalf("events %v, want %v", log.seen, want)
+	defer st.Close()
+	sc, ok := attack.ByName(smoke.Scenario)
+	if !ok {
+		t.Fatal("smoke scenario missing")
 	}
-}
+	hash, err := sim.AttackHash(sim.DefaultMachine(smoke.L2), sc, smoke.Technique, smoke.Interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := func() (attack.Result, bool) {
+		rec, ok, err := st.Get(hash)
+		if err != nil || !ok {
+			return attack.Result{}, false
+		}
+		var r attack.Result
+		if err := json.Unmarshal(rec.Value, &r); err != nil {
+			t.Errorf("stored record does not decode: %v", err)
+		}
+		return r, true
+	}
 
-func TestResultDurationRecorded(t *testing.T) {
-	s := New(Config[int]{})
-	res := s.Run(context.Background(), []Job[int]{
-		job("timed", func(context.Context) (int, error) {
-			time.Sleep(5 * time.Millisecond)
-			return 1, nil
-		}),
-	})
-	if res[0].Duration < 5*time.Millisecond {
-		t.Fatalf("Duration = %v, want >= 5ms", res[0].Duration)
+	e := experiments()
+	e.MaxRetries = 1
+	e.Store = st
+	e.Injector = inject(faultinject.FaultNaN, smoke.Key())
+	var seen []string
+	e.Events = &eventLog{onEvent: func(rec obs.Record) {
+		if rec.RunID != smoke.Key() {
+			return
+		}
+		r, ok := stored()
+		if ok && math.IsNaN(r.CapacityBits) {
+			t.Error("the rejected result was stored")
+		}
+		seen = append(seen, fmt.Sprintf("%s stored=%v", rec.Type, ok))
+	}}
+
+	outs, err := e.RunAttackCells([]sim.AttackSpec{smoke})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0].Err != nil || outs[0].Hash != hash {
+		t.Fatalf("outcome %+v (hash %s), want the retry settled at %s", outs[0].Err, outs[0].Hash, hash)
+	}
+	want := []string{"run_start stored=false", "run_fault stored=false", "run_retry stored=false", "run_done stored=true"}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("events %v, want %v", seen, want)
+	}
+	if r, _ := stored(); !reflect.DeepEqual(r, outs[0].Result) {
+		t.Fatal("the stored record is not the accepted result")
+	}
+	if st.Len() != 1 {
+		t.Fatalf("store holds %d records, want 1", st.Len())
 	}
 }
