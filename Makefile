@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify golden smoke-daemon smoke-cluster smoke-security chaos bench-batch bench-pairs bench-all profile clean
+.PHONY: build test verify golden loc smoke-daemon smoke-cluster smoke-security chaos bench-batch bench-pairs bench-all profile clean
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,12 @@ golden:
 	$(GO) test ./internal/attack -run TestGoldenSmokeMetrics -count=1
 	$(GO) test ./internal/attack -run TestGoldenSmokeMetrics -count=1 -update-golden
 	git diff --exit-code -- internal/attack/testdata/golden
+
+# Lines of Go outside bench/, non-test and test: the counts a
+# simplification quotes in CHANGES.md. CI prints them; they gate nothing.
+loc:
+	@find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l | awk '{print "non-test Go lines: " $$1}'
+	@find . -path ./bench -prune -o -name '*_test.go' -print | xargs cat | wc -l | awk '{print "test Go lines:     " $$1}'
 
 # End-to-end daemon smoke: start leakd on a temp store, run a sweep over
 # HTTP, require the warm resubmit to be 100% store hits, SIGTERM-drain.

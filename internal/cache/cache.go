@@ -137,9 +137,6 @@ func (m *Memory) ResetStats() {
 	m.DynJ = 0
 }
 
-// Reset returns the memory to its just-built state (run-to-run reuse).
-func (m *Memory) Reset() { m.ResetStats() }
-
 // Cache is a plain (uncontrolled) set-associative write-back cache.
 type Cache struct {
 	Cfg    Config
@@ -150,10 +147,10 @@ type Cache struct {
 
 	lines Lines
 
-	// Observability flush state (see obs.go): counter IDs resolved once,
+	// Observability flush state (see obs.go): counters resolved once,
 	// and the Stats value at the last flush for delta computation.
-	obsIDs  *cacheObsIDs
-	obsPrev Stats
+	counters *cacheCounters
+	obsPrev  Stats
 }
 
 // New builds a cache level on top of next. An invalid configuration is
@@ -172,19 +169,6 @@ func New(p *tech.Params, cfg Config, next Level) (*Cache, error) {
 		Energy: power.NewCacheEnergy(p, cfg.Geometry()),
 		lines:  NewLines(cfg),
 	}, nil
-}
-
-// Reset returns the cache to the state New leaves it in — cold contents,
-// zero stats and energy — while keeping the line store and energy model.
-// It lets a worker reuse one cache allocation across many runs (the L2's
-// line store is the dominant per-run allocation). next replaces the
-// downstream level, which may itself have been reset.
-func (c *Cache) Reset(next Level) {
-	c.Next = next
-	c.Stats = Stats{}
-	c.DynJ = 0
-	c.lines.Clear()
-	c.obsPrev = Stats{}
 }
 
 // MustNew is New for static configuration known to be valid (tests,

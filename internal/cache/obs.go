@@ -6,19 +6,19 @@ import (
 	"hotleakage/internal/obs"
 )
 
-// cacheObsIDs caches the per-instance counter IDs so the per-chunk flush
-// never takes the registry lock. Counter names carry the level name
-// (cache_ul2_misses_total, cache_il1_hits_total, ...): one registry serves
-// every level without a label system.
-type cacheObsIDs struct {
-	accesses, hits, misses, writebacks, fills obs.CounterID
+// cacheCounters holds one level's counters, resolved once, so the
+// per-chunk flush never takes the registry lock. Counter names carry the
+// level name (cache_ul2_misses_total, cache_il1_hits_total, ...): one
+// registry serves every level without a label system.
+type cacheCounters struct {
+	accesses, hits, misses, writebacks, fills *obs.Counter
 }
 
-func newCacheObsIDs(name string) *cacheObsIDs {
-	c := func(kind string) obs.CounterID {
-		return obs.Default.Counter(fmt.Sprintf("cache_%s_%s_total", name, kind)).ID()
+func newCacheCounters(name string) *cacheCounters {
+	c := func(kind string) *obs.Counter {
+		return obs.Default.Counter(fmt.Sprintf("cache_%s_%s_total", name, kind))
 	}
-	return &cacheObsIDs{
+	return &cacheCounters{
 		accesses:   c("accesses"),
 		hits:       c("hits"),
 		misses:     c("misses"),
@@ -27,16 +27,17 @@ func newCacheObsIDs(name string) *cacheObsIDs {
 	}
 }
 
-// ObsFlush adds the Stats delta since the previous flush to sh.
-func (c *Cache) ObsFlush(sh *obs.Shard) {
-	if c.obsIDs == nil {
-		c.obsIDs = newCacheObsIDs(c.Cfg.Name)
+// ObsFlush adds the Stats delta since the previous flush to the shared
+// counters.
+func (c *Cache) ObsFlush() {
+	if c.counters == nil {
+		c.counters = newCacheCounters(c.Cfg.Name)
 	}
 	cur, prev := c.Stats, c.obsPrev
-	sh.Add(c.obsIDs.accesses, obs.Delta(cur.Accesses, prev.Accesses))
-	sh.Add(c.obsIDs.hits, obs.Delta(cur.Hits, prev.Hits))
-	sh.Add(c.obsIDs.misses, obs.Delta(cur.Misses, prev.Misses))
-	sh.Add(c.obsIDs.writebacks, obs.Delta(cur.Writebacks, prev.Writebacks))
-	sh.Add(c.obsIDs.fills, obs.Delta(cur.Fills, prev.Fills))
+	c.counters.accesses.Add(obs.Delta(cur.Accesses, prev.Accesses))
+	c.counters.hits.Add(obs.Delta(cur.Hits, prev.Hits))
+	c.counters.misses.Add(obs.Delta(cur.Misses, prev.Misses))
+	c.counters.writebacks.Add(obs.Delta(cur.Writebacks, prev.Writebacks))
+	c.counters.fills.Add(obs.Delta(cur.Fills, prev.Fills))
 	c.obsPrev = cur
 }

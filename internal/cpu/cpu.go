@@ -231,7 +231,7 @@ type Core struct {
 	Stats  Stats
 
 	// obsPrev is the Stats value at the last ObsFlush; deltas against it
-	// are what the observability shard receives. Rebased by ResetStats so
+	// are what the observability counters receive. Rebased by ResetStats so
 	// warmup work is not double-counted.
 	obsPrev Stats
 
@@ -383,28 +383,6 @@ const wheelSize = 1024
 // source's stream, predicted through pred, and slides it as it fetches. A
 // nil source leaves the core without a stream until AttachFront.
 func New(cfg Config, src InstrSource, pred *bpred.Predictor, ic FetchCache, dc *leakctl.DCache) *Core {
-	return build(cfg, src, pred, ic, dc, nil)
-}
-
-// Recycle rebuilds old into exactly the state New(cfg, ...) would return,
-// reusing its backing arrays (ring arrays and bitmaps) when the
-// configuration matches. It lets a sweep worker amortize the core's
-// allocations across many runs; a nil or mismatched old simply falls back
-// to a fresh core.
-func Recycle(old *Core, cfg Config, src InstrSource, pred *bpred.Predictor, ic FetchCache, dc *leakctl.DCache) *Core {
-	if old == nil || old.Cfg != cfg {
-		old = nil
-	}
-	return build(cfg, src, pred, ic, dc, old)
-}
-
-// build is the shared constructor behind New and Recycle. With a non-nil
-// old (same Config, so identical array geometry) the backing arrays are
-// cleared and reused; clear() reproduces make()'s zero state, and the
-// struct literal assignment below resets every scalar field (including the
-// fixed-size wake wheel) the same way, so both paths leave the core
-// bit-identical.
-func build(cfg Config, src InstrSource, pred *bpred.Predictor, ic FetchCache, dc *leakctl.DCache, old *Core) *Core {
 	// Ring capacity: the in-flight window (RUUSize) plus the maximum
 	// fetched-but-undispatched backlog (fetch adds up to FetchWidth while
 	// the backlog is below 2*FetchWidth), rounded up to a power of two.
@@ -412,62 +390,29 @@ func build(cfg Config, src InstrSource, pred *bpred.Predictor, ic FetchCache, dc
 	for ringLen < cfg.RUUSize+3*cfg.FetchWidth {
 		ringLen <<= 1
 	}
-	c := old
-	if c == nil {
-		words := (ringLen + 63) / 64
-		c = &Core{
-			src1:    make([]uint64, ringLen),
-			src2:    make([]uint64, ringLen),
-			addr:    make([]uint64, ringLen),
-			readyAt: make([]uint64, ringLen),
-			link:    make([]uint64, ringLen),
-			waiters: make([]uint64, ringLen),
-			ops:     make([]workload.OpClass, ringLen),
-			rdyb:    make([]uint64, words),
-			nextb:   make([]uint64, words),
-			unb:     make([]uint64, words),
-			done:    make([]uint64, ringLen),
-		}
-		if cfg.MSHRs > 0 {
-			c.mshrBusy = make([]uint64, cfg.MSHRs)
-		}
-	} else {
-		clear(c.src1)
-		clear(c.src2)
-		clear(c.addr)
-		clear(c.readyAt)
-		clear(c.link)
-		clear(c.waiters)
-		clear(c.ops)
-		clear(c.rdyb)
-		clear(c.nextb)
-		clear(c.unb)
-		clear(c.done)
-		clear(c.mshrBusy)
-	}
-	src1, src2, addr, readyAt, link, waiters, ops :=
-		c.src1, c.src2, c.addr, c.readyAt, c.link, c.waiters, c.ops
-	rdyb, nextb, unb, done, mshr := c.rdyb, c.nextb, c.unb, c.done, c.mshrBusy
-	*c = Core{
+	words := (ringLen + 63) / 64
+	c := &Core{
 		Cfg:      cfg,
 		ICache:   ic,
 		DCache:   dc,
-		src1:     src1,
-		src2:     src2,
-		addr:     addr,
-		readyAt:  readyAt,
-		link:     link,
-		waiters:  waiters,
-		ops:      ops,
+		src1:     make([]uint64, ringLen),
+		src2:     make([]uint64, ringLen),
+		addr:     make([]uint64, ringLen),
+		readyAt:  make([]uint64, ringLen),
+		link:     make([]uint64, ringLen),
+		waiters:  make([]uint64, ringLen),
+		ops:      make([]workload.OpClass, ringLen),
 		ringMask: uint64(ringLen - 1),
-		rdyb:     rdyb,
-		nextb:    nextb,
-		unb:      unb,
-		done:     done,
-		mshrBusy: mshr,
+		rdyb:     make([]uint64, words),
+		nextb:    make([]uint64, words),
+		unb:      make([]uint64, words),
+		done:     make([]uint64, ringLen),
 		nextSeq:  1,
 		head:     1,
 		tail:     1,
+	}
+	if cfg.MSHRs > 0 {
+		c.mshrBusy = make([]uint64, cfg.MSHRs)
 	}
 	if src != nil {
 		c.front, c.own = new(Front), true

@@ -197,7 +197,6 @@ func predictCTI(p *bpred.Predictor, ins *workload.Instr) (mispredict, bubble boo
 // AttachFront points the core at a window it does not own, from stream
 // position 0. The attacher slides the window and must keep every record
 // the core's next Run can fetch resident (Reach); fetch panics outside it.
-// Recycle drops the attachment, so a reused core must re-attach per run.
 func (c *Core) AttachFront(f *Front) {
 	c.front, c.frontPos, c.own = f, 0, false
 }

@@ -18,7 +18,7 @@ var (
 	// cycles, plus the sampled-cycle count to normalize by. ns-per-sampled-
 	// cycle per stage is the backend's live self-profile — the same
 	// breakdown a pprof run gives, but always on and essentially free.
-	obsStageNS = [numStage]obs.Counter{
+	obsStageNS = [numStage]*obs.Counter{
 		stageTick:     obs.Default.Counter("sim_stage_tick_ns_total"),
 		stageCommit:   obs.Default.Counter("sim_stage_commit_ns_total"),
 		stageIssue:    obs.Default.Counter("sim_stage_issue_ns_total"),
@@ -28,23 +28,23 @@ var (
 	obsStageSampled = obs.Default.Counter("sim_stage_sampled_cycles_total")
 )
 
-// ObsFlush adds the Stats delta since the previous flush to sh. The caller
-// (sim's run loop) invokes it between simulation chunks, so the core's hot
-// paths never see an atomic.
-func (c *Core) ObsFlush(sh *obs.Shard) {
+// ObsFlush adds the Stats delta since the previous flush to the shared
+// counters. The caller (sim's run loop) invokes it between simulation
+// chunks, so the core's hot paths never see an atomic.
+func (c *Core) ObsFlush() {
 	cur, prev := c.Stats, c.obsPrev
-	sh.Add(obsCycles.ID(), obs.Delta(cur.Cycles, prev.Cycles))
-	sh.Add(obsInstr.ID(), obs.Delta(cur.Instructions, prev.Instructions))
-	sh.Add(obsLoads.ID(), obs.Delta(cur.Loads, prev.Loads))
-	sh.Add(obsStores.ID(), obs.Delta(cur.Stores, prev.Stores))
-	sh.Add(obsBranches.ID(), obs.Delta(cur.Branches, prev.Branches))
-	sh.Add(obsMispred.ID(), obs.Delta(cur.Mispredicts, prev.Mispredicts))
-	sh.Add(obsFetchStall.ID(), obs.Delta(cur.FetchStallCy, prev.FetchStallCy))
+	obsCycles.Add(obs.Delta(cur.Cycles, prev.Cycles))
+	obsInstr.Add(obs.Delta(cur.Instructions, prev.Instructions))
+	obsLoads.Add(obs.Delta(cur.Loads, prev.Loads))
+	obsStores.Add(obs.Delta(cur.Stores, prev.Stores))
+	obsBranches.Add(obs.Delta(cur.Branches, prev.Branches))
+	obsMispred.Add(obs.Delta(cur.Mispredicts, prev.Mispredicts))
+	obsFetchStall.Add(obs.Delta(cur.FetchStallCy, prev.FetchStallCy))
 	c.obsPrev = cur
 	for i := range c.stageNS {
-		sh.Add(obsStageNS[i].ID(), obs.Delta(c.stageNS[i], c.obsPrevStage[i]))
+		obsStageNS[i].Add(obs.Delta(c.stageNS[i], c.obsPrevStage[i]))
 		c.obsPrevStage[i] = c.stageNS[i]
 	}
-	sh.Add(obsStageSampled.ID(), obs.Delta(c.stageSampled, c.obsPrevSamp))
+	obsStageSampled.Add(obs.Delta(c.stageSampled, c.obsPrevSamp))
 	c.obsPrevSamp = c.stageSampled
 }

@@ -266,9 +266,9 @@ type DCache struct {
 	l2NS      uint64
 	l2Sampled uint64
 
-	// Observability flush state (see obs.go): counter IDs resolved once,
+	// Observability flush state (see obs.go): counters resolved once,
 	// plus the Stats/AdaptChanges values at the last flush.
-	obsIDs        *dcacheObsIDs
+	counters      *dcacheCounters
 	obsPrev       Stats
 	obsPrevAdapt  uint64
 	obsPrevL2NS   uint64
@@ -286,48 +286,30 @@ func New(p *tech.Params, cfg cache.Config, params Params, next cache.Level) (*DC
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	lines := cache.NewLines(cfg)
-	d := &DCache{Cfg: cfg, lines: lines, state: make([]uint8, lines.Len())}
-	if err := d.Reset(p, params, next); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return d, nil
-}
-
-// Reset returns the cache to the state New(p, d.Cfg, params, next) leaves
-// it in, reusing the line state (run-to-run reuse). The geometry (Cfg) is
-// fixed at construction; technique parameters and the technology point may
-// change between runs, so the energy models and the decay machine are
-// rebuilt, and every other field starts from its zero value — the Adapter,
-// set externally after New, included.
-func (d *DCache) Reset(p *tech.Params, params Params, next cache.Level) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
 	if err := params.Validate(); err != nil {
-		return err
+		return nil, err
 	}
-	n := d.lines.Len()
+	lines := cache.NewLines(cfg)
+	n := lines.Len()
 	var machine *decay.Machine
 	if params.PerLineAdaptive {
 		machine = decay.NewPerLine(n, params.Interval)
 	} else {
 		machine = decay.New(n, params.Interval, params.Policy)
 	}
-	d.lines.Clear()
-	clear(d.state)
-	*d = DCache{
-		Cfg:     d.Cfg,
+	return &DCache{
+		Cfg:     cfg,
 		P:       params,
 		Next:    next,
-		AccessE: power.NewCacheEnergy(p, d.Cfg.Geometry()),
-		TechE:   power.NewTechniqueEnergy(p, d.Cfg.LineBytes, params.Technique == TechGated),
+		AccessE: power.NewCacheEnergy(p, cfg.Geometry()),
+		TechE:   power.NewTechniqueEnergy(p, cfg.LineBytes, params.Technique == TechGated),
 		Machine: machine,
-		lines:   d.lines,
-		state:   d.state,
-		obsIDs:  d.obsIDs,
-	}
-	return nil
+		lines:   lines,
+		state:   make([]uint8, n),
+	}, nil
 }
 
 // MustNew is New for static configuration known to be valid (tests,

@@ -6,24 +6,24 @@ import (
 	"hotleakage/internal/obs"
 )
 
-// dcacheObsIDs caches per-instance counter IDs (leakctl_dl1_*,
-// leakctl_il1_* when the I-cache is controlled) so the per-chunk flush
-// never takes the registry lock.
-type dcacheObsIDs struct {
-	accesses, hits, slowHits, misses     obs.CounterID
-	inducedMisses, trueMisses            obs.CounterID
-	tagWakeStalls                        obs.CounterID
-	sleepTransitions, wakeTransitions    obs.CounterID
-	decayWritebacks, evictWritebacks     obs.CounterID
-	fills, wakePenaltyCycles, adaptTunes obs.CounterID
-	l2NS, l2Sampled                      obs.CounterID
+// dcacheCounters holds one controlled cache's counters (leakctl_dl1_*,
+// leakctl_il1_* when the I-cache is controlled), resolved once, so the
+// per-chunk flush never takes the registry lock.
+type dcacheCounters struct {
+	accesses, hits, slowHits, misses     *obs.Counter
+	inducedMisses, trueMisses            *obs.Counter
+	tagWakeStalls                        *obs.Counter
+	sleepTransitions, wakeTransitions    *obs.Counter
+	decayWritebacks, evictWritebacks     *obs.Counter
+	fills, wakePenaltyCycles, adaptTunes *obs.Counter
+	l2NS, l2Sampled                      *obs.Counter
 }
 
-func newDCacheObsIDs(name string) *dcacheObsIDs {
-	c := func(kind string) obs.CounterID {
-		return obs.Default.Counter(fmt.Sprintf("leakctl_%s_%s_total", name, kind)).ID()
+func newDCacheCounters(name string) *dcacheCounters {
+	c := func(kind string) *obs.Counter {
+		return obs.Default.Counter(fmt.Sprintf("leakctl_%s_%s_total", name, kind))
 	}
-	return &dcacheObsIDs{
+	return &dcacheCounters{
 		accesses:          c("accesses"),
 		hits:              c("hits"),
 		slowHits:          c("slow_hits"),
@@ -43,33 +43,34 @@ func newDCacheObsIDs(name string) *dcacheObsIDs {
 	}
 }
 
-// ObsFlush adds the Stats delta since the previous flush to sh. The
-// wake-penalty-cycles counter is derived: every slow hit and every
-// tag-wake-stalled miss costs the pipeline WakeLatency extra cycles
-// (Access/finishHit), so the counter is their sum scaled by the latency.
-func (d *DCache) ObsFlush(sh *obs.Shard) {
-	if d.obsIDs == nil {
-		d.obsIDs = newDCacheObsIDs(d.Cfg.Name)
+// ObsFlush adds the Stats delta since the previous flush to the shared
+// counters. The wake-penalty-cycles counter is derived: every slow hit
+// and every tag-wake-stalled miss costs the pipeline WakeLatency extra
+// cycles (Access/finishHit), so the counter is their sum scaled by the
+// latency.
+func (d *DCache) ObsFlush() {
+	if d.counters == nil {
+		d.counters = newDCacheCounters(d.Cfg.Name)
 	}
 	cur, prev := d.Stats, d.obsPrev
-	ids := d.obsIDs
-	sh.Add(ids.accesses, obs.Delta(cur.Accesses, prev.Accesses))
-	sh.Add(ids.hits, obs.Delta(cur.Hits, prev.Hits))
-	sh.Add(ids.slowHits, obs.Delta(cur.SlowHits, prev.SlowHits))
-	sh.Add(ids.misses, obs.Delta(cur.Misses, prev.Misses))
-	sh.Add(ids.inducedMisses, obs.Delta(cur.InducedMisses, prev.InducedMisses))
-	sh.Add(ids.trueMisses, obs.Delta(cur.TrueMisses, prev.TrueMisses))
-	sh.Add(ids.tagWakeStalls, obs.Delta(cur.TagWakeStalls, prev.TagWakeStalls))
-	sh.Add(ids.sleepTransitions, obs.Delta(cur.SleepTransitions, prev.SleepTransitions))
-	sh.Add(ids.wakeTransitions, obs.Delta(cur.WakeTransitions, prev.WakeTransitions))
-	sh.Add(ids.decayWritebacks, obs.Delta(cur.DecayWritebacks, prev.DecayWritebacks))
-	sh.Add(ids.evictWritebacks, obs.Delta(cur.EvictWritebacks, prev.EvictWritebacks))
-	sh.Add(ids.fills, obs.Delta(cur.Fills, prev.Fills))
+	o := d.counters
+	o.accesses.Add(obs.Delta(cur.Accesses, prev.Accesses))
+	o.hits.Add(obs.Delta(cur.Hits, prev.Hits))
+	o.slowHits.Add(obs.Delta(cur.SlowHits, prev.SlowHits))
+	o.misses.Add(obs.Delta(cur.Misses, prev.Misses))
+	o.inducedMisses.Add(obs.Delta(cur.InducedMisses, prev.InducedMisses))
+	o.trueMisses.Add(obs.Delta(cur.TrueMisses, prev.TrueMisses))
+	o.tagWakeStalls.Add(obs.Delta(cur.TagWakeStalls, prev.TagWakeStalls))
+	o.sleepTransitions.Add(obs.Delta(cur.SleepTransitions, prev.SleepTransitions))
+	o.wakeTransitions.Add(obs.Delta(cur.WakeTransitions, prev.WakeTransitions))
+	o.decayWritebacks.Add(obs.Delta(cur.DecayWritebacks, prev.DecayWritebacks))
+	o.evictWritebacks.Add(obs.Delta(cur.EvictWritebacks, prev.EvictWritebacks))
+	o.fills.Add(obs.Delta(cur.Fills, prev.Fills))
 	stalled := obs.Delta(cur.SlowHits, prev.SlowHits) + obs.Delta(cur.TagWakeStalls, prev.TagWakeStalls)
-	sh.Add(ids.wakePenaltyCycles, stalled*uint64(d.P.WakeLatency))
-	sh.Add(ids.adaptTunes, obs.Delta(d.AdaptChanges, d.obsPrevAdapt))
-	sh.Add(ids.l2NS, obs.Delta(d.l2NS, d.obsPrevL2NS))
-	sh.Add(ids.l2Sampled, obs.Delta(d.l2Sampled, d.obsPrevL2Samp))
+	o.wakePenaltyCycles.Add(stalled * uint64(d.P.WakeLatency))
+	o.adaptTunes.Add(obs.Delta(d.AdaptChanges, d.obsPrevAdapt))
+	o.l2NS.Add(obs.Delta(d.l2NS, d.obsPrevL2NS))
+	o.l2Sampled.Add(obs.Delta(d.l2Sampled, d.obsPrevL2Samp))
 	d.obsPrev = cur
 	d.obsPrevAdapt = d.AdaptChanges
 	d.obsPrevL2NS = d.l2NS

@@ -5,27 +5,20 @@
 // everything needed to watch a multi-hour leakbench sweep like a production
 // service instead of a black box.
 //
-// # Design: sharded counters, merged on snapshot
+// # Design: shared atomic counters, flushed at chunk boundaries
 //
-// The simulate loop commits ~6M instructions per second per worker; a
-// per-event atomic increment on a shared counter would serialize the
-// workers on cache-line ping-pong and perturb the hot path the fast-forward
-// optimization fought for. Counters are therefore sharded: each simulating
-// goroutine acquires a private Shard (a padded array indexed by CounterID)
-// and adds *batched deltas* to it at chunk boundaries — sim's run loop
-// flushes each lane's components' existing Stats structs into the shard
-// every runChunk (50K) committed instructions, so the per-cycle and
-// per-instruction paths never touch obs at all. A snapshot merges all
-// shards (plus the totals of released shards) under the registry lock.
+// The simulate loop commits millions of instructions per second per
+// worker; a per-event atomic increment on a shared counter would
+// serialize the workers on cache-line ping-pong and perturb the hot path.
+// So nothing on the per-cycle or per-instruction paths touches obs: each
+// component counts into its own Stats, and sim's run loop adds each
+// lane's *batched deltas* to the shared counters every runChunk (50K)
+// committed instructions — at most 39 atomic adds per lane per chunk on
+// the Table 2 machine, off the hot path by construction. Each Counter is
+// one atomic.Uint64, so concurrent adds and Snapshot's loads are
+// race-free without any per-worker state.
 //
-// Shard slots are atomic.Uint64 so the sampler's reads are race-free, but
-// only the owning goroutine writes a shard, and only ~20 times per million
-// simulated instructions — the atomics are off the hot path by
-// construction, not by luck.
-//
-// Gauges and the direct Counter.Add path are for low-frequency events
-// (suite progress, retries and injected faults) where a shared atomic is
-// fine.
+// Gauges are plain atomics too; they are set a handful of times per sweep.
 package obs
 
 import (
@@ -36,35 +29,13 @@ import (
 	"sync/atomic"
 )
 
-// CounterID indexes a registered counter within every Shard.
-type CounterID int
-
-// maxCounters bounds the registry so shards can be fixed-size arrays that
-// are never reallocated (a growing slice would race with snapshot reads).
-// The whole stack registers a few dozen counters; hitting this limit is a
-// programming error, reported by panic at registration time.
-const maxCounters = 512
-
-// shardPad is the number of leading/trailing slots left unused in each
-// shard's value array so two shards never share a cache line even when the
-// allocator places them adjacently (8 slots × 8 bytes = 64 B).
-const shardPad = 8
-
 // Registry holds named counters and gauges. The zero value is not usable;
 // use NewRegistry or the package-level Default.
 type Registry struct {
 	mu       sync.Mutex
-	names    []string // by CounterID
-	index    map[string]CounterID
-	shards   []*Shard // every live acquired shard
-	free     []*Shard // released shards available for reuse
-	retired  []uint64 // totals folded in from released shards
+	counters map[string]*Counter
 	gauges   []*Gauge
 	gaugeIdx map[string]*Gauge
-
-	// base is the shard behind Counter.Add: shared by all goroutines,
-	// written with atomic adds. Fine for low-frequency events.
-	base *Shard
 }
 
 // Default is the process-wide registry the simulation packages register
@@ -73,51 +44,36 @@ var Default = NewRegistry()
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{
-		index:    make(map[string]CounterID),
+	return &Registry{
+		counters: make(map[string]*Counter),
 		gaugeIdx: make(map[string]*Gauge),
-		retired:  make([]uint64, 0, 64),
 	}
-	r.base = newShard(r)
-	return r
 }
 
-// Counter registers (or finds) a counter by name and returns its handle.
+// Counter registers (or finds) a counter by name and returns it.
 // Safe for concurrent use; registration is idempotent.
-func (r *Registry) Counter(name string) Counter {
+func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if id, ok := r.index[name]; ok {
-		return Counter{r: r, id: id}
+	c, ok := r.counters[name]
+	if !ok {
+		c = new(Counter)
+		r.counters[name] = c
 	}
-	if len(r.names) >= maxCounters {
-		panic(fmt.Sprintf("obs: more than %d counters registered (at %q)", maxCounters, name))
-	}
-	id := CounterID(len(r.names))
-	r.names = append(r.names, name)
-	r.index[name] = id
-	r.retired = append(r.retired, 0)
-	return Counter{r: r, id: id}
+	return c
 }
 
-// Counter is a handle to one registered counter.
+// Counter is one registered cumulative count, shared by every goroutine
+// that adds to it.
 type Counter struct {
-	r  *Registry
-	id CounterID
+	v atomic.Uint64
 }
 
-// ID returns the counter's shard index, for use with Shard.Add.
-func (c Counter) ID() CounterID { return c.id }
-
-// Add increments the counter through the registry's shared base shard.
-// This path takes an atomic RMW on a shared line — use it for events
-// (retries, faults, cells), not for anything on a simulate path; bulk
-// simulation counters go through a private Shard.
-func (c Counter) Add(n uint64) {
-	if n == 0 {
-		return
+// Add increments the counter by n.
+func (c *Counter) Add(n uint64) {
+	if n != 0 {
+		c.v.Add(n)
 	}
-	c.r.base.vals[shardPad+int(c.id)].Add(n)
 }
 
 // Gauge is a named instantaneous value (set, not accumulated).
@@ -151,89 +107,25 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // Name returns the gauge's registered name.
 func (g *Gauge) Name() string { return g.name }
 
-// Shard is one goroutine's private accumulation slice over every counter.
-// Only the acquiring goroutine may call Add; any goroutine may read through
-// Registry.Snapshot. Release returns the shard to the registry's pool,
-// folding its totals into the retired accumulator first.
-type Shard struct {
-	r    *Registry
-	vals []atomic.Uint64 // shardPad + maxCounters + shardPad slots
-}
-
-func newShard(r *Registry) *Shard {
-	return &Shard{r: r, vals: make([]atomic.Uint64, maxCounters+2*shardPad)}
-}
-
-// AcquireShard returns a zeroed shard for exclusive use by the calling
-// goroutine.
-func (r *Registry) AcquireShard() *Shard {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var s *Shard
-	if n := len(r.free); n > 0 {
-		s = r.free[n-1]
-		r.free = r.free[:n-1]
-	} else {
-		s = newShard(r)
-	}
-	r.shards = append(r.shards, s)
-	return s
-}
-
-// Add accumulates n into counter id. Owner-goroutine only.
-func (s *Shard) Add(id CounterID, n uint64) {
-	if n == 0 {
-		return
-	}
-	v := &s.vals[shardPad+int(id)]
-	v.Store(v.Load() + n) // single writer; atomic store keeps readers safe
-}
-
-// Release folds the shard's totals into the registry and returns it to the
-// pool. The caller must not use the shard afterwards.
-func (s *Shard) Release() {
-	r := s.r
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.retired {
-		v := &s.vals[shardPad+i]
-		r.retired[i] += v.Load()
-		v.Store(0)
-	}
-	for i, sh := range r.shards {
-		if sh == s {
-			r.shards = append(r.shards[:i], r.shards[i+1:]...)
-			break
-		}
-	}
-	r.free = append(r.free, s)
-}
-
-// Snapshot is a merged, point-in-time view of every counter and gauge.
+// Snapshot is a point-in-time view of every counter and gauge.
 type Snapshot struct {
 	Counters map[string]uint64 `json:"counters"`
 	Gauges   map[string]int64  `json:"gauges,omitempty"`
 }
 
-// Counter returns a counter's merged value (0 if absent).
+// Counter returns a counter's value (0 if absent).
 func (s Snapshot) Counter(name string) uint64 { return s.Counters[name] }
 
 // Gauge returns a gauge's value (0 if absent).
 func (s Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
 
-// Snapshot merges the base shard, every live shard and the retired totals
-// into one view. It holds the registry lock for the duration, which is
-// fine: shard owners never take the lock on their add path.
+// Snapshot reads every counter and gauge into one view.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cs := make(map[string]uint64, len(r.names))
-	for i, name := range r.names {
-		total := r.retired[i] + r.base.vals[shardPad+i].Load()
-		for _, sh := range r.shards {
-			total += sh.vals[shardPad+i].Load()
-		}
-		cs[name] = total
+	cs := make(map[string]uint64, len(r.counters))
+	for name, c := range r.counters {
+		cs[name] = c.v.Load()
 	}
 	gs := make(map[string]int64, len(r.gauges))
 	for _, g := range r.gauges {

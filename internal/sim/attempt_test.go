@@ -435,6 +435,47 @@ func TestInjectedAttackPanicKeepsSiblingPoints(t *testing.T) {
 	}
 }
 
+// TestFailedAttackCellIsReported: a failed attack cell is a failure of
+// the suite like a failed energy cell. Failures lists both, sorted by key
+// (the attack cell under its attack/ key), and FailureSummary names both,
+// so a command that prints it exits non-zero.
+func TestFailedAttackCellIsReported(t *testing.T) {
+	e := attackExperiments()
+	e.MaxRetries = 0
+	victim := AttackSpec{Scenario: "smoke", L2: 11, Technique: leakctl.TechGated, Interval: 2048}
+	energyVictim := CellSpec{Bench: "gzip", L2: 11, Technique: leakctl.TechGated, Interval: 2048}
+	e.Injector = faultinject.Func(func(k string, attempt int) faultinject.Fault {
+		switch k {
+		case victim.Key():
+			return faultinject.FaultPanic
+		case energyVictim.Key():
+			return faultinject.FaultError
+		}
+		return faultinject.FaultNone
+	})
+	outs, err := e.RunAttackCells([]AttackSpec{victim, {Scenario: "smoke", L2: 11, Technique: leakctl.TechDrowsy, Interval: 2048}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0].Err == nil || outs[1].Err != nil {
+		t.Fatalf("attack outcomes: victim err %v, batch-mate err %v", outs[0].Err, outs[1].Err)
+	}
+	if _, err := e.RunCells([]CellSpec{energyVictim}); err != nil {
+		t.Fatal(err)
+	}
+	fails := e.Failures()
+	if len(fails) != 2 || fails[0].Key != victim.Key() || fails[1].Key != energyVictim.Key() {
+		t.Fatalf("failures %+v, want %s then %s", fails, victim.Key(), energyVictim.Key())
+	}
+	if !strings.HasPrefix(fails[0].Key, "attack/") || fails[0].Panic == "" || fails[0].Attempts != 1 {
+		t.Errorf("attack failure record %+v, want a panic after 1 attempt under an attack/ key", fails[0])
+	}
+	s := e.FailureSummary()
+	if !strings.Contains(s, "2 run(s) failed") || !strings.Contains(s, victim.Key()) || !strings.Contains(s, energyVictim.Key()) {
+		t.Errorf("summary does not name both failed cells:\n%s", s)
+	}
+}
+
 // TestBackoffIsCappedExponential: retries wait 100 ms, doubling per failed
 // attempt, capped at 2 s.
 func TestBackoffIsCappedExponential(t *testing.T) {

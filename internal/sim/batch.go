@@ -38,17 +38,16 @@ const frontSlack = 4096
 var obsFrontsFilled = obs.Default.Counter("sim_front_fill_live_total")
 
 // BatchState is one executor's reusable scratch: the shared front window
-// (about runChunk records, 1.8 MB, recycled across groups), the front's
-// predictor, and one RunState per lane so every lane's machine
-// components are reused run to run (cpu.Recycle / RunState.reuse reset
-// them to pristine; the reuse parity tests pin this).
+// (about runChunk records, 1.8 MB, recycled across groups) and the
+// front's predictor (reset between groups). Each lane's machine is built
+// fresh per group: at about 220 KB it builds in about 150 µs, next to the
+// 150 ms of CPU a paper cell takes.
 //
 // A BatchState must not be shared between concurrently executing groups.
 type BatchState struct {
 	front   cpu.Front
 	pred    *bpred.Predictor
 	predCfg bpred.Config
-	lanes   []*RunState
 }
 
 // batchLane is one cell riding a group: its spec, run settings and
@@ -150,21 +149,16 @@ func advanceFront(f *cpu.Front, runnable []*laneRun) (err error) {
 	return nil
 }
 
-// runBatchGroup executes a group of cells of one (benchmark, machine
-// config) off the benchmark's generator; see runGroup.
-func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile, lanes []*batchLane, bs *BatchState) {
-	runGroup(ctx, mc, prof.Name, workload.NewGenerator(prof), lanes, bs)
-}
-
 // runGroup is the run loop: it simulates every lane — a variant of one
-// stream on one machine — in lockstep off one shared front filled from
-// src. Each lane advances by the same chunk sequence — warm-up in runChunk
-// steps, the warm-up boundary resets, then the measurement window in
-// runChunk steps — so a cell's result is the same in a group of any size,
-// a group of one included. The stream is generated a window at a time,
-// before each round. Lanes that fail (panic, injected fault, deadline,
-// cancellation) carry the error out; batch-mates are unaffected.
-func runGroup(ctx context.Context, mc MachineConfig, name string, src cpu.InstrSource, lanes []*batchLane, bs *BatchState) {
+// benchmark's stream, on a machine built fresh for it — in lockstep off
+// one shared front filled from the benchmark's generator. Each lane
+// advances by the same chunk sequence — warm-up in runChunk steps, the
+// warm-up boundary resets, then the measurement window in runChunk steps
+// — so a cell's result is the same in a group of any size, a group of one
+// included. The stream is generated a window at a time, before each
+// round. Lanes that fail (panic, injected fault, deadline, cancellation)
+// carry the error out; batch-mates are unaffected.
+func runGroup(ctx context.Context, mc MachineConfig, prof workload.Profile, lanes []*batchLane, bs *BatchState) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -176,21 +170,13 @@ func runGroup(ctx context.Context, mc MachineConfig, name string, src cpu.InstrS
 		failLanes(lanes, err)
 		return
 	}
-	fillFront(bs, mc, src)
+	fillFront(bs, mc, workload.NewGenerator(prof))
 	if len(lanes) > 1 {
 		obsFrontsFilled.Add(1)
 	}
-	for len(bs.lanes) < len(lanes) {
-		bs.lanes = append(bs.lanes, new(RunState))
-	}
-
-	// Per-goroutine obs shard, flushed with batched deltas after every
-	// chunk and merged on snapshot.
-	sh := obs.Default.AcquireShard()
-	defer sh.Release()
 
 	runnable := make([]*laneRun, 0, len(lanes))
-	for i, ln := range lanes {
+	for _, ln := range lanes {
 		if ln.fault == faultinject.FaultError {
 			ln.err = fmt.Errorf("faultinject: injected error into %s", ln.sp.key())
 			continue
@@ -203,7 +189,7 @@ func runGroup(ctx context.Context, mc MachineConfig, name string, src cpu.InstrS
 			ln.err = fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 			continue
 		}
-		m, err := assemble(mc, params, ln.adapter, bs.lanes[i])
+		m, err := buildMachine(mc, params, ln.adapter)
 		if err != nil {
 			ln.err = err
 			continue
@@ -236,7 +222,7 @@ func runGroup(ctx context.Context, mc MachineConfig, name string, src cpu.InstrS
 			if lr.done {
 				continue
 			}
-			stepLane(ctx, mc, name, sh, lr)
+			stepLane(ctx, mc, prof.Name, lr)
 			if lr.done {
 				active--
 			}
@@ -247,7 +233,7 @@ func runGroup(ctx context.Context, mc MachineConfig, name string, src cpu.InstrS
 // stepLane advances one lane by one chunk (and across the warm-up
 // boundary or to its result when the chunk ends a phase), recovering
 // panics into the lane's error.
-func stepLane(ctx context.Context, mc MachineConfig, name string, sh *obs.Shard, lr *laneRun) {
+func stepLane(ctx context.Context, mc MachineConfig, name string, lr *laneRun) {
 	defer func() {
 		if r := recover(); r != nil {
 			lr.fail(&harness.PanicError{Value: fmt.Sprint(r), Stack: string(debug.Stack())})
@@ -268,7 +254,7 @@ func stepLane(ctx context.Context, mc MachineConfig, name string, sh *obs.Shard,
 	start := time.Now()
 	step := lr.step()
 	lr.cs = lr.m.core.Run(step)
-	lr.m.flush(sh)
+	lr.m.flush()
 	lr.left -= step
 	lr.spent += time.Since(start)
 	if lr.left > 0 {

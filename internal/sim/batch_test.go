@@ -44,7 +44,7 @@ func TestBatchScalarParityAllProfiles(t *testing.T) {
 		for i, sp := range specs {
 			lanes[i] = &batchLane{sp: sp}
 		}
-		runBatchGroup(ctx, mc, prof, lanes, bs)
+		runGroup(ctx, mc, prof, lanes, bs)
 		for _, ln := range lanes {
 			if ln.err != nil {
 				t.Fatalf("%s lane %s: %v", prof.Name, ln.sp.key(), ln.err)
@@ -74,7 +74,7 @@ func TestBatchParityLiveFront(t *testing.T) {
 	for i, sp := range specs {
 		lanes[i] = &batchLane{sp: sp}
 	}
-	runBatchGroup(ctx, mc, prof, lanes, new(BatchState))
+	runGroup(ctx, mc, prof, lanes, new(BatchState))
 	for _, ln := range lanes {
 		if ln.err != nil {
 			t.Fatalf("lane %s: %v", ln.sp.key(), ln.err)
@@ -106,7 +106,7 @@ func TestBatchFrontWindowBounded(t *testing.T) {
 		lanes[i] = &batchLane{sp: sp}
 	}
 	bs := new(BatchState)
-	runBatchGroup(ctx, mc, prof, lanes, bs)
+	runGroup(ctx, mc, prof, lanes, bs)
 	got, bound := bs.front.Resident(), runChunk+2*frontSlack
 	t.Logf("front holds %d records", got)
 	if got > bound {
@@ -156,108 +156,37 @@ func TestLaneFootprint(t *testing.T) {
 	}
 }
 
-// TestRunStateReusesAcrossL2Latency: the L2's hit latency sizes nothing,
-// so a RunState that ran a cell at L2 = 5 keeps its machine, line stores
-// included, for the same cell at L2 = 17, and that second run equals a
-// fresh build bit for bit.
-func TestRunStateReusesAcrossL2Latency(t *testing.T) {
-	ctx := context.Background()
-	prof, _ := workload.ByName("gcc")
-	params := leakctl.DefaultParams(leakctl.TechDrowsy, 4096)
-	st := new(RunState)
-	first, err := runOneFromState(ctx, parityMachine(5), prof.Name, workload.NewGenerator(prof), params, nil, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built := st.m
-	mc := parityMachine(17)
-	got, err := runOneFromState(ctx, mc, prof.Name, workload.NewGenerator(prof), params, nil, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.m.l2 != built.l2 || st.m.dl1 != built.dl1 || st.m.il1Plain != built.il1Plain {
-		t.Fatal("an L2-latency change rebuilt the lane's caches")
-	}
-	want, err := RunOne(ctx, mc, prof, params, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("a machine reused across an L2-latency change diverged from a fresh build")
-	}
-	if reflect.DeepEqual(first.CPU, got.CPU) {
-		t.Fatal("the L2 latency changed no counter; the test shows nothing")
-	}
-}
-
-// TestBatchLaneScalarReuseParity is the PR's reset-path regression test: a
-// RunState whose machine just ran as a replay lane (front attached, BP
-// accumulated) must, when reused by the scalar path, produce results
-// bit-identical to a fresh build — cpu.Recycle has to detach the front
-// and reset the replay fields along with everything else.
-func TestBatchLaneScalarReuseParity(t *testing.T) {
-	mc := parityMachine(11)
-	ctx := context.Background()
-	prof, _ := workload.ByName("mcf")
-	bs := new(BatchState)
-	lanes := []*batchLane{
-		{sp: runSpec{prof, 11, leakctl.TechDrowsy, 1024}},
-		{sp: runSpec{prof, 11, leakctl.TechGated, 65536}},
-	}
-	runBatchGroup(ctx, mc, prof, lanes, bs)
-	for _, ln := range lanes {
-		if ln.err != nil {
-			t.Fatalf("batch lane %s: %v", ln.sp.key(), ln.err)
-		}
-	}
-	// Reuse the dirty lane states on the scalar path, against a different
-	// benchmark and technique than the lane last ran.
-	prof2, _ := workload.ByName("gzip")
-	params := leakctl.DefaultParams(leakctl.TechGated, 4096)
-	fresh, err := RunOne(ctx, mc, prof2, params, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, st := range bs.lanes[:len(lanes)] {
-		reused, err := runOneFromState(ctx, mc, prof2.Name, workload.NewGenerator(prof2), params, nil, st)
-		if err != nil {
-			t.Fatalf("lane %d reuse: %v", i, err)
-		}
-		if !reflect.DeepEqual(fresh, reused) {
-			t.Fatalf("lane %d: scalar run on a recycled replay lane diverged from fresh build", i)
-		}
-	}
-}
-
 // TestBatchStateReuseBitIdentity runs the same group on a BatchState
 // dirtied by a different benchmark's group and on a fresh one; both must
-// match scalar results exactly (the dirty path is also what
-// TestBatchScalarParityAllProfiles exercises — this pins the fresh-vs-
-// dirty equivalence directly).
+// match exactly. The dirtying group runs at the same L2 latency and at
+// another one, since pooled fronts and predictors cross latencies between
+// groups too (TestBatchScalarParityAllProfiles also reuses one BatchState
+// dirty, across benchmarks at one latency).
 func TestBatchStateReuseBitIdentity(t *testing.T) {
-	mc := parityMachine(11)
 	ctx := context.Background()
 	profA, _ := workload.ByName("gcc")
 	profB, _ := workload.ByName("parser")
-	run := func(bs *BatchState, prof workload.Profile) []*batchLane {
-		specs := batchSpecs(prof, 11, []uint64{2048, 8192})
+	run := func(bs *BatchState, prof workload.Profile, l2 int) []*batchLane {
+		specs := batchSpecs(prof, l2, []uint64{2048, 8192})
 		lanes := make([]*batchLane, len(specs))
 		for i, sp := range specs {
 			lanes[i] = &batchLane{sp: sp}
 		}
-		runBatchGroup(ctx, mc, prof, lanes, bs)
+		runGroup(ctx, parityMachine(l2), prof, lanes, bs)
 		return lanes
 	}
-	dirty := new(BatchState)
-	run(dirty, profA) // dirty the front, predictor and lane states
-	got := run(dirty, profB)
-	want := run(new(BatchState), profB)
-	for i := range want {
-		if want[i].err != nil || got[i].err != nil {
-			t.Fatalf("lane %d errs: fresh=%v dirty=%v", i, want[i].err, got[i].err)
-		}
-		if !reflect.DeepEqual(want[i].res, got[i].res) {
-			t.Fatalf("lane %s: dirty BatchState diverged from fresh", want[i].sp.key())
+	want := run(new(BatchState), profB, 11)
+	for _, dirtyL2 := range []int{11, 5} {
+		dirty := new(BatchState)
+		run(dirty, profA, dirtyL2) // dirty the front and predictor
+		got := run(dirty, profB, 11)
+		for i := range want {
+			if want[i].err != nil || got[i].err != nil {
+				t.Fatalf("dirtied at L2 = %d, lane %d errs: fresh=%v dirty=%v", dirtyL2, i, want[i].err, got[i].err)
+			}
+			if !reflect.DeepEqual(want[i].res, got[i].res) {
+				t.Fatalf("dirtied at L2 = %d, lane %s: dirty BatchState diverged from fresh", dirtyL2, want[i].sp.key())
+			}
 		}
 	}
 }

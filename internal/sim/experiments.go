@@ -135,7 +135,7 @@ type Experiments struct {
 
 	// batchGroups / batchLanes count lockstep groups of two or more lanes
 	// executed and the cells they carried; batchStates is the pool of
-	// batch scratch (front window, lane RunStates) reused across groups
+	// batch scratch (front window and its predictor) reused across groups
 	// and attempts.
 	batchGroups int
 	batchLanes  int
@@ -258,7 +258,7 @@ func (k energyKind) run(ctx context.Context, tries []*try[runSpec, RunResult], b
 			begin(t)
 		}
 		bs := e.acquireBatchState()
-		runBatchGroup(ctx, e.suite(g.l2).MC, g.prof, g.lanes, bs)
+		runGroup(ctx, e.suite(g.l2).MC, g.prof, g.lanes, bs)
 		e.releaseBatchState(bs)
 		for i, ln := range g.lanes {
 			t := g.tries[i]
@@ -351,13 +351,16 @@ func (e *Experiments) prefetch(l2 int, techs []leakctl.Technique, intervals []ui
 	_ = e.energy.resolve(specs)
 }
 
-// Failures returns the structured failure record of every run that could
-// not be completed, sorted by key for stable reporting.
+// Failures returns the structured failure record of every cell of either
+// kind that could not be completed, sorted by key for stable reporting.
 func (e *Experiments) Failures() []*harness.RunError {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]*harness.RunError, 0, len(e.energy.failures))
+	out := make([]*harness.RunError, 0, len(e.energy.failures)+len(e.attacks.failures))
 	for _, f := range e.energy.failures {
+		out = append(out, f)
+	}
+	for _, f := range e.attacks.failures {
 		out = append(out, f)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })

@@ -414,7 +414,8 @@ func (l *ladder[P, S, R]) settle(sp S, r R) {
 }
 
 // delegate resolves pending cells through the remote daemon, memoizing
-// results and per-cell failures exactly as the local rungs would. A
+// results and per-cell failures exactly as the local rungs would: a
+// result that fails the kind's check fails its own cell. A
 // transport-level failure fails the whole batch (there is nothing partial
 // to keep).
 func (l *ladder[P, S, R]) delegate(pending []S) error {
@@ -441,6 +442,10 @@ func (l *ladder[P, S, R]) delegate(pending []S) error {
 		case c.Err != "":
 			l.failures[k] = l.fail(p, c.Err)
 		default:
+			if err := l.kind.check(c.Result); err != nil {
+				l.failures[k] = l.fail(p, "remote daemon returned a rejected result: "+err.Error())
+				continue
+			}
 			l.runs[k] = c.Result
 			l.e.remoted++
 		}

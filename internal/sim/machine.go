@@ -7,7 +7,6 @@ import (
 	"hotleakage/internal/cpu"
 	"hotleakage/internal/energy"
 	"hotleakage/internal/leakctl"
-	"hotleakage/internal/obs"
 )
 
 // machine is one assembled simulation stack: the memory hierarchy and the
@@ -22,73 +21,7 @@ type machine struct {
 	core     *cpu.Core
 }
 
-// RunState is a worker-confined cache of simulation components reused
-// across runs: the L2's line state (160 KB on the Table 2 machine) and the
-// core's window arrays. Each component is reset to its
-// just-constructed state between runs (see the Reset methods in cache,
-// leakctl, bpred and cpu.Recycle), so a reused machine is bit-identical
-// to a freshly built one — the reuse only removes the allocations, which
-// at GOMAXPROCS-sized worker pools were the dominant GC pressure of a
-// sweep.
-//
-// The zero value is ready to use. A RunState must not be shared between
-// concurrently executing runs; each lane of a BatchState has its own.
-type RunState struct {
-	mc    MachineConfig
-	m     machine
-	valid bool
-}
-
-// machineEqual reports whether two machine descriptions build identical
-// hardware (every configuration struct is all-scalar, so value comparison
-// is exact). The L2 is compared without its hit latency: nothing built
-// depends on it (the line store and the energy model follow the
-// geometry), and reuse sets it. Warmup/Instructions are excluded: they
-// shape the run, not the components.
-func machineEqual(a, b MachineConfig) bool {
-	if a.Tech == nil || b.Tech == nil || *a.Tech != *b.Tech {
-		return false
-	}
-	l2a, l2b := a.L2, b.L2
-	l2a.HitLatency, l2b.HitLatency = 0, 0
-	if a.CPU != b.CPU ||
-		a.L1I != b.L1I || a.L1D != b.L1D || l2a != l2b ||
-		a.MemLatency != b.MemLatency {
-		return false
-	}
-	if (a.IL1Control == nil) != (b.IL1Control == nil) {
-		return false
-	}
-	if a.IL1Control != nil && *a.IL1Control != *b.IL1Control {
-		return false
-	}
-	return true
-}
-
-// assemble builds (or, via st, reuses) the simulation stack for one run.
-// mc and params have already been validated by the caller.
-func assemble(mc MachineConfig, params leakctl.Params, adapter leakctl.Adapter, st *RunState) (machine, error) {
-	if st != nil && st.valid && machineEqual(st.mc, mc) {
-		if m, err := st.reuse(mc, params, adapter); err == nil {
-			return m, nil
-		}
-		// A failed reset (e.g. params rejected mid-reset) leaves partially
-		// reset components; invalidate and fall through to a fresh build.
-		st.valid = false
-	}
-	m, err := buildMachine(mc, params, adapter)
-	if err != nil {
-		return machine{}, err
-	}
-	if st != nil {
-		st.mc = mc
-		st.m = m
-		st.valid = true
-	}
-	return m, nil
-}
-
-// buildMachine constructs a fresh stack.
+// buildMachine constructs a fresh stack for one lane.
 func buildMachine(mc MachineConfig, params leakctl.Params, adapter leakctl.Adapter) (machine, error) {
 	var m machine
 	m.mem = cache.NewMemory(mc.Tech, mc.MemLatency)
@@ -125,43 +58,16 @@ func buildMachine(mc MachineConfig, params leakctl.Params, adapter leakctl.Adapt
 	return m, nil
 }
 
-// reuse resets every cached component to its just-built state and rewires
-// it for the new run.
-func (st *RunState) reuse(mc MachineConfig, params leakctl.Params, adapter leakctl.Adapter) (machine, error) {
-	m := st.m
-	m.mem.Reset()
-	m.l2.Cfg.HitLatency = mc.L2.HitLatency
-	m.l2.Reset(m.mem)
-	if err := m.dl1.Reset(mc.Tech, params, m.l2); err != nil {
-		return machine{}, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-	}
-	if adapter != nil {
-		m.dl1.Adapter = adapter
-	}
-	var l1i cpu.FetchCache
-	if mc.IL1Control != nil {
-		if err := m.il1Ctl.Reset(mc.Tech, *mc.IL1Control, m.l2); err != nil {
-			return machine{}, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-		}
-		l1i = m.il1Ctl
-	} else {
-		m.il1Plain.Reset(m.l2)
-		l1i = m.il1Plain
-	}
-	m.core = cpu.Recycle(m.core, mc.CPU, nil, nil, l1i, m.dl1)
-	st.mc, st.m = mc, m
-	return m, nil
-}
-
-// flush adds the machine's counters since the last flush to sh.
-func (m machine) flush(sh *obs.Shard) {
-	m.core.ObsFlush(sh)
-	m.dl1.ObsFlush(sh)
-	m.l2.ObsFlush(sh)
+// flush adds the machine's counters since the last flush to the shared
+// obs counters.
+func (m machine) flush() {
+	m.core.ObsFlush()
+	m.dl1.ObsFlush()
+	m.l2.ObsFlush()
 	if m.il1Ctl != nil {
-		m.il1Ctl.ObsFlush(sh)
+		m.il1Ctl.ObsFlush()
 	} else {
-		m.il1Plain.ObsFlush(sh)
+		m.il1Plain.ObsFlush()
 	}
 }
 

@@ -146,7 +146,7 @@ func TestBatchParityIL1Control(t *testing.T) {
 	for i, sp := range specs {
 		lanes[i] = &batchLane{sp: sp}
 	}
-	runBatchGroup(ctx, mc, prof, lanes, new(BatchState))
+	runGroup(ctx, mc, prof, lanes, new(BatchState))
 	for _, ln := range lanes {
 		if ln.err != nil {
 			t.Fatalf("lane %s: %v", ln.sp.key(), ln.err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -160,5 +161,85 @@ func TestRemoteFallbackRecovers(t *testing.T) {
 	}
 	if e.Remoted() != 1 {
 		t.Errorf("batch 2: remoted=%d, want 1 (daemon recovered)", e.Remoted())
+	}
+}
+
+// corruptRunner serves cells through a second Experiments, like
+// flakyRunner's healthy daemon, but answers one energy cell with a
+// zero-cycle result and one attack cell with an empty one.
+type corruptRunner struct {
+	inner        *Experiments
+	cell, attack string // the run keys answered with corrupt results
+}
+
+func (c *corruptRunner) RunCells(_ context.Context, _, _ uint64, specs []CellSpec) ([]RemoteCell, error) {
+	outs, err := c.inner.RunCells(specs)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]RemoteCell, len(outs))
+	for i, o := range outs {
+		cells[i] = RemoteCell{Spec: o.Spec, Result: o.Result}
+		if o.Key == c.cell {
+			cells[i].Result = RunResult{Bench: o.Spec.Bench}
+		}
+	}
+	return cells, nil
+}
+
+func (c *corruptRunner) RunAttackCells(_ context.Context, specs []AttackSpec) ([]RemoteOutcome[AttackSpec, attack.Result], error) {
+	outs, err := c.inner.RunAttackCells(specs)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]RemoteOutcome[AttackSpec, attack.Result], len(outs))
+	for i, o := range outs {
+		cells[i] = RemoteOutcome[AttackSpec, attack.Result]{Spec: o.Spec, Result: o.Result}
+		if o.Key == c.attack {
+			cells[i].Result = attack.Result{}
+		}
+	}
+	return cells, nil
+}
+
+// TestRemoteResultsAreChecked: a remote daemon's results pass the same
+// check as a stored or simulated one before they are memoized. A
+// zero-cycle energy result and an empty attack result each fail their own
+// cell, while their batch-mates settle as remote results.
+func TestRemoteResultsAreChecked(t *testing.T) {
+	inner := remoteExperiments(t, nil)
+	inner.Remote = nil
+	cells := []CellSpec{
+		{Bench: "gzip", L2: 11, Technique: leakctl.TechNone, Interval: 0},
+		{Bench: "gzip", L2: 11, Technique: leakctl.TechDrowsy, Interval: 4096},
+	}
+	attacks := []AttackSpec{
+		{Scenario: "smoke", L2: 11, Technique: leakctl.TechNone, Interval: 0},
+		{Scenario: "smoke", L2: 11, Technique: leakctl.TechDrowsy, Interval: 2048},
+	}
+	e := remoteExperiments(t, &corruptRunner{inner: inner, cell: cells[1].Key(), attack: attacks[1].Key()})
+
+	outs, err := e.RunCells(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0].Err != nil {
+		t.Errorf("energy batch-mate failed: %v", outs[0].Err)
+	}
+	if outs[1].Err == nil || !strings.Contains(outs[1].Err.Error(), "zero-cycle") {
+		t.Errorf("zero-cycle remote result was accepted: err %v", outs[1].Err)
+	}
+	aouts, err := e.RunAttackCells(attacks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aouts[0].Err != nil {
+		t.Errorf("attack batch-mate failed: %v", aouts[0].Err)
+	}
+	if aouts[1].Err == nil || !strings.Contains(aouts[1].Err.Error(), "empty attack result") {
+		t.Errorf("empty remote attack result was accepted: err %v", aouts[1].Err)
+	}
+	if e.Remoted() != 2 || e.Executed() != 0 {
+		t.Errorf("remoted=%d executed=%d, want 2/0", e.Remoted(), e.Executed())
 	}
 }

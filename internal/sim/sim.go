@@ -134,22 +134,15 @@ type RunResult struct {
 // live from its profile, with the given leakage-control parameters.
 // adapter, if non-nil, is installed on the controlled cache (adaptive
 // decay study). The context carries the per-run deadline and suite-wide
-// cancellation; a nil context means Background.
+// cancellation; a nil context means Background. The cell runs as a group
+// of one lane.
 func RunOne(ctx context.Context, mc MachineConfig, prof workload.Profile, params leakctl.Params, adapter leakctl.Adapter) (RunResult, error) {
-	return runOneFromState(ctx, mc, prof.Name, workload.NewGenerator(prof), params, adapter, nil)
-}
-
-// runOneFromState runs one cell over src as a group of one lane, with
-// optional component reuse: a non-nil st contributes its previously built
-// (and reset) machine when the configuration matches, and caches this
-// run's machine for the next one.
-func runOneFromState(ctx context.Context, mc MachineConfig, name string, src cpu.InstrSource, params leakctl.Params, adapter leakctl.Adapter, st *RunState) (RunResult, error) {
 	ln := &batchLane{
-		sp:      runSpec{prof: workload.Profile{Name: name}, l2: mc.L2.HitLatency, tech: params.Technique, interval: params.Interval},
+		sp:      runSpec{prof: prof, l2: mc.L2.HitLatency, tech: params.Technique, interval: params.Interval},
 		params:  &params,
 		adapter: adapter,
 	}
-	runGroup(ctx, mc, name, src, []*batchLane{ln}, &BatchState{lanes: []*RunState{st}})
+	runGroup(ctx, mc, prof, []*batchLane{ln}, new(BatchState))
 	return ln.res, ln.err
 }
 
