@@ -101,7 +101,7 @@ func (p *Predictor) ResetStats() { p.Stats = Stats{} }
 
 // Reset returns the predictor to the state New leaves it in — weakly-taken
 // counters, empty BTB/RAS, clean history — reusing the table allocations
-// (run-to-run reuse).
+// (a pooled batch front reuses its predictor from group to group).
 func (p *Predictor) Reset() {
 	p.Stats = Stats{}
 	for i := range p.bimod {
