@@ -54,8 +54,14 @@ func NewLines(cfg Config) Lines {
 		setBits:   uint(bits.TrailingZeros(uint(sets))),
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 	}
-	for i := range l.ranks {
-		l.ranks[i] = uint8(i % cfg.Assoc)
+	// Way j of every set starts at rank j: rank the first set, then copy
+	// it over the rest, doubling. A per-line i % assoc made this loop most
+	// of the cost of building a lane's machine.
+	for j := range cfg.Assoc {
+		l.ranks[j] = uint8(j)
+	}
+	for n := cfg.Assoc; n < len(l.ranks); n *= 2 {
+		copy(l.ranks[n:], l.ranks[:n])
 	}
 	return l
 }
