@@ -40,7 +40,7 @@ var obsFrontsFilled = obs.Default.Counter("sim_front_fill_live_total")
 // BatchState is one executor's reusable scratch: the shared front window
 // (about runChunk records, 1.8 MB, recycled across groups) and the
 // front's predictor (reset between groups). Each lane's machine is built
-// fresh per group: at about 220 KB it builds in about 150 µs, next to the
+// fresh per group: at about 220 KB it builds in about 30 µs, next to the
 // 150 ms of CPU a paper cell takes.
 //
 // A BatchState must not be shared between concurrently executing groups.
