@@ -26,11 +26,13 @@ import (
 	"syscall"
 	"time"
 
-	"hotleakage/internal/core"
 	"hotleakage/internal/harness/profiling"
 	"hotleakage/internal/leakage"
+	"hotleakage/internal/leakctl"
 	"hotleakage/internal/obs"
+	"hotleakage/internal/sim"
 	"hotleakage/internal/tech"
+	"hotleakage/internal/workload"
 )
 
 func main() {
@@ -125,8 +127,10 @@ func main() {
 	}
 }
 
-// runCompare runs the one-call technique comparison under SIGINT handling
-// and an optional deadline.
+// runCompare scores drowsy and gated-Vss against the uncontrolled cache on
+// one benchmark, on the Table 2 machine with an 11-cycle L2 at the default
+// decay interval, under SIGINT handling and an optional deadline. It
+// prints nothing on stdout unless every run succeeds.
 func runCompare(bench string, tempC float64, timeout time.Duration, vary bool) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -135,20 +139,37 @@ func runCompare(bench string, tempC float64, timeout time.Duration, vary bool) i
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	res, err := core.CompareTechniquesContext(ctx, core.Options{
-		Benchmark: bench,
-		TempC:     tempC,
-		Variation: vary,
-	})
+	prof, ok := workload.ByName(bench)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown benchmark %q (have %v)\n", bench, workload.Names())
+		return 1
+	}
+	mc := sim.DefaultMachine(11)
+	suite := sim.NewSuite(mc)
+	var opts []leakage.Option
+	if vary {
+		opts = append(opts, leakage.WithVariation(leakage.DefaultVariation70nm()))
+	}
+	model := leakage.New(mc.Tech, opts...)
+	base, err := suite.Baseline(ctx, prof)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	fmt.Printf("%s @ %.0f C, L2=11: baseline IPC %.2f\n", res.Benchmark, tempC, res.BaselineIPC)
+	var points []sim.Point
+	for _, tq := range []leakctl.Technique{leakctl.TechDrowsy, leakctl.TechGated} {
+		p, err := suite.Evaluate(ctx, prof, leakctl.DefaultParams(tq, sim.DefaultInterval), tempC, model, nil)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		points = append(points, p)
+	}
+	fmt.Printf("%s @ %.0f C, L2=11: baseline IPC %.2f\n", prof.Name, tempC, base.CPU.IPC())
 	fmt.Printf("%-10s %12s %12s %10s\n", "technique", "net savings", "perf loss", "turnoff")
-	for _, tr := range res.Techniques {
+	for _, p := range points {
 		fmt.Printf("%-10s %11.1f%% %11.2f%% %9.1f%%\n",
-			tr.Technique, tr.NetSavingsPct, tr.PerfLossPct, 100*tr.TurnoffRatio)
+			p.Technique, p.Cmp.NetSavingsPct, p.Cmp.PerfLossPct, 100*p.Cmp.TurnoffRatio)
 	}
 	return 0
 }

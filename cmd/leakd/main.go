@@ -71,7 +71,7 @@ func run() error {
 		storeDir     = flag.String("store", "", "result store directory (required)")
 		workers      = flag.Int("workers", 0, "harness workers per sweep (0 = GOMAXPROCS)")
 		queueDepth   = flag.Int("queue", 16, "queued sweeps per priority class before 429")
-		sweeps       = flag.Int("sweeps", 1, "sweeps executing concurrently")
+		sweeps       = flag.Int("sweeps", 0, fmt.Sprintf("sweeps executing concurrently (0 = 1 on a worker, %d on a coordinator)", cluster.DefaultSweepConcurrency))
 		maxCells     = flag.Int("max-cells", 4096, "cells per sweep before 400")
 		instructions = flag.Uint64("n", 1_000_000, "default measured instructions per cell")
 		warmup       = flag.Uint64("warmup", 300_000, "default warmup instructions per cell")
@@ -168,6 +168,9 @@ func run() error {
 		})
 		if err != nil {
 			return err
+		}
+		if cfg.SweepConcurrency <= 0 {
+			cfg.SweepConcurrency = cluster.DefaultSweepConcurrency
 		}
 		if srv, err = server.NewWith(cfg, d); err != nil {
 			return err

@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 
+	"hotleakage/internal/leakctl"
 	"hotleakage/internal/sim"
 	"hotleakage/internal/workload"
 )
@@ -164,7 +165,7 @@ func machineSummary(p workload.Profile, n uint64) (MachineSummary, error) {
 	mc := sim.DefaultMachine(11)
 	mc.Warmup = n / 3
 	mc.Instructions = n
-	r, err := sim.NewSuite(mc).Baseline(context.Background(), p)
+	r, err := sim.RunOne(context.Background(), mc, p, leakctl.DefaultParams(leakctl.TechNone, 0), nil)
 	if err != nil {
 		return MachineSummary{}, err
 	}

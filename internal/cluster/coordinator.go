@@ -59,8 +59,8 @@ type Config struct {
 	QueueDepth int
 	// MaxCells caps cells per sweep (default 4096).
 	MaxCells int
-	// SweepConcurrency is how many sweeps shard out at once (default 2:
-	// the coordinator mostly waits on workers).
+	// SweepConcurrency is how many sweeps shard out at once (default
+	// DefaultSweepConcurrency).
 	SweepConcurrency int
 	// DefaultInstructions/DefaultWarmup fill zero-valued requests; they
 	// must match the workers' so content addresses agree (both default to
@@ -79,6 +79,12 @@ type Config struct {
 	Log *log.Logger
 }
 
+// DefaultSweepConcurrency is how many sweeps a coordinator shards out at
+// once unless told otherwise: more than one, because it mostly waits on
+// workers, and load placement across sweeps (DESIGN §13) needs two in
+// flight to act.
+const DefaultSweepConcurrency = 2
+
 // Coordinator is the cluster front end: the daemon's own front door
 // (server.Server) over a Dispatcher. Build with New, mount Handler, stop
 // with Shutdown. Its HTTP surface is a worker's, so api.Client and
@@ -96,7 +102,7 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	if cfg.SweepConcurrency <= 0 {
-		cfg.SweepConcurrency = 2
+		cfg.SweepConcurrency = DefaultSweepConcurrency
 	}
 	srv, err := server.NewWith(server.Config{
 		Store:               cfg.Store,

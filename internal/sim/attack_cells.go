@@ -107,7 +107,7 @@ func (attackKind) unaddressed() error { return nil }
 
 func (k attackKind) identity(as AttackSpec) any {
 	sc, _ := attack.ByName(as.Scenario)
-	return attackIdentityFor(k.e.suite(as.L2).MC, sc, as.Technique, as.Interval)
+	return attackIdentityFor(k.e.machine(as.L2), sc, as.Technique, as.Interval)
 }
 
 // check rejects corrupt attack results before they enter the memo or the
@@ -158,7 +158,7 @@ func (k attackKind) attempt(ctx context.Context, as AttackSpec, fault faultinjec
 		return r, fmt.Errorf("%w: faultinject: %s stalled", context.DeadlineExceeded, as.Key())
 	}
 	sc, _ := attack.ByName(as.Scenario)
-	r, err = attack.Run(attackMachine(k.e.suite(as.L2).MC), sc, leakctl.DefaultParams(as.Technique, as.Interval))
+	r, err = attack.Run(attackMachine(k.e.machine(as.L2)), sc, leakctl.DefaultParams(as.Technique, as.Interval))
 	if err != nil {
 		// attack.Run fails only on a configuration it cannot build.
 		return r, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
@@ -271,9 +271,8 @@ func (e *Experiments) FrontierFigure(scenario string, l2 int, tempC float64, int
 		return Frontier{}, err
 	}
 	// Energy side: the same operating points across the benchmark suite.
-	e.prefetch(l2, techs, ivs)
+	e.prefetch(e.Profiles, l2, techs, ivs)
 	m := e.model(l2)
-	s := e.suite(l2)
 
 	f := Frontier{
 		ID:       "Frontier",
@@ -298,7 +297,7 @@ func (e *Experiments) FrontierFigure(scenario string, l2 int, tempC float64, int
 		var sum float64
 		n := 0
 		for _, prof := range e.Profiles {
-			if pt, ok := e.evalCell(s, m, prof, l2, t, iv, tempC); ok {
+			if pt, ok := e.evalCell(m, prof, l2, t, iv, tempC); ok {
 				sum += pt.Cmp.NetSavingsPct
 				n++
 			}

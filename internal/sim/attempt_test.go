@@ -215,7 +215,7 @@ func TestNaNInjectionIsRetried(t *testing.T) {
 		}
 		return faultinject.FaultNone
 	})
-	h, err := CellHash(e.suite(11).MC, e.Profiles[0].Name, leakctl.TechGated, 4096)
+	h, err := CellHash(e.machine(11), e.Profiles[0].Name, leakctl.TechGated, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

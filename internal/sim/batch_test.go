@@ -246,6 +246,26 @@ func TestBatchOccupancyMaximal(t *testing.T) {
 	}
 }
 
+// TestIntervalCurveRunsOneGroup: IntervalCurve resolves its baseline and
+// every interval in one call, so on a fresh Experiments they run as one
+// lockstep group, and score the points a one-lane-per-group run scores.
+func TestIntervalCurveRunsOneGroup(t *testing.T) {
+	curve := func(disableBatch bool) (*Experiments, []Point) {
+		e := tinyExperiments()
+		e.DisableBatch = disableBatch
+		return e, e.IntervalCurve(e.Profiles[0].Name, leakctl.TechGated, 11, 110)
+	}
+	_, want := curve(true)
+	e, got := curve(false)
+	lanes := 1 + len(SweepIntervals)
+	if g, l := e.BatchGroups(), e.BatchLanes(); g != 1 || l != lanes {
+		t.Fatalf("IntervalCurve ran %d groups carrying %d lanes, want 1 group of %d", g, l, lanes)
+	}
+	if len(got) != len(SweepIntervals) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("batched curve differs from the one-lane-per-group curve:\n got  %v\n want %v", got, want)
+	}
+}
+
 // TestBatchFaultIsolation proves a mid-batch injected panic degrades one
 // lane to an ERR cell without poisoning its batch-mates: the victim's
 // group keeps running, the sibling cells match a fault-free scalar

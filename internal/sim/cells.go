@@ -128,7 +128,7 @@ func (energyKind) public(sp runSpec) CellSpec {
 }
 
 func (k energyKind) identity(sp runSpec) any {
-	id := cellIdentityFor(k.e.suite(sp.l2).MC, sp.prof.Name, sp.tech, sp.interval)
+	id := cellIdentityFor(k.e.machine(sp.l2), sp.prof.Name, sp.tech, sp.interval)
 	id.Profile = customProfile(sp.prof)
 	return id
 }

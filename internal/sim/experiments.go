@@ -123,8 +123,8 @@ type Experiments struct {
 	// energy cell fails with ErrInvalidConfig.
 	AdapterFor func(bench string, t leakctl.Technique, interval uint64) leakctl.Adapter
 
-	mu     sync.Mutex
-	suites map[int]*Suite // per L2 latency
+	mu       sync.Mutex
+	machines map[int]MachineConfig // per L2 latency
 	// energy and attacks are the two kinds' resolution ladders (ladder.go).
 	energy    *ladder[CellSpec, runSpec, RunResult]
 	attacks   *ladder[AttackSpec, AttackSpec, attack.Result]
@@ -150,7 +150,7 @@ func NewExperiments() *Experiments {
 		Instructions: 1_000_000,
 		Warmup:       300_000,
 		Profiles:     workload.Profiles(),
-		suites:       make(map[int]*Suite),
+		machines:     make(map[int]MachineConfig),
 	}
 	e.energy = newLadder[CellSpec, runSpec, RunResult](e, energyKind{e})
 	e.attacks = newLadder[AttackSpec, AttackSpec, attack.Result](e, attackKind{e})
@@ -164,18 +164,20 @@ func (e *Experiments) ctx() context.Context {
 	return context.Background()
 }
 
-func (e *Experiments) suite(l2 int) *Suite {
+// machine returns the Table 2 machine at L2 latency l2 and this
+// Experiments' run length, built on first use and kept, so every cell at
+// that latency shares one machine and its technology parameters.
+func (e *Experiments) machine(l2 int) MachineConfig {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s, ok := e.suites[l2]
+	mc, ok := e.machines[l2]
 	if !ok {
-		mc := DefaultMachine(l2)
+		mc = DefaultMachine(l2)
 		mc.Instructions = e.Instructions
 		mc.Warmup = e.Warmup
-		s = NewSuite(mc)
-		e.suites[l2] = s
+		e.machines[l2] = mc
 	}
-	return s
+	return mc
 }
 
 func runKey(bench string, l2 int, t leakctl.Technique, interval uint64) string {
@@ -258,7 +260,7 @@ func (k energyKind) run(ctx context.Context, tries []*try[runSpec, RunResult], b
 			begin(t)
 		}
 		bs := e.acquireBatchState()
-		runGroup(ctx, e.suite(g.l2).MC, g.prof, g.lanes, bs)
+		runGroup(ctx, e.machine(g.l2), g.prof, g.lanes, bs)
 		e.releaseBatchState(bs)
 		for i, ln := range g.lanes {
 			t := g.tries[i]
@@ -334,13 +336,13 @@ func (e *Experiments) run(prof workload.Profile, l2 int, t leakctl.Technique, in
 // prefetch simulates a set of configurations concurrently so later cached
 // lookups are cheap. Each benchmark's baseline and technique variants are
 // planned together in one call: they share an instruction stream and a
-// machine config, so the batch phase locksteps the whole row — baseline
-// included — as one group (planning baselines separately would run each
+// machine config, so the attempt loop locksteps the whole row — baseline
+// included — as one group (resolving cells one at a time would run each
 // as a group of one, generating its stream again). Individual failures
 // are memoized, not fatal.
-func (e *Experiments) prefetch(l2 int, techs []leakctl.Technique, intervals []uint64) {
-	specs := make([]runSpec, 0, len(e.Profiles)*(1+len(techs)*len(intervals)))
-	for _, prof := range e.Profiles {
+func (e *Experiments) prefetch(profs []workload.Profile, l2 int, techs []leakctl.Technique, intervals []uint64) {
+	specs := make([]runSpec, 0, len(profs)*(1+len(techs)*len(intervals)))
+	for _, prof := range profs {
 		specs = append(specs, runSpec{prof, l2, leakctl.TechNone, 0})
 		for _, t := range techs {
 			for _, iv := range intervals {
@@ -428,7 +430,7 @@ func (e *Experiments) Close() error { return nil }
 
 // model builds a fresh leakage model (with the configured variation).
 func (e *Experiments) model(l2 int) *leakage.Model {
-	return leakage.New(e.suite(l2).MC.Tech, leakage.WithVariation(e.Variation))
+	return leakage.New(e.machine(l2).Tech, leakage.WithVariation(e.Variation))
 }
 
 // Cell is one (benchmark, technique) result in a figure.
@@ -541,44 +543,37 @@ func (f Figure) String() string {
 	return b.String()
 }
 
-// evalCell evaluates one (benchmark, technique, interval) cell, reporting
-// failure if the technique run or the shared baseline could not be
+// evalCell scores one (benchmark, technique, interval) cell against the
+// benchmark's baseline cell, reporting failure if either run could not be
 // produced.
-func (e *Experiments) evalCell(s *Suite, m *leakage.Model, prof workload.Profile, l2 int, t leakctl.Technique, iv uint64, tempC float64) (Point, bool) {
+func (e *Experiments) evalCell(m *leakage.Model, prof workload.Profile, l2 int, t leakctl.Technique, iv uint64, tempC float64) (Point, bool) {
 	// A failed baseline fails every cell of the benchmark's row: there is
 	// nothing to compare against.
 	base, err := e.run(prof, l2, leakctl.TechNone, 0)
 	if err != nil {
 		return Point{}, false
 	}
-	// EvaluateRun scores against the suite's baseline cache: seed it with
-	// the ladder's run so the baseline is never simulated twice.
-	s.SetBaseline(prof.Name, base)
 	r, err := e.run(prof, l2, t, iv)
 	if err != nil {
 		return Point{}, false
 	}
-	p, err := s.EvaluateRun(e.ctx(), prof, r, tempC, m)
-	if err != nil {
-		return Point{}, false
-	}
-	return p, true
+	p, err := Score(e.machine(l2), m, base, r, tempC)
+	return p, err == nil
 }
 
 // LatencyFigure reproduces one (net savings, perf loss) figure pair at the
 // given L2 latency, temperature and fixed decay interval. Failed runs
 // degrade to ERR cells.
 func (e *Experiments) LatencyFigure(idSav, idPerf string, l2 int, tempC float64, interval uint64) (sav, perf Figure) {
-	e.prefetch(l2, []leakctl.Technique{leakctl.TechDrowsy, leakctl.TechGated}, []uint64{interval})
+	e.prefetch(e.Profiles, l2, []leakctl.Technique{leakctl.TechDrowsy, leakctl.TechGated}, []uint64{interval})
 	m := e.model(l2)
-	s := e.suite(l2)
 
 	title := fmt.Sprintf("L2 latency %d cycles, %.0fC, interval %d", l2, tempC, interval)
 	sav = Figure{ID: idSav, Title: title, Metric: "net leakage savings %"}
 	perf = Figure{ID: idPerf, Title: title, Metric: "performance loss %"}
 	for _, prof := range e.Profiles {
-		dp, dok := e.evalCell(s, m, prof, l2, leakctl.TechDrowsy, interval, tempC)
-		gp, gok := e.evalCell(s, m, prof, l2, leakctl.TechGated, interval, tempC)
+		dp, dok := e.evalCell(m, prof, l2, leakctl.TechDrowsy, interval, tempC)
+		gp, gok := e.evalCell(m, prof, l2, leakctl.TechGated, interval, tempC)
 		sav.Bench = append(sav.Bench, prof.Name)
 		sav.Drowsy = append(sav.Drowsy, dp.Cmp.NetSavingsPct)
 		sav.Gated = append(sav.Gated, gp.Cmp.NetSavingsPct)
@@ -637,14 +632,13 @@ type BestIntervalResult struct {
 // surviving interval is marked Failed.
 func (e *Experiments) SweepBest(l2 int, tempC float64) (drowsy, gated []BestIntervalResult) {
 	techs := []leakctl.Technique{leakctl.TechDrowsy, leakctl.TechGated}
-	e.prefetch(l2, techs, SweepIntervals)
+	e.prefetch(e.Profiles, l2, techs, SweepIntervals)
 	m := e.model(l2)
-	s := e.suite(l2)
 	for _, prof := range e.Profiles {
 		for _, t := range techs {
 			best := BestIntervalResult{Bench: prof.Name, Failed: true}
 			for _, iv := range SweepIntervals {
-				p, ok := e.evalCell(s, m, prof, l2, t, iv, tempC)
+				p, ok := e.evalCell(m, prof, l2, t, iv, tempC)
 				if !ok {
 					continue
 				}
@@ -707,17 +701,19 @@ func (e *Experiments) Table3() string {
 
 // IntervalCurve returns net savings and perf loss per interval for one
 // benchmark and technique (used by ablation benches and the adaptive
-// study). Intervals whose run failed are omitted from the curve.
+// study). The baseline and every interval are planned in one call, so
+// they run as one lockstep group. Intervals whose run failed are omitted
+// from the curve.
 func (e *Experiments) IntervalCurve(bench string, t leakctl.Technique, l2 int, tempC float64) []Point {
 	prof, ok := e.profile(bench)
 	if !ok {
 		return nil
 	}
+	e.prefetch([]workload.Profile{prof}, l2, []leakctl.Technique{t}, SweepIntervals)
 	m := e.model(l2)
-	s := e.suite(l2)
 	var out []Point
 	for _, iv := range SweepIntervals {
-		if p, ok := e.evalCell(s, m, prof, l2, t, iv, tempC); ok {
+		if p, ok := e.evalCell(m, prof, l2, t, iv, tempC); ok {
 			out = append(out, p)
 		}
 	}

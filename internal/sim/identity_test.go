@@ -103,7 +103,7 @@ func TestCellIdentityCoversProfile(t *testing.T) {
 	e.Instructions = 20_000
 	e.Warmup = 5_000
 	k := energyKind{e}
-	mc := e.suite(11).MC
+	mc := e.machine(11)
 	params := leakctl.DefaultParams(leakctl.TechDrowsy, DefaultInterval)
 	run := func(p workload.Profile) (RunResult, string) {
 		t.Helper()
@@ -349,7 +349,7 @@ func TestRunCellsUsesEditedProfiles(t *testing.T) {
 	if outs[0].Err != nil {
 		t.Fatalf("RunCells: %v", outs[0].Err)
 	}
-	mc := e.suite(11).MC
+	mc := e.machine(11)
 	want, err := RunOne(context.Background(), mc, prof, leakctl.DefaultParams(cs.Technique, cs.Interval), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -599,8 +599,8 @@ func (l *ladder[P, S, R]) outcomes(specs []P, resolveSpec func(P) (S, error)) ([
 		}
 	}
 	l.e.mu.Unlock()
-	// Content addresses outside the lock: identities read the suites,
-	// which take it.
+	// Content addresses outside the lock: identities read the machine
+	// memo, which takes it.
 	for i := range outs {
 		if outs[i].Err == nil {
 			if h, err := store.CanonicalHash(l.kind.identity(sps[i])); err == nil {

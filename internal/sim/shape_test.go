@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"sync"
 	"testing"
 
@@ -216,10 +215,10 @@ func TestShapeResidualOrderingDrivesNetGap(t *testing.T) {
 	for i, bench := range sav.Bench {
 		dr := mustT(e.run(e.Profiles[i], 11, leakctl.TechDrowsy, DefaultInterval))
 		gt := mustT(e.run(e.Profiles[i], 11, leakctl.TechGated, DefaultInterval))
+		base := mustT(e.run(e.Profiles[i], 11, leakctl.TechNone, 0))
 		m := e.model(11)
-		s := e.suite(11)
-		dp := mustT(s.EvaluateRun(context.Background(), e.Profiles[i], dr, 110, m))
-		gp := mustT(s.EvaluateRun(context.Background(), e.Profiles[i], gt, 110, m))
+		dp := mustT(Score(e.machine(11), m, base, dr, 110))
+		gp := mustT(Score(e.machine(11), m, base, gt, 110))
 		if gp.Cmp.ResidualPct >= dp.Cmp.ResidualPct {
 			t.Errorf("%s: gated residual %.1f not below drowsy %.1f",
 				bench, gp.Cmp.ResidualPct, dp.Cmp.ResidualPct)

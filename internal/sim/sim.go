@@ -156,95 +156,33 @@ type Point struct {
 }
 
 // Suite runs comparisons with baseline caching: the uncontrolled run for a
-// (benchmark, L2 latency) pair is simulated once and reused. Baseline is
-// safe for concurrent use and single-flight: concurrent callers that miss
-// the cache elect one simulating leader per profile and the rest wait for
-// its result instead of redundantly simulating the same baseline.
+// benchmark on the suite's machine is simulated once and reused. Baseline
+// is safe for concurrent use: it simulates under the suite's lock, so
+// concurrent first callers wait for one run instead of each simulating it.
 type Suite struct {
 	MC        MachineConfig
 	mu        sync.Mutex
-	baselines map[string]*baselineCell
-}
-
-// baselineCell is one profile's single-flight slot. done is closed when
-// the leader finishes; r/err are immutable afterwards. A failed leader
-// removes its cell before closing done, so later callers retry rather
-// than inheriting a stale error (e.g. the leader's cancelled context).
-type baselineCell struct {
-	done chan struct{}
-	r    RunResult
-	err  error
+	baselines map[string]RunResult
 }
 
 // NewSuite builds a suite over the given machine.
 func NewSuite(mc MachineConfig) *Suite {
-	return &Suite{MC: mc, baselines: make(map[string]*baselineCell)}
+	return &Suite{MC: mc, baselines: make(map[string]RunResult)}
 }
 
 // Baseline returns (simulating on first use) the uncontrolled run for a
-// profile. Under concurrency each profile's baseline is simulated exactly
-// once per success; waiters respect their own context.
+// profile. A failed run is not kept, so the next call simulates again.
 func (s *Suite) Baseline(ctx context.Context, prof workload.Profile) (RunResult, error) {
-	for {
-		s.mu.Lock()
-		c, ok := s.baselines[prof.Name]
-		if !ok {
-			c = &baselineCell{done: make(chan struct{})}
-			s.baselines[prof.Name] = c
-			s.mu.Unlock()
-			c.r, c.err = RunOne(ctx, s.MC, prof, leakctl.DefaultParams(leakctl.TechNone, 0), nil)
-			if c.err != nil {
-				s.mu.Lock()
-				delete(s.baselines, prof.Name)
-				s.mu.Unlock()
-			}
-			close(c.done)
-			return c.r, c.err
-		}
-		s.mu.Unlock()
-		select {
-		case <-c.done:
-			if c.err == nil {
-				return c.r, nil
-			}
-			// The leader failed; its cell is already removed.
-			// Retry under our own context (which may itself be
-			// done, caught by the other select arm next lap).
-			if ctx != nil && ctx.Err() != nil {
-				return RunResult{}, ctx.Err()
-			}
-		case <-ctxDone(ctx):
-			return RunResult{}, ctx.Err()
-		}
-	}
-}
-
-// ctxDone tolerates the nil contexts RunOne also accepts.
-func ctxDone(ctx context.Context) <-chan struct{} {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Done()
-}
-
-// SetBaseline seeds the baseline cache with an already-computed run — a
-// memoized or store-served one — so it is not re-simulated.
-func (s *Suite) SetBaseline(name string, r RunResult) {
 	s.mu.Lock()
-	if c, ok := s.baselines[name]; ok {
-		// Overwrite an in-flight or completed cell only if it is done;
-		// an in-flight leader's result would race with the seed.
-		select {
-		case <-c.done:
-		default:
-			s.mu.Unlock()
-			return
-		}
+	defer s.mu.Unlock()
+	if r, ok := s.baselines[prof.Name]; ok {
+		return r, nil
 	}
-	done := make(chan struct{})
-	close(done)
-	s.baselines[name] = &baselineCell{done: done, r: r}
-	s.mu.Unlock()
+	r, err := RunOne(ctx, s.MC, prof, leakctl.DefaultParams(leakctl.TechNone, 0), nil)
+	if err == nil {
+		s.baselines[prof.Name] = r
+	}
+	return r, err
 }
 
 // Evaluate runs one technique on one benchmark and scores it at the given
@@ -262,22 +200,31 @@ func (s *Suite) Evaluate(ctx context.Context, prof workload.Profile, params leak
 }
 
 // EvaluateRun scores an existing technique run against the cached baseline
-// at the given temperature, with the tags in standby only if the run's
-// params decay them: a run that keeps its tags awake is not credited their
-// leakage.
+// at the given temperature (see Score).
 func (s *Suite) EvaluateRun(ctx context.Context, prof workload.Profile, run RunResult, tempC float64, m *leakage.Model) (Point, error) {
 	base, err := s.Baseline(ctx, prof)
 	if err != nil {
 		return Point{}, err
 	}
-	m.SetEnv(leakage.Env{TempK: leakage.CelsiusToKelvin(tempC), Vdd: s.MC.Tech.VddNominal})
-	cmp, err := energy.CompareTags(m, s.MC.L1D, run.Params.Technique.Mode(), run.Params.DecayTags,
-		base.Measurement, run.Measurement, s.MC.Tech.ClockHz)
+	return Score(s.MC, m, base, run, tempC)
+}
+
+// Score rates a technique run against the uncontrolled run of the same
+// benchmark on machine mc at the given temperature (Celsius): the paper's
+// net savings and performance loss. The tags count as in standby only if
+// the run's params decay them: a run that keeps its tags awake is not
+// credited their leakage. Score changes nothing but m's environment, so
+// one pair of runs can be scored under any model or temperature without
+// simulating again.
+func Score(mc MachineConfig, m *leakage.Model, base, run RunResult, tempC float64) (Point, error) {
+	m.SetEnv(leakage.Env{TempK: leakage.CelsiusToKelvin(tempC), Vdd: mc.Tech.VddNominal})
+	cmp, err := energy.CompareTags(m, mc.L1D, run.Params.Technique.Mode(), run.Params.DecayTags,
+		base.Measurement, run.Measurement, mc.Tech.ClockHz)
 	if err != nil {
 		return Point{}, err
 	}
 	return Point{
-		Bench:     prof.Name,
+		Bench:     run.Bench,
 		Technique: run.Params.Technique,
 		Interval:  run.Params.Interval,
 		Cmp:       cmp,

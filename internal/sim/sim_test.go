@@ -80,20 +80,36 @@ func TestBaselineCaching(t *testing.T) {
 	}
 }
 
+// TestEvaluateProducesSaneComparison: the paper's headline comparison on
+// one benchmark. Both techniques save plausibly at a small cost with most
+// lines asleep, and the event mix shows which one preserves state: drowsy
+// pays slow hits and never an induced miss, gated-Vss the reverse.
 func TestEvaluateProducesSaneComparison(t *testing.T) {
 	mc := fastMachine(11)
 	s := NewSuite(mc)
 	m := leakage.New(mc.Tech)
 	prof, _ := workload.ByName("gcc")
-	p := mustT(s.Evaluate(context.Background(), prof, leakctl.DefaultParams(leakctl.TechDrowsy, 4096), 110, m, nil))
-	if p.Cmp.NetSavingsPct < 10 || p.Cmp.NetSavingsPct > 95 {
-		t.Fatalf("drowsy net savings %v implausible", p.Cmp.NetSavingsPct)
-	}
-	if p.Cmp.PerfLossPct < 0 || p.Cmp.PerfLossPct > 15 {
-		t.Fatalf("perf loss %v implausible", p.Cmp.PerfLossPct)
-	}
-	if !strings.Contains(p.String(), "drowsy") {
-		t.Fatalf("Point.String: %q", p.String())
+	for _, tq := range []leakctl.Technique{leakctl.TechDrowsy, leakctl.TechGated} {
+		p := mustT(s.Evaluate(context.Background(), prof, leakctl.DefaultParams(tq, 4096), 110, m, nil))
+		if p.Cmp.NetSavingsPct < 10 || p.Cmp.NetSavingsPct > 95 {
+			t.Errorf("%v net savings %v implausible", tq, p.Cmp.NetSavingsPct)
+		}
+		if p.Cmp.PerfLossPct < 0 || p.Cmp.PerfLossPct > 15 {
+			t.Errorf("%v perf loss %v implausible", tq, p.Cmp.PerfLossPct)
+		}
+		if p.Cmp.TurnoffRatio <= 0 || p.Cmp.TurnoffRatio >= 1 {
+			t.Errorf("%v turnoff %v", tq, p.Cmp.TurnoffRatio)
+		}
+		if !strings.Contains(p.String(), tq.String()) {
+			t.Errorf("Point.String: %q", p.String())
+		}
+		slow, induced := p.Run.DStats.SlowHits, p.Run.DStats.InducedMisses
+		if tq == leakctl.TechDrowsy && (slow == 0 || induced != 0) {
+			t.Errorf("drowsy events: %d slow hits, %d induced misses", slow, induced)
+		}
+		if tq == leakctl.TechGated && (induced == 0 || slow != 0) {
+			t.Errorf("gated events: %d slow hits, %d induced misses", slow, induced)
+		}
 	}
 }
 

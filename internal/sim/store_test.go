@@ -205,7 +205,7 @@ func TestRunDoneFollowsStoreWrite(t *testing.T) {
 	}
 	check := &eventCheck{st: st, hashes: map[string]string{}}
 	for _, cs := range cells {
-		h, err := CellHash(e.suite(cs.L2).MC, cs.Bench, cs.Technique, cs.Interval)
+		h, err := CellHash(e.machine(cs.L2), cs.Bench, cs.Technique, cs.Interval)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,7 @@
 // # On-disk layout
 //
 //	<dir>/seg-000001.jsonl   result segments: {"h":..,"k":..,"v":..,"t":..}
-//	<dir>/seg-000002.jsonl   lines (appended; rotated at SegmentMaxBytes)
+//	<dir>/seg-000002.jsonl   lines (appended; rotated at Options.SegmentMaxBytes)
 //
 // Open reads nothing else, so other files in the directory (a meta.jsonl
 // or checkpoints/ left by older versions) are ignored.
@@ -155,9 +155,9 @@ type Options struct {
 type Store struct {
 	dir string
 
-	// SegmentMaxBytes rotates the append segment once it grows past this
-	// size (default 64 MiB). Mutate only before concurrent use.
-	SegmentMaxBytes int64
+	// segmentMaxBytes rotates the append segment once it grows past this
+	// size (Options.SegmentMaxBytes).
+	segmentMaxBytes int64
 
 	fs   FS
 	now  func() time.Time
@@ -203,7 +203,7 @@ func OpenOptions(dir string, o Options) (*Store, error) {
 	}
 	s := &Store{
 		dir:             dir,
-		SegmentMaxBytes: o.SegmentMaxBytes,
+		segmentMaxBytes: o.SegmentMaxBytes,
 		fs:              o.FS,
 		now:             o.Now,
 		logf:            o.Logf,
@@ -457,7 +457,7 @@ func (s *Store) Put(hash string, key, value any) error {
 	}
 	// The first Put into an empty store creates its first segment.
 	if n := len(s.segs); n == 0 || s.segs[n-1].poisoned ||
-		(s.segs[n-1].size > 0 && s.segs[n-1].size+int64(len(line)) > s.SegmentMaxBytes) {
+		(s.segs[n-1].size > 0 && s.segs[n-1].size+int64(len(line)) > s.segmentMaxBytes) {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}

@@ -267,11 +267,11 @@ func TestStoreCorruptTailRecovery(t *testing.T) {
 // that segment is skipped, and later segments are unaffected.
 func TestStoreCorruptMiddleOfSealedSegment(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	// Rotate every few records.
+	s, err := OpenOptions(dir, Options{SegmentMaxBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SegmentMaxBytes = 256 // force rotation every few records
 	var hashes []string
 	for i := 0; i < 12; i++ {
 		hashes = append(hashes, mustPut(t, s, i))
@@ -328,12 +328,12 @@ func TestStoreCorruptMiddleOfSealedSegment(t *testing.T) {
 // -race (the verify tier does).
 func TestStoreConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	// Rotate under load too.
+	s, err := OpenOptions(dir, Options{SegmentMaxBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.SegmentMaxBytes = 1024 // rotate under load too
 
 	const writers, perWriter = 8, 25
 	var wg sync.WaitGroup
