@@ -68,6 +68,10 @@ func main() {
 	}
 	defer stopProf()
 
+	opts := []leakage.Option{}
+	if *vary {
+		opts = append(opts, leakage.WithVariation(leakage.DefaultVariation70nm()))
+	}
 	if *compare != "" {
 		if *metrics != "" {
 			addr, shutdown, err := obs.Serve(*metrics, obs.Default)
@@ -78,7 +82,7 @@ func main() {
 			defer shutdown()
 			fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics\n", addr)
 		}
-		code := runCompare(*compare, *tempC, *timeout, *vary)
+		code := runCompare(*compare, *tempC, *timeout, opts)
 		stopProf() // os.Exit skips the deferred stop
 		os.Exit(code)
 	}
@@ -92,10 +96,6 @@ func main() {
 		return
 	}
 
-	opts := []leakage.Option{}
-	if *vary {
-		opts = append(opts, leakage.WithVariation(leakage.DefaultVariation70nm()))
-	}
 	m := leakage.New(p, opts...)
 	m.SetEnv(leakage.Env{TempK: leakage.CelsiusToKelvin(*tempC), Vdd: *vdd})
 
@@ -130,8 +130,9 @@ func main() {
 // runCompare scores drowsy and gated-Vss against the uncontrolled cache on
 // one benchmark, on the Table 2 machine with an 11-cycle L2 at the default
 // decay interval, under SIGINT handling and an optional deadline. It
-// prints nothing on stdout unless every run succeeds.
-func runCompare(bench string, tempC float64, timeout time.Duration, vary bool) int {
+// prints nothing on stdout unless every run succeeds. opts build the
+// leakage model.
+func runCompare(bench string, tempC float64, timeout time.Duration, opts []leakage.Option) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if timeout > 0 {
@@ -144,26 +145,10 @@ func runCompare(bench string, tempC float64, timeout time.Duration, vary bool) i
 		fmt.Fprintf(os.Stderr, "unknown benchmark %q (have %v)\n", bench, workload.Names())
 		return 1
 	}
-	mc := sim.DefaultMachine(11)
-	suite := sim.NewSuite(mc)
-	var opts []leakage.Option
-	if vary {
-		opts = append(opts, leakage.WithVariation(leakage.DefaultVariation70nm()))
-	}
-	model := leakage.New(mc.Tech, opts...)
-	base, err := suite.Baseline(ctx, prof)
+	base, points, err := compare(ctx, sim.DefaultMachine(11), prof, tempC, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
-	}
-	var points []sim.Point
-	for _, tq := range []leakctl.Technique{leakctl.TechDrowsy, leakctl.TechGated} {
-		p, err := suite.Evaluate(ctx, prof, leakctl.DefaultParams(tq, sim.DefaultInterval), tempC, model, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		points = append(points, p)
 	}
 	fmt.Printf("%s @ %.0f C, L2=11: baseline IPC %.2f\n", prof.Name, tempC, base.CPU.IPC())
 	fmt.Printf("%-10s %12s %12s %10s\n", "technique", "net savings", "perf loss", "turnoff")
@@ -172,4 +157,24 @@ func runCompare(bench string, tempC float64, timeout time.Duration, vary bool) i
 			p.Technique, p.Cmp.NetSavingsPct, p.Cmp.PerfLossPct, 100*p.Cmp.TurnoffRatio)
 	}
 	return 0
+}
+
+// compare simulates the runs runCompare prints on machine mc, and scores
+// drowsy and gated-Vss at the default decay interval and tempC.
+func compare(ctx context.Context, mc sim.MachineConfig, prof workload.Profile, tempC float64, opts []leakage.Option) (sim.RunResult, []sim.Point, error) {
+	suite := sim.NewSuite(mc)
+	model := leakage.New(mc.Tech, opts...)
+	base, err := suite.Baseline(ctx, prof)
+	if err != nil {
+		return sim.RunResult{}, nil, err
+	}
+	var points []sim.Point
+	for _, tq := range []leakctl.Technique{leakctl.TechDrowsy, leakctl.TechGated} {
+		p, err := suite.Evaluate(ctx, prof, leakctl.DefaultParams(tq, sim.DefaultInterval), tempC, model, nil)
+		if err != nil {
+			return sim.RunResult{}, nil, err
+		}
+		points = append(points, p)
+	}
+	return base, points, nil
 }

@@ -10,12 +10,106 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"hotleakage/internal/leakage"
 	"hotleakage/internal/leakctl"
 	"hotleakage/internal/obs"
 	"hotleakage/internal/workload"
 )
+
+// holdLock takes the suite's lock as a caller mid-simulation holds it (the
+// leader) and returns the function that releases it.
+func holdLock(s *Suite) (release func()) {
+	s.lock <- struct{}{}
+	return func() { <-s.lock }
+}
+
+func TestBaselineWaitersShareTheLeaderResult(t *testing.T) {
+	s := NewSuite(fastMachine(5))
+	prof, _ := workload.ByName("gcc")
+	release := holdLock(s)
+
+	const waiters = 8
+	results := make(chan RunResult, waiters)
+	errs := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			r, err := s.Baseline(context.Background(), prof)
+			results <- r
+			errs <- err
+		}()
+	}
+
+	// Complete the leader with a sentinel result no simulation could
+	// produce. If any waiter simulated on its own it would return a real
+	// run instead.
+	s.baselines[prof.Name] = RunResult{Bench: "sentinel"}
+	release()
+	for i := 0; i < waiters; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("waiter error: %v", err)
+		}
+		if r := <-results; r.Bench != "sentinel" {
+			t.Fatalf("waiter simulated its own baseline (got bench %q)", r.Bench)
+		}
+	}
+}
+
+func TestBaselineWaiterRetriesAfterLeaderFailure(t *testing.T) {
+	s := NewSuite(fastMachine(5))
+	prof, _ := workload.ByName("gcc")
+	release := holdLock(s)
+
+	type out struct {
+		r   RunResult
+		err error
+	}
+	done := make(chan out, 1)
+	go func() {
+		r, err := s.Baseline(context.Background(), prof)
+		done <- out{r, err}
+	}()
+
+	// Fail the leader the way Baseline does: release the lock without
+	// keeping a run. The waiter must simulate the baseline itself.
+	release()
+
+	o := <-done
+	if o.err != nil {
+		t.Fatalf("waiter inherited the failed leader's error: %v", o.err)
+	}
+	if o.r.Bench != prof.Name || o.r.CPU.Cycles == 0 {
+		t.Fatalf("retrying waiter produced no real run: %+v", o.r.Bench)
+	}
+	// The retry's result must now be cached for everyone else.
+	again := mustT(s.Baseline(context.Background(), prof))
+	if again != o.r {
+		t.Fatal("retried baseline not cached")
+	}
+}
+
+func TestBaselineWaiterCancellation(t *testing.T) {
+	s := NewSuite(fastMachine(5))
+	prof, _ := workload.ByName("gcc")
+	holdLock(s) // never released
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Baseline(ctx, prof)
+		done <- err
+	}()
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled waiter still blocked on a stuck leader")
+	}
+}
 
 // TestBaselineRetriesAfterFailure: a failed baseline is not memoized. A
 // canceled caller gets its context's error, and the next caller simulates

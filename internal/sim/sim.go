@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"hotleakage/internal/bpred"
 	"hotleakage/internal/cache"
@@ -158,23 +157,28 @@ type Point struct {
 // Suite runs comparisons with baseline caching: the uncontrolled run for a
 // benchmark on the suite's machine is simulated once and reused. Baseline
 // is safe for concurrent use: it simulates under the suite's lock, so
-// concurrent first callers wait for one run instead of each simulating it.
+// concurrent first callers wait for one run instead of each simulating it,
+// and a caller whose context ends stops waiting with the context's error.
 type Suite struct {
 	MC        MachineConfig
-	mu        sync.Mutex
+	lock      chan struct{} // one token, held while reading or filling baselines
 	baselines map[string]RunResult
 }
 
 // NewSuite builds a suite over the given machine.
 func NewSuite(mc MachineConfig) *Suite {
-	return &Suite{MC: mc, baselines: make(map[string]RunResult)}
+	return &Suite{MC: mc, lock: make(chan struct{}, 1), baselines: make(map[string]RunResult)}
 }
 
 // Baseline returns (simulating on first use) the uncontrolled run for a
 // profile. A failed run is not kept, so the next call simulates again.
 func (s *Suite) Baseline(ctx context.Context, prof workload.Profile) (RunResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	select {
+	case s.lock <- struct{}{}:
+	case <-ctx.Done():
+		return RunResult{}, ctx.Err()
+	}
+	defer func() { <-s.lock }()
 	if r, ok := s.baselines[prof.Name]; ok {
 		return r, nil
 	}
